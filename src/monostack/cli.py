@@ -51,10 +51,6 @@ def _field_from_args(args):
     return field_from_spec(spec)
 
 
-def _parse_vec(text):
-    return jsonio.vec_from_key(text)
-
-
 def _parse_levels(text):
     try:
         return [int(part) for part in text.split(",") if part]

@@ -271,10 +271,6 @@ def invert(field, m):
     return tuple(tuple(row[n:]) for row in red)
 
 
-def is_invertible(field, m):
-    return bool(m) and len(m) == len(m[0]) and rank(field, m) == len(m)
-
-
 def column_space_basis(field, m):
     """Indices of a maximal independent subset of columns."""
     return rref(field, m)[1]

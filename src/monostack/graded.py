@@ -70,6 +70,7 @@ class GradedAlgebra:
             g for g in self.generators if in_delta(monoid, g)
         )
         self._decomp_memo = {tuple(Fraction(0) for _ in range(monoid.ambient_rank)): ()}
+        self._label_memo = dict(zip(self.basis, self.delta.labels))
 
     def __eq__(self, other):
         return (
@@ -83,7 +84,12 @@ class GradedAlgebra:
         return hash((self.monoid, self.level, self.field))
 
     def label_of(self, point):
-        return coset_label(self.monoid, self.level, point)
+        """Coset label of a point, memoized per algebra (errors are not stored)."""
+        memo = self._label_memo
+        lab = memo.get(point)
+        if lab is None:
+            lab = memo[point] = coset_label(self.monoid, self.level, point)
+        return lab
 
     def basis_of_label(self, label):
         """Delta monomials in one coset class."""
@@ -236,11 +242,6 @@ class GradedModule:
                         raise ValueError(
                             f"module law fails at generator {h}, basis {gamma}"
                         )
-
-    # -- constructions ---------------------------------------------------------
-
-    def restrict_scalars_labels(self):
-        return sorted(self.dims, key=lambda lab: lab.normal_form)
 
 
 def zero_module(algebra):
@@ -593,16 +594,18 @@ def is_exact_sequence(ses):
     for lab in labels:
         fb = f.block(lab)
         gb = g.block(lab)
-        if fields.rank(field, fb) != f.source.dim(lab):
+        rank_f = fields.rank(field, fb)
+        if rank_f != f.source.dim(lab):
             return False
-        if fields.rank(field, gb) != g.target.dim(lab):
+        rank_g = fields.rank(field, gb)
+        if rank_g != g.target.dim(lab):
             return False
         comp = fields.mat_mul_dims(
             field, gb, fb, g.target.dim(lab), f.target.dim(lab), f.source.dim(lab)
         )
         if not fields.mat_eq_zero(field, comp):
             return False
-        if fields.rank(field, fb) != f.target.dim(lab) - fields.rank(field, gb):
+        if rank_f != f.target.dim(lab) - rank_g:
             return False
     return True
 

@@ -65,17 +65,22 @@ def in_delta(pres, x):
 
 
 class DeltaSet:
-    """Delta(P) intersected with (1/n)P, with per-point Delta0 flags."""
+    """Delta(P) intersected with (1/n)P, with per-point labels and Delta0 flags.
 
-    def __init__(self, monoid, level, points, delta0_mask):
+    Classes are keyed by the integer form (order, res) of their labels.
+    """
+
+    def __init__(self, monoid, level, points, labels):
         self.monoid = monoid
         self.level = level
         self.points = points
-        self.delta0_mask = delta0_mask
+        self.labels = labels
         self._by_label = {}
-        for p in points:
-            nf = coset_label(monoid, level, p).normal_form
-            self._by_label.setdefault(nf, []).append(p)
+        for p, lab in zip(points, labels):
+            self._by_label.setdefault((lab.order, lab.res), []).append(p)
+        self.delta0_mask = tuple(
+            len(self._by_label[lab.order, lab.res]) == 1 for lab in labels
+        )
 
     @property
     def delta0_points(self):
@@ -84,10 +89,10 @@ class DeltaSet:
         )
 
     def points_in_class(self, label):
-        return tuple(self._by_label.get(label.normal_form, ()))
+        return tuple(self._by_label.get((label.order, label.res), ()))
 
     def delta0_point_in_class(self, label):
-        pts = self._by_label.get(label.normal_form, ())
+        pts = self._by_label.get((label.order, label.res), ())
         if len(pts) == 1:
             return pts[0]
         return None
@@ -121,14 +126,8 @@ def delta_points(pres, level):
         if not in_shifted_cone:
             pts.append(tuple(Fraction(c, denom) for c in y))
     pts.sort()
-    class_size = {}
-    nfs = []
-    for p in pts:
-        nf = coset_label(pres, level, p).normal_form
-        nfs.append(nf)
-        class_size[nf] = class_size.get(nf, 0) + 1
-    mask = tuple(class_size[nf] == 1 for nf in nfs)
-    return DeltaSet(pres, level, tuple(pts), mask)
+    labels = tuple(coset_label(pres, level, p) for p in pts)
+    return DeltaSet(pres, level, tuple(pts), labels)
 
 
 def delta0_points(pres, level):
@@ -154,7 +153,7 @@ class TruncatedProfiniteElement:
         for n, lab in self.labels.items():
             if lab.monoid != monoid:
                 raise IncompatibleFamily("label over a foreign monoid")
-            if not all((c * n).denominator == 1 for c in lab.normal_form):
+            if n % lab.order:
                 raise IncompatibleFamily(f"label at level {n} has a finer denominator")
         if not self.labels[1].is_zero():
             raise IncompatibleFamily("the level-1 label must vanish")
@@ -263,8 +262,6 @@ def is_infinite_quotient(element, depth=4):
         if gamma is None:
             continue
         p = vscale(Fraction(n), gamma)
-        if not pres.contains(p):
-            continue
         if all(
             element.labels[m]
             == coset_label(pres, m, vscale(Fraction(1, m), p))

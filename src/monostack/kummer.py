@@ -3,21 +3,32 @@
 The n-th root extension (1/n)P reuses the integer generator data of P and
 only bumps the stored denominator, so P and all its root extensions share
 one cone and one integer lattice.  Finite quotients like (1/n)P^gp / P^gp
-are handled through Smith normal forms; coset labels carry a canonical
-normal form (fractional coordinates against the group basis) that makes
-grading keys stable and hashable.
+are handled through Smith normal forms.
+
+A coset label is an element of (1/n)P^gp / P^gp = (Z/n)^r, stored as
+integer residues against the group basis and reduced to the smallest level
+(its order) it lives at, so labels computed at different levels compare
+and hash alike.  Adding, scaling and changing the level of labels is
+integer arithmetic; the Fraction normal form and representative are
+derived on demand, for sorting and for JSON.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, lcm, prod
+from itertools import product
+from math import gcd, lcm, prod
 
 from . import fields, lattice
 from .errors import InfiniteCokernel, LevelMismatch, NotSaturated
 from .fields import QQ
-from .lattice import as_fractions, lattice_coords, smith_normal_form
+from .lattice import (
+    as_fractions,
+    lattice_coords,
+    lattice_coords_int,
+    smith_normal_form,
+)
 from .monoid import MonoidPresentation
 
 
@@ -196,104 +207,101 @@ def picard_group(pres, n):
 
 @dataclass(frozen=True)
 class CosetLabel:
-    """A class in (1/n)P^gp / P^gp with a canonical normal form.
+    """A class in (1/n)P^gp / P^gp, stored as integer residues.
 
-    The normal form is the tuple of fractional parts of the coordinates
-    against the group basis, so two labels are equal exactly when their
-    representatives differ by a group element; the level is bookkeeping
-    and does not enter equality.
+    If x has coordinates c against the group basis, the label holds the
+    smallest `order` with order*c integral and the residues
+    `res` = order*c mod order, so gcd(order, *res) = 1.  Two labels are
+    equal exactly when their representatives differ by a group element,
+    whatever level they were computed at; the level is bookkeeping and
+    does not enter equality or hashing.
     """
 
     monoid: MonoidPresentation
     level: int = field(compare=False)
-    normal_form: tuple
+    order: int
+    res: tuple
+
+    def __post_init__(self):
+        g = gcd(self.order, *self.res)
+        if g != 1:
+            object.__setattr__(self, "order", self.order // g)
+            object.__setattr__(self, "res", tuple(r // g for r in self.res))
+
+    @property
+    def normal_form(self):
+        """Fractional parts of the coordinates against the group basis."""
+        return tuple(Fraction(r, self.order) for r in self.res)
 
     @property
     def representative(self):
         """The unique representative with all coordinates in [0, 1)."""
-        s = self.monoid.denominator
-        rep = [Fraction(0)] * self.monoid.ambient_rank
-        for c, row in zip(self.normal_form, self.monoid.group_basis):
+        den = self.order * self.monoid.denominator
+        rep = [0] * self.monoid.ambient_rank
+        for r, row in zip(self.res, self.monoid.group_basis):
             for i, a in enumerate(row):
-                rep[i] += c * Fraction(a, s)
-        return tuple(rep)
+                rep[i] += r * a
+        return tuple(Fraction(c, den) for c in rep)
 
     @property
     def residues(self):
         """Integer residues against the level-n quotient, in [0, n)."""
-        return tuple(int(c * self.level) for c in self.normal_form)
+        return tuple(r * self.level // self.order for r in self.res)
 
     def is_zero(self):
-        return all(c == 0 for c in self.normal_form)
+        return self.order == 1
 
 
 def coset_label(pres, n, x):
-    """Label of a rational vector x in (1/n)P^gp."""
-    coords = _group_coords(pres, x)
-    if coords is None:
+    """Label of a rational vector x in (1/n)P^gp.
+
+    y = n*s*x is an integer vector on the group lattice (s the presentation
+    denominator); its Hermite coordinates, reduced mod n, are the label.
+    """
+    ns = n * pres.denominator
+    scaled = [Fraction(a) * ns for a in x]
+    if all(c.denominator == 1 for c in scaled):
+        coords = lattice_coords_int(pres.group_basis, [int(c) for c in scaled])
+        if coords is not None:
+            return CosetLabel(pres, n, n, tuple(c % n for c in coords))
+    if _group_coords(pres, x) is None:
         raise ValueError(f"{x} is not in the rational span of the group")
-    nf = []
-    for c in coords:
-        if (c * n).denominator != 1:
-            raise ValueError(f"{x} is not in the level-{n} group lattice")
-        nf.append(c - floor(c))
-    return CosetLabel(monoid=pres, level=n, normal_form=tuple(nf))
+    raise ValueError(f"{x} is not in the level-{n} group lattice")
 
 
 def zero_label(pres, n=1):
-    return CosetLabel(
-        monoid=pres, level=n, normal_form=tuple(Fraction(0) for _ in pres.group_basis)
-    )
+    return CosetLabel(pres, n, 1, (0,) * pres.group_rank)
 
 
 def enumerate_labels(pres, n):
     """All n^r coset labels at level n, in lexicographic residue order."""
-    r = pres.group_rank
-    labels = []
-    idx = [0] * r
-    while True:
-        labels.append(
-            CosetLabel(
-                monoid=pres,
-                level=n,
-                normal_form=tuple(Fraction(a, n) for a in idx),
-            )
-        )
-        i = r - 1
-        while i >= 0:
-            idx[i] += 1
-            if idx[i] < n:
-                break
-            idx[i] = 0
-            i -= 1
-        else:
-            break
-        if r == 0:
-            break
-    return labels
+    return [
+        CosetLabel(pres, n, n, res)
+        for res in product(range(n), repeat=pres.group_rank)
+    ]
 
 
 def label_add(a, b):
     if a.monoid != b.monoid:
         raise LevelMismatch("labels over different monoids")
-    n = lcm(a.level, b.level)
-    nf = tuple((x + y) % 1 for x, y in zip(a.normal_form, b.normal_form))
-    return CosetLabel(monoid=a.monoid, level=n, normal_form=nf)
+    m = lcm(a.order, b.order)
+    ka, kb = m // a.order, m // b.order
+    res = tuple((ka * x + kb * y) % m for x, y in zip(a.res, b.res))
+    return CosetLabel(a.monoid, lcm(a.level, b.level), m, res)
 
 
 def label_scale(k, a):
-    nf = tuple((k * x) % 1 for x in a.normal_form)
-    return CosetLabel(monoid=a.monoid, level=a.level, normal_form=nf)
+    res = tuple(k * x % a.order for x in a.res)
+    return CosetLabel(a.monoid, a.level, a.order, res)
 
 
 def label_at_level(a, n):
-    """Reinterpret a label at level n (its denominators must divide n)."""
-    for c in a.normal_form:
-        if (c * n).denominator != 1:
-            raise LevelMismatch(f"label {a.normal_form} does not live at level {n}")
-    return CosetLabel(monoid=a.monoid, level=n, normal_form=a.normal_form)
+    """Reinterpret a label at level n (its order must divide n)."""
+    if n % a.order:
+        raise LevelMismatch(f"label {a.normal_form} does not live at level {n}")
+    return CosetLabel(a.monoid, n, a.order, a.res)
 
 
 def label_level_divides(a, m):
-    """True when the label comes from level m (denominators divide m)."""
-    return all((c * m).denominator == 1 for c in a.normal_form)
+    """True when the label comes from level m (its order divides m)."""
+    return m % a.order == 0

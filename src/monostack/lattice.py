@@ -230,6 +230,26 @@ def lattice_coords(basis_rows, x):
     return tuple(coords)
 
 
+def lattice_coords_int(basis_rows, y):
+    """Integer coordinates of an integer vector y in a Hermite row basis.
+
+    Returns None when y is not in the lattice.
+    """
+    y = list(y)
+    coords = []
+    for row in basis_rows:
+        p = next(i for i, a in enumerate(row) if a != 0)
+        q, r = divmod(y[p], row[p])
+        if r:
+            return None
+        coords.append(q)
+        if q:
+            y = [a - q * b for a, b in zip(y, row)]
+    if any(y):
+        return None
+    return tuple(coords)
+
+
 def lattice_contains(basis_rows, x):
     coords = lattice_coords(basis_rows, x)
     return coords is not None and all(c.denominator == 1 for c in coords)
@@ -237,15 +257,7 @@ def lattice_contains(basis_rows, x):
 
 def lattice_contains_int(basis_rows, x):
     """Integer-only membership test against a Hermite row basis."""
-    y = list(x)
-    for row in basis_rows:
-        p = next(i for i, a in enumerate(row) if a != 0)
-        q, r = divmod(y[p], row[p])
-        if r:
-            return False
-        if q:
-            y = [a - q * b for a, b in zip(y, row)]
-    return not any(y)
+    return lattice_coords_int(basis_rows, x) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +411,6 @@ def cone_contains(cone, x):
     return all(dot(f, x) >= 0 for f in cone.facets)
 
 
-def is_pointed(cone):
-    """True iff the cone contains no line."""
-    total = tuple(sum(f[i] for f in cone.facets) for i in range(cone.dim))
-    return all(
-        dot(total, g) > 0 for g in cone.generators
-    )
-
-
 def positive_functional_of(cone):
     """Sum of all facet functionals; strictly positive on a pointed cone."""
     return tuple(sum(f[i] for f in cone.facets) for i in range(cone.dim))
@@ -448,26 +452,29 @@ def enumerate_integer_points(cone, bound_functional, cap):
     for i in range(cone.dim - 1, -1, -1):
         suffix_fmax[i] = [a + b for a, b in zip(suffix_fmax[i + 1], fmax[i])]
         suffix_lmin[i] = suffix_lmin[i + 1] + lmin[i]
+    # depth-first over coordinate prefixes; an explicit stack rather than a
+    # recursive closure, which would hold itself and `out` in a reference
+    # cycle until the next full garbage collection
     out = []
-    y = [0] * cone.dim
-
-    def scan(i, fsums, lsum):
+    stack = [((), [0] * nfac, 0)]
+    while stack:
+        prefix, fsums, lsum = stack.pop()
+        i = len(prefix)
         if i == cone.dim:
             if all(v >= 0 for v in fsums) and lsum <= cap:
-                out.append(tuple(y))
-            return
+                out.append(prefix)
+            continue
+        column = [f[i] for f in facets]
+        rest_fmax = suffix_fmax[i + 1]
+        rest_lmin = suffix_lmin[i + 1]
         for c in range(lo[i], hi[i] + 1):
-            y[i] = c
-            nf = [fs + facets[k][i] * c for k, fs in enumerate(fsums)]
             nl = lsum + ell[i] * c
-            if nl + suffix_lmin[i + 1] > cap:
+            if nl + rest_lmin > cap:
                 continue
-            if any(v + m < 0 for v, m in zip(nf, suffix_fmax[i + 1])):
+            nf = [fs + fc * c for fs, fc in zip(fsums, column)]
+            if any(v + m < 0 for v, m in zip(nf, rest_fmax)):
                 continue
-            scan(i + 1, nf, nl)
-        y[i] = 0
-
-    scan(0, [0] * nfac, 0)
+            stack.append((prefix + (c,), nf, nl))
     out.sort()
     return out
 

@@ -138,6 +138,23 @@ def random_kummer_hom(pres, rng):
     return MonoidHom(pres, target, u)
 
 
+def coset_label_oracle(pres, n, x):
+    """Normal form of the level-n coset label of x, by Fraction coordinates.
+
+    The fractional parts of the coordinates of s*x against the group basis
+    (s the presentation denominator), or None when x is not in (1/n)P^gp.
+    """
+    from math import floor
+
+    from monostack.lattice import lattice_coords
+
+    s = pres.denominator
+    coords = lattice_coords(pres.group_basis, tuple(Fraction(a) * s for a in x))
+    if coords is None or any((c * n).denominator != 1 for c in coords):
+        return None
+    return tuple(c - floor(c) for c in coords)
+
+
 # -- random graded data -------------------------------------------------------
 
 

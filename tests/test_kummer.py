@@ -17,6 +17,8 @@ from monostack.kummer import (
     identity_hom,
     is_kummer,
     label_add,
+    label_at_level,
+    label_level_divides,
     label_scale,
     picard_group,
     root_extension,
@@ -189,3 +191,132 @@ def test_label_level_reinterpretation(nat):
     assert lifted == lab and lifted.level == 4
     with pytest.raises(LevelMismatch):
         label_at_level(lab, 3)
+
+
+# -- integer labels against the Fraction oracle --------------------------------
+
+LEVELS = range(1, 7)
+
+
+@pytest.fixture(scope="module")
+def label_monoids(nat, nat2, nat3, nonsimplicial):
+    """N, N^2, N^3, the non-simplicial cone, a monoid whose group has index 2
+    in Z^2, and a presentation with denominator 3."""
+    return {
+        "N": nat,
+        "N2": nat2,
+        "N3": nat3,
+        "cone": nonsimplicial,
+        "index2": validate([(2, 0), (1, 1), (0, 2)]),
+        "denom3": root_extension(validate([(2, 0), (1, 1), (0, 2)]), 3),
+    }
+
+
+def _group_shift(pres, rng):
+    """A random element of P^gp, as a rational vector."""
+    s = pres.denominator
+    shift = [Fraction(0)] * pres.ambient_rank
+    for row in pres.group_basis:
+        k = rng.randint(-3, 3)
+        for i, a in enumerate(row):
+            shift[i] += Fraction(k * a, s)
+    return tuple(shift)
+
+
+def test_every_label_matches_fraction_oracle(label_monoids):
+    from helpers import coset_label_oracle
+
+    rng = random.Random(31)
+    for name, pres in label_monoids.items():
+        for n in LEVELS:
+            labels = enumerate_labels(pres, n)
+            assert len(labels) == n ** pres.group_rank
+            for lab in labels:
+                rep = lab.representative
+                x = tuple(a + b for a, b in zip(rep, _group_shift(pres, rng)))
+                got = coset_label(pres, n, x)
+                nf = coset_label_oracle(pres, n, x)
+                assert got.normal_form == nf == lab.normal_form, (name, n, x)
+                assert got.residues == tuple(int(c * n) for c in nf) == lab.residues
+                assert got == lab and hash(got) == hash(lab), (name, n, x)
+                assert coset_label_oracle(pres, n, rep) == nf
+                assert all(0 <= c < 1 for c in nf)
+                assert got.is_zero() == all(c == 0 for c in nf)
+            assert len(set(labels)) == len(labels)
+
+
+def test_labels_equal_across_levels(label_monoids):
+    for name, pres in label_monoids.items():
+        by_level = {n: enumerate_labels(pres, n) for n in (1, 2, 3, 4, 6, 12)}
+        index12 = {lab: i for i, lab in enumerate(by_level[12])}
+        for m, labels in by_level.items():
+            for lab in labels:
+                lifted = label_at_level(lab, 12)
+                assert lifted == lab and hash(lifted) == hash(lab)
+                assert lifted.level == 12 and lab.level == m
+                # a level-m label finds its level-12 twin in a dict
+                twin = by_level[12][index12[lab]]
+                assert twin == lab and twin.normal_form == lab.normal_form
+                again = coset_label(pres, 12, lab.representative)
+                assert again == lab and hash(again) == hash(lab), (name, m)
+                for n in (1, 2, 3, 4, 6, 12):
+                    assert label_level_divides(lab, n) == all(
+                        (c * n).denominator == 1 for c in lab.normal_form
+                    )
+
+
+def test_label_add_and_scale_laws(label_monoids):
+    from helpers import coset_label_oracle
+
+    rng = random.Random(32)
+    for name, pres in label_monoids.items():
+        for n in LEVELS:
+            labels = enumerate_labels(pres, n)
+            zero = zero_label(pres, n)
+            picks = [labels[rng.randrange(len(labels))] for _ in range(8)]
+            other = enumerate_labels(pres, rng.choice((2, 3, 5)))
+            for a in picks:
+                b = labels[rng.randrange(len(labels))]
+                c = other[rng.randrange(len(other))]
+                s = label_add(a, b)
+                rep_sum = tuple(x + y for x, y in zip(a.representative, b.representative))
+                assert s.normal_form == coset_label_oracle(pres, n, rep_sum)
+                assert s == label_add(b, a)
+                assert label_add(label_add(a, b), c) == label_add(a, label_add(b, c))
+                assert label_add(a, zero) == a
+                assert label_add(a, label_scale(-1, a)).is_zero()
+                mixed = label_add(a, c)
+                assert mixed.level % n == 0 and mixed.level % c.level == 0
+                rep_mixed = tuple(x + y for x, y in zip(a.representative, c.representative))
+                assert mixed.normal_form == coset_label_oracle(pres, mixed.level, rep_mixed)
+                for k in (-2, 0, 1, 3, n):
+                    scaled = label_scale(k, a)
+                    rep_k = tuple(k * x for x in a.representative)
+                    assert scaled.normal_form == coset_label_oracle(pres, n, rep_k)
+                    assert label_scale(k, s) == label_add(scaled, label_scale(k, b))
+                    assert label_scale(k + 2, a) == label_add(scaled, label_scale(2, a))
+                assert label_scale(n, a).is_zero()
+
+
+def test_off_lattice_points_raise(label_monoids, nat):
+    from helpers import coset_label_oracle
+    from monostack.graded import graded_algebra
+
+    index2 = label_monoids["index2"]
+    line = validate([(1, 1)])
+    cases = [
+        (nat, 2, (Fraction(1, 3),), "level-2 group lattice"),
+        (index2, 2, (Fraction(1, 2), Fraction(0)), "level-2 group lattice"),
+        (index2, 1, (Fraction(1), Fraction(0)), "level-1 group lattice"),
+        (label_monoids["denom3"], 2, (Fraction(1, 12), Fraction(1, 12)), "level-2 group lattice"),
+        (line, 2, (Fraction(1), Fraction(0)), "rational span"),
+    ]
+    for pres, n, x, message in cases:
+        assert coset_label_oracle(pres, n, x) is None
+        with pytest.raises(ValueError, match=message):
+            coset_label(pres, n, x)
+    alg = graded_algebra(index2, 2)
+    for _ in range(2):  # failures are not memoized
+        with pytest.raises(ValueError, match="level-2 group lattice"):
+            alg.label_of((Fraction(1, 2), Fraction(0)))
+    assert alg.label_of((Fraction(1, 2), Fraction(1, 2))).residues == (1, 0)

@@ -193,3 +193,21 @@ def test_lattice_basis_membership():
             sum(c * row[i] for c, row in zip(coeffs, basis)) for i in range(2)
         )
         assert lattice_contains_int(basis, v)
+
+
+def test_enumeration_leaves_no_cyclic_garbage(nonsimplicial):
+    """The raw point list is freed as soon as the caller drops it."""
+    import gc
+
+    from monostack.lattice import enumerate_integer_points
+
+    cone, ell = nonsimplicial.cone, nonsimplicial.positive_functional
+    gc.collect()
+    gc.disable()
+    try:
+        pts = enumerate_integer_points(cone, ell, 24)
+        assert pts
+        del pts
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

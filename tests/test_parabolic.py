@@ -389,3 +389,33 @@ def test_level_one_line_matches_base_module(nat):
     assert mod.total_dim == 1
     one = (Fraction(1),)
     assert sheaf.structure_matrix(one, zero_label(nat, 1)) == ((Fraction(0),),)
+
+
+def test_induction_computes_each_label_once(nat2, monkeypatch):
+    """Inducing an N^2 level-2 sheaf to level 6 labels each Delta point and
+    each generator at most once per algebra."""
+    import monostack.graded as graded_mod
+    import monostack.infquot as infquot_mod
+    import monostack.kummer as kummer_mod
+    from monostack.graded import direct_sum, graded_algebra, twist
+    from monostack.infquot import delta_points
+
+    original = kummer_mod.coset_label
+    calls = {}
+
+    def counting(pres, n, x):
+        calls[n] = calls.get(n, 0) + 1
+        return original(pres, n, x)
+
+    for mod in (kummer_mod, graded_mod, infquot_mod):
+        monkeypatch.setattr(mod, "coset_label", counting)
+    delta_points.cache_clear()
+    graded_algebra.cache_clear()
+    alg2 = graded_algebra(nat2, 2)
+    sheaf = from_graded(direct_sum([twist(alg2, lab) for lab in alg2.labels[:2]]))
+    induced = induce(sheaf, 6)
+    assert induced.level == 6 and induced.module.total_dim > 0
+    for n in (2, 6):
+        alg = graded_algebra(nat2, n)
+        assert 0 < calls.get(n, 0) <= len(alg.basis) + len(alg.generators), (n, calls)
+    assert set(calls) == {2, 6}
