@@ -4,20 +4,20 @@ Payloads are read from a file argument (or stdin when the argument is "-"
 or omitted) and written to stdout; identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 malformed input, 2 a
 semantic precondition was violated (non-sharp monoid, level mismatch and
-friends), 3 the infinite-quotient check came back inconclusive.
+friends), 3 the infinite-quotient check came back inconclusive.  Every
+--level, --levels, --to and --divisor value must be a positive integer;
+anything else is malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import graded, infquot, jsonio, kummer, monoid, parabolic
 from .errors import MalformedInput, MonostackError
-from .fields import QQ, field_from_spec
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -46,16 +46,19 @@ def _emit(payload, summary, pretty):
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _field_from_args(args):
-    spec = args.field or os.environ.get("MONOSTACK_FIELD") or "Q"
-    return field_from_spec(spec)
+def _positive(value, flag):
+    """A level-like argument: positive integers pass, anything else is malformed."""
+    if value < 1:
+        raise MalformedInput(f"{flag} must be a positive integer, got {value}")
+    return value
 
 
 def _parse_levels(text):
     try:
-        return [int(part) for part in text.split(",") if part]
+        levels = [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise MalformedInput(f"bad level list {text!r}") from exc
+    return [_positive(n, "--levels") for n in levels]
 
 
 # -- command handlers ---------------------------------------------------------
@@ -253,7 +256,6 @@ def build_parser():
         description="Exact monoid/root-stack combinatorics with JSON I/O.",
     )
     parser.add_argument("--pretty", action="store_true", help="indent output, add a summary on stderr")
-    parser.add_argument("--field", default=None, help="coefficient field: Q or Fp:<prime> (env MONOSTACK_FIELD)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("monoid", help="inspect, saturate, or generate Hilbert bases")
@@ -326,6 +328,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("level", "to", "divisor"):
+            value = getattr(args, flag, None)
+            if value is not None:
+                _positive(value, f"--{flag}")
         payload, summary, code = args.func(args)
     except MalformedInput as exc:
         sys.stderr.write(f"error: {exc}\n")

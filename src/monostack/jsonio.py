@@ -67,9 +67,11 @@ def monoid_from_json(data):
     try:
         rank = int(data["ambient_rank"])
         gens = [tuple(int(a) for a in g) for g in data["generators"]]
+        denominator = int(data.get("denominator", 1))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad monoid payload: {exc}") from exc
-    denominator = int(data.get("denominator", 1))
+    if denominator < 1:
+        raise MalformedInput(f"denominator must be a positive integer, got {denominator}")
     return validate(gens, ambient_rank=rank, denominator=denominator)
 
 

@@ -237,18 +237,6 @@ def saturate(pres):
     )
 
 
-def hilbert_basis(pres):
-    return pres.hilbert_basis
-
-
-def contains(pres, x):
-    return pres.contains(x)
-
-
-def is_simplicial(pres):
-    return pres.is_simplicial
-
-
 def monoid_equal(p, q):
     """Equality of the presented rational monoids (not presentations)."""
     if p.ambient_rank != q.ambient_rank:

@@ -14,20 +14,22 @@ Induction along m | N is the left adjoint of weight restriction.  It is
 computed as the colimit of the weight diagram below each class, presented
 as a direct sum of source components modulo the arrow identifications
 (evaluated in the stable gauge where the diagram has settled, which is
-what makes the pseudo-period normalization the identity).
+what makes the pseudo-period normalization the identity).  Induction and
+cokernels are built by `graded.Presentation`; the induction presentation
+is kept for the unit, counit and induced maps, which read its generator
+index and quotient spaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fields, graded, lattice
 from .errors import LevelMismatch, NotADivisor, NotAMultiple
 from .graded import GradedModule, graded_algebra
 from .infquot import in_delta
-from .kummer import label_add, label_at_level, label_level_divides
-from .lattice import vadd, vscale
+from .kummer import label_add, label_at_level
+from .lattice import vadd
 
 
 class ParabolicSheaf:
@@ -142,16 +144,7 @@ class ParabolicMap:
 
 def compose(g, f):
     inner = graded.compose_maps(g.gmap, f.gmap)
-    out = ParabolicMap.__new__(ParabolicMap)
-    out.source, out.target, out.gmap = f.source, g.target, inner
-    return out
-
-
-def identity_parabolic_map(sheaf):
-    out = ParabolicMap.__new__(ParabolicMap)
-    out.source = out.target = sheaf
-    out.gmap = graded.identity_map(sheaf.module)
-    return out
+    return ParabolicMap(f.source, g.target, inner.blocks, check=False)
 
 
 def is_identity(pmap):
@@ -168,54 +161,35 @@ def is_identity(pmap):
 def kernel(pmap):
     ker, incl = graded.kernel(pmap.gmap)
     ksheaf = from_graded(ker)
-    out = ParabolicMap.__new__(ParabolicMap)
-    out.source, out.target, out.gmap = ksheaf, pmap.source, incl
-    return ksheaf, out
+    return ksheaf, ParabolicMap(ksheaf, pmap.source, incl.blocks, check=False)
 
 
 def cokernel(pmap):
     """Quotient of the target by the image, with the projection."""
-    alg = pmap.source.module.algebra
-    field = alg.field
+    target = pmap.target.module
     img, incl = graded.image(pmap.gmap)
-    dims = {}
-    proj_blocks = {}
-    spaces = {}
-    for lab in set(pmap.target.module.dims):
-        amb = pmap.target.dim(lab)
-        cols = []
-        if img.dim(lab):
+    gens = [(lab, (lab, a)) for lab, d in target.dims.items() for a in range(d)]
+
+    def relations():
+        for lab, d in img.dims.items():
             mat = incl.block(lab)
-            cols = [tuple(mat[i][j] for i in range(amb)) for j in range(img.dim(lab))]
-        sp = graded.PresentedSpace(field, amb, [c for c in cols])
-        spaces[lab] = sp
-        if sp.dim:
-            dims[lab] = sp.dim
-            proj_blocks[lab] = tuple(
-                zip(*[sp.unit(k) for k in range(amb)])
-            )
-    action = {}
-    for lab in dims:
-        sp = spaces[lab]
-        for g in alg.generators:
-            tgt = pmap.target.module._target_label(g, lab)
-            tsp = spaces.get(tgt)
-            if tsp is None or tsp.dim == 0:
-                continue
-            gmat = pmap.target.module.gen_matrix(g, lab)
-            cols = []
-            for k in range(sp.dim):
-                amb_idx = sp.free[k]
-                col = tuple(gmat[i][amb_idx] for i in range(len(gmat)))
-                cols.append(tsp.reduce(col))
-            action[(g, lab)] = tuple(zip(*cols))
-    coker = from_graded(GradedModule(alg, dims, action, check=False))
-    out = ParabolicMap.__new__(ParabolicMap)
-    out.source, out.target = pmap.target, coker
-    out.gmap = graded.GradedMap(
-        pmap.target.module, coker.module, proj_blocks, check=False
-    )
-    return coker, out
+            for j in range(d):
+                yield [((lab, a), mat[a][j]) for a in range(target.dim(lab))]
+
+    def move(h, key):
+        lab, a = key
+        tgt = target._target_label(h, lab)
+        gmat = target.gen_matrix(h, lab)
+        return [((tgt, r), gmat[r][a]) for r in range(target.dim(tgt))]
+
+    pres = graded.Presentation(target.algebra, gens, relations(), move)
+    coker = from_graded(pres.module)
+    proj_blocks = {
+        lab: tuple(zip(*[sp.unit(a) for a in range(sp.ngens)]))
+        for lab, sp in pres.spaces.items()
+        if sp.dim
+    }
+    return coker, ParabolicMap(pmap.target, coker, proj_blocks, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -231,109 +205,58 @@ def restrict(sheaf, sublevel):
 
 def restrict_parabolic_map(pmap, sublevel):
     inner = graded.restrict_map(pmap.gmap, sublevel)
-    out = ParabolicMap.__new__(ParabolicMap)
-    out.source = restrict(pmap.source, sublevel)
-    out.target = restrict(pmap.target, sublevel)
-    out.gmap = graded.GradedMap(
-        out.source.module, out.target.module, inner.blocks, check=False
+    return ParabolicMap(
+        restrict(pmap.source, sublevel),
+        restrict(pmap.target, sublevel),
+        inner.blocks,
+        check=False,
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
 # induction
 
 
-@dataclass
-class InductionData:
-    source_level: int
-    gens_per_label: dict
-    pair_index: dict
-    spaces: dict
-
-
 def _induce_with_data(sheaf, level):
     """Colimit-of-weights construction of the induced sheaf, with its
-    presentation kept for building the adjunction maps."""
+    presentation kept for building the adjunction maps.
+
+    The generators are (nu, gamma, i): basis vector i of the source
+    component nu moved to the level-N Delta monomial gamma.  Each
+    generator w of the source algebra identifies x^w e_i at gamma with
+    e_i at w + gamma.
+    """
     if level % sheaf.level != 0:
         raise NotAMultiple(f"{level} is not a multiple of level {sheaf.level}")
-    monoid = sheaf.monoid
     field = sheaf.field
     src = sheaf.module
-    alg_m = src.algebra
-    alg_n = graded_algebra(monoid, level, field)
-    gens_per_label = {}
-    pair_index = {}
+    alg_n = graded_algebra(sheaf.monoid, level, field)
+    gens = []
     for nu, dm in src.dims.items():
         nu_big = label_at_level(nu, level)
         for gamma in alg_n.basis:
             lab = label_add(nu_big, alg_n.label_of(gamma))
-            lst = gens_per_label.setdefault(lab, [])
-            for i in range(dm):
-                pair_index[(nu, gamma, i)] = (lab, len(lst))
-                lst.append((nu, gamma, i))
-    spaces = {}
-    for lab, gens in gens_per_label.items():
-        relations = []
-        for w in alg_m.delta_generators:
+            gens.extend((lab, (nu, gamma, i)) for i in range(dm))
+
+    def relations():
+        minus_one = field.neg(field.one)
+        for w in src.algebra.delta_generators:
             for nu, dm in src.dims.items():
                 act = src.act(w, nu)
                 tnu = src._target_label(w, nu)
                 for gamma in alg_n.basis:
-                    glab = label_add(
-                        label_at_level(nu, level), alg_n.label_of(gamma)
-                    )
-                    wlab = label_add(glab, label_at_level(alg_m.label_of(w), level))
-                    if wlab != lab:
-                        continue
                     shifted = vadd(w, gamma)
-                    shifted_key = (
-                        pair_index.get((nu, shifted, 0))
-                        if in_delta(monoid, shifted)
-                        else None
-                    )
                     for i in range(dm):
-                        row = [field.zero] * len(gens)
-                        for k in range(src.dim(tnu)):
-                            key = pair_index.get((tnu, gamma, k))
-                            if key is not None:
-                                row[key[1]] = field.add(row[key[1]], act[k][i])
-                        if shifted_key is not None:
-                            idx = pair_index[(nu, shifted, i)][1]
-                            row[idx] = field.sub(row[idx], field.one)
-                        if any(not field.is_zero(c) for c in row):
-                            relations.append(tuple(row))
-        spaces[lab] = graded.PresentedSpace(field, len(gens), relations)
-    dims = {lab: sp.dim for lab, sp in spaces.items() if sp.dim}
-    action = {}
-    for lab, gens in gens_per_label.items():
-        sp = spaces[lab]
-        if sp.dim == 0:
-            continue
-        for h in alg_n.delta_generators:
-            tlab = label_add(lab, alg_n.label_of(h))
-            tsp = spaces.get(tlab)
-            if tsp is None or tsp.dim == 0:
-                continue
-            cols = []
-            for k in range(sp.dim):
-                nu, gamma, i = gens[sp.free[k]]
-                shifted = vadd(gamma, h)
-                if in_delta(monoid, shifted):
-                    vec = [field.zero] * tsp.ngens
-                    vec[pair_index[(nu, shifted, i)][1]] = field.one
-                    cols.append(tsp.reduce(vec))
-                else:
-                    cols.append(tuple(field.zero for _ in range(tsp.dim)))
-            action[(h, lab)] = tuple(zip(*cols))
-    module = GradedModule(alg_n, dims, action, check=False)
-    data = InductionData(
-        source_level=sheaf.level,
-        gens_per_label=gens_per_label,
-        pair_index=pair_index,
-        spaces=spaces,
-    )
-    return from_graded(module), data
+                        row = [((tnu, gamma, k), act[k][i]) for k in range(src.dim(tnu))]
+                        row.append(((nu, shifted, i), minus_one))
+                        yield row
+
+    def move(h, key):
+        nu, gamma, i = key
+        return [((nu, vadd(gamma, h), i), field.one)]
+
+    pres = graded.Presentation(alg_n, gens, relations(), move)
+    return from_graded(pres.module), pres
 
 
 def induce(sheaf, level):
@@ -347,58 +270,39 @@ def induce_parabolic_map(pmap, level, src_ind=None, tgt_ind=None):
         src_ind = _induce_with_data(pmap.source, level)
     if tgt_ind is None:
         tgt_ind = _induce_with_data(pmap.target, level)
-    s_sheaf, s_data = src_ind
-    t_sheaf, t_data = tgt_ind
-    field = pmap.source.field
+    s_sheaf, s_pres = src_ind
+    t_sheaf, t_pres = tgt_ind
     blocks = {}
-    for lab, d in s_sheaf.module.dims.items():
-        sp = s_data.spaces[lab]
-        tsp = t_data.spaces.get(lab)
-        tdim = t_sheaf.dim(lab)
+    for lab in s_sheaf.module.dims:
+        if not t_sheaf.dim(lab):
+            continue
+        sp = s_pres.spaces[lab]
         cols = []
-        for k in range(d):
-            nu, gamma, i = s_data.gens_per_label[lab][sp.free[k]]
-            vec = [field.zero] * (tsp.ngens if tsp else 0)
+        for k in sp.free:
+            nu, gamma, i = s_pres.gens_per_label[lab][k]
             fb = pmap.block(nu)
-            for k2 in range(pmap.target.dim(nu)):
-                key = t_data.pair_index.get((nu, gamma, k2))
-                if key is not None:
-                    vec[key[1]] = field.add(vec[key[1]], fb[k2][i])
-            cols.append(tsp.reduce(vec) if tsp else tuple())
-        if tdim:
-            blocks[lab] = tuple(zip(*cols))
-    out = ParabolicMap.__new__(ParabolicMap)
-    out.source, out.target = s_sheaf, t_sheaf
-    out.gmap = graded.GradedMap(
-        s_sheaf.module, t_sheaf.module, blocks, check=False
-    )
-    return out
+            terms = [((nu, gamma, k2), fb[k2][i]) for k2 in range(pmap.target.dim(nu))]
+            cols.append(t_pres.coords(lab, terms))
+        blocks[lab] = tuple(zip(*cols))
+    return ParabolicMap(s_sheaf, t_sheaf, blocks, check=False)
 
 
 def unit_map(sheaf, level, ind=None):
     """eta: E -> restrict(induce(E, level), E.level)."""
     if ind is None:
         ind = _induce_with_data(sheaf, level)
-    ind_sheaf, data = ind
+    ind_sheaf, pres = ind
     res = restrict(ind_sheaf, sheaf.level)
     field = sheaf.field
     zero = tuple(Fraction(0) for _ in range(sheaf.monoid.ambient_rank))
     blocks = {}
     for nu, d in sheaf.module.dims.items():
         lab_big = label_at_level(nu, level)
-        sp = data.spaces.get(lab_big)
-        if sp is None or sp.dim == 0:
+        if not ind_sheaf.dim(lab_big):
             continue
-        cols = []
-        for i in range(d):
-            vec = [field.zero] * sp.ngens
-            vec[data.pair_index[(nu, zero, i)][1]] = field.one
-            cols.append(sp.reduce(vec))
+        cols = [pres.coords(lab_big, [((nu, zero, i), field.one)]) for i in range(d)]
         blocks[nu] = tuple(zip(*cols))
-    out = ParabolicMap.__new__(ParabolicMap)
-    out.source, out.target = sheaf, res
-    out.gmap = graded.GradedMap(sheaf.module, res.module, blocks, check=False)
-    return out
+    return ParabolicMap(sheaf, res, blocks, check=False)
 
 
 def counit_map(sheaf, sublevel, ind=None):
@@ -408,27 +312,19 @@ def counit_map(sheaf, sublevel, ind=None):
     res = restrict(sheaf, sublevel)
     if ind is None:
         ind = _induce_with_data(res, sheaf.level)
-    ind_sheaf, data = ind
-    field = sheaf.field
+    ind_sheaf, pres = ind
     blocks = {}
-    for lab, d in ind_sheaf.module.dims.items():
-        sp = data.spaces[lab]
+    for lab in ind_sheaf.module.dims:
         tdim = sheaf.dim(lab)
         if tdim == 0:
             continue
         cols = []
-        for k in range(d):
-            nu, gamma, i = data.gens_per_label[lab][sp.free[k]]
-            big = label_at_level(nu, sheaf.level)
-            act = sheaf.module.act(gamma, big)
+        for k in pres.spaces[lab].free:
+            nu, gamma, i = pres.gens_per_label[lab][k]
+            act = sheaf.module.act(gamma, label_at_level(nu, sheaf.level))
             cols.append(tuple(act[t][i] for t in range(tdim)))
         blocks[lab] = tuple(zip(*cols))
-    out = ParabolicMap.__new__(ParabolicMap)
-    out.source, out.target = ind_sheaf, sheaf
-    out.gmap = graded.GradedMap(
-        ind_sheaf.module, sheaf.module, blocks, check=False
-    )
-    return out
+    return ParabolicMap(ind_sheaf, sheaf, blocks, check=False)
 
 
 def is_induced_from(sheaf, divisor):

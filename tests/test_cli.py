@@ -253,3 +253,38 @@ def test_ideal_mingens_cli(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["count"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "--level", "0", "cone.json"],
+        ["delta", "--level", "-1", "cone.json"],
+        ["probe", "coherence", "cone.json", "--pair", "1,0,0;0,0,1", "--levels", "0"],
+        ["monoid", "info", "denominator0.json"],
+        ["monoid", "info", "denominator-2.json"],
+        ["ideal", "mingens", "cone.json", "--level", "0", "--colon", "1,0,0;0,0,1"],
+        ["picard", "--level", "-3", "cone.json"],
+        ["parabolic", "induce", "--to", "0", "sheaf.json"],
+        ["parabolic", "check-induced", "--divisor", "0", "sheaf.json"],
+    ],
+)
+def test_nonpositive_levels_and_denominators_are_malformed(argv, tmp_path, capsys, monkeypatch):
+    from monostack.fields import QQ
+    from monostack.jsonio import parabolic_to_json
+    from monostack.kummer import zero_label
+    from monostack.monoid import validate
+    from monostack.parabolic import ParabolicSheaf
+
+    (tmp_path / "cone.json").write_text(json.dumps(NONSIMPLICIAL))
+    for d in (0, -2):
+        (tmp_path / f"denominator{d}.json").write_text(json.dumps(dict(NONSIMPLICIAL, denominator=d)))
+    nat = validate([(1,)])
+    sheaf = ParabolicSheaf(nat, 2, QQ, {zero_label(nat, 2): 1}, {})
+    (tmp_path / "sheaf.json").write_text(json.dumps(parabolic_to_json(sheaf)))
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert any(line.startswith("error:") for line in err.splitlines())

@@ -419,3 +419,27 @@ def test_induction_computes_each_label_once(nat2, monkeypatch):
         alg = graded_algebra(nat2, n)
         assert 0 < calls.get(n, 0) <= len(alg.basis) + len(alg.generators), (n, calls)
     assert set(calls) == {2, 6}
+
+
+def test_induction_files_relations_in_one_pass(nat2, monkeypatch):
+    """Inducing an N^2 level-2 sheaf to level 6 files each relation under its
+    label once, instead of scanning every relation for every target label."""
+    import monostack.graded as graded_mod
+    import monostack.kummer as kummer_mod
+    import monostack.parabolic as parabolic_mod
+    from monostack.graded import direct_sum, twist
+
+    alg2 = graded_algebra(nat2, 2)
+    sheaf = from_graded(direct_sum([twist(alg2, lab) for lab in alg2.labels[:2]]))
+    original = kummer_mod.label_add
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    for mod in (kummer_mod, graded_mod, parabolic_mod):
+        monkeypatch.setattr(mod, "label_add", counting)
+    induced = induce(sheaf, 6)
+    assert induced.module.total_dim > 0
+    assert len(calls) <= 1000, len(calls)
