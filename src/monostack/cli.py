@@ -4,7 +4,8 @@ Payloads are read from a file argument (or stdin when the argument is "-"
 or omitted) and written to stdout; identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 malformed input, 2 a
 semantic precondition was violated (non-sharp monoid, level mismatch and
-friends), 3 the infinite-quotient check came back inconclusive.  Every
+friends, and an `ideal mingens` region too small to hold a point of the
+ideal), 3 the infinite-quotient check came back inconclusive.  Every
 --level, --levels, --to and --divisor value must be a positive integer;
 anything else is malformed input.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import graded, infquot, jsonio, kummer, monoid, parabolic
 from .errors import MalformedInput, MonostackError
@@ -58,6 +58,8 @@ def _parse_levels(text):
         levels = [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise MalformedInput(f"bad level list {text!r}") from exc
+    if not levels:
+        raise MalformedInput(f"empty level list {text!r}")
     return [_positive(n, "--levels") for n in levels]
 
 
@@ -156,7 +158,7 @@ def cmd_picard(args):
 
 def cmd_ideal(args):
     pres = jsonio.monoid_from_json(_read_payload(args.input))
-    bound = Fraction(args.bound) if args.bound else None
+    bound = jsonio.frac_from_str(args.bound) if args.bound else None
     if args.colon:
         a, b = (jsonio.vec_from_key(part) for part in args.colon.split(";"))
         ideal = graded.colon_degree_ideal(pres, args.level, a, b)
@@ -204,12 +206,10 @@ def cmd_probe(args):
 def cmd_parabolic(args):
     if args.action == "from-graded":
         module = jsonio.graded_from_json(_read_payload(args.input))
-        sheaf = parabolic.from_graded(module)
-        return jsonio.parabolic_to_json(sheaf), "converted", EXIT_OK
+        return jsonio.parabolic_to_json(module), "converted", EXIT_OK
     sheaf = jsonio.parabolic_from_json(_read_payload(args.input))
     if args.action == "to-graded":
-        module = parabolic.to_graded(sheaf)
-        return jsonio.graded_to_json(module), "converted", EXIT_OK
+        return jsonio.graded_to_json(sheaf), "converted", EXIT_OK
     if args.action == "restrict":
         out = parabolic.restrict(sheaf, args.to)
         return jsonio.parabolic_to_json(out), f"restricted to level {args.to}", EXIT_OK
@@ -236,9 +236,7 @@ def cmd_parabolic(args):
                 jsonio.vec_to_key(lab.representative): jsonio.matrix_to_json(
                     sheaf.field, m.block(lab)
                 )
-                for lab in sorted(
-                    sheaf.components, key=lambda la: la.normal_form
-                )
+                for lab in sorted(sheaf.dims, key=lambda la: la.normal_form)
                 if other.dim(lab) and sheaf.dim(lab)
             }
             for m in maps

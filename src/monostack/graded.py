@@ -9,8 +9,12 @@ decomposition, which is well defined once the generator/basis
 compatibility law holds (validated on construction paths that take
 untrusted data).
 
-Every quotient construction (tensor products here, induction and
-cokernels in `parabolic`) goes through one class, `Presentation`: an
+A parabolic sheaf over a log point is a graded module here: `parabolic`
+passes `GradedModule` and `GradedMap` through unchanged, and modules
+carry its `monoid`, `level` and `field` and compare by value.
+
+Every quotient construction (tensor products and cokernels here,
+induction in `parabolic`) goes through one class, `Presentation`: an
 ordered free span per label, relation rows filed by label in one pass,
 one `PresentedSpace` per label, and the generator action moved across to
 the quotient bases.  Kernels and images share `_submodule`, which moves
@@ -160,6 +164,30 @@ class GradedModule:
             self.validate()
 
     # -- shape helpers ------------------------------------------------------
+
+    @property
+    def monoid(self):
+        return self.algebra.monoid
+
+    @property
+    def level(self):
+        return self.algebra.level
+
+    @property
+    def field(self):
+        return self.algebra.field
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GradedModule)
+            and self.algebra == other.algebra
+            and self.dims == other.dims
+            and all(
+                self.gen_matrix(g, lab) == other.gen_matrix(g, lab)
+                for g in self.algebra.generators
+                for lab in self.dims
+            )
+        )
 
     def dim(self, label):
         return self.dims.get(label, 0)
@@ -477,6 +505,33 @@ def image(f):
         if chosen:
             bases[lab] = chosen
     return _submodule(f.target, bases, "image")
+
+
+def cokernel(f):
+    """Quotient of the target by the image, with the projection."""
+    target = f.target
+    img, incl = image(f)
+    gens = [(lab, (lab, a)) for lab, d in target.dims.items() for a in range(d)]
+
+    def relations():
+        for lab, d in img.dims.items():
+            mat = incl.block(lab)
+            for j in range(d):
+                yield [((lab, a), mat[a][j]) for a in range(target.dim(lab))]
+
+    def move(h, key):
+        lab, a = key
+        tgt = target._target_label(h, lab)
+        gmat = target.gen_matrix(h, lab)
+        return [((tgt, r), gmat[r][a]) for r in range(target.dim(tgt))]
+
+    pres = Presentation(target.algebra, gens, relations(), move)
+    proj_blocks = {
+        lab: tuple(zip(*[sp.unit(a) for a in range(sp.ngens)]))
+        for lab, sp in pres.spaces.items()
+        if sp.dim
+    }
+    return pres.module, GradedMap(target, pres.module, proj_blocks, check=False)
 
 
 def corestrict_to_image(f, img, incl):
@@ -870,7 +925,9 @@ def ideal_min_generators(ideal):
     A region point x is minimal iff x - h leaves the ideal for every
     Hilbert generator h of (1/n)P; minimality within the region is exact
     because ideal membership is a predicate, but generators too close to
-    the truncation boundary cannot be certified and raise RegionTooSmall.
+    the truncation boundary cannot be certified and raise RegionTooSmall,
+    as does a region holding no point of the ideal (an ideal is never
+    empty, so an empty answer would be wrong).
     """
     from .monoid import monoid_points_scaled
 
@@ -884,6 +941,8 @@ def ideal_min_generators(ideal):
     ]
     region = monoid_points_scaled(pres, ideal.level, ideal.bound)
     points = [y for y in region if member(y)]
+    if not points:
+        raise RegionTooSmall(f"no point of the ideal has l(x) <= {ideal.bound}")
     mins_scaled = [
         y
         for y in points

@@ -3,7 +3,9 @@
 Rationals travel as exact strings ("3/4", "2"); generator matrices of
 monoids and homomorphisms are plain integer arrays.  Derived data is never
 read back from payloads: monoids rebuild their cones, flags and Hilbert
-bases from the generators alone.
+bases from the generators alone.  A parabolic sheaf is a `GradedModule`,
+so the parabolic and graded-module formats share one writer and one
+reader and differ only in the key of the matrix list, "maps" or "action".
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from . import fields
 from .errors import MalformedInput
 from .fields import QQ, field_from_spec, field_spec
 from .graded import GradedModule, graded_algebra
-from .kummer import CosetLabel, MonoidHom, coset_label
-from .monoid import MonoidPresentation, validate
-from .parabolic import ParabolicSheaf, from_graded
+from .kummer import MonoidHom, coset_label
+from .monoid import validate
+from .parabolic import ParabolicSheaf
 
 
 def frac_to_str(x):
@@ -156,81 +158,16 @@ def matrix_from_json(field, data):
     return tuple(tuple(_fel_from_json(field, x) for x in row) for row in data)
 
 
-def parabolic_to_json(sheaf):
-    field = sheaf.field
-    comps = {}
-    for lab, d in sorted(
-        sheaf.components.items(), key=lambda kv: kv[0].normal_form
-    ):
-        comps[vec_to_key(lab.representative)] = d
-    maps = []
-    for lab, _ in sorted(
-        sheaf.components.items(), key=lambda kv: kv[0].normal_form
-    ):
-        for u in sheaf.structure_generators():
-            mat = sheaf.structure_matrix(u, lab)
-            if not mat or not mat[0]:
-                continue
-            if fields.mat_eq_zero(field, mat):
-                continue
-            maps.append(
-                {
-                    "rep": vec_to_key(lab.representative),
-                    "gen": vec_to_key(u),
-                    "matrix": matrix_to_json(field, mat),
-                }
-            )
-    return {
-        "monoid": monoid_to_json(sheaf.monoid),
-        "level": sheaf.level,
-        "field": field_spec(field),
-        "components": comps,
-        "maps": maps,
-    }
-
-
-def parabolic_from_json(data):
-    if not isinstance(data, dict):
-        raise MalformedInput("parabolic payload must be an object")
-    try:
-        pres = monoid_from_json(data["monoid"])
-        level = int(data["level"])
-        field = field_from_spec(data.get("field", "Q"))
-        comps = {}
-        for key, d in data["components"].items():
-            lab = coset_label(pres, level, vec_from_key(key))
-            comps[lab] = int(d)
-        structure = {}
-        for entry in data.get("maps", []):
-            lab = coset_label(pres, level, vec_from_key(entry["rep"]))
-            u = vec_from_key(entry["gen"])
-            structure[(u, lab)] = matrix_from_json(field, entry["matrix"])
-    except MalformedInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad parabolic payload: {exc}") from exc
-    try:
-        return ParabolicSheaf(pres, level, field, comps, structure)
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
-
-
-# -- graded module dumps -----------------------------------------------------
-
-
-def graded_to_json(module):
-    alg = module.algebra
-    field = alg.field
-    comps = {}
-    for lab, d in sorted(module.dims.items(), key=lambda kv: kv[0].normal_form):
-        comps[vec_to_key(lab.representative)] = d
-    action = []
-    for lab, _ in sorted(module.dims.items(), key=lambda kv: kv[0].normal_form):
-        for g in alg.generators:
+def _module_to_json(module, key):
+    field = module.field
+    labels = sorted(module.dims, key=lambda lab: lab.normal_form)
+    entries = []
+    for lab in labels:
+        for g in module.algebra.generators:
             mat = module.gen_matrix(g, lab)
             if not mat or not mat[0] or fields.mat_eq_zero(field, mat):
                 continue
-            action.append(
+            entries.append(
                 {
                     "rep": vec_to_key(lab.representative),
                     "gen": vec_to_key(g),
@@ -238,35 +175,57 @@ def graded_to_json(module):
                 }
             )
     return {
-        "monoid": monoid_to_json(alg.monoid),
-        "level": alg.level,
+        "monoid": monoid_to_json(module.monoid),
+        "level": module.level,
         "field": field_spec(field),
-        "components": comps,
-        "action": action,
+        "components": {vec_to_key(lab.representative): module.dims[lab] for lab in labels},
+        key: entries,
     }
 
 
-def graded_from_json(data):
+def _module_from_json(data, what, key, build):
     if not isinstance(data, dict):
-        raise MalformedInput("graded payload must be an object")
+        raise MalformedInput(f"{what} payload must be an object")
     try:
         pres = monoid_from_json(data["monoid"])
         level = int(data["level"])
         field = field_from_spec(data.get("field", "Q"))
-        alg = graded_algebra(pres, level, field)
+        if level < 1:
+            raise MalformedInput(f"level must be a positive integer, got {level}")
         dims = {}
-        for key, d in data["components"].items():
-            dims[coset_label(pres, level, vec_from_key(key))] = int(d)
+        for rep, d in data["components"].items():
+            dims[coset_label(pres, level, vec_from_key(rep))] = int(d)
         action = {}
-        for entry in data.get("action", []):
+        for entry in data.get(key, []):
             lab = coset_label(pres, level, vec_from_key(entry["rep"]))
-            g = vec_from_key(entry["gen"])
-            action[(g, lab)] = matrix_from_json(field, entry["matrix"])
+            action[(vec_from_key(entry["gen"]), lab)] = matrix_from_json(field, entry["matrix"])
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad graded payload: {exc}") from exc
+        raise MalformedInput(f"bad {what} payload: {exc}") from exc
     try:
-        return GradedModule(alg, dims, action, check=True)
+        return build(pres, level, field, dims, action)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
+
+
+def parabolic_to_json(sheaf):
+    return _module_to_json(sheaf, "maps")
+
+
+def parabolic_from_json(data):
+    """A parabolic payload, checked for the module law and the zero law."""
+    return _module_from_json(data, "parabolic", "maps", ParabolicSheaf)
+
+
+def graded_to_json(module):
+    return _module_to_json(module, "action")
+
+
+def graded_from_json(data):
+    """A graded-module payload, checked for the module law."""
+
+    def build(pres, level, field, dims, action):
+        return GradedModule(graded_algebra(pres, level, field), dims, action)
+
+    return _module_from_json(data, "graded", "action", build)

@@ -94,7 +94,12 @@ class MonoidPresentation:
         return {}
 
     def _in_generated_int(self, x):
-        """Exact N-combination membership in the integer generator model."""
+        """Exact N-combination membership in the integer generator model.
+
+        Depth-first search over x - g for the generators g, on an explicit
+        stack of (point, next generator index) so that deep points do not
+        exhaust the recursion limit; every visited point is memoized.
+        """
         x = tuple(int(a) for a in x)
         if is_zero_vector(x):
             return True
@@ -102,15 +107,24 @@ class MonoidPresentation:
         hit = memo.get(x)
         if hit is not None:
             return hit
+        gens = self.generators
         memo[x] = False  # cycle guard; generators have positive functional
-        ok = False
-        for g in self.generators:
-            y = vsub(x, g)
-            if lattice.cone_contains(self.cone, y) and self._in_generated_int(y):
-                ok = True
-                break
-        memo[x] = ok
-        return ok
+        stack = [(x, 0)]
+        found = False  # the answer for the last point finished
+        while stack:
+            y, i = stack.pop()
+            while not found and i < len(gens):
+                z = vsub(y, gens[i])
+                i += 1
+                if lattice.cone_contains(self.cone, z):
+                    found = is_zero_vector(z) or memo.get(z)
+                    if found is None:
+                        memo[z] = found = False
+                        stack += [(y, i), (z, 0)]
+                        break
+            else:
+                memo[y] = found
+        return found
 
     @cached_property
     def _saturation_hilbert_basis(self):

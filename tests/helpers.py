@@ -169,7 +169,7 @@ def random_twist_sum(algebra, rng, max_summands=2):
 
 def graded_hom_basis(m, n):
     dim, maps = hom_space(from_graded(m), from_graded(n))
-    return [p.gmap for p in maps]
+    return maps
 
 
 def random_graded_map(m, n, rng):

@@ -267,6 +267,8 @@ def test_ideal_mingens_cli(tmp_path, capsys):
         ["picard", "--level", "-3", "cone.json"],
         ["parabolic", "induce", "--to", "0", "sheaf.json"],
         ["parabolic", "check-induced", "--divisor", "0", "sheaf.json"],
+        ["probe", "coherence", "cone.json", "--pair", "1,0,0;0,0,1", "--levels", ","],
+        ["probe", "coherence", "cone.json", "--pair", "1,0,0;0,0,1", "--levels", ""],
     ],
 )
 def test_nonpositive_levels_and_denominators_are_malformed(argv, tmp_path, capsys, monkeypatch):
@@ -288,3 +290,43 @@ def test_nonpositive_levels_and_denominators_are_malformed(argv, tmp_path, capsy
     assert code == 1
     assert out == ""
     assert any(line.startswith("error:") for line in err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "extra, code",
+    [
+        (["--colon", "1,0,0;0,0,1", "--bound", "-1"], 2),
+        (["--colon", "1,0,0;0,0,1", "--bound", "0"], 2),
+        (["--generators", "1,0,0", "--bound", "1/2"], 2),
+        (["--colon", "1,0,0;0,0,1", "--bound", "abc"], 1),
+    ],
+)
+def test_ideal_mingens_rejects_regions_without_ideal_points(extra, code, tmp_path, capsys):
+    """An ideal is never empty, so a region holding none of its points is too
+    small (exit 2), not an answer of zero generators; a bound that is not a
+    rational is malformed input (exit 1)."""
+    src = tmp_path / "cone.json"
+    src.write_text(json.dumps(NONSIMPLICIAL))
+    got = main(["ideal", "mingens", str(src), "--level", "2"] + extra)
+    out, err = capsys.readouterr()
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("level", [0, -1])
+@pytest.mark.parametrize("action, key", [("to-graded", "maps"), ("from-graded", "action")])
+def test_nonpositive_payload_level_is_malformed(action, key, level, tmp_path, capsys):
+    payload = {
+        "monoid": NAT,
+        "level": level,
+        "field": "Q",
+        "components": {"0": 1},
+        key: [],
+    }
+    src = tmp_path / "sheaf.json"
+    src.write_text(json.dumps(payload))
+    code = main(["parabolic", action, str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == f"error: level must be a positive integer, got {level}\n"

@@ -93,7 +93,7 @@ def _digest(payload):
 def _blocks_json(field, pmap):
     return [
         [vec_to_key(lab.representative), matrix_to_json(field, pmap.block(lab))]
-        for lab in sorted(pmap.source.components, key=lambda la: la.normal_form)
+        for lab in sorted(pmap.source.dims, key=lambda la: la.normal_form)
     ]
 
 
@@ -117,16 +117,16 @@ def _results(pres, case, field):
     m = direct_sum([twist(alg, labs[i % len(labs)]) for i in src])
     t = direct_sum([twist(alg, labs[i % len(labs)]) for i in tgt])
     f = _fixed_map(m, t)
-    pf = parabolic.ParabolicMap(parabolic.from_graded(m), parabolic.from_graded(t), f.blocks)
+    pf = graded.GradedMap(parabolic.from_graded(m), parabolic.from_graded(t), f.blocks)
     small = parabolic.restrict(parabolic.from_graded(m), ind_from)
     eps = parabolic.counit_map(parabolic.from_graded(t), 1)
     modules = {
         "tensor": graded.tensor(m, t)[0],
         "kernel": graded.kernel(f)[0],
         "image": graded.image(f)[0],
-        "cokernel": parabolic.cokernel(pf)[0].module,
-        "induce": parabolic.induce(small, ind_to).module,
-        "counit_source": eps.source.module,
+        "cokernel": graded.cokernel(pf)[0],
+        "induce": parabolic.induce(small, ind_to),
+        "counit_source": eps.source,
     }
     out = {name: graded_to_json(mod) for name, mod in modules.items()}
     out["counit_blocks"] = _blocks_json(field, eps)

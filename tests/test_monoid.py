@@ -184,3 +184,15 @@ def test_monoid_element_membership(nat2):
 def test_monoid_points_levels(nat):
     pts = monoid_points(nat, 3, 1)
     assert pts == [(Fraction(0),), (Fraction(1, 3),), (Fraction(2, 3),), (Fraction(1),)]
+
+
+def test_contains_generated_deep_element():
+    """Membership far from the origin needs no recursion: <2, 3> holds 5001
+    (a search about 2,500 steps deep) and not 1, and agrees with the oracle
+    on the first few values."""
+    pres = validate([(2,), (3,)])
+    assert pres.contains_generated((5001,))
+    assert not pres.contains_generated((1,))
+    fresh = validate([(2,), (3,)])
+    for n in range(30):
+        assert fresh.contains_generated((n,)) == nat_combination_oracle([(2,), (3,)], (n,), 15)

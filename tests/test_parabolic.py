@@ -9,9 +9,11 @@ from monostack.fields import QQ
 from monostack.graded import (
     ShortExactSequence,
     algebra_as_module,
+    cokernel,
     degree_zero_part,
     graded_algebra,
     is_exact_sequence,
+    kernel,
     twist,
 )
 from monostack.infquot import divisors, in_delta
@@ -19,10 +21,8 @@ from monostack.kummer import coset_label, enumerate_labels, label_add, label_sca
 from monostack.lattice import vadd
 from monostack.monoid import validate
 from monostack.parabolic import (
-    ParabolicMap,
     ParabolicSheaf,
     _induce_with_data,
-    cokernel,
     compose,
     counit_map,
     from_graded,
@@ -31,7 +31,6 @@ from monostack.parabolic import (
     induce_parabolic_map,
     is_identity,
     is_induced_from,
-    kernel,
     minimal_inducing_level,
     restrict,
     restrict_parabolic_map,
@@ -70,9 +69,9 @@ def test_structure_matrices_zero_off_delta(nat, nonsimplicial):
     for pres, n in ((nat, 2), (nonsimplicial, 2)):
         alg = graded_algebra(pres, n)
         sheaf = random_sheaf(alg, rng)
-        for u in sheaf.structure_generators():
-            for lab in sheaf.components:
-                mat = sheaf.structure_matrix(u, lab)
+        for u in sheaf.algebra.generators:
+            for lab in sheaf.dims:
+                mat = sheaf.gen_matrix(u, lab)
                 if not in_delta(pres, u):
                     assert all(all(x == 0 for x in row) for row in mat)
 
@@ -159,13 +158,13 @@ def test_from_graded_reconstruction_via_constructor(nat2):
 def test_restrict_identity_at_own_level(nat):
     e = integral_skyscraper(nat, 4)
     r = restrict(e, 4)
-    assert r.components == e.components
+    assert r.dims == e.dims
 
 
 def test_restrict_weight_integral_example(nat):
     e = integral_skyscraper(nat, 4)
     r = restrict(e, 2)
-    assert {lab.residues: d for lab, d in r.components.items()} == {(0,): 1}
+    assert {lab.residues: d for lab, d in r.dims.items()} == {(0,): 1}
     r1 = restrict(e, 1)
     assert r1.total_dim == 1
 
@@ -197,11 +196,11 @@ def test_induce_line_from_level_one(nat):
     alg1 = graded_algebra(nat, 1)
     line = from_graded(algebra_as_module(alg1))
     ind = induce(line, 2)
-    dims = {lab.residues: d for lab, d in ind.components.items()}
+    dims = {lab.residues: d for lab, d in ind.dims.items()}
     assert dims == {(0,): 1, (1,): 1}
     # the structure map from weight 0 to weight 1/2 is an isomorphism
     half = (Fraction(1, 2),)
-    mat = ind.structure_matrix(half, zero_label(nat, 2))
+    mat = ind.gen_matrix(half, zero_label(nat, 2))
     assert mat == ((Fraction(1),),)
 
 
@@ -340,7 +339,7 @@ def test_kernel_cokernel_give_exact_graded_sequences(nat2):
         ker, incl = kernel(f)
         coker, proj = cokernel(f)
         # componentwise rank bookkeeping
-        for lab in set(src.components) | set(tgt.components):
+        for lab in set(src.dims) | set(tgt.dims):
             import monostack.fields as F
 
             rk = F.rank(QQ, f.block(lab))
@@ -349,9 +348,9 @@ def test_kernel_cokernel_give_exact_graded_sequences(nat2):
         # to_graded preserves kernels: 0 -> ker -> src -> im is exact
         from monostack.graded import image as gimage, corestrict_to_image
 
-        img, ginc = gimage(f.gmap)
-        proj_graded = corestrict_to_image(f.gmap, img, ginc)
-        ses = ShortExactSequence(inject=incl.gmap, project=proj_graded)
+        img, ginc = gimage(f)
+        proj_graded = corestrict_to_image(f, img, ginc)
+        ses = ShortExactSequence(inject=incl, project=proj_graded)
         assert is_exact_sequence(ses)
 
 
@@ -367,7 +366,7 @@ def test_equivalence_is_exact(nat2):
         ker, _ = kernel(f)
         from monostack.graded import kernel as gkernel
 
-        gker, _ = gkernel(f.gmap)
+        gker, _ = gkernel(f)
         assert to_graded(ker).dims == gker.dims
 
 
@@ -388,7 +387,7 @@ def test_level_one_line_matches_base_module(nat):
     mod = to_graded(sheaf)
     assert mod.total_dim == 1
     one = (Fraction(1),)
-    assert sheaf.structure_matrix(one, zero_label(nat, 1)) == ((Fraction(0),),)
+    assert sheaf.gen_matrix(one, zero_label(nat, 1)) == ((Fraction(0),),)
 
 
 def test_induction_computes_each_label_once(nat2, monkeypatch):
@@ -414,7 +413,7 @@ def test_induction_computes_each_label_once(nat2, monkeypatch):
     alg2 = graded_algebra(nat2, 2)
     sheaf = from_graded(direct_sum([twist(alg2, lab) for lab in alg2.labels[:2]]))
     induced = induce(sheaf, 6)
-    assert induced.level == 6 and induced.module.total_dim > 0
+    assert induced.level == 6 and induced.total_dim > 0
     for n in (2, 6):
         alg = graded_algebra(nat2, n)
         assert 0 < calls.get(n, 0) <= len(alg.basis) + len(alg.generators), (n, calls)
@@ -441,5 +440,23 @@ def test_induction_files_relations_in_one_pass(nat2, monkeypatch):
     for mod in (kummer_mod, graded_mod, parabolic_mod):
         monkeypatch.setattr(mod, "label_add", counting)
     induced = induce(sheaf, 6)
-    assert induced.module.total_dim > 0
+    assert induced.total_dim > 0
     assert len(calls) <= 1000, len(calls)
+
+
+def test_sheaf_operations_return_graded_modules_and_maps(nat2):
+    """A parabolic sheaf is a graded module: the functors take and return
+    GradedModule and GradedMap, with no wrapper in between."""
+    from monostack.graded import GradedMap, GradedModule
+
+    alg = graded_algebra(nat2, 2)
+    sheaf = from_graded(twist(alg, alg.labels[1]))
+    assert from_graded(sheaf) is sheaf and to_graded(sheaf) is sheaf
+    for module in (induce(sheaf, 4), restrict(sheaf, 1), ParabolicSheaf(nat2, 2, QQ, sheaf.dims, {})):
+        assert type(module) is GradedModule
+    _, maps = hom_space(sheaf, sheaf)
+    coker, proj = cokernel(maps[0])
+    assert type(coker) is GradedModule and type(proj) is GradedMap
+    assert all(type(f) is GradedMap for f in maps)
+    assert type(counit_map(sheaf, 1)) is GradedMap
+    assert (sheaf.monoid, sheaf.level, sheaf.field) == (nat2, 2, QQ)
