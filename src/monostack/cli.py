@@ -277,7 +277,7 @@ def build_parser():
     psub = p.add_subparsers(dest="action", required=True)
     q = psub.add_parser("check")
     q.add_argument("input", nargs="?")
-    q.add_argument("--depth", type=int, default=4)
+    q.add_argument("--depth", type=int, default=4, help="accepted; has no effect")
     q.set_defaults(func=cmd_infquot)
 
     p = sub.add_parser("kummer", help="Kummer test for a monoid homomorphism")

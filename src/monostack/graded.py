@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import ge
 
 from . import fields, lattice
 from .errors import (
@@ -53,12 +54,8 @@ from .lattice import vadd, vscale, vsub
 
 def contains_at_level(pres, level, x):
     """Membership of a rational vector in (1/level)*P (saturated P)."""
-    x = lattice.as_fractions(x)
-    scaled = tuple(a * level * pres.denominator for a in x)
-    if any(c.denominator != 1 for c in scaled):
-        return False
-    xi = tuple(int(c) for c in scaled)
-    return lattice.cone_contains(pres.cone, xi) and pres._group_contains_int(xi)
+    xi = pres._scaled(x, level)
+    return xi is not None and lattice.cone_contains(pres.cone, xi) and pres._group_contains_int(xi)
 
 
 @lru_cache(maxsize=None)
@@ -123,20 +120,33 @@ class GradedAlgebra:
         return s if s in self._basis_set else None
 
     def decompose(self, gamma):
-        """A fixed decomposition of a (1/n)P element into Hilbert generators."""
+        """A fixed decomposition of a (1/n)P element into Hilbert generators.
+
+        It starts with the first generator g, in `generators` order, such
+        that gamma - g lies in (1/n)P and decomposes.  An explicit stack of
+        (point, generator index) replaces recursion; every visited point is
+        memoized, None meaning no decomposition.
+        """
         gamma = lattice.as_fractions(gamma)
         memo = self._decomp_memo
         if gamma in memo:
             return memo[gamma]
-        for g in self.generators:
-            rest = vsub(gamma, g)
-            if contains_at_level(self.monoid, self.level, rest):
-                tail = self.decompose(rest)
-                if tail is not None:
-                    memo[gamma] = (g,) + tail
-                    return memo[gamma]
-        memo[gamma] = None
-        return None
+        gens, stack = self.generators, [(gamma, 0)]
+        while stack:
+            point, i = stack.pop()
+            while i < len(gens):
+                rest = vsub(point, gens[i])
+                if rest in memo:
+                    if memo[rest] is not None:
+                        memo[point] = (gens[i],) + memo[rest]
+                        break
+                elif contains_at_level(self.monoid, self.level, rest):
+                    stack += [(point, i), (rest, 0)]
+                    break
+                i += 1
+            else:
+                memo[point] = None
+        return memo[gamma]
 
 
 class GradedModule:
@@ -844,7 +854,10 @@ def unit_map_check(dim0, algebra):
 
 
 class MonoidIdeal:
-    """An ideal of (1/n)P given by generators or by a colon condition."""
+    """An ideal of (1/n)P given by generators or by a colon pair (a, b).
+
+    The generators, and a and b, must lie in (1/n)P.
+    """
 
     def __init__(self, monoid, level, generators=None, shift=None, bound=None):
         self.monoid = monoid
@@ -858,8 +871,10 @@ class MonoidIdeal:
                     raise ValueError(f"ideal generator {g} outside (1/n)P")
             self.generators = gens
         elif shift is not None:
-            a, b = shift
-            self.shift = (lattice.as_fractions(a), lattice.as_fractions(b))
+            self.shift = tuple(lattice.as_fractions(v) for v in shift)
+            for v in self.shift:
+                if not contains_at_level(monoid, self.level, v):
+                    raise ValueError(f"{v} is not an element of (1/n)P")
         else:
             raise ValueError("an ideal needs generators or a colon shift")
         if bound is None:
@@ -879,31 +894,20 @@ class MonoidIdeal:
         )
 
     def _scaled_predicate(self):
-        """Integer membership test on denominator-scaled vectors."""
+        """Integer membership test on denominator-scaled vectors, for a
+        generator ideal (`ideal_min_generators` tests colon ideals by
+        facet values)."""
         pres = self.monoid
         denom = self.level * pres.denominator
         facets = pres.cone.facets
-        basis = pres.group_basis
+        in_group = pres._group_contains_int
+        gens = [tuple(int(g * denom) for g in gen) for gen in self.generators]
 
         def in_level(y):
-            return all(lattice.dot(f, y) >= 0 for f in facets) and (
-                lattice.lattice_contains_int(basis, y)
-            )
+            return all(lattice.dot(f, y) >= 0 for f in facets) and in_group(y)
 
-        if self.shift is not None:
-            a, b = self.shift
-            off = tuple(int((ai - bi) * denom) for ai, bi in zip(a, b))
-
-            def member(y):
-                return in_level(y) and in_level(lattice.vadd(y, off))
-
-        else:
-            gens = [tuple(int(g * denom) for g in gen) for gen in self.generators]
-
-            def member(y):
-                return in_level(y) and any(
-                    in_level(lattice.vsub(y, g)) for g in gens
-                )
+        def member(y):
+            return in_level(y) and any(in_level(vsub(y, g)) for g in gens)
 
         return member
 
@@ -911,11 +915,6 @@ class MonoidIdeal:
 def colon_degree_ideal(monoid, level, a, b):
     """Degrees c with c + a - b in (1/n)P: the first-projection syzygy degrees
     of the pair (x^a, x^b)."""
-    a = lattice.as_fractions(a)
-    b = lattice.as_fractions(b)
-    for v in (a, b):
-        if not contains_at_level(monoid, level, v):
-            raise ValueError(f"{v} is not an element of (1/n)P")
     return MonoidIdeal(monoid, level, shift=(a, b))
 
 
@@ -928,30 +927,47 @@ def ideal_min_generators(ideal):
     the truncation boundary cannot be certified and raise RegionTooSmall,
     as does a region holding no point of the ideal (an ideal is never
     empty, so an empty answer would be wrong).
+
+    For a colon ideal {y : y + off in (1/n)P}, the region point y, every h
+    and off = a - b all lie in the group, so y - h and y - h + off do too,
+    and membership reduces to cone tests: with f the facet functionals,
+    y - h is in the ideal iff f(y) - f(h) >= 0 and f(y) - f(h) + f(off)
+    >= 0, that is f(y) >= f(h) + low with low = max(0, -f(off)).  f is
+    evaluated once per point, per h and for off, and no lattice test is
+    made.  Generator ideals test membership through
+    `MonoidIdeal._scaled_predicate`.
     """
     from .monoid import monoid_points_scaled
 
     pres = ideal.monoid
     ell = pres.positive_functional
     denom = ideal.level * pres.denominator
-    member = ideal._scaled_predicate()
-    hb_scaled = [
-        tuple(int(a * denom) for a in vscale(Fraction(1, ideal.level), v))
-        for v in pres.hilbert_basis
-    ]
+    hb_scaled = [tuple(int(a * pres.denominator) for a in v) for v in pres.hilbert_basis]
     region = monoid_points_scaled(pres, ideal.level, ideal.bound)
-    points = [y for y in region if member(y)]
-    if not points:
+    if ideal.shift is None:
+        member = ideal._scaled_predicate()
+        mins_scaled = [
+            y
+            for y in region
+            if member(y) and not any(member(vsub(y, h)) for h in hb_scaled)
+        ]
+    else:
+        facets = pres.cone.facets
+        a, b = ideal.shift
+        # f(y) >= 0 and f(y) + f(off) >= 0, i.e. f(y) >= low componentwise
+        low = [max(0, -int(lattice.dot(f, vsub(a, b)) * denom)) for f in facets]
+        shifted = [[lattice.dot(f, h) + m for f, m in zip(facets, low)] for h in hb_scaled]
+        mins_scaled = []
+        for y in region:
+            fy = lattice.facet_values(facets, y)
+            if all(map(ge, fy, low)) and not any(all(map(ge, fy, t)) for t in shifted):
+                mins_scaled.append(y)
+    # an ideal point of least l in the region is minimal, so none is found
+    # exactly when the region holds no point of the ideal
+    if not mins_scaled:
         raise RegionTooSmall(f"no point of the ideal has l(x) <= {ideal.bound}")
-    mins_scaled = [
-        y
-        for y in points
-        if not any(member(lattice.vsub(y, h)) for h in hb_scaled)
-    ]
     mins = [tuple(Fraction(c, denom) for c in y) for y in mins_scaled]
-    margin = ideal.bound - max(
-        Fraction(lattice.dot(ell, v)) for v in pres.hilbert_basis
-    )
+    margin = ideal.bound - max(lattice.dot(ell, v) for v in pres.hilbert_basis)
     for x in mins:
         if lattice.dot(ell, x) > margin:
             raise RegionTooSmall(

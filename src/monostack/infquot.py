@@ -14,11 +14,10 @@ a + (N-1)*b has every label of the family.  Recognition through Delta0
 representatives is sound: it returns *an* element of P whose truncation
 equals the family.  At finite N that element need not be unique (on the
 non-simplicial cone 12*e3 and 0 share every label at level 12, because
-12*e3/m lies in P^gp for each m | 12).  The refutation scan implements the
-documented finite obstruction, but it cannot fire on a valid family: every
-class meets Delta, so the scan at m0 = N, j = 1 always finds a sequence.
-`InconclusiveAtLevel` is the answer when recognition finds no Delta0
-representative.
+12*e3/m lies in P^gp for each m | 12).  Because every compatible family
+is realised in P, a valid family can never be refuted, so no refutation
+is searched for: `InconclusiveAtLevel` is the answer when recognition
+finds no Delta0 representative.
 """
 
 from __future__ import annotations
@@ -26,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import ge
 
 from . import lattice
 from .errors import IncompatibleFamily, NotSharp
-from .kummer import CosetLabel, coset_label, label_scale, zero_label
-from .lattice import vadd, vscale
-from .monoid import MonoidElement, MonoidPresentation, monoid_points
+from .kummer import coset_label, label_scale
+from .lattice import vscale
+from .monoid import MonoidElement, monoid_points_scaled
 
 
 def divisors(n):
@@ -106,26 +106,23 @@ class DeltaSet:
 
 @lru_cache(maxsize=None)
 def delta_points(pres, level):
-    """Delta(P) cap (1/level)P, lex-sorted, with Delta0 flags."""
-    from .monoid import monoid_points_scaled
+    """Delta(P) cap (1/level)P, lex-sorted, with Delta0 flags.
 
+    With f the facet functionals, y - v lies in the cone iff f(y) >= f(v)
+    componentwise, so f is evaluated once per point and once per scaled
+    Hilbert generator v.
+    """
     bound = delta_bound(pres)
     denom = level * pres.denominator
-    scaled_basis = [
-        tuple(int(a * denom) for a in v) for v in pres.hilbert_basis
-    ]
     facets = pres.cone.facets
+    shifts = [
+        [int(lattice.dot(f, v) * denom) for f in facets] for v in pres.hilbert_basis
+    ]
     pts = []
     for y in monoid_points_scaled(pres, level, bound):
-        in_shifted_cone = False
-        for v in scaled_basis:
-            z = lattice.vsub(y, v)
-            if all(lattice.dot(f, z) >= 0 for f in facets):
-                in_shifted_cone = True
-                break
-        if not in_shifted_cone:
+        fy = lattice.facet_values(facets, y)
+        if not any(all(map(ge, fy, fv)) for fv in shifts):
             pts.append(tuple(Fraction(c, denom) for c in y))
-    pts.sort()
     labels = tuple(coset_label(pres, level, p) for p in pts)
     return DeltaSet(pres, level, tuple(pts), labels)
 
@@ -200,41 +197,6 @@ class InfquotVerdict:
         return f"InconclusiveAtLevel({self.level})"
 
 
-def confirmed(element):
-    return InfquotVerdict(kind="confirmed", element=element)
-
-
-def not_an_infinite_quotient():
-    return InfquotVerdict(kind="not-an-infinite-quotient")
-
-
-def inconclusive(level):
-    return InfquotVerdict(kind="inconclusive", level=level)
-
-
-def _sequence_exists(pres, reps, j):
-    """Is there a j-term sequence from `reps` whose sum stays in Delta?
-
-    Partial sums of any witness sequence lie in Delta because Delta is the
-    complement of an ideal, so pruning on partial sums is complete.  Only
-    non-decreasing index sequences are scanned (the sum is order-free).
-    """
-    if not reps:
-        return False
-
-    def extend(start, partial, depth):
-        if depth == j:
-            return True
-        for i in range(start, len(reps)):
-            nxt = vadd(partial, reps[i])
-            if in_delta(pres, nxt) and extend(i, nxt, depth + 1):
-                return True
-        return False
-
-    zero = tuple(Fraction(0) for _ in range(pres.ambient_rank))
-    return extend(0, zero, 0)
-
-
 def is_infinite_quotient(element, depth=4):
     """Three-valued decision for a truncated profinite element.
 
@@ -243,22 +205,16 @@ def is_infinite_quotient(element, depth=4):
     divisor, that element is returned.  It lies in P and has exactly this
     truncation, but at finite N another element may share it, so the
     answer is an element with this truncation, not necessarily the one the
-    family was built from.  Otherwise the finite obstruction is scanned:
-    the verdict is refuted only when every candidate characteristic integer
-    m0 | N has a testable j <= depth (with j*m0 | N) admitting no Delta
-    sequence.  Since every compatible family is realised in P and its
-    level-N class meets Delta, m0 = N always admits a sequence, so
-    `not-an-infinite-quotient` does not occur for a valid
-    `TruncatedProfiniteElement`.  Anything else is inconclusive at this
-    truncation level.
+    family was built from.  Otherwise the verdict is inconclusive at this
+    truncation level.  `not-an-infinite-quotient` cannot occur for a valid
+    `TruncatedProfiniteElement`: if N*x = a - b with a, b in P, then
+    a + (N-1)*b realises the family of [x].  `depth` is accepted for the
+    CLI's `--depth` and has no effect.
     """
     pres = element.monoid
-    n_total = element.level
-    divs = divisors(n_total)
-    # exact recognition through Delta0 representatives
+    divs = divisors(element.level)
     for n in divs:
-        ds = delta_points(pres, n)
-        gamma = ds.delta0_point_in_class(element.labels[n])
+        gamma = delta_points(pres, n).delta0_point_in_class(element.labels[n])
         if gamma is None:
             continue
         p = vscale(Fraction(n), gamma)
@@ -267,22 +223,5 @@ def is_infinite_quotient(element, depth=4):
             == coset_label(pres, m, vscale(Fraction(1, m), p))
             for m in divs
         ):
-            return confirmed(MonoidElement(pres, p))
-    # documented finite obstruction
-    all_refuted = True
-    for m0 in divs:
-        refuted = False
-        for j in range(1, depth + 1):
-            n = j * m0
-            if n_total % n != 0:
-                continue
-            reps = delta_points(pres, n).points_in_class(element.labels[n])
-            if not _sequence_exists(pres, reps, j):
-                refuted = True
-                break
-        if not refuted:
-            all_refuted = False
-            break
-    if all_refuted:
-        return not_an_infinite_quotient()
-    return inconclusive(n_total)
+            return InfquotVerdict("confirmed", element=MonoidElement(pres, p))
+    return InfquotVerdict("inconclusive", level=element.level)

@@ -4,7 +4,9 @@ Vectors are tuples of ints or Fractions; no floating point enters any code
 path.  This module provides Smith normal forms with transform matrices,
 integer lattice bases and membership, facet enumeration for rational
 polyhedral cones, cone membership, and bounded enumeration of points with
-a prescribed denominator.
+a prescribed denominator.  The enumeration is an all-int walk over the
+coordinates in which the facets and the cap confine each coordinate to one
+interval (facet-bounded lattice-point walks as in Beck-Robins, 2007).
 
 A cone is stored by generators together with its derived H-description.
 The facet list always cuts out the cone exactly, including the linear-span
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import floor, gcd
+from operator import mul
 
 from . import fields
 from .errors import DimensionMismatch, UnboundedRegion
@@ -40,7 +43,12 @@ def vscale(c, u):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
+
+
+def facet_values(facets, y):
+    """The list of values f(y) over the functionals f."""
+    return [sum(map(mul, f, y)) for f in facets]
 
 
 def is_zero_vector(u):
@@ -421,9 +429,20 @@ def enumerate_integer_points(cone, bound_functional, cap):
 
     All arithmetic is plain int; `cap` must be an integer (callers floor a
     rational bound first, which is lossless for integer-valued l on Z^d).
+
+    The walk fixes one coordinate at a time inside the box spanned by the
+    rays scaled to l = cap.  For the next coordinate c, each pruning test
+    is linear in c: the l-cap (running sum plus the least the remaining
+    coordinates can add) and, per facet, the running sum plus the most the
+    remaining coordinates can add.  The survivors are therefore one
+    interval [a, b], found with one floor or ceiling per test, and only
+    its values are pushed.  Pushing them in descending order makes the
+    depth-first walk emit points in lex order.  Leaves (the values of the
+    last coordinate) are still checked exactly before they are emitted.
     """
     ell = tuple(int(c) for c in bound_functional)
-    if len(ell) != cone.dim:
+    dim = cone.dim
+    if len(ell) != dim:
         raise DimensionMismatch("functional dimension mismatch")
     for g in cone.generators:
         if dot(ell, g) <= 0:
@@ -431,51 +450,53 @@ def enumerate_integer_points(cone, bound_functional, cap):
     if cap < 0:
         return []
     if not cone.generators:
-        return [tuple(0 for _ in range(cone.dim))]
-    los = [Fraction(0)] * cone.dim
-    his = [Fraction(0)] * cone.dim
-    for r in cone.rays or cone.generators:
-        t = Fraction(cap, dot(ell, r))
-        for i, c in enumerate(r):
-            v = t * c
-            los[i] = min(los[i], v)
-            his[i] = max(his[i], v)
-    lo = [ceil(v) for v in los]
-    hi = [floor(v) for v in his]
+        return [tuple(0 for _ in range(dim))]
+    # the box: coordinate i of r * cap / l(r) over the rays r, and 0
+    rays = cone.rays or cone.generators
+    lo = [min(0, *(-(-cap * r[i] // dot(ell, r)) for r in rays)) for i in range(dim)]
+    hi = [max(0, *(cap * r[i] // dot(ell, r) for r in rays)) for i in range(dim)]
     facets = cone.facets
-    nfac = len(facets)
     # per-coordinate contribution bounds for pruning
-    fmax = [[max(f[i] * lo[i], f[i] * hi[i]) for f in facets] for i in range(cone.dim)]
-    lmin = [min(ell[i] * lo[i], ell[i] * hi[i]) for i in range(cone.dim)]
-    suffix_fmax = [[0] * nfac for _ in range(cone.dim + 1)]
-    suffix_lmin = [0] * (cone.dim + 1)
-    for i in range(cone.dim - 1, -1, -1):
+    fmax = [[max(f[i] * lo[i], f[i] * hi[i]) for f in facets] for i in range(dim)]
+    lmin = [min(ell[i] * lo[i], ell[i] * hi[i]) for i in range(dim)]
+    suffix_fmax = [[0] * len(facets) for _ in range(dim + 1)]
+    suffix_lmin = [0] * (dim + 1)
+    for i in range(dim - 1, -1, -1):
         suffix_fmax[i] = [a + b for a, b in zip(suffix_fmax[i + 1], fmax[i])]
         suffix_lmin[i] = suffix_lmin[i + 1] + lmin[i]
+    columns = [[f[i] for f in facets] for i in range(dim)]
     # depth-first over coordinate prefixes; an explicit stack rather than a
     # recursive closure, which would hold itself and `out` in a reference
     # cycle until the next full garbage collection
     out = []
-    stack = [((), [0] * nfac, 0)]
+    stack = [((), [0] * len(facets), 0)]
     while stack:
         prefix, fsums, lsum = stack.pop()
         i = len(prefix)
-        if i == cone.dim:
-            if all(v >= 0 for v in fsums) and lsum <= cap:
-                out.append(prefix)
-            continue
-        column = [f[i] for f in facets]
-        rest_fmax = suffix_fmax[i + 1]
-        rest_lmin = suffix_lmin[i + 1]
-        for c in range(lo[i], hi[i] + 1):
-            nl = lsum + ell[i] * c
-            if nl + rest_lmin > cap:
-                continue
-            nf = [fs + fc * c for fs, fc in zip(fsums, column)]
-            if any(v + m < 0 for v, m in zip(nf, rest_fmax)):
-                continue
-            stack.append((prefix + (c,), nf, nl))
-    out.sort()
+        column, li = columns[i], ell[i]
+        # every test reads coef*c <= t: coef = l_i for the cap, -f_i per facet
+        a, b = lo[i], hi[i]
+        tests = [(li, cap - lsum - suffix_lmin[i + 1])]
+        tests += [(-fc, fs + m) for fc, fs, m in zip(column, fsums, suffix_fmax[i + 1])]
+        for coef, t in tests:
+            if coef > 0:
+                b = min(b, t // coef)
+            elif coef < 0:
+                a = max(a, -(t // -coef))
+            elif t < 0:
+                b = a - 1
+        if i + 1 < dim:
+            stack += [
+                (prefix + (c,), [fs + fc * c for fs, fc in zip(fsums, column)], lsum + li * c)
+                for c in range(b, a - 1, -1)
+            ]
+        else:
+            out += [
+                prefix + (c,)
+                for c in range(a, b + 1)
+                if lsum + li * c <= cap
+                and all(fs + fc * c >= 0 for fs, fc in zip(fsums, column))
+            ]
     return out
 
 

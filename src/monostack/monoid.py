@@ -7,6 +7,9 @@ bumping the denominator, so the same integer data serves every level.
 
 Derived data (cone, group lattice, Hilbert basis, flags) is always
 recomputed from the generators and never trusted from serialized input.
+Membership in the group P^gp is one integer predicate per monoid: nothing
+to test when the group is Z^d, else one residue test per Smith invariant
+factor of the group basis (the proof is at `_group_contains_int`).
 """
 
 from __future__ import annotations
@@ -86,8 +89,40 @@ class MonoidPresentation:
 
     # -- integer-model helpers ----------------------------------------------
 
-    def _group_contains_int(self, x):
-        return lattice.lattice_contains_int(self.group_basis, x)
+    @cached_property
+    def _group_contains_int(self):
+        """Integer predicate y in P^gp, built once per monoid.
+
+        With the Smith form U*B*V = D of the Hermite basis B (r rows, U and
+        V unimodular), y = x*B for an integer x iff y*V = (x*U^-1)*D, and
+        x*U^-1 runs over all of Z^r as x does.  So y lies in the row span
+        of B iff y*V lies in the row span of D: (y*V)_j = 0 mod d_j for
+        j < r and (y*V)_j = 0 for j >= r.  Columns with d_j = 1 impose
+        nothing, and the identity basis (the group is Z^d) none at all.
+        """
+        d = self.ambient_rank
+        basis = self.group_basis
+        if basis == tuple(tuple(int(i == j) for j in range(d)) for i in range(d)):
+            return lambda y: True
+        snf = lattice.smith_normal_form(basis)
+        moduli = snf.divisors + (0,) * (d - len(basis))
+        tests = [(col, m) for col, m in zip(zip(*snf.v), moduli) if m != 1]
+
+        def contains(y):
+            for col, m in tests:
+                s = dot(col, y)
+                if (s % m if m else s) != 0:
+                    return False
+            return True
+
+        return contains
+
+    def _scaled(self, x, level=1):
+        """level*s*x as an int tuple (s the denominator), or None if not integral."""
+        scaled = tuple(a * level * self.denominator for a in as_fractions(x))
+        if all(c.denominator == 1 for c in scaled):
+            return tuple(int(c) for c in scaled)
+        return None
 
     @cached_property
     def _in_generated_memo(self):
@@ -144,20 +179,18 @@ class MonoidPresentation:
             for c in coords:
                 k = lcm(k, c.denominator)
             rays.append(tuple(k * a for a in r))
-        bound = sum(Fraction(dot(ell, r)) for r in rays)
-        region = lattice.enumerate_points(self.cone, 1, ell, bound)
-        candidates = []
-        for x in region:
-            xi = tuple(int(a) for a in x)
-            if not is_zero_vector(xi) and self._group_contains_int(xi):
-                candidates.append(xi)
-        basis = []
+        region = lattice.enumerate_integer_points(
+            self.cone, ell, sum(dot(ell, r) for r in rays)
+        )
+        in_group = self._group_contains_int
+        candidates = [x for x in region if any(x) and in_group(x)]
         cand_set = set(candidates)
-        for x in candidates:
-            # x = y + z with y, z nonzero forces z into the enumerated region
-            if not any(y != x and vsub(x, y) in cand_set for y in candidates):
-                basis.append(x)
-        return tuple(sorted(basis))
+        # x = y + z with y, z nonzero forces z into the enumerated region
+        return tuple(
+            x
+            for x in candidates
+            if not any(y != x and vsub(x, y) in cand_set for y in candidates)
+        )
 
     # -- public operations ----------------------------------------------------
 
@@ -175,29 +208,18 @@ class MonoidPresentation:
         """Membership x in P for saturated P: group and cone membership."""
         if not self.is_saturated:
             raise NotSaturated("membership test requires a saturated monoid")
-        x = as_fractions(x)
-        scaled = tuple(a * self.denominator for a in x)
-        if any(c.denominator != 1 for c in scaled):
-            return False
-        xi = tuple(int(c) for c in scaled)
-        return self._group_contains_int(xi) and lattice.cone_contains(self.cone, xi)
+        xi = self._scaled(x)
+        return xi is not None and self._group_contains_int(xi) and lattice.cone_contains(self.cone, xi)
 
     def contains_generated(self, x):
         """Membership in the generated (possibly unsaturated) monoid."""
-        x = as_fractions(x)
-        scaled = tuple(a * self.denominator for a in x)
-        if any(c.denominator != 1 for c in scaled):
-            return False
-        xi = tuple(int(c) for c in scaled)
-        return lattice.cone_contains(self.cone, xi) and self._in_generated_int(xi)
+        xi = self._scaled(x)
+        return xi is not None and lattice.cone_contains(self.cone, xi) and self._in_generated_int(xi)
 
     def group_contains(self, x):
         """Membership in the group generated by the monoid."""
-        x = as_fractions(x)
-        scaled = tuple(a * self.denominator for a in x)
-        if any(c.denominator != 1 for c in scaled):
-            return False
-        return self._group_contains_int(tuple(int(c) for c in scaled))
+        xi = self._scaled(x)
+        return xi is not None and self._group_contains_int(xi)
 
 
 @dataclass(frozen=True)
@@ -264,7 +286,7 @@ def monoid_points_scaled(pres, level, bound):
     """Integer vectors y = level*denominator*x over x in (1/level)*P, l(x) <= bound.
 
     Exact: enumerates ambient lattice candidates and filters by the group
-    lattice, so sublattices (e.g. index > 1 groups) are handled.
+    predicate, so sublattices (e.g. index > 1 groups) are handled.
     """
     from math import floor
 
@@ -272,7 +294,8 @@ def monoid_points_scaled(pres, level, bound):
     denom = level * pres.denominator
     cap = floor(Fraction(bound) * denom)
     raw = lattice.enumerate_integer_points(pres.cone, ell, cap)
-    return [y for y in raw if lattice.lattice_contains_int(pres.group_basis, y)]
+    in_group = pres._group_contains_int
+    return [y for y in raw if in_group(y)]
 
 
 def monoid_points(pres, level, bound):

@@ -155,6 +155,27 @@ def coset_label_oracle(pres, n, x):
     return tuple(c - floor(c) for c in coords)
 
 
+def ideal_min_generators_oracle(ideal):
+    """Minimal generators of a monomial ideal by the membership definition.
+
+    Every point x of (1/n)P in the ideal's region such that x is in the
+    ideal and x - h is not, for each Hilbert generator h of (1/n)P, tested
+    with the public `MonoidIdeal.contains` on Fraction vectors.
+    """
+    from monostack.monoid import monoid_points
+
+    pres, n = ideal.monoid, ideal.level
+    hb = [tuple(a / n for a in v) for v in pres.hilbert_basis]
+    return sorted(
+        x
+        for x in monoid_points(pres, n, ideal.bound)
+        if ideal.contains(x)
+        and not any(
+            ideal.contains(tuple(a - b for a, b in zip(x, h))) for h in hb
+        )
+    )
+
+
 # -- random graded data -------------------------------------------------------
 
 

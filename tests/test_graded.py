@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_module, random_ses, random_twist_sum
+from helpers import (
+    ideal_min_generators_oracle,
+    random_module,
+    random_ses,
+    random_twist_sum,
+)
 from monostack.errors import AlgebraMismatch, NotExactInput, RegionTooSmall
 from monostack.fields import QQ, PrimeField
 from monostack.graded import (
+    GradedAlgebra,
     GradedMap,
     GradedModule,
     MonoidIdeal,
@@ -30,8 +36,8 @@ from monostack.graded import (
 )
 from monostack.infquot import delta_points, in_delta
 from monostack.kummer import coset_label, enumerate_labels, label_add, zero_label
-from monostack.lattice import dot, vadd
-from monostack.monoid import monoid_points, validate
+from monostack.lattice import dot, vadd, vsub
+from monostack.monoid import monoid_points, saturate, validate
 
 
 def fr(*vals):
@@ -351,6 +357,74 @@ def test_coherence_probe_nonsimplicial_grows(nonsimplicial):
 def test_coherence_probe_quadrant_constant(nat2):
     rows = coherence_probe(nat2, fr(1, 0), fr(0, 1), [1, 2, 3, 4])
     assert [r["min_gens"] for r in rows] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("name", ["N2", "cone", "index2"])
+def test_colon_min_generators_match_membership_oracle(name, nat2, nonsimplicial):
+    """The facet-value minimality test agrees with x in I and x - h not in I."""
+    pres = {
+        "N2": nat2,
+        "cone": nonsimplicial,
+        "index2": saturate(validate([(2, 0), (1, 1), (0, 2)])),
+    }[name]
+    rng = random.Random(7)
+    for n in (1, 2) if name == "cone" else (1, 2, 3):
+        small = monoid_points(pres, n, 2)
+        for _ in range(2):
+            ideal = colon_degree_ideal(pres, n, rng.choice(small), rng.choice(small))
+            assert ideal_min_generators(ideal) == ideal_min_generators_oracle(ideal)
+
+
+def test_coherence_probe_makes_no_lattice_coordinate_calls(monkeypatch):
+    """Group membership on the cone and on N^2 (both Z^d) costs nothing."""
+    from monostack import kummer, lattice
+
+    calls = []
+    original = lattice.lattice_coords_int
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lattice, "lattice_coords_int", counted)
+    monkeypatch.setattr(kummer, "lattice_coords_int", counted)
+    cone = validate([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
+    coherence_probe(cone, fr(1, 0, 0), fr(0, 0, 1), [1, 2, 3])
+    coherence_probe(validate([(1, 0), (0, 1)]), fr(1, 0), fr(0, 1), [1, 2, 3])
+    assert len(calls) == 0
+
+
+def _recursive_decompose(alg, gamma, memo):
+    """The recursive definition of `GradedAlgebra.decompose`, on its own memo."""
+    if gamma in memo:
+        return memo[gamma]
+    for g in alg.generators:
+        rest = vsub(gamma, g)
+        if contains_at_level(alg.monoid, alg.level, rest):
+            tail = _recursive_decompose(alg, rest, memo)
+            if tail is not None:
+                memo[gamma] = (g,) + tail
+                return memo[gamma]
+    memo[gamma] = None
+    return None
+
+
+def test_decompose_matches_recursive_definition(nonsimplicial):
+    """Same decompositions and the same memo entries as the recursion."""
+    for n in (2, 3):
+        alg = GradedAlgebra(nonsimplicial, n)
+        memo = dict(alg._decomp_memo)
+        points = list(alg.basis) + [vadd(g, h) for g in alg.generators for h in alg.generators]
+        points.append(fr(-1, 0, 0))
+        for p in points:
+            assert alg.decompose(p) == _recursive_decompose(alg, p, memo)
+        assert alg._decomp_memo == memo
+
+
+def test_decompose_long_chain_without_recursion():
+    """1199/1200 in N is 1199 generators deep; a fresh algebra has a cold memo."""
+    alg = GradedAlgebra(validate([(1,)]), 1200)
+    assert alg.decompose((Fraction(1199, 1200),)) == ((Fraction(1, 1200),),) * 1199
 
 
 def test_a0_obstruction(nonsimplicial):

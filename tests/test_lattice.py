@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import det_frac, in_cone_oracle, random_int_matrix
-from monostack.errors import DimensionMismatch, UnboundedRegion
+from monostack.errors import DimensionMismatch, EmptyGenerators, UnboundedRegion
 from monostack.lattice import (
     cone_contains,
     cone_from_generators,
@@ -211,3 +211,66 @@ def test_enumeration_leaves_no_cyclic_garbage(nonsimplicial):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _box_points(cone, ell, cap):
+    """Brute force: every integer point of a box that holds the region.
+
+    A region point is a nonnegative combination sum t_g g of the
+    generators with sum t_g l(g) <= cap, so |y_i| <= cap * max |g_i| / l(g).
+    """
+    from itertools import product
+
+    radius = [
+        max(cap * abs(g[i]) // dot(ell, g) for g in cone.generators)
+        for i in range(cone.dim)
+    ]
+    box = product(*(range(-r, r + 1) for r in radius))
+    return sorted(
+        y for y in box if dot(ell, y) <= cap and all(dot(f, y) >= 0 for f in cone.facets)
+    )
+
+
+def _random_functional(rng, cone):
+    """A random integer functional positive on every generator, or the
+    facet sum when a few hundred draws find none."""
+    from monostack.lattice import positive_functional_of
+
+    for _ in range(300):
+        ell = tuple(rng.randint(-2, 4) for _ in range(cone.dim))
+        if all(dot(ell, g) > 0 for g in cone.generators):
+            return ell
+    return positive_functional_of(cone)
+
+
+def _random_cones(rng):
+    from monostack.errors import NotSharp
+    from monostack.monoid import validate
+
+    cones = []
+    while len(cones) < 6:
+        dim = rng.choice([2, 3])
+        gens = [tuple(rng.randint(-2, 3) for _ in range(dim)) for _ in range(rng.randint(2, 4))]
+        try:
+            validate(gens)
+        except (NotSharp, EmptyGenerators):
+            continue
+        cones.append(cone_from_generators(gens))
+    # a plane in Z^3 and a ray in Z^2: their facets include +/- span pairs
+    cones.append(cone_from_generators([(1, 0, 2), (0, 1, 1), (1, 1, 3)]))
+    cones.append(cone_from_generators([(1, 2)]))
+    return cones
+
+
+def test_enumerate_integer_points_matches_box_oracle():
+    from monostack.lattice import enumerate_integer_points, positive_functional_of
+
+    rng = random.Random(11)
+    cones = _random_cones(rng)
+    assert any(tuple(-a for a in f) in c.facets for c in cones for f in c.facets)
+    for cone in cones:
+        for ell in (positive_functional_of(cone), _random_functional(rng, cone)):
+            top = _box_points(cone, ell, 12)
+            for cap in range(13):
+                expected = [y for y in top if dot(ell, y) <= cap]
+                assert enumerate_integer_points(cone, ell, cap) == expected, (cone, ell, cap)

@@ -196,3 +196,30 @@ def test_contains_generated_deep_element():
     fresh = validate([(2,), (3,)])
     for n in range(30):
         assert fresh.contains_generated((n,)) == nat_combination_oracle([(2,), (3,)], (n,), 15)
+
+
+@pytest.mark.parametrize(
+    "gens, denominator, whole",
+    [
+        ([(1, 0), (0, 1)], 1, True),
+        ([(2, 0), (1, 1), (0, 2)], 1, False),
+        ([(3, 0), (1, 1), (0, 3)], 3, False),
+        ([(1, 0, 1), (1, 2, 1)], 1, False),
+    ],
+    ids=["Z2", "index2", "denominator3", "rank_deficient"],
+)
+def test_group_predicate_matches_lattice_membership(gens, denominator, whole):
+    """The Smith-form residue test agrees with Hermite-basis coordinates."""
+    from itertools import product
+
+    from monostack.lattice import lattice_contains_int
+
+    pres = validate(gens, denominator=denominator)
+    member = pres._group_contains_int
+    hits = 0
+    for y in product(range(-5, 6), repeat=pres.ambient_rank):
+        expected = lattice_contains_int(pres.group_basis, y)
+        assert member(y) == expected, y
+        assert pres.group_contains(tuple(Fraction(a, denominator) for a in y)) == expected
+        hits += expected
+    assert (hits == 11 ** pres.ambient_rank) == whole
