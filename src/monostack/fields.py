@@ -151,7 +151,8 @@ def mat_vec(field, m, v):
 def _dot(field, u, v):
     acc = field.zero
     for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
+        if a and b:  # a term with an exact zero factor adds nothing
+            acc = field.add(acc, field.mul(a, b))
     return acc
 
 

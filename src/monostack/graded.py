@@ -5,9 +5,18 @@ The level-n algebra has one basis monomial per point of Delta(P) cap
 0 otherwise.  Modules are graded by coset labels in (1/n)P^gp / P^gp and
 store action matrices for the Hilbert generators of (1/n)P; the action of
 a general Delta monomial is the memoized composite along a canonical
-decomposition, which is well defined once the generator/basis
-compatibility law holds (validated on construction paths that take
-untrusted data).
+decomposition.
+
+Construction paths that take untrusted data check the module law x^h
+x^gamma = x^(h+gamma), or 0 when h+gamma leaves Delta, on a generating set
+of it that depends only on the algebra (`GradedAlgebra.module_law`):
+generators outside Delta act as zero, the generators in Delta commute, the
+law holds at the pairs where h+gamma first leaves Delta, and at the pairs
+where h+gamma is in Delta and its canonical decomposition starts with a
+generator that is neither h nor a summand of gamma in (1/n)P.
+`GradedModule.validate` proves, by induction on the positive functional,
+that these imply the law for every generator and Delta monomial, so no
+multiplication table is built.
 
 A parabolic sheaf over a log point is a graded module here: `parabolic`
 passes `GradedModule` and `GradedMap` through unchanged, and modules
@@ -29,12 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import ge
+from functools import cached_property, lru_cache
+from itertools import combinations
+from operator import ge, mul
+from typing import NamedTuple
 
 from . import fields, lattice
 from .errors import (
     AlgebraMismatch,
+    DimensionMismatch,
     LevelMismatch,
     NotExactInput,
     RegionTooSmall,
@@ -53,9 +65,20 @@ from .lattice import vadd, vscale, vsub
 
 
 def contains_at_level(pres, level, x):
-    """Membership of a rational vector in (1/level)*P (saturated P)."""
-    xi = pres._scaled(x, level)
-    return xi is not None and lattice.cone_contains(pres.cone, xi) and pres._group_contains_int(xi)
+    """Membership of a rational vector in (1/level)*P (saturated P).
+
+    x is scaled once to y = level*s*x (s the denominator); x is in
+    (1/level)*P iff y is integral, every integer facet is nonnegative on y
+    and y lies in P^gp.
+    """
+    if len(x) != pres.cone.dim:
+        raise DimensionMismatch(f"point of dim {len(x)} against cone of dim {pres.cone.dim}")
+    m = level * pres.denominator
+    scaled = [a * m for a in x]
+    if any(c.denominator != 1 for c in scaled):
+        return False
+    y = tuple(c.numerator for c in scaled)
+    return all(sum(map(mul, f, y)) >= 0 for f in pres.cone.facets) and pres._group_contains_int(y)
 
 
 @lru_cache(maxsize=None)
@@ -148,6 +171,30 @@ class GradedAlgebra:
                 memo[point] = None
         return memo[gamma]
 
+    @cached_property
+    def module_law(self):
+        """The pairs at which `GradedModule.validate` checks the module law,
+        built once per algebra: `zero` (h, gamma), `sums` (h, gamma, h+gamma)
+        and `commuting` (g, h) are its families Z, S and C."""
+        zero, sums = [], []
+        for h in self.delta_generators:
+            for gamma in self.basis:
+                s = self.multiply(h, gamma)
+                if s is None:
+                    if any(gamma) and self.multiply(h, vsub(gamma, self.decompose(gamma)[0])) is not None:
+                        zero.append((h, gamma))
+                    continue
+                f = self.decompose(s)[0]
+                if f != h and not contains_at_level(self.monoid, self.level, vsub(vsub(s, f), h)):
+                    sums.append((h, gamma, s))
+        return ModuleLaw(tuple(zero), tuple(sums), tuple(combinations(self.delta_generators, 2)))
+
+
+class ModuleLaw(NamedTuple):
+    zero: tuple
+    sums: tuple
+    commuting: tuple
+
 
 class GradedModule:
     """Finite-dimensional graded module over a level-n algebra.
@@ -221,74 +268,111 @@ class GradedModule:
         return mat
 
     def act(self, gamma, label):
-        """Matrix of x^gamma out of `label` for gamma in Delta cap (1/n)P."""
-        key = (gamma, label)
-        hit = self._act_memo.get(key)
+        """Matrix of x^gamma out of `label` for gamma in Delta cap (1/n)P.
+
+        The composite along decompose(gamma) = (f, ...) is x^f times the
+        action of gamma - f, so the longest memoized tail is reused and
+        every tail on the way is memoized too.
+        """
+        memo = self._act_memo
+        hit = memo.get((gamma, label))
         if hit is not None:
             return hit
-        field = self.algebra.field
         parts = self.algebra.decompose(gamma)
         if parts is None:
             raise ValueError(f"{gamma} is not an element of the level monoid")
-        mat = fields.identity_matrix(field, self.dim(label))
-        cur = label
-        for g in reversed(parts):
-            nxt = self._target_label(g, cur)
-            mat = fields.mat_mul_dims(
-                field,
-                self.gen_matrix(g, cur),
-                mat,
-                self.dim(nxt),
-                self.dim(cur),
-                self.dim(label),
-            )
-            cur = nxt
-        self._act_memo[key] = mat
+        points = [gamma]
+        for g in parts:
+            points.append(vsub(points[-1], g))
+        k, mat = len(parts), None
+        for i in range(1, len(parts)):
+            mat = memo.get((points[i], label))
+            if mat is not None:
+                k = i
+                break
+        if mat is None:
+            mat = fields.identity_matrix(self.algebra.field, self.dim(label))
+        for j in range(k - 1, -1, -1):
+            mat = self._gen_times(parts[j], self._target_label(points[j + 1], label), mat, label)
+            memo[(points[j], label)] = mat
         return mat
+
+    def _gen_times(self, g, mid, mat, label):
+        """x^g out of `mid` times a matrix out of `label` into `mid`."""
+        return fields.mat_mul_dims(
+            self.algebra.field,
+            self.gen_matrix(g, mid),
+            mat,
+            self.dim(self._target_label(g, mid)),
+            self.dim(mid),
+            self.dim(label),
+        )
 
     # -- laws ----------------------------------------------------------------
 
     def validate(self):
-        """Generator-versus-basis compatibility; implies the full module law.
+        """Check the module law x^h x^gamma = x^(h+gamma), or 0 when h+gamma
+        leaves Delta, on a generating set of it.
 
-        For all Hilbert generators h and Delta monomials gamma the
-        composite x^h x^gamma must equal x^(h+gamma) when the sum stays in
-        Delta and zero otherwise; products of generators then evaluate
-        order-independently by induction.
+        The law for every Hilbert generator h and Delta monomial gamma (with
+        x^gamma = act(gamma), the composite along `decompose`) is the full
+        module law: products of generators then evaluate order-independently
+        by induction.  It is checked on the set below, which depends only
+        on the algebra (`GradedAlgebra.module_law`).  With first(x) =
+        decompose(x)[0], so that act(x) = X_first(x) act(x - first(x)):
+          N  every Hilbert generator outside Delta acts as zero (then the
+             law only concerns the delta generators h);
+          C  X_g X_h = X_h X_g for every pair of delta generators;
+          Z  X_h act(gamma) = 0 where gamma != 0, h+gamma is outside Delta
+             and h+(gamma-first(gamma)) is in Delta;
+          S  X_h act(gamma) = act(s) where s = h+gamma is in Delta, f =
+             first(s) != h and s-f-h is outside (1/n)P;
+        at every label, and the matrix shapes of the delta generators.
+        Each is an instance of the law, so no module satisfying it is
+        rejected.  Conversely, the law at (h, gamma) follows by induction
+        on l(h+gamma), l the positive functional; Delta is closed under
+        taking summands in (1/n)P, so every point below is in Delta.
+          gamma = 0: act(h) = X_h.
+          s = h+gamma in Delta, f = first(s): if f = h, act(s) = X_h
+             act(gamma) by definition.  If r = s-f-h is outside (1/n)P the
+             pair is in S.  Otherwise gamma = f+r and h+r = s-f are in
+             Delta and below s, so act(s) = X_f act(h+r) = X_f X_h act(r)
+             = X_h X_f act(r) = X_h act(gamma), by induction, C and
+             induction again.
+          h+gamma outside Delta, gamma != 0, f = first(gamma), gamma' =
+             gamma-f: if h+gamma' is in Delta the pair is in Z.  Otherwise
+             X_h act(gamma) = X_h X_f act(gamma') = X_f X_h act(gamma') = 0
+             by C and induction.
         """
         alg = self.algebra
         field = alg.field
+        labels = list(self.dims)
         for h in alg.generators:
-            h_in_delta = in_delta(alg.monoid, h)
-            for lab in list(self.dims):
-                if not h_in_delta:
-                    if not fields.mat_eq_zero(field, self.gen_matrix(h, lab)):
-                        raise ValueError(
-                            f"generator {h} leaves Delta but acts nontrivially"
-                        )
-            if not h_in_delta:
+            if h in alg.delta_generators:
                 continue
-            for gamma in alg.basis:
-                for lab in list(self.dims):
-                    mid = self._target_label(gamma, lab)
-                    end = self._target_label(h, mid)
-                    lhs = fields.mat_mul_dims(
-                        field,
-                        self.gen_matrix(h, mid),
-                        self.act(gamma, lab),
-                        self.dim(end),
-                        self.dim(mid),
-                        self.dim(lab),
-                    )
-                    s = alg.multiply(h, gamma)
-                    if s is None:
-                        rhs = fields.zero_matrix(field, self.dim(end), self.dim(lab))
-                    else:
-                        rhs = self.act(s, lab)
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"module law fails at generator {h}, basis {gamma}"
-                        )
+            for lab in labels:
+                if not fields.mat_eq_zero(field, self.gen_matrix(h, lab)):
+                    raise ValueError(f"generator {h} leaves Delta but acts nontrivially")
+        for h in alg.delta_generators:
+            for lab in labels:
+                self.gen_matrix(h, lab)
+        law = alg.module_law
+        for g, h in law.commuting:
+            for lab in labels:
+                gh = self._gen_times(g, self._target_label(h, lab), self.gen_matrix(h, lab), lab)
+                hg = self._gen_times(h, self._target_label(g, lab), self.gen_matrix(g, lab), lab)
+                if gh != hg:
+                    raise ValueError(f"module law fails: generators {g} and {h} do not commute")
+        for h, gamma in law.zero:
+            for lab in labels:
+                mid = self._target_label(gamma, lab)
+                if not fields.mat_eq_zero(field, self._gen_times(h, mid, self.act(gamma, lab), lab)):
+                    raise ValueError(f"module law fails at generator {h}, basis {gamma}")
+        for h, gamma, s in law.sums:
+            for lab in labels:
+                mid = self._target_label(gamma, lab)
+                if self._gen_times(h, mid, self.act(gamma, lab), lab) != self.act(s, lab):
+                    raise ValueError(f"module law fails at generator {h}, basis {gamma}")
 
 
 def zero_module(algebra):

@@ -117,9 +117,9 @@ class MonoidPresentation:
 
         return contains
 
-    def _scaled(self, x, level=1):
-        """level*s*x as an int tuple (s the denominator), or None if not integral."""
-        scaled = tuple(a * level * self.denominator for a in as_fractions(x))
+    def _scaled(self, x):
+        """s*x as an int tuple (s the denominator), or None if not integral."""
+        scaled = tuple(a * self.denominator for a in as_fractions(x))
         if all(c.denominator == 1 for c in scaled):
             return tuple(int(c) for c in scaled)
         return None

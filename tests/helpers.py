@@ -235,3 +235,147 @@ def random_ses(algebra, rng):
     proj = corestrict_to_image(f, img, incl)
     ker, kincl = kernel(f)
     return ker, m, img, kincl, proj
+
+
+# -- the module law as a full table ---------------------------------------------
+
+
+def _product(field, a, b, rows, cols):
+    """Schoolbook product of a rows x k and a k x cols matrix, every term summed."""
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = field.zero
+            for k in range(len(b)):
+                acc = field.add(acc, field.mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _is_zero(field, mat):
+    return all(field.is_zero(x) for row in mat for x in row)
+
+
+def _composite(module, gamma, label, memo=None):
+    """x^gamma out of `label`: the chain product along `decompose(gamma)`,
+    stored in `memo` when one is given."""
+    if memo is not None:
+        if (gamma, label) not in memo:
+            memo[(gamma, label)] = _composite(module, gamma, label)
+        return memo[(gamma, label)]
+    field = module.algebra.field
+    d = module.dim(label)
+    mat = tuple(tuple(field.one if i == j else field.zero for j in range(d)) for i in range(d))
+    cur = label
+    for g in reversed(module.algebra.decompose(gamma)):
+        gmat = module.gen_matrix(g, cur)
+        cur = module._target_label(g, cur)
+        mat = _product(field, gmat, mat, module.dim(cur), d)
+    return mat
+
+
+def _times(module, h, gamma, label, memo=None):
+    """x^h x^gamma out of `label`."""
+    mid = module._target_label(gamma, label)
+    end = module._target_label(h, mid)
+    field = module.algebra.field
+    return _product(
+        field, module.gen_matrix(h, mid), _composite(module, gamma, label, memo),
+        module.dim(end), module.dim(label),
+    )
+
+
+def module_law_oracle(module):
+    """True iff the module law holds, checked as a full multiplication table.
+
+    Every Hilbert generator outside Delta must act as zero, and for every
+    generator h in Delta, Delta monomial gamma and label, x^h x^gamma must
+    equal x^(h+gamma) when the sum stays in Delta and zero otherwise.  A
+    wrongly shaped matrix fails the law.
+    """
+    alg = module.algebra
+    field = alg.field
+    memo = {}
+    try:
+        for h in alg.generators:
+            if h not in alg.delta_generators:
+                if not all(_is_zero(field, module.gen_matrix(h, lab)) for lab in module.dims):
+                    return False
+                continue
+            for gamma in alg.basis:
+                s = alg.multiply(h, gamma)
+                for lab in module.dims:
+                    lhs = _times(module, h, gamma, lab, memo)
+                    if not (_is_zero(field, lhs) if s is None else lhs == _composite(module, s, lab, memo)):
+                        return False
+    except ValueError:
+        return False
+    return True
+
+
+def law_family_failures(module):
+    """The families of the law set at which a module fails, each checked on
+    its own: "N" (generators outside Delta) and the "C", "Z" and "S" pairs
+    of `GradedAlgebra.module_law`."""
+    alg = module.algebra
+    field = alg.field
+    law = alg.module_law
+    labels = list(module.dims)
+    failed = set()
+    if any(
+        not _is_zero(field, module.gen_matrix(h, lab))
+        for h in alg.generators
+        if h not in alg.delta_generators
+        for lab in labels
+    ):
+        failed.add("N")
+    if any(
+        _times(module, g, h, lab) != _times(module, h, g, lab)
+        for g, h in law.commuting
+        for lab in labels
+    ):
+        failed.add("C")
+    if any(not _is_zero(field, _times(module, h, gamma, lab)) for h, gamma in law.zero for lab in labels):
+        failed.add("Z")
+    if any(
+        _times(module, h, gamma, lab) != _composite(module, s, lab)
+        for h, gamma, s in law.sums
+        for lab in labels
+    ):
+        failed.add("S")
+    return failed
+
+
+def corrupt_entry(module, rng):
+    """A copy of the module with one random action entry raised by one, or
+    None when it has no action entry."""
+    field = module.algebra.field
+    entries = [
+        (key, i, j)
+        for key, mat in module.gen_action.items()
+        for i in range(len(mat))
+        for j in range(len(mat[i]))
+    ]
+    if not entries:
+        return None
+    key, i, j = rng.choice(entries)
+    action = dict(module.gen_action)
+    rows = [list(row) for row in action[key]]
+    rows[i][j] = field.add(rows[i][j], field.one)
+    action[key] = rows
+    return GradedModule(module.algebra, module.dims, action, check=False)
+
+
+def random_scalar_module(algebra, rng):
+    """One-dimensional components at random labels, each generator acting by
+    random scalars 0, 1 or 2 (mostly 0 off Delta); no law check is made."""
+    field = algebra.field
+    dims = {lab: 1 for lab in algebra.labels if rng.random() < 0.8}
+    action = {}
+    for g in algebra.generators:
+        scalars = (0, 0, 1, 2) if g in algebra.delta_generators or rng.random() < 0.1 else (0,)
+        for lab in dims:
+            action[(g, lab)] = ((field.of_int(rng.choice(scalars)),),)
+    return GradedModule(algebra, dims, action, check=False)

@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -330,3 +331,61 @@ def test_nonpositive_payload_level_is_malformed(action, key, level, tmp_path, ca
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err == f"error: level must be a positive integer, got {level}\n"
+
+
+GOLDEN_PAYLOADS = json.loads((Path(__file__).parent / "data" / "golden_cli_payloads.json").read_text())
+
+
+def _corruptions(payload):
+    """Copies of a parabolic payload with one matrix entry raised by one, in
+    reading order."""
+    for m, entry in enumerate(payload["maps"]):
+        for i, row in enumerate(entry["matrix"]):
+            for j, x in enumerate(row):
+                bad = json.loads(json.dumps(payload))
+                bad["maps"][m]["matrix"][i][j] = str(Fraction(x) + 1) if isinstance(x, str) else x + 1
+                yield bad
+
+
+def _table_verdict(payload):
+    """The full-table verdict on a graded reading of the payload."""
+    from helpers import module_law_oracle
+    from monostack.graded import GradedModule, graded_algebra
+    from monostack.jsonio import _module_from_json
+
+    def build(pres, level, field, dims, action):
+        return GradedModule(graded_algebra(pres, level, field), dims, action, check=False)
+
+    return module_law_oracle(_module_from_json(payload, "parabolic", "maps", build))
+
+
+@pytest.mark.parametrize("name", ["cone", "cone_b", "f5", "n2", "n2b"])
+def test_corrupted_sheaf_entry_is_malformed(name, tmp_path, capsys):
+    """Single-entry corruptions in reading order get the full table's
+    verdict from the reader up to the first one the table rejects, which
+    exits 1 on both commands."""
+    from monostack.errors import MalformedInput
+    from monostack.jsonio import parabolic_from_json
+
+    for bad in _corruptions(GOLDEN_PAYLOADS[name]):
+        want = _table_verdict(bad)
+        try:
+            parabolic_from_json(bad)
+            got = True
+        except MalformedInput:
+            got = False
+        assert got == want
+        if not want:
+            break
+    else:
+        pytest.fail("no corruption breaks the module law")
+    graded = dict(bad)
+    graded["action"] = graded.pop("maps")
+    for action, payload in (("to-graded", bad), ("from-graded", graded)):
+        src = tmp_path / f"{action}.json"
+        src.write_text(json.dumps(payload))
+        code = main(["parabolic", action, str(src)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
