@@ -7,6 +7,13 @@ store action matrices for the Hilbert generators of (1/n)P; the action of
 a general Delta monomial is the memoized composite along a canonical
 decomposition.
 
+Here and in `parabolic` a point x of (1/n)P is the int tuple y = n*s*x
+(s the presentation denominator); only the algebra knows the scale.  The
+generators are then the integer Hilbert basis of P at every level,
+membership is `MonoidPresentation._contains_int`, and level m maps into
+level N by y -> (N/m)*y.  `GradedAlgebra.point` and `coords` convert at
+the edges: JSON, error messages, `contains_at_level` and `MonoidIdeal`.
+
 Construction paths that take untrusted data check the module law x^h
 x^gamma = x^(h+gamma), or 0 when h+gamma leaves Delta, on a generating set
 of it that depends only on the algebra (`GradedAlgebra.module_law`):
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import ge, mul
+from operator import ge
 from typing import NamedTuple
 
 from . import fields, lattice
@@ -52,6 +59,7 @@ from .errors import (
     RegionTooSmall,
 )
 from .fields import QQ
+# coset_label and in_delta are bound only for perfbench's tracer
 from .infquot import delta_bound, delta_points, in_delta
 from .kummer import (
     coset_label,
@@ -59,26 +67,30 @@ from .kummer import (
     label_add,
     label_at_level,
     label_level_divides,
+    scaled_label,
     zero_label,
 )
-from .lattice import vadd, vscale, vsub
+from .lattice import facet_values, unscale, vadd, vscale, vsub
+from .monoid import monoid_points_scaled
+
+
+def _level_coords(pres, level, x):
+    """y = level*s*x for a rational vector x, or None when y is not integral."""
+    if len(x) != pres.cone.dim:
+        raise DimensionMismatch(f"point of dim {len(x)} against cone of dim {pres.cone.dim}")
+    return pres._scaled(vscale(level, x))
 
 
 def contains_at_level(pres, level, x):
-    """Membership of a rational vector in (1/level)*P (saturated P).
+    """Membership of a rational vector in (1/level)*P (saturated P): y =
+    level*s*x is integral and `pres._contains_int(y)`."""
+    y = _level_coords(pres, level, x)
+    return y is not None and pres._contains_int(y)
 
-    x is scaled once to y = level*s*x (s the denominator); x is in
-    (1/level)*P iff y is integral, every integer facet is nonnegative on y
-    and y lies in P^gp.
-    """
-    if len(x) != pres.cone.dim:
-        raise DimensionMismatch(f"point of dim {len(x)} against cone of dim {pres.cone.dim}")
-    m = level * pres.denominator
-    scaled = [a * m for a in x]
-    if any(c.denominator != 1 for c in scaled):
-        return False
-    y = tuple(c.numerator for c in scaled)
-    return all(sum(map(mul, f, y)) >= 0 for f in pres.cone.facets) and pres._group_contains_int(y)
+
+def _key(x):
+    """A rational vector in payload notation, such as 1/2,0."""
+    return ",".join(map(str, x))
 
 
 @lru_cache(maxsize=None)
@@ -87,26 +99,25 @@ def graded_algebra(pres, level, field=QQ):
 
 
 class GradedAlgebra:
-    """k[(1/n)P]/(P+) with its Delta monomial basis, graded by coset labels."""
+    """k[(1/n)P]/(P+) with its Delta monomial basis, graded by coset labels.
+
+    Points are int tuples y = scale*x, scale = n*s.  A generator is in Delta
+    iff it is a basis point: all of Delta cap (1/n)P is below the bound.
+    """
 
     def __init__(self, monoid, level, field=QQ):
         self.monoid = monoid
         self.level = int(level)
         self.field = field
+        self.scale = self.level * monoid.denominator
         self.delta = delta_points(monoid, self.level)
-        self.basis = tuple(self.delta.points)
+        self.basis = self.delta.scaled
         self._basis_set = frozenset(self.basis)
         self.labels = tuple(enumerate_labels(monoid, self.level))
-        self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.zero_label = zero_label(monoid, self.level)
-        hb = monoid.hilbert_basis
-        self.generators = tuple(
-            vscale(Fraction(1, self.level), v) for v in hb
-        )
-        self.delta_generators = tuple(
-            g for g in self.generators if in_delta(monoid, g)
-        )
-        self._decomp_memo = {tuple(Fraction(0) for _ in range(monoid.ambient_rank)): ()}
+        self.generators = monoid._saturation_hilbert_basis
+        self.delta_generators = tuple(g for g in self.generators if g in self._basis_set)
+        self._decomp_memo = {(0,) * monoid.ambient_rank: ()}
         self._label_memo = dict(zip(self.basis, self.delta.labels))
 
     def __eq__(self, other):
@@ -120,17 +131,31 @@ class GradedAlgebra:
     def __hash__(self):
         return hash((self.monoid, self.level, self.field))
 
-    def label_of(self, point):
+    def point(self, y):
+        """The rational point y/scale of integer coordinates y."""
+        return unscale(y, self.scale)
+
+    def coords(self, x):
+        """The integer coordinates scale*x of a rational vector x, or ValueError."""
+        y = _level_coords(self.monoid, self.level, x)
+        if y is None:
+            raise ValueError(f"{_key(x)} is not a point of level {self.level}")
+        return y
+
+    def label_of(self, y):
         """Coset label of a point, memoized per algebra (errors are not stored)."""
         memo = self._label_memo
-        lab = memo.get(point)
+        lab = memo.get(y)
         if lab is None:
-            lab = memo[point] = coset_label(self.monoid, self.level, point)
+            lab = scaled_label(self.monoid, self.level, y)
+            if lab is None:
+                raise ValueError(f"{self.point(y)} is not in the level-{self.level} group lattice")
+            memo[y] = lab
         return lab
 
     def basis_of_label(self, label):
         """Delta monomials in one coset class."""
-        return self.delta.points_in_class(label)
+        return self.delta.scaled_in_class(label)
 
     def multiply(self, g, d):
         """x^g * x^d: the sum when it stays in Delta, else None (zero).
@@ -150,11 +175,11 @@ class GradedAlgebra:
         (point, generator index) replaces recursion; every visited point is
         memoized, None meaning no decomposition.
         """
-        gamma = lattice.as_fractions(gamma)
         memo = self._decomp_memo
         if gamma in memo:
             return memo[gamma]
         gens, stack = self.generators, [(gamma, 0)]
+        contains = self.monoid._contains_int
         while stack:
             point, i = stack.pop()
             while i < len(gens):
@@ -163,7 +188,7 @@ class GradedAlgebra:
                     if memo[rest] is not None:
                         memo[point] = (gens[i],) + memo[rest]
                         break
-                elif contains_at_level(self.monoid, self.level, rest):
+                elif contains(rest):
                     stack += [(point, i), (rest, 0)]
                     break
                 i += 1
@@ -185,7 +210,7 @@ class GradedAlgebra:
                         zero.append((h, gamma))
                     continue
                 f = self.decompose(s)[0]
-                if f != h and not contains_at_level(self.monoid, self.level, vsub(vsub(s, f), h)):
+                if f != h and not self.monoid._contains_int(vsub(vsub(s, f), h)):
                     sums.append((h, gamma, s))
         return ModuleLaw(tuple(zero), tuple(sums), tuple(combinations(self.delta_generators, 2)))
 
@@ -200,9 +225,10 @@ class GradedModule:
     """Finite-dimensional graded module over a level-n algebra.
 
     `dims` maps coset labels to component dimensions (absent means zero);
-    `gen_action` maps (generator vector, label) to the matrix of the
-    x^generator action out of that label.  Matrices for zero-dimensional
-    source or target components may be omitted.
+    `gen_action` maps (generator, label) to the matrix of the x^generator
+    action out of that label; a key that is not one of `algebra.generators`
+    raises ValueError.  Matrices for zero-dimensional source or target
+    components may be omitted.
     """
 
     def __init__(self, algebra, dims, gen_action, check=True):
@@ -210,7 +236,8 @@ class GradedModule:
         self.dims = {lab: int(d) for lab, d in dims.items() if int(d) > 0}
         self.gen_action = {}
         for (g, lab), mat in gen_action.items():
-            g = lattice.as_fractions(g)
+            if g not in algebra.generators:
+                raise ValueError(f"gen {_key(algebra.point(g))} is not a Hilbert generator of (1/n)P")
             mat = fields.mat_from_rows(mat)
             tgt = self._target_label(g, lab)
             if self.dim(lab) == 0 or self.dim(tgt) == 0:
@@ -264,7 +291,8 @@ class GradedModule:
         if mat is None:
             return fields.zero_matrix(self.algebra.field, *shape)
         if (len(mat), len(mat[0]) if mat else 0) != shape:
-            raise ValueError(f"action matrix at {g}, {label} has a wrong shape")
+            where = f"gen {_key(self.algebra.point(g))} at rep {_key(label.representative)}"
+            raise ValueError(f"action matrix for {where} has a wrong shape")
         return mat
 
     def act(self, gamma, label):
@@ -280,7 +308,7 @@ class GradedModule:
             return hit
         parts = self.algebra.decompose(gamma)
         if parts is None:
-            raise ValueError(f"{gamma} is not an element of the level monoid")
+            raise ValueError(f"{self.algebra.point(gamma)} is not an element of the level monoid")
         points = [gamma]
         for g in parts:
             points.append(vsub(points[-1], g))
@@ -352,7 +380,7 @@ class GradedModule:
                 continue
             for lab in labels:
                 if not fields.mat_eq_zero(field, self.gen_matrix(h, lab)):
-                    raise ValueError(f"generator {h} leaves Delta but acts nontrivially")
+                    raise ValueError(f"generator {alg.point(h)} leaves Delta but acts nontrivially")
         for h in alg.delta_generators:
             for lab in labels:
                 self.gen_matrix(h, lab)
@@ -362,17 +390,17 @@ class GradedModule:
                 gh = self._gen_times(g, self._target_label(h, lab), self.gen_matrix(h, lab), lab)
                 hg = self._gen_times(h, self._target_label(g, lab), self.gen_matrix(g, lab), lab)
                 if gh != hg:
-                    raise ValueError(f"module law fails: generators {g} and {h} do not commute")
+                    raise ValueError(f"module law fails: generators {alg.point(g)} and {alg.point(h)} do not commute")
         for h, gamma in law.zero:
             for lab in labels:
                 mid = self._target_label(gamma, lab)
                 if not fields.mat_eq_zero(field, self._gen_times(h, mid, self.act(gamma, lab), lab)):
-                    raise ValueError(f"module law fails at generator {h}, basis {gamma}")
+                    raise ValueError(f"module law fails at generator {alg.point(h)}, basis {alg.point(gamma)}")
         for h, gamma, s in law.sums:
             for lab in labels:
                 mid = self._target_label(gamma, lab)
                 if self._gen_times(h, mid, self.act(gamma, lab), lab) != self.act(s, lab):
-                    raise ValueError(f"module law fails at generator {h}, basis {gamma}")
+                    raise ValueError(f"module law fails at generator {alg.point(h)}, basis {alg.point(gamma)}")
 
 
 def zero_module(algebra):
@@ -514,13 +542,6 @@ class GradedMap:
             for lab, d in self.source.dims.items()
         )
 
-    def is_surjective(self):
-        field = self.source.algebra.field
-        return all(
-            fields.rank(field, self.block(lab)) == d
-            for lab, d in self.target.dims.items()
-        )
-
     def is_isomorphism(self):
         return (
             all(
@@ -652,7 +673,8 @@ def degree_zero_part(module, sublevel):
     """Keep the components whose label already lives at the sublevel.
 
     Models the pushforward along level-n -> level-m root projections; the
-    result is a module over the level-m algebra on the same monoid.
+    result is a module over the level-m algebra on the same monoid.  A
+    level-m point y is the level-n point (n/m)*y.
     """
     alg = module.algebra
     if alg.level % sublevel != 0:
@@ -663,19 +685,12 @@ def degree_zero_part(module, sublevel):
         if label_level_divides(lab, sublevel):
             dims[label_at_level(lab, sublevel)] = d
     action = {}
-    for g in sub.generators:
+    for g in sub.delta_generators:
+        big_g = vscale(alg.level // sublevel, g)
         for lab in dims:
             big = label_at_level(lab, alg.level)
-            tgt = module._target_label(g, big)
-            if not label_level_divides(tgt, sublevel):
-                continue
-            mat = (
-                module.act(g, big)
-                if in_delta(alg.monoid, g)
-                else None
-            )
-            if mat is not None:
-                action[(g, lab)] = mat
+            if label_level_divides(module._target_label(big_g, big), sublevel):
+                action[(g, lab)] = module.act(big_g, big)
     return GradedModule(sub, dims, action, check=False)
 
 
@@ -940,60 +955,48 @@ def unit_map_check(dim0, algebra):
 class MonoidIdeal:
     """An ideal of (1/n)P given by generators or by a colon pair (a, b).
 
-    The generators, and a and b, must lie in (1/n)P.
+    The generators, and a and b, must lie in (1/n)P.  In coordinates y =
+    n*s*x the ideal is the group points y with f(y) >= t for the facets f
+    and some row t of `thresholds`: f(g) per generator g, or max(0, -f(a -
+    b)) for the colon ideal.
     """
 
     def __init__(self, monoid, level, generators=None, shift=None, bound=None):
         self.monoid = monoid
         self.level = int(level)
-        self.generators = None
-        self.shift = None
         if generators is not None:
-            gens = tuple(lattice.as_fractions(g) for g in generators)
-            for g in gens:
-                if not contains_at_level(monoid, self.level, g):
-                    raise ValueError(f"ideal generator {g} outside (1/n)P")
-            self.generators = gens
+            points, message = generators, "ideal generator {} outside (1/n)P"
         elif shift is not None:
-            self.shift = tuple(lattice.as_fractions(v) for v in shift)
-            for v in self.shift:
-                if not contains_at_level(monoid, self.level, v):
-                    raise ValueError(f"{v} is not an element of (1/n)P")
+            points, message = shift, "{} is not an element of (1/n)P"
         else:
             raise ValueError("an ideal needs generators or a colon shift")
+        facets = monoid.cone.facets
+        ys = []
+        for x in points:
+            y = _level_coords(monoid, self.level, x)
+            if y is None or not monoid._contains_int(y):
+                raise ValueError(message.format(lattice.as_fractions(x)))
+            ys.append(y)
+        if generators is not None:
+            self.thresholds = [facet_values(facets, y) for y in ys]
+        else:
+            a, b = ys
+            self.thresholds = [[max(0, -v) for v in facet_values(facets, vsub(a, b))]]
         if bound is None:
             bound = 3 * delta_bound(monoid)
         self.bound = Fraction(bound)
 
     def contains(self, x):
-        x = lattice.as_fractions(x)
-        if not contains_at_level(self.monoid, self.level, x):
+        """Membership of a rational vector in the ideal."""
+        y = _level_coords(self.monoid, self.level, x)
+        if y is None or not self.monoid._group_contains_int(y):
             return False
-        if self.shift is not None:
-            a, b = self.shift
-            return contains_at_level(self.monoid, self.level, vsub(vadd(x, a), b))
-        return any(
-            contains_at_level(self.monoid, self.level, vsub(x, g))
-            for g in self.generators
-        )
+        return _dominates(facet_values(self.monoid.cone.facets, y), self.thresholds)
 
-    def _scaled_predicate(self):
-        """Integer membership test on denominator-scaled vectors, for a
-        generator ideal (`ideal_min_generators` tests colon ideals by
-        facet values)."""
-        pres = self.monoid
-        denom = self.level * pres.denominator
-        facets = pres.cone.facets
-        in_group = pres._group_contains_int
-        gens = [tuple(int(g * denom) for g in gen) for gen in self.generators]
 
-        def in_level(y):
-            return all(lattice.dot(f, y) >= 0 for f in facets) and in_group(y)
-
-        def member(y):
-            return in_level(y) and any(in_level(vsub(y, g)) for g in gens)
-
-        return member
+def _dominates(values, rows):
+    """Whether values >= t componentwise for some row t."""
+    return any(all(map(ge, values, t)) for t in rows)
 
 
 def colon_degree_ideal(monoid, level, a, b):
@@ -1012,52 +1015,32 @@ def ideal_min_generators(ideal):
     as does a region holding no point of the ideal (an ideal is never
     empty, so an empty answer would be wrong).
 
-    For a colon ideal {y : y + off in (1/n)P}, the region point y, every h
-    and off = a - b all lie in the group, so y - h and y - h + off do too,
-    and membership reduces to cone tests: with f the facet functionals,
-    y - h is in the ideal iff f(y) - f(h) >= 0 and f(y) - f(h) + f(off)
-    >= 0, that is f(y) >= f(h) + low with low = max(0, -f(off)).  f is
-    evaluated once per point, per h and for off, and no lattice test is
-    made.  Generator ideals test membership through
-    `MonoidIdeal._scaled_predicate`.
+    Region points y = n*s*x and generators h are group points, so y - h is
+    in the ideal iff f(y) >= f(h) + t for a row t of `thresholds`: f is
+    evaluated once per point and per h, and no lattice test is made.
     """
-    from .monoid import monoid_points_scaled
-
     pres = ideal.monoid
-    ell = pres.positive_functional
-    denom = ideal.level * pres.denominator
-    hb_scaled = [tuple(int(a * pres.denominator) for a in v) for v in pres.hilbert_basis]
-    region = monoid_points_scaled(pres, ideal.level, ideal.bound)
-    if ideal.shift is None:
-        member = ideal._scaled_predicate()
-        mins_scaled = [
-            y
-            for y in region
-            if member(y) and not any(member(vsub(y, h)) for h in hb_scaled)
-        ]
-    else:
-        facets = pres.cone.facets
-        a, b = ideal.shift
-        # f(y) >= 0 and f(y) + f(off) >= 0, i.e. f(y) >= low componentwise
-        low = [max(0, -int(lattice.dot(f, vsub(a, b)) * denom)) for f in facets]
-        shifted = [[lattice.dot(f, h) + m for f, m in zip(facets, low)] for h in hb_scaled]
-        mins_scaled = []
-        for y in region:
-            fy = lattice.facet_values(facets, y)
-            if all(map(ge, fy, low)) and not any(all(map(ge, fy, t)) for t in shifted):
-                mins_scaled.append(y)
+    facets = pres.cone.facets
+    shifted = [
+        vadd(facet_values(facets, h), t) for h in pres._saturation_hilbert_basis for t in ideal.thresholds
+    ]
+    mins = []
+    for y in monoid_points_scaled(pres, ideal.level, ideal.bound):
+        fy = facet_values(facets, y)
+        if _dominates(fy, ideal.thresholds) and not _dominates(fy, shifted):
+            mins.append(unscale(y, ideal.level * pres.denominator))
     # an ideal point of least l in the region is minimal, so none is found
     # exactly when the region holds no point of the ideal
-    if not mins_scaled:
+    if not mins:
         raise RegionTooSmall(f"no point of the ideal has l(x) <= {ideal.bound}")
-    mins = [tuple(Fraction(c, denom) for c in y) for y in mins_scaled]
+    ell = pres.positive_functional
     margin = ideal.bound - max(lattice.dot(ell, v) for v in pres.hilbert_basis)
     for x in mins:
         if lattice.dot(ell, x) > margin:
             raise RegionTooSmall(
                 f"minimal generator {x} is beyond the certified margin"
             )
-    return sorted(mins)
+    return mins
 
 
 def coherence_probe(monoid, a, b, levels):

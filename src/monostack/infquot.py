@@ -18,19 +18,22 @@ non-simplicial cone 12*e3 and 0 share every label at level 12, because
 is realised in P, a valid family can never be refuted, so no refutation
 is searched for: `InconclusiveAtLevel` is the answer when recognition
 finds no Delta0 representative.
+
+`delta_points` stores the level-n slice as int tuples y = n*s*x (s the
+denominator); `DeltaSet.points`, `in_delta` and the rest take Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import ge
 
 from . import lattice
 from .errors import IncompatibleFamily, NotSharp
-from .kummer import coset_label, label_scale
-from .lattice import vscale
+from .kummer import coset_label, label_scale, scaled_label
+from .lattice import facet_values, unscale, vscale
 from .monoid import MonoidElement, monoid_points_scaled
 
 
@@ -48,9 +51,7 @@ def positive_functional(pres):
 def delta_bound(pres):
     """Sum of the positive functional over the Hilbert basis; Delta lives below it."""
     ell = positive_functional(pres)
-    return sum(
-        (Fraction(lattice.dot(ell, v)) for v in pres.hilbert_basis), Fraction(0)
-    )
+    return Fraction(sum(lattice.dot(ell, v) for v in pres.hilbert_basis))
 
 
 def in_delta(pres, x):
@@ -67,20 +68,28 @@ def in_delta(pres, x):
 class DeltaSet:
     """Delta(P) intersected with (1/n)P, with per-point labels and Delta0 flags.
 
-    Classes are keyed by the integer form (order, res) of their labels.
+    `scaled` and `scaled_in_class` give int tuples y = n*s*x, the other
+    accessors rational points.  Classes are keyed by (order, res).
     """
 
-    def __init__(self, monoid, level, points, labels):
+    def __init__(self, monoid, level, scaled, labels):
         self.monoid = monoid
         self.level = level
-        self.points = points
+        self.scaled = scaled
         self.labels = labels
         self._by_label = {}
-        for p, lab in zip(points, labels):
-            self._by_label.setdefault((lab.order, lab.res), []).append(p)
+        for y, lab in zip(scaled, labels):
+            self._by_label.setdefault((lab.order, lab.res), []).append(y)
         self.delta0_mask = tuple(
             len(self._by_label[lab.order, lab.res]) == 1 for lab in labels
         )
+
+    def _unscale(self, ys):
+        return tuple(unscale(y, self.level * self.monoid.denominator) for y in ys)
+
+    @cached_property
+    def points(self):
+        return self._unscale(self.scaled)
 
     @property
     def delta0_points(self):
@@ -88,43 +97,40 @@ class DeltaSet:
             p for p, flag in zip(self.points, self.delta0_mask) if flag
         )
 
-    def points_in_class(self, label):
+    def scaled_in_class(self, label):
         return tuple(self._by_label.get((label.order, label.res), ()))
 
+    def points_in_class(self, label):
+        return self._unscale(self.scaled_in_class(label))
+
     def delta0_point_in_class(self, label):
-        pts = self._by_label.get((label.order, label.res), ())
-        if len(pts) == 1:
-            return pts[0]
-        return None
+        pts = self.points_in_class(label)
+        return pts[0] if len(pts) == 1 else None
 
     def __iter__(self):
         return iter(self.points)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.scaled)
 
 
 @lru_cache(maxsize=None)
 def delta_points(pres, level):
     """Delta(P) cap (1/level)P, lex-sorted, with Delta0 flags.
 
-    With f the facet functionals, y - v lies in the cone iff f(y) >= f(v)
-    componentwise, so f is evaluated once per point and once per scaled
-    Hilbert generator v.
+    y = level*s*x is in Delta iff f(y) >= f(level*v) fails for some facet
+    f, for each integer Hilbert generator v of P: f is evaluated once per
+    point and once per v.
     """
-    bound = delta_bound(pres)
-    denom = level * pres.denominator
     facets = pres.cone.facets
-    shifts = [
-        [int(lattice.dot(f, v) * denom) for f in facets] for v in pres.hilbert_basis
-    ]
-    pts = []
-    for y in monoid_points_scaled(pres, level, bound):
-        fy = lattice.facet_values(facets, y)
+    shifts = [facet_values(facets, vscale(level, v)) for v in pres._saturation_hilbert_basis]
+    scaled = []
+    for y in monoid_points_scaled(pres, level, delta_bound(pres)):
+        fy = facet_values(facets, y)
         if not any(all(map(ge, fy, fv)) for fv in shifts):
-            pts.append(tuple(Fraction(c, denom) for c in y))
-    labels = tuple(coset_label(pres, level, p) for p in pts)
-    return DeltaSet(pres, level, tuple(pts), labels)
+            scaled.append(y)
+    labels = tuple(scaled_label(pres, level, y) for y in scaled)
+    return DeltaSet(pres, level, tuple(scaled), labels)
 
 
 def delta0_points(pres, level):

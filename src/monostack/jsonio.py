@@ -6,6 +6,8 @@ read back from payloads: monoids rebuild their cones, flags and Hilbert
 bases from the generators alone.  A parabolic sheaf is a `GradedModule`,
 so the parabolic and graded-module formats share one writer and one
 reader and differ only in the key of the matrix list, "maps" or "action".
+Generators travel as rational keys, converted by `GradedAlgebra.coords`
+and `GradedAlgebra.point`.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ def _module_to_json(module, key):
             entries.append(
                 {
                     "rep": vec_to_key(lab.representative),
-                    "gen": vec_to_key(g),
+                    "gen": vec_to_key(module.algebra.point(g)),
                     "matrix": matrix_to_json(field, mat),
                 }
             )
@@ -226,6 +228,7 @@ def graded_from_json(data):
     """A graded-module payload, checked for the module law."""
 
     def build(pres, level, field, dims, action):
-        return GradedModule(graded_algebra(pres, level, field), dims, action)
+        alg = graded_algebra(pres, level, field)
+        return GradedModule(alg, dims, {(alg.coords(g), lab): mat for (g, lab), mat in action.items()})
 
     return _module_from_json(data, "graded", "action", build)

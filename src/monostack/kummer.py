@@ -11,6 +11,9 @@ integer residues against the group basis and reduced to the smallest level
 and hash alike.  Adding, scaling and changing the level of labels is
 integer arithmetic; the Fraction normal form and representative are
 derived on demand, for sorting and for JSON.
+
+`coset_label` takes a rational x, `scaled_label` the int tuple y = n*s*x
+(s the denominator) that the Delta slice and the graded layer store.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .lattice import (
     lattice_coords,
     lattice_coords_int,
     smith_normal_form,
+    unscale,
 )
 from .monoid import MonoidPresentation
 
@@ -133,10 +137,7 @@ def root_inclusion(pres, n):
 
 
 def _rational_group_basis(pres):
-    s = pres.denominator
-    return tuple(
-        tuple(Fraction(a, s) for a in row) for row in pres.group_basis
-    )
+    return tuple(unscale(row, pres.denominator) for row in pres.group_basis)
 
 
 def _group_coords(pres, x):
@@ -236,12 +237,11 @@ class CosetLabel:
     @property
     def representative(self):
         """The unique representative with all coordinates in [0, 1)."""
-        den = self.order * self.monoid.denominator
         rep = [0] * self.monoid.ambient_rank
         for r, row in zip(self.res, self.monoid.group_basis):
             for i, a in enumerate(row):
                 rep[i] += r * a
-        return tuple(Fraction(c, den) for c in rep)
+        return unscale(rep, self.order * self.monoid.denominator)
 
     @property
     def residues(self):
@@ -252,18 +252,21 @@ class CosetLabel:
         return self.order == 1
 
 
-def coset_label(pres, n, x):
-    """Label of a rational vector x in (1/n)P^gp.
+def scaled_label(pres, n, y):
+    """Label of x = y/(n*s) for an integer vector y, or None when x is not
+    in the level-n group lattice (s the presentation denominator)."""
+    coords = lattice_coords_int(pres.group_basis, y)
+    return None if coords is None else CosetLabel(pres, n, n, tuple(c % n for c in coords))
 
-    y = n*s*x is an integer vector on the group lattice (s the presentation
-    denominator); its Hermite coordinates, reduced mod n, are the label.
-    """
+
+def coset_label(pres, n, x):
+    """Label of a rational vector x in (1/n)P^gp: `scaled_label` of n*s*x."""
     ns = n * pres.denominator
     scaled = [Fraction(a) * ns for a in x]
     if all(c.denominator == 1 for c in scaled):
-        coords = lattice_coords_int(pres.group_basis, [int(c) for c in scaled])
-        if coords is not None:
-            return CosetLabel(pres, n, n, tuple(c % n for c in coords))
+        label = scaled_label(pres, n, [c.numerator for c in scaled])
+        if label is not None:
+            return label
     if _group_coords(pres, x) is None:
         raise ValueError(f"{x} is not in the rational span of the group")
     raise ValueError(f"{x} is not in the level-{n} group lattice")

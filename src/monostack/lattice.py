@@ -1,10 +1,12 @@
 """Exact integer and rational lattice geometry.
 
-Vectors are tuples of ints or Fractions; no floating point enters any code
-path.  This module provides Smith normal forms with transform matrices,
-integer lattice bases and membership, facet enumeration for rational
-polyhedral cones, cone membership, and bounded enumeration of points with
-a prescribed denominator.  The enumeration is an all-int walk over the
+A point x with denominator d travels as the int tuple d*x, and `unscale`
+gives x back; only facets and `lattice_coords` solve over Q, and
+`cone_contains` also takes Fractions.  No floating point is used.  This
+module provides Smith normal forms with transform matrices, integer
+lattice bases and membership, facet enumeration for rational polyhedral
+cones, cone membership, and bounded enumeration of points with a
+prescribed denominator.  The enumeration is an all-int walk over the
 coordinates in which the facets and the cap confine each coordinate to one
 interval (facet-bounded lattice-point walks as in Beck-Robins, 2007).
 
@@ -57,6 +59,11 @@ def is_zero_vector(u):
 
 def as_fractions(u):
     return tuple(Fraction(a) for a in u)
+
+
+def unscale(y, d):
+    """The rational vector y/d of an integer vector y."""
+    return tuple(Fraction(c, d) for c in y)
 
 
 def lcm(a, b):
@@ -512,4 +519,4 @@ def enumerate_points(cone, denominator, bound_functional, bound):
         return []
     cap = floor(bound * denominator)
     ys = enumerate_integer_points(cone, bound_functional, cap)
-    return [tuple(Fraction(c, denominator) for c in y) for y in ys]
+    return [unscale(y, denominator) for y in ys]

@@ -10,6 +10,7 @@ recomputed from the generators and never trusted from serialized input.
 Membership in the group P^gp is one integer predicate per monoid: nothing
 to test when the group is Z^d, else one residue test per Smith invariant
 factor of the group basis (the proof is at `_group_contains_int`).
+`_contains_int(y)` tests y/s in P, so y = n*s*x tests x in (1/n)P.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .lattice import (
     is_zero_vector,
     lattice_basis,
     lattice_coords,
+    unscale,
     vsub,
 )
 
@@ -62,8 +64,7 @@ class MonoidPresentation:
 
     @cached_property
     def rational_generators(self):
-        s = self.denominator
-        return tuple(tuple(Fraction(a, s) for a in g) for g in self.generators)
+        return tuple(unscale(g, self.denominator) for g in self.generators)
 
     @cached_property
     def positive_functional(self):
@@ -116,6 +117,10 @@ class MonoidPresentation:
             return True
 
         return contains
+
+    def _contains_int(self, y):
+        """y/s in P for an integer vector y, P saturated: cone and group tests."""
+        return all(dot(f, y) >= 0 for f in self.cone.facets) and self._group_contains_int(y)
 
     def _scaled(self, x):
         """s*x as an int tuple (s the denominator), or None if not integral."""
@@ -199,10 +204,7 @@ class MonoidPresentation:
         """Minimal generating set, as rational vectors; needs saturation."""
         if not self.is_saturated:
             raise NotSaturated("Hilbert basis is computed for saturated monoids")
-        s = self.denominator
-        return tuple(
-            tuple(Fraction(a, s) for a in v) for v in self._saturation_hilbert_basis
-        )
+        return tuple(unscale(v, self.denominator) for v in self._saturation_hilbert_basis)
 
     def contains(self, x):
         """Membership x in P for saturated P: group and cone membership."""
@@ -301,7 +303,4 @@ def monoid_points_scaled(pres, level, bound):
 def monoid_points(pres, level, bound):
     """Points of (1/level)*P with positive-functional value <= bound."""
     denom = level * pres.denominator
-    return [
-        tuple(Fraction(c, denom) for c in y)
-        for y in monoid_points_scaled(pres, level, bound)
-    ]
+    return [unscale(y, denom) for y in monoid_points_scaled(pres, level, bound)]

@@ -21,39 +21,36 @@ what makes the pseudo-period normalization the identity).  Induction is
 built by `graded.Presentation`; the presentation is kept for the unit,
 counit and induced maps, which read its generator index and quotient
 spaces.
+
+Points are `graded`'s int tuples y = n*s*x; a level-m point enters level
+N as (N/m)*y.  Only `ParabolicSheaf` keys its structure by Fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import fields, graded, lattice
+from . import fields, graded
 from .errors import LevelMismatch, NotADivisor, NotAMultiple
 from .graded import GradedMap, GradedModule, graded_algebra
-from .infquot import in_delta
+from .infquot import in_delta  # bound only for perfbench's tracer
 from .kummer import label_add, label_at_level
-from .lattice import vadd
+from .lattice import vadd, vscale
 
 
 def ParabolicSheaf(monoid, level, field, components, structure, check=True):
     """The graded module with these weight components and structure matrices.
 
-    Matrices for generators inside Delta become the module action; those
-    for generators outside Delta must vanish (the zero law).
+    `structure` maps (rational generator vector, label) to a matrix; a
+    vector that is not a Hilbert generator of (1/n)P raises ValueError.
+    Matrices for generators outside Delta must vanish (the zero law).
     """
-    action = {}
-    off_delta = []
-    for (u, label), mat in structure.items():
-        u = lattice.as_fractions(u)
-        if in_delta(monoid, u):
-            action[(u, label)] = mat
-        else:
-            off_delta.append((u, mat))
-    module = GradedModule(graded_algebra(monoid, level, field), components, action, check=check)
+    alg = graded_algebra(monoid, level, field)
+    action = {(alg.coords(u), label): mat for (u, label), mat in structure.items()}
+    module = GradedModule(alg, components, action, check=False)
     if check:
-        for u, mat in off_delta:
-            if not fields.mat_eq_zero(field, fields.mat_from_rows(mat)):
-                raise ValueError(f"structure matrix for {u} violates the zero law")
+        for (g, _), mat in action.items():
+            if g not in alg.delta_generators and not fields.mat_eq_zero(field, fields.mat_from_rows(mat)):
+                raise ValueError(f"structure matrix for {alg.point(g)} violates the zero law")
+        module.validate()
     return module
 
 
@@ -115,11 +112,12 @@ def _induce_with_data(sheaf, level):
     def relations():
         minus_one = field.neg(field.one)
         for w in sheaf.algebra.delta_generators:
+            big_w = vscale(level // sheaf.level, w)
             for nu, dm in sheaf.dims.items():
                 act = sheaf.act(w, nu)
                 tnu = sheaf._target_label(w, nu)
                 for gamma in alg_n.basis:
-                    shifted = vadd(w, gamma)
+                    shifted = vadd(big_w, gamma)
                     for i in range(dm):
                         row = [((tnu, gamma, k), act[k][i]) for k in range(sheaf.dim(tnu))]
                         row.append(((nu, shifted, i), minus_one))
@@ -168,7 +166,7 @@ def unit_map(sheaf, level, ind=None):
     ind_sheaf, pres = ind
     res = restrict(ind_sheaf, sheaf.level)
     field = sheaf.field
-    zero = tuple(Fraction(0) for _ in range(sheaf.monoid.ambient_rank))
+    zero = (0,) * sheaf.monoid.ambient_rank
     blocks = {}
     for nu, d in sheaf.dims.items():
         lab_big = label_at_level(nu, level)

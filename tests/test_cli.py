@@ -354,7 +354,8 @@ def _table_verdict(payload):
     from monostack.jsonio import _module_from_json
 
     def build(pres, level, field, dims, action):
-        return GradedModule(graded_algebra(pres, level, field), dims, action, check=False)
+        alg = graded_algebra(pres, level, field)
+        return GradedModule(alg, dims, {(alg.coords(g), lab): m for (g, lab), m in action.items()}, check=False)
 
     return module_law_oracle(_module_from_json(payload, "parabolic", "maps", build))
 
@@ -389,3 +390,19 @@ def test_corrupted_sheaf_entry_is_malformed(name, tmp_path, capsys):
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("action", ["to-graded", "from-graded"])
+def test_non_generator_action_entry_is_malformed(action, tmp_path, capsys):
+    """(1/2, 1/2) is a Delta point of N^2 at level 2 but not a Hilbert
+    generator, so an entry for it is rejected, not dropped."""
+    payload = json.loads(json.dumps(GOLDEN_PAYLOADS["n2"]))
+    payload["maps"].append({"gen": "1/2,1/2", "matrix": [["7"]], "rep": "0,0"})
+    if action == "from-graded":
+        payload["action"] = payload.pop("maps")
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(payload))
+    code = main(["parabolic", action, str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: gen 1/2,1/2 is not a Hilbert generator of (1/n)P\n"

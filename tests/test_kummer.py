@@ -318,5 +318,5 @@ def test_off_lattice_points_raise(label_monoids, nat):
     alg = graded_algebra(index2, 2)
     for _ in range(2):  # failures are not memoized
         with pytest.raises(ValueError, match="level-2 group lattice"):
-            alg.label_of((Fraction(1, 2), Fraction(0)))
-    assert alg.label_of((Fraction(1, 2), Fraction(1, 2))).residues == (1, 0)
+            alg.label_of(alg.coords((Fraction(1, 2), Fraction(0))))
+    assert alg.label_of(alg.coords((Fraction(1, 2), Fraction(1, 2)))).residues == (1, 0)

@@ -101,8 +101,8 @@ def _module(alg, dims, action):
     """A module from point-keyed dims and (generator, point) -> scalar action."""
     return GradedModule(
         alg,
-        {alg.label_of(p): d for p, d in dims.items()},
-        {(g, alg.label_of(p)): ((alg.field.of_int(c),),) for (g, p), c in action.items()},
+        {alg.label_of(alg.coords(p)): d for p, d in dims.items()},
+        {(alg.coords(g), alg.label_of(alg.coords(p))): ((alg.field.of_int(c),),) for (g, p), c in action.items()},
         check=False,
     )
 

@@ -72,7 +72,7 @@ def test_structure_matrices_zero_off_delta(nat, nonsimplicial):
         for u in sheaf.algebra.generators:
             for lab in sheaf.dims:
                 mat = sheaf.gen_matrix(u, lab)
-                if not in_delta(pres, u):
+                if not in_delta(pres, alg.point(u)):
                     assert all(all(x == 0 for x in row) for row in mat)
 
 
@@ -84,7 +84,7 @@ def test_integral_composites_vanish(nat2):
     mod = to_graded(sheaf)
     for a in alg.basis:
         for b in alg.basis:
-            s = vadd(a, b)
+            s = alg.point(vadd(a, b))
             if any(x != 0 for x in s) and all(x.denominator == 1 for x in s):
                 for lab in mod.dims:
                     mid = mod._target_label(a, lab)
@@ -147,7 +147,7 @@ def test_from_graded_reconstruction_via_constructor(nat2):
     structure = {}
     for u in alg.generators:
         for lab in mod.dims:
-            structure[(u, lab)] = mod.gen_matrix(u, lab)
+            structure[(alg.point(u), lab)] = mod.gen_matrix(u, lab)
     sheaf = ParabolicSheaf(nat2, 2, QQ, comps, structure)
     assert to_graded(sheaf).dims == mod.dims
 
@@ -200,7 +200,7 @@ def test_induce_line_from_level_one(nat):
     assert dims == {(0,): 1, (1,): 1}
     # the structure map from weight 0 to weight 1/2 is an isomorphism
     half = (Fraction(1, 2),)
-    mat = ind.gen_matrix(half, zero_label(nat, 2))
+    mat = ind.gen_matrix(ind.algebra.coords(half), zero_label(nat, 2))
     assert mat == ((Fraction(1),),)
 
 
@@ -399,15 +399,15 @@ def test_induction_computes_each_label_once(nat2, monkeypatch):
     from monostack.graded import direct_sum, graded_algebra, twist
     from monostack.infquot import delta_points
 
-    original = kummer_mod.coset_label
+    original = kummer_mod.scaled_label
     calls = {}
 
-    def counting(pres, n, x):
+    def counting(pres, n, y):
         calls[n] = calls.get(n, 0) + 1
-        return original(pres, n, x)
+        return original(pres, n, y)
 
     for mod in (kummer_mod, graded_mod, infquot_mod):
-        monkeypatch.setattr(mod, "coset_label", counting)
+        monkeypatch.setattr(mod, "scaled_label", counting)
     delta_points.cache_clear()
     graded_algebra.cache_clear()
     alg2 = graded_algebra(nat2, 2)
