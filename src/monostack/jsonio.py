@@ -7,11 +7,14 @@ bases from the generators alone.  A parabolic sheaf is a `GradedModule`,
 so the parabolic and graded-module formats share one writer and one
 reader and differ only in the key of the matrix list, "maps" or "action".
 Generators travel as rational keys, converted by `GradedAlgebra.coords`
-and `GradedAlgebra.point`.
+and `GradedAlgebra.point`.  Every value the schemas type as integer, and
+every GF(p) matrix entry, goes through `int_from_json`, which rejects
+booleans, strings and non-integral numbers instead of truncating them.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from . import fields
@@ -32,6 +35,13 @@ def frac_from_str(s):
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad rational {s!r}") from exc
+
+
+def int_from_json(value, what):
+    """A JSON integer; an integral float such as 2.0 counts, as in JSON Schema."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise MalformedInput(f"{what} must be an integer, got {json.dumps(value)}")
 
 
 def vec_to_json(v):
@@ -69,9 +79,9 @@ def monoid_from_json(data):
     if not isinstance(data, dict):
         raise MalformedInput("monoid payload must be an object")
     try:
-        rank = int(data["ambient_rank"])
-        gens = [tuple(int(a) for a in g) for g in data["generators"]]
-        denominator = int(data.get("denominator", 1))
+        rank = int_from_json(data["ambient_rank"], "ambient_rank")
+        gens = [tuple(int_from_json(a, "generator entry") for a in g) for g in data["generators"]]
+        denominator = int_from_json(data.get("denominator", 1), "denominator")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad monoid payload: {exc}") from exc
     if denominator < 1:
@@ -96,7 +106,7 @@ def hom_from_json(data):
     try:
         source = monoid_from_json(data["source"])
         target = monoid_from_json(data["target"])
-        matrix = tuple(tuple(int(a) for a in row) for row in data["matrix"])
+        matrix = tuple(tuple(int_from_json(a, "matrix entry") for a in row) for row in data["matrix"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad hom payload: {exc}") from exc
     try:
@@ -126,7 +136,7 @@ def profinite_from_json(data):
         raise MalformedInput("profinite payload must be an object")
     try:
         pres = monoid_from_json(data["monoid"])
-        level = int(data["level"])
+        level = int_from_json(data["level"], "level")
         raw = data["labels"]
         labels = {}
         for key, vec in raw.items():
@@ -149,7 +159,7 @@ def _fel_to_json(field, x):
 def _fel_from_json(field, data):
     if field == QQ:
         return frac_from_str(data)
-    return field.of_int(int(data))
+    return field.of_int(int_from_json(data, "matrix entry"))
 
 
 def matrix_to_json(field, mat):
@@ -190,13 +200,13 @@ def _module_from_json(data, what, key, build):
         raise MalformedInput(f"{what} payload must be an object")
     try:
         pres = monoid_from_json(data["monoid"])
-        level = int(data["level"])
+        level = int_from_json(data["level"], "level")
         field = field_from_spec(data.get("field", "Q"))
         if level < 1:
             raise MalformedInput(f"level must be a positive integer, got {level}")
         dims = {}
         for rep, d in data["components"].items():
-            dims[coset_label(pres, level, vec_from_key(rep))] = int(d)
+            dims[coset_label(pres, level, vec_from_key(rep))] = int_from_json(d, "component dimension")
         action = {}
         for entry in data.get(key, []):
             lab = coset_label(pres, level, vec_from_key(entry["rep"]))

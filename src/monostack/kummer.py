@@ -1,9 +1,12 @@
 """Monoid homomorphisms, Kummer tests, root extensions and coset labels.
 
 The n-th root extension (1/n)P reuses the integer generator data of P and
-only bumps the stored denominator, so P and all its root extensions share
-one cone and one integer lattice.  Finite quotients like (1/n)P^gp / P^gp
-are handled through Smith normal forms.
+only bumps the stored denominator.  Nothing in the integer model (cone,
+group lattice, Hilbert basis of the saturation, flags, membership memo)
+depends on the denominator, so `root_extension` passes all of it by
+reference and P and all its root extensions share one cone and one integer
+lattice, each computed once.  Finite quotients like (1/n)P^gp / P^gp are
+handled through Smith normal forms.
 
 A coset label is an element of (1/n)P^gp / P^gp = (Z/n)^r, stored as
 integer residues against the group basis and reduced to the smallest level
@@ -118,11 +121,7 @@ def root_extension(pres, n):
     """The monoid (1/n)P on the same integer data."""
     if n < 1:
         raise ValueError("root level must be a positive integer")
-    return MonoidPresentation(
-        ambient_rank=pres.ambient_rank,
-        generators=pres.generators,
-        denominator=pres.denominator * n,
-    )
+    return pres.rebuilt(pres.denominator * n)
 
 
 def root_inclusion(pres, n):

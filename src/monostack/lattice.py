@@ -335,12 +335,7 @@ def facet_inequalities(generators):
     dim = len(gens[0])
     if any(len(g) != dim for g in gens):
         raise DimensionMismatch("generators of mixed dimension")
-    prim = []
-    for g in gens:
-        if not is_zero_vector(g):
-            p = primitive(g)
-            if p not in prim:
-                prim.append(p)
+    prim = primitive_directions(gens)
     facets = []
     if not prim:
         for i in range(dim):
@@ -389,20 +384,23 @@ def facet_inequalities(generators):
     return unique
 
 
-def cone_from_generators(generators):
-    gens = [as_fractions(g) for g in generators]
-    dim = len(gens[0])
+def primitive_directions(generators):
+    """The distinct primitive vectors of the nonzero generators, in order."""
     prim = []
-    for g in gens:
+    for g in generators:
         if not is_zero_vector(g):
             p = primitive(g)
             if p not in prim:
                 prim.append(p)
+    return prim
+
+
+def cone_from_generators(generators):
+    dim = len(generators[0])
+    prim = primitive_directions(generators)
     facets = tuple(facet_inequalities(generators))
     rays = _extreme_rays(prim, facets, dim)
-    return RationalCone(
-        dim=dim, generators=tuple(sorted(prim)), facets=facets, rays=rays
-    )
+    return RationalCone(dim=dim, generators=tuple(sorted(prim)), facets=facets, rays=rays)
 
 
 def _extreme_rays(prim_gens, facets, dim):

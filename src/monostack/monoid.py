@@ -5,8 +5,11 @@ scale denominator s >= 1; the monoid it presents is generated by the
 rational vectors g/s.  Root extensions keep all arithmetic integral by
 bumping the denominator, so the same integer data serves every level.
 
-Derived data (cone, group lattice, Hilbert basis, flags) is always
-recomputed from the generators and never trusted from serialized input.
+Derived data is computed from the generators and never read from input.
+The integer model does not depend on the denominator (y/s is in the cone,
+group or N-span of the g/s iff y is in that of the g), so root extensions
+share P's `INTEGER_MODEL` values by reference; so does the saturation, which
+has the same cone and group, except the two that read the generator list.
 Membership in the group P^gp is one integer predicate per monoid: nothing
 to test when the group is Z^d, else one residue test per Smith invariant
 factor of the group basis (the proof is at `_group_contains_int`).
@@ -15,7 +18,7 @@ factor of the group basis (the proof is at `_group_contains_int`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -30,9 +33,15 @@ from .lattice import (
     is_zero_vector,
     lattice_basis,
     lattice_coords,
+    primitive_directions,
     unscale,
     vsub,
 )
+
+
+# Derived data fixed by (ambient_rank, generators), never by the denominator.
+INTEGER_MODEL = ("cone", "group_basis", "positive_functional", "is_sharp", "is_saturated", "is_simplicial",
+                 "_group_contains_int", "_saturation_hilbert_basis", "_in_generated_memo")
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,23 @@ class MonoidPresentation:
     ambient_rank: int
     generators: tuple
     denominator: int = 1
+
+    def rebuilt(self, denominator, generators=None):
+        """These generators, or others with the same cone and group, over `denominator`.
+
+        INTEGER_MODEL values computed so far are passed by reference; other
+        generators (the saturation's) get the cone's facets and rays, and
+        recompute the two values that read the generator list.
+        """
+        gens = self.generators if generators is None else generators
+        other = MonoidPresentation(self.ambient_rank, gens, denominator)
+        shared = {k: v for k, v in self.__dict__.items() if k in INTEGER_MODEL}
+        if gens != self.generators:
+            shared.pop("is_saturated", None)
+            shared.pop("_in_generated_memo", None)
+            shared["cone"] = replace(self.cone, generators=tuple(sorted(primitive_directions(gens))))
+        other.__dict__.update(shared)
+        return other
 
     # -- basic derived data -------------------------------------------------
 
@@ -156,7 +182,7 @@ class MonoidPresentation:
             while not found and i < len(gens):
                 z = vsub(y, gens[i])
                 i += 1
-                if lattice.cone_contains(self.cone, z):
+                if all(dot(f, z) >= 0 for f in self.cone.facets):
                     found = is_zero_vector(z) or memo.get(z)
                     if found is None:
                         memo[z] = found = False
@@ -268,11 +294,7 @@ def saturate(pres):
     """Saturation P^gp cap P_Q, presented by its Hilbert basis."""
     if not pres.is_sharp:
         raise NotSharp("saturation is implemented for sharp monoids")
-    return MonoidPresentation(
-        ambient_rank=pres.ambient_rank,
-        generators=pres._saturation_hilbert_basis,
-        denominator=pres.denominator,
-    )
+    return pres.rebuilt(pres.denominator, pres._saturation_hilbert_basis)
 
 
 def monoid_equal(p, q):

@@ -406,3 +406,64 @@ def test_non_generator_action_entry_is_malformed(action, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err == "error: gen 1/2,1/2 is not a Hilbert generator of (1/n)P\n"
+
+
+def _profinite_payload():
+    from monostack.infquot import TruncatedProfiniteElement
+    from monostack.jsonio import monoid_from_json, profinite_to_json
+
+    return profinite_to_json(TruncatedProfiniteElement.from_element(monoid_from_json(NONSIMPLICIAL), (1, 0, 0), 4))
+
+
+def _sheaf_payload(**changes):
+    return dict({"monoid": NAT, "level": 2, "field": "Q", "components": {"0": 1}, "maps": []}, **changes)
+
+
+def _f5_with_entry(value):
+    payload = json.loads(json.dumps(GOLDEN_PAYLOADS["f5"]))
+    entry = payload["maps"][1]["matrix"][0]
+    assert entry[0] == 1
+    entry[0] = value
+    return payload
+
+
+# Each payload reads as a valid one when its bad value is truncated by int().
+NON_INTEGERS = {
+    "ambient_rank": (["monoid", "info"], lambda: dict(NAT, ambient_rank=1.9)),
+    "generator_fraction": (["monoid", "info"], lambda: {"ambient_rank": 2, "generators": [[1.5, 0], [0, 1]]}),
+    "generator_bool": (["monoid", "info"], lambda: {"ambient_rank": 1, "generators": [[True]]}),
+    "generator_string": (["monoid", "info"], lambda: {"ambient_rank": 1, "generators": [["1"]]}),
+    "denominator": (["monoid", "info"], lambda: dict(NAT, denominator=1.5)),
+    "hom_matrix": (["kummer", "check"], lambda: {"source": NAT, "target": NAT, "matrix": [[1.9]]}),
+    "profinite_level": (["infquot", "check"], lambda: dict(_profinite_payload(), level=4.5)),
+    "parabolic_level": (["parabolic", "to-graded"], lambda: _sheaf_payload(level=2.5)),
+    "components": (["parabolic", "to-graded"], lambda: _sheaf_payload(components={"0": 1.5})),
+    "gf_entry_fraction": (["parabolic", "to-graded"], lambda: _f5_with_entry(1.5)),
+    "gf_entry_string": (["parabolic", "to-graded"], lambda: _f5_with_entry("1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGERS))
+def test_non_integer_json_values_are_malformed(name, tmp_path, capsys):
+    """Integer fields reject booleans, strings and non-integral numbers
+    with one error line, instead of truncating them."""
+    argv, payload = NON_INTEGERS[name]
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps(payload()))
+    code = main(argv + [str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "must be an integer" in err and "Traceback" not in err
+
+
+def test_integral_floats_read_as_integers(tmp_path, capsys):
+    """JSON Schema counts 2.0 as an integer, so it reads as 2."""
+    floats = {"ambient_rank": 3.0, "denominator": 1.0, "generators": [[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1.0]]}
+    outs = []
+    for payload in (NONSIMPLICIAL, floats):
+        src = tmp_path / "monoid.json"
+        src.write_text(json.dumps(payload))
+        assert main(["monoid", "info", str(src)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
