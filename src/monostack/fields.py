@@ -142,12 +142,6 @@ def mat_from_rows(rows):
     return tuple(tuple(row) for row in rows)
 
 
-def mat_vec(field, m, v):
-    return tuple(
-        _dot(field, row, v) for row in m
-    )
-
-
 def _dot(field, u, v):
     acc = field.zero
     for a, b in zip(u, v):
@@ -259,33 +253,6 @@ def nullspace(field, a):
     return tuple(basis)
 
 
-def invert(field, m):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        return None
-    aug = [list(m[i]) + [field.one if j == i else field.zero for j in range(n)]
-           for i in range(n)]
-    red, pivots = rref(field, aug)
-    if pivots != list(range(n)):
-        return None
-    return tuple(tuple(row[n:]) for row in red)
-
-
 def column_space_basis(field, m):
     """Indices of a maximal independent subset of columns."""
     return rref(field, m)[1]
-
-
-def matrix_to_int(m):
-    """Cast a rational matrix with integer entries to plain ints."""
-    out = []
-    for row in m:
-        irow = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("matrix entry is not an integer")
-            irow.append(int(f))
-        out.append(tuple(irow))
-    return tuple(out)

@@ -403,10 +403,6 @@ class GradedModule:
                     raise ValueError(f"module law fails at generator {alg.point(h)}, basis {alg.point(gamma)}")
 
 
-def zero_module(algebra):
-    return GradedModule(algebra, {}, {}, check=False)
-
-
 def twist(algebra, label):
     """The free rank-one module R(label): component at mu is R_(label+mu)."""
     dims = {}

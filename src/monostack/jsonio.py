@@ -37,11 +37,17 @@ def frac_from_str(s):
         raise MalformedInput(f"bad rational {s!r}") from exc
 
 
-def int_from_json(value, what):
-    """A JSON integer; an integral float such as 2.0 counts, as in JSON Schema."""
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise MalformedInput(f"{what} must be an integer, got {json.dumps(value)}")
+def int_from_json(value, what, minimum=None):
+    """A JSON integer; an integral float such as 2.0 counts, as in JSON Schema.
+
+    `minimum` is the schema minimum, 0 or 1, when there is one.
+    """
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
+        raise MalformedInput(f"{what} must be an integer, got {json.dumps(value)}")
+    if minimum is not None and value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise MalformedInput(f"{what} must be a {kind} integer, got {int(value)}")
+    return int(value)
 
 
 def vec_to_json(v):
@@ -79,13 +85,11 @@ def monoid_from_json(data):
     if not isinstance(data, dict):
         raise MalformedInput("monoid payload must be an object")
     try:
-        rank = int_from_json(data["ambient_rank"], "ambient_rank")
+        rank = int_from_json(data["ambient_rank"], "ambient_rank", minimum=1)
         gens = [tuple(int_from_json(a, "generator entry") for a in g) for g in data["generators"]]
-        denominator = int_from_json(data.get("denominator", 1), "denominator")
+        denominator = int_from_json(data.get("denominator", 1), "denominator", minimum=1)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad monoid payload: {exc}") from exc
-    if denominator < 1:
-        raise MalformedInput(f"denominator must be a positive integer, got {denominator}")
     return validate(gens, ambient_rank=rank, denominator=denominator)
 
 
@@ -136,11 +140,11 @@ def profinite_from_json(data):
         raise MalformedInput("profinite payload must be an object")
     try:
         pres = monoid_from_json(data["monoid"])
-        level = int_from_json(data["level"], "level")
+        level = int_from_json(data["level"], "level", minimum=1)
         raw = data["labels"]
         labels = {}
         for key, vec in raw.items():
-            n = int(key)
+            n = int_from_json(int(key), "label level", minimum=1)
             labels[n] = coset_label(pres, n, vec_from_json(vec))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad profinite payload: {exc}") from exc
@@ -200,13 +204,11 @@ def _module_from_json(data, what, key, build):
         raise MalformedInput(f"{what} payload must be an object")
     try:
         pres = monoid_from_json(data["monoid"])
-        level = int_from_json(data["level"], "level")
+        level = int_from_json(data["level"], "level", minimum=1)
         field = field_from_spec(data.get("field", "Q"))
-        if level < 1:
-            raise MalformedInput(f"level must be a positive integer, got {level}")
         dims = {}
         for rep, d in data["components"].items():
-            dims[coset_label(pres, level, vec_from_key(rep))] = int_from_json(d, "component dimension")
+            dims[coset_label(pres, level, vec_from_key(rep))] = int_from_json(d, "component dimension", minimum=0)
         action = {}
         for entry in data.get(key, []):
             lab = coset_label(pres, level, vec_from_key(entry["rep"]))

@@ -93,24 +93,12 @@ class MonoidHom:
         return tuple(lattice.dot(row, x) for row in self.matrix)
 
 
-def identity_hom(pres):
-    n = pres.ambient_rank
-    eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return MonoidHom(pres, pres, eye)
-
-
 def compose(g, f):
     """g after f."""
     if f.target != g.source:
         raise LevelMismatch("homomorphisms do not compose")
-    m = fields.matrix_to_int(
-        fields.mat_mul(QQ, _frac_matrix(g.matrix), _frac_matrix(f.matrix))
-    )
+    m = tuple(tuple(lattice.dot(row, col) for col in zip(*f.matrix)) for row in g.matrix)
     return MonoidHom(f.source, g.target, m)
-
-
-def _frac_matrix(m):
-    return tuple(tuple(Fraction(a) for a in row) for row in m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Exact integer and rational lattice geometry.
 
 A point x with denominator d travels as the int tuple d*x, and `unscale`
-gives x back; only facets and `lattice_coords` solve over Q, and
-`cone_contains` also takes Fractions.  No floating point is used.  This
-module provides Smith normal forms with transform matrices, integer
-lattice bases and membership, facet enumeration for rational polyhedral
-cones, cone membership, and bounded enumeration of points with a
-prescribed denominator.  The enumeration is an all-int walk over the
-coordinates in which the facets and the cap confine each coordinate to one
-interval (facet-bounded lattice-point walks as in Beck-Robins, 2007).
+gives x back; only `lattice_coords` solves over Q, and `cone_contains`
+also takes Fractions.  No floating point is used.  This module provides
+Smith normal forms with transform matrices, integer lattice bases and
+membership, facets and extreme rays of rational polyhedral cones by
+integer elimination (Hermite bases and Smith kernels), cone membership,
+and bounded enumeration of points with a prescribed denominator.  The
+enumeration is an all-int walk over the coordinates in which the facets
+and the cap confine each coordinate to one interval (facet-bounded
+lattice-point walks as in Beck-Robins, 2007).
 
 A cone is stored by generators together with its derived H-description.
 The facet list always cuts out the cone exactly, including the linear-span
@@ -20,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import floor, gcd
 from operator import mul
 
-from . import fields
 from .errors import DimensionMismatch, UnboundedRegion
-from .fields import QQ
 
 
 def vadd(u, v):
@@ -66,29 +66,14 @@ def unscale(y, d):
     return tuple(Fraction(c, d) for c in y)
 
 
-def lcm(a, b):
-    return a * b // gcd(a, b)
-
-
-def common_denominator(u):
-    d = 1
-    for a in u:
-        d = lcm(d, Fraction(a).denominator)
-    return d
-
-
 def primitive(u):
-    """Scale a nonzero rational vector to a primitive integer vector.
+    """The primitive integer vector on the ray of a nonzero integer vector.
 
-    The direction is preserved (only positive scaling), so sign conventions
-    of oriented functionals survive.
+    Only positive scaling is used, so sign conventions of oriented
+    functionals survive.
     """
-    d = common_denominator(u)
-    w = [int(a * d) for a in as_fractions(u)]
-    g = 0
-    for a in w:
-        g = gcd(g, abs(a))
-    return tuple(a // g for a in w)
+    g = gcd(*u)
+    return tuple(a // g for a in u)
 
 
 # ---------------------------------------------------------------------------
@@ -297,91 +282,55 @@ class RationalCone:
         return cone_contains(self, x)
 
 
-def _span_data(prim_gens, dim):
-    """Independent generator subset spanning the cone, plus projection.
+def _kernel_line(rows, dim):
+    """Primitive integer generator of the kernel of `rows`, or None unless it is a line.
 
-    Returns (basis list, coords function) where coords maps any vector in
-    the span to its coefficient tuple w.r.t. the basis; the map is linear
-    on all of Q^dim via the rational pseudo-inverse.
+    With U*A*V = D the columns of V past the rank span the kernel, so at
+    rank dim - 1 it is the last column of V, primitive as V is unimodular.
+    A matrix with no rows is read as one zero row.
     """
-    basis = []
-    rows = []
-    for g in prim_gens:
-        cand = rows + [list(map(Fraction, g))]
-        if fields.rank(QQ, tuple(map(tuple, cand))) > len(rows):
-            rows = cand
-            basis.append(g)
-    bt = tuple(tuple(Fraction(x) for x in g) for g in basis)  # s rows of dim
-    gram = fields.mat_mul(QQ, bt, tuple(zip(*bt)))
-    gram_inv = fields.invert(QQ, gram)
-    proj = fields.mat_mul(QQ, gram_inv, bt)  # s x dim
-
-    def coords(x):
-        return fields.mat_vec(QQ, proj, as_fractions(x))
-
-    return basis, coords, proj
+    snf = smith_normal_form(rows or [(0,) * dim])
+    if sum(1 for d in snf.divisors if d) != dim - 1:
+        return None
+    return tuple(row[-1] for row in snf.v)
 
 
 def facet_inequalities(generators):
-    """Primitive integer functionals cutting out the cone of `generators`.
+    """Primitive integer functionals cutting out the cone of integer `generators`.
 
     The returned list satisfies {x : l(x) >= 0 for all l} = Q>=0-span of
     the generators; when the span is a proper subspace the list contains
-    +/- pairs pinning the span.
+    +/- pairs pinning the span: for each non-pivot column f of the Hermite
+    basis, the kernel line on the pivot columns and f (the reduced-echelon
+    null vectors up to scale).  Each facet of the span is the kernel line of
+    s - 1 generators and the annihilator (s the rank), oriented to be >= 0
+    on every generator; a line with both signs there is no facet.
     """
-    gens = [as_fractions(g) for g in generators]
-    if not gens:
+    if not generators:
         raise DimensionMismatch("no generators")
-    dim = len(gens[0])
-    if any(len(g) != dim for g in gens):
+    dim = len(generators[0])
+    if any(len(g) != dim for g in generators):
         raise DimensionMismatch("generators of mixed dimension")
-    prim = primitive_directions(gens)
-    facets = []
-    if not prim:
-        for i in range(dim):
-            e = tuple(1 if j == i else 0 for j in range(dim))
-            facets.append(e)
-            facets.append(vneg(e))
-        return sorted(facets)
-    null = fields.nullspace(QQ, tuple(tuple(map(Fraction, g)) for g in prim))
-    for ell in null:
-        p = primitive(ell)
-        facets.append(p)
-        facets.append(vneg(p))
-    s = dim - len(null)
-    basis, coords, proj = _span_data(prim, dim)
-    cg = [coords(g) for g in prim]
-    span_facets = []
-    if s == 1:
-        signs = {1 if c[0] > 0 else -1 for c in cg}
-        if len(signs) == 1:
-            span_facets.append((Fraction(signs.pop()),))
-    else:
-        from itertools import combinations
-
-        seen = set()
-        for subset in combinations(range(len(cg)), s - 1):
-            rows = tuple(cg[i] for i in subset)
-            kernel = fields.nullspace(QQ, rows)
-            if len(kernel) != 1:
-                continue
-            normal = kernel[0]
-            vals = [dot(normal, c) for c in cg]
-            if all(v >= 0 for v in vals):
-                cand = primitive(normal)
-            elif all(v <= 0 for v in vals):
-                cand = primitive(vneg(normal))
-            else:
-                continue
-            if cand not in seen:
-                seen.add(cand)
-                span_facets.append(as_fractions(cand))
-    if span_facets:
-        for ell in span_facets:
-            ambient = fields.mat_vec(QQ, tuple(zip(*proj)), ell)
-            facets.append(primitive(ambient))
-    unique = sorted(set(facets))
-    return unique
+    prim = primitive_directions(generators)
+    basis = lattice_basis(prim)
+    pivots = [next(i for i, a in enumerate(row) if a) for row in basis]
+    annihilator = []
+    for f in range(dim):
+        if f not in pivots:
+            cols = sorted(pivots + [f])
+            line = dict(zip(cols, _kernel_line([[row[c] for c in cols] for row in basis], len(cols))))
+            annihilator.append(tuple(line.get(c, 0) for c in range(dim)))
+    facets = set(annihilator) | {vneg(ell) for ell in annihilator}
+    for subset in combinations(prim, len(basis) - 1) if basis else ():
+        normal = _kernel_line(list(subset) + annihilator, dim)
+        if normal is None:
+            continue
+        vals = [dot(normal, g) for g in prim]
+        if all(v >= 0 for v in vals):
+            facets.add(normal)
+        elif all(v <= 0 for v in vals):
+            facets.add(vneg(normal))
+    return sorted(facets)
 
 
 def primitive_directions(generators):
@@ -404,15 +353,11 @@ def cone_from_generators(generators):
 
 
 def _extreme_rays(prim_gens, facets, dim):
-    rays = []
-    for g in prim_gens:
-        zero_rows = tuple(
-            as_fractions(f) for f in facets if dot(f, g) == 0
-        )
-        rk = fields.rank(QQ, zero_rows) if zero_rows else 0
-        if rk == dim - 1 and g not in rays:
-            rays.append(g)
-    return tuple(sorted(rays))
+    """The generators whose vanishing facets have rank dim - 1."""
+    return tuple(sorted(
+        g for g in prim_gens
+        if len(lattice_basis([f for f in facets if dot(f, g) == 0])) == dim - 1
+    ))
 
 
 def cone_contains(cone, x):

@@ -54,6 +54,56 @@ def in_cone_oracle(generators, x):
     return False
 
 
+def cone_oracle(generators):
+    """(facets, rays) of the cone of integer generators, by sympy rational nullspaces.
+
+    The span is pinned by +/- the reduced-echelon null vectors of the
+    primitive generators; a span facet is the one-dimensional nullspace
+    of s - 1 generators and those null vectors (s the rank), kept when it
+    has one sign on the generators.  A ray is a generator on which facets
+    of rank dim - 1 vanish.  Vectors are scaled to primitive integers.
+    """
+    from itertools import combinations
+    from math import gcd, lcm
+
+    import sympy
+
+    dim = len(generators[0])
+
+    def prim(v):
+        v = [Fraction(int(a.p), int(a.q)) if isinstance(a, sympy.Rational) else Fraction(a) for a in v]
+        d = lcm(*(a.denominator for a in v))
+        w = [int(a * d) for a in v]
+        g = gcd(*w)
+        return tuple(a // g for a in w)
+
+    def matrix(rows):
+        return sympy.Matrix(rows) if rows else sympy.zeros(1, dim)
+
+    gens = []
+    for g in generators:
+        if any(g) and prim(g) not in gens:
+            gens.append(prim(g))
+    annihilator = [prim(v) for v in matrix(gens).nullspace()]
+    facets = set(annihilator) | {tuple(-a for a in v) for v in annihilator}
+    s = dim - len(annihilator)
+    for subset in combinations(gens, s - 1) if s else ():
+        kernel = matrix(list(subset) + annihilator).nullspace()
+        if len(kernel) != 1:
+            continue
+        normal = prim(kernel[0])
+        vals = [sum(a * b for a, b in zip(normal, g)) for g in gens]
+        if all(v >= 0 for v in vals):
+            facets.add(normal)
+        elif all(v <= 0 for v in vals):
+            facets.add(tuple(-a for a in normal))
+    rays = [
+        g for g in gens
+        if matrix([f for f in facets if sum(a * b for a, b in zip(f, g)) == 0]).rank() == dim - 1
+    ]
+    return tuple(sorted(facets)), tuple(sorted(rays))
+
+
 def nat_combination_oracle(generators, x, coeff_bound=10):
     """Brute-force: is x a sum of generators with coefficients <= coeff_bound?"""
     x = tuple(Fraction(a) for a in x)

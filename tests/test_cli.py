@@ -457,6 +457,32 @@ def test_non_integer_json_values_are_malformed(name, tmp_path, capsys):
     assert "must be an integer" in err and "Traceback" not in err
 
 
+# Each payload holds one integer below the least value its schema allows.
+BELOW_MINIMUM = {
+    "ambient_rank": (["monoid", "info"], lambda: dict(NAT, ambient_rank=-1),
+                     "ambient_rank must be a positive integer, got -1"),
+    "component_dimension": (["parabolic", "to-graded"], lambda: _sheaf_payload(components={"0": -1}),
+                            "component dimension must be a nonnegative integer, got -1"),
+    "profinite_level": (["infquot", "check"], lambda: dict(_profinite_payload(), level=0),
+                        "level must be a positive integer, got 0"),
+    "profinite_label_level": (["infquot", "check"], lambda: dict(_profinite_payload(), labels={"0": ["0", "0", "0"]}),
+                              "label level must be a positive integer, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BELOW_MINIMUM))
+def test_json_values_below_schema_minimum_are_malformed(name, tmp_path, capsys):
+    """One error line and exit 1: a negative component dimension is not
+    dropped, a negative ambient rank is not a precondition failure, and a
+    label level of 0 does not divide by zero."""
+    argv, payload, message = BELOW_MINIMUM[name]
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps(payload()))
+    code = main(argv + [str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_integral_floats_read_as_integers(tmp_path, capsys):
     """JSON Schema counts 2.0 as an integer, so it reads as 2."""
     floats = {"ambient_rank": 3.0, "denominator": 1.0, "generators": [[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1.0]]}

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import det_frac, in_cone_oracle, random_int_matrix
+from hypothesis import given, settings, strategies as st
+
+from helpers import cone_oracle, det_frac, in_cone_oracle, random_int_matrix
 from monostack.errors import DimensionMismatch, EmptyGenerators, UnboundedRegion
 from monostack.lattice import (
     cone_contains,
@@ -81,6 +83,52 @@ def test_facets_nonsimplicial_cone_match_inequalities():
 def test_facets_mixed_dimension_rejected():
     with pytest.raises(DimensionMismatch):
         facet_inequalities([(1, 0), (0, 1, 0)])
+
+
+def test_facets_of_a_plane_in_z4():
+    """A 2-dimensional cone in Z^4: the annihilator has dimension 2, so its
+    +/- pairs are the reduced-echelon null vectors (1,-1,1,0) and e4."""
+    cone = cone_from_generators([(1, 1, 0, 0), (0, 1, 1, 0)])
+    assert cone.facets == (
+        (-1, 1, -1, 0), (-1, 1, 2, 0), (0, 0, 0, -1), (0, 0, 0, 1), (1, -1, 1, 0), (2, 1, -1, 0),
+    )
+    assert cone.rays == ((0, 1, 1, 0), (1, 1, 0, 0))
+
+
+@st.composite
+def sublattice_generators(draw):
+    """1 to 6 integer vectors in Z^d, d <= 4, spanning a sublattice of rank r <= d
+    (r = 0 gives zero vectors), with repeats and zero vectors allowed."""
+    dim = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, dim))
+    entry = st.integers(-3, 3)
+    basis = draw(st.lists(st.tuples(*[entry] * dim), min_size=rank, max_size=rank))
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank), min_size=1, max_size=6))
+    return [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(dim)) for cs in coeffs]
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(sublattice_generators())
+def test_facets_and_rays_match_rational_oracle(gens):
+    cone = cone_from_generators(gens)
+    assert (cone.facets, cone.rays) == cone_oracle(gens)
+
+
+def test_lattice_imports_no_field_arithmetic():
+    """Cone geometry is integer elimination: `lattice` imports neither the
+    coefficient-field module nor QQ, which serve modules only."""
+    import ast
+    from pathlib import Path
+
+    import monostack.lattice
+
+    names = set()
+    for node in ast.walk(ast.parse(Path(monostack.lattice.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not {n for n in names if n.rsplit(".", 1)[-1] in ("fields", "QQ")}, names
 
 
 def test_facets_single_ray_cuts_exactly_the_ray():

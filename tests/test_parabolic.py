@@ -7,6 +7,7 @@ from helpers import random_module
 from monostack.errors import LevelMismatch, NotADivisor, NotAMultiple
 from monostack.fields import QQ
 from monostack.graded import (
+    GradedModule,
     ShortExactSequence,
     algebra_as_module,
     cokernel,
@@ -371,10 +372,8 @@ def test_equivalence_is_exact(nat2):
 
 
 def test_zero_sheaf_roundtrip(nat):
-    from monostack.graded import zero_module
-
     alg = graded_algebra(nat, 2)
-    z = zero_module(alg)
+    z = GradedModule(alg, {}, {}, check=False)
     sheaf = from_graded(z)
     assert sheaf.total_dim == 0
     assert to_graded(sheaf).dims == {}
