@@ -4,10 +4,11 @@ Payloads are read from a file argument (or stdin when the argument is "-"
 or omitted) and written to stdout; identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 malformed input, 2 a
 semantic precondition was violated (non-sharp monoid, level mismatch and
-friends, and an `ideal mingens` region too small to hold a point of the
-ideal), 3 the infinite-quotient check came back inconclusive.  Every
---level, --levels, --to and --divisor value must be a positive integer;
-anything else is malformed input.
+friends, and an `ideal mingens --bound` below the certified bound whose
+region holds no point of the ideal or cannot certify its minimal
+generators; a larger --bound is clamped), 3 the infinite-quotient check
+came back inconclusive.  Every --level, --levels, --to and --divisor
+value must be a positive integer; anything else is malformed input.
 """
 
 from __future__ import annotations
@@ -161,15 +162,11 @@ def cmd_ideal(args):
     bound = jsonio.frac_from_str(args.bound) if args.bound else None
     if args.colon:
         a, b = (jsonio.vec_from_key(part) for part in args.colon.split(";"))
-        ideal = graded.colon_degree_ideal(pres, args.level, a, b)
-        if bound is not None:
-            ideal.bound = bound
+        ideal = graded.colon_degree_ideal(pres, args.level, a, b, bound=bound)
         colon = [jsonio.vec_to_json(a), jsonio.vec_to_json(b)]
     else:
         gens = [jsonio.vec_from_key(part) for part in args.generators.split(";")]
-        ideal = graded.MonoidIdeal(
-            pres, args.level, generators=gens, bound=bound
-        )
+        ideal = graded.MonoidIdeal(pres, args.level, generators=gens, bound=bound)
         colon = None
     mins = graded.ideal_min_generators(ideal)
     payload = {
@@ -298,7 +295,7 @@ def build_parser():
     q.add_argument("--level", type=int, default=1)
     q.add_argument("--colon", help='colon pair "a;b" with comma-separated rational coordinates')
     q.add_argument("--generators", help='ideal generators "g1;g2;..."')
-    q.add_argument("--bound", help="truncation bound for the region")
+    q.add_argument("--bound", help="truncation bound for the region (default and cap: the certified bound)")
     q.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("probe", help="coherence probe across levels")

@@ -37,8 +37,8 @@ the quotient bases.  Kernels and images share `_submodule`, which moves
 the action onto a sub-basis.
 
 This module also hosts the monomial-ideal side: colon ideals of pairs of
-monoid elements, minimal generators inside a truncated region, and the
-coherence probe that tabulates their growth across levels.
+monoid elements, their minimal generators inside a certified region, and
+the coherence probe that tabulates their growth across levels.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import ceil, floor
 from operator import ge
 from typing import NamedTuple
 
@@ -60,7 +61,7 @@ from .errors import (
 )
 from .fields import QQ
 # coset_label and in_delta are bound only for perfbench's tracer
-from .infquot import delta_bound, delta_points, in_delta
+from .infquot import delta_points, in_delta
 from .kummer import (
     coset_label,
     enumerate_labels,
@@ -955,12 +956,26 @@ class MonoidIdeal:
     n*s*x the ideal is the group points y with f(y) >= t for the facets f
     and some row t of `thresholds`: f(g) per generator g, or max(0, -f(a -
     b)) for the colon ideal.
+
+    `certified_bound` is a bound on l(x) for every minimal generator x,
+    and the default `bound`.  Each row t cuts out a polyhedron {y : F*y >=
+    t} with recession cone the cone of P; it is pointed, so by
+    Minkowski-Weyl (Ziegler, Lectures on Polytopes, section 1) it is
+    conv(V) + cone for its vertex set V.  Write a point y of it as q + sum
+    t_j r_j with q in conv(V) and, by Caratheodory, t_j >= 0 over d
+    independent ray generators r_j of P, which are group points and
+    Hilbert generators of (1/n)P in these coordinates.  If some t_j >= 1,
+    then y - r_j still lies in the polyhedron, so in the ideal, and y is
+    not minimal.  So l(y) < max l(V) + C (C the `caratheodory_sum`).  The
+    polyhedron of a generator g is g + cone, with V = {g}; the vertices of
+    the colon polyhedron are solved from square subsets of the facet rows
+    (`_vertex_max`).
     """
 
     def __init__(self, monoid, level, generators=None, shift=None, bound=None):
         self.monoid = monoid
         self.level = int(level)
-        if generators is not None:
+        if generators:
             points, message = generators, "ideal generator {} outside (1/n)P"
         elif shift is not None:
             points, message = shift, "{} is not an element of (1/n)P"
@@ -973,14 +988,17 @@ class MonoidIdeal:
             if y is None or not monoid._contains_int(y):
                 raise ValueError(message.format(lattice.as_fractions(x)))
             ys.append(y)
-        if generators is not None:
+        ell = monoid.positive_functional
+        if generators:
             self.thresholds = [facet_values(facets, y) for y in ys]
+            top = max(lattice.dot(ell, y) for y in ys)
         else:
             a, b = ys
             self.thresholds = [[max(0, -v) for v in facet_values(facets, vsub(a, b))]]
-        if bound is None:
-            bound = 3 * delta_bound(monoid)
-        self.bound = Fraction(bound)
+            top = _vertex_max(facets, self.thresholds[0], ell)
+        # l(y) < top + C, and l(y) is an integer
+        self.certified_bound = Fraction(ceil(top + monoid.caratheodory_sum) - 1, self.level * monoid.denominator)
+        self.bound = self.certified_bound if bound is None else Fraction(bound)
 
     def contains(self, x):
         """Membership of a rational vector in the ideal."""
@@ -990,22 +1008,45 @@ class MonoidIdeal:
         return _dominates(facet_values(self.monoid.cone.facets, y), self.thresholds)
 
 
+def _vertex_max(facets, t, ell):
+    """The largest l(v) over the vertices v of the pointed polyhedron {y : F*y >= t}.
+
+    A vertex is a point of it where the tight facets have full rank, so
+    the vertices are the feasible solutions of F_S*y = t_S over the square
+    invertible row subsets S, solved exactly over QQ.
+    """
+    dim = len(ell)
+    best = None
+    for rows in combinations(range(len(facets)), dim):
+        red, pivots = fields.rref(QQ, [list(facets[i]) + [t[i]] for i in rows])
+        if pivots != list(range(dim)):
+            continue  # singular, or F_S*y = t_S has no solution
+        v = [row[-1] for row in red]
+        if all(lattice.dot(f, v) >= ti for f, ti in zip(facets, t)):
+            value = lattice.dot(ell, v)
+            best = value if best is None else max(best, value)
+    return best
+
+
 def _dominates(values, rows):
     """Whether values >= t componentwise for some row t."""
     return any(all(map(ge, values, t)) for t in rows)
 
 
-def colon_degree_ideal(monoid, level, a, b):
+def colon_degree_ideal(monoid, level, a, b, bound=None):
     """Degrees c with c + a - b in (1/n)P: the first-projection syzygy degrees
     of the pair (x^a, x^b)."""
-    return MonoidIdeal(monoid, level, shift=(a, b))
+    return MonoidIdeal(monoid, level, shift=(a, b), bound=bound)
 
 
 def ideal_min_generators(ideal):
-    """Minimal generators inside the truncated region, lex-sorted.
+    """Minimal generators of the ideal, lex-sorted.
 
-    A region point x is minimal iff x - h leaves the ideal for every
-    Hilbert generator h of (1/n)P; minimality within the region is exact
+    A point x is minimal iff x - h leaves the ideal for every Hilbert
+    generator h of (1/n)P.  Every minimal generator has l(x) <=
+    `certified_bound` (`MonoidIdeal`), so the walk to min(bound,
+    certified_bound) is exact from the certified bound up; a larger bound
+    is clamped.  Below it, minimality within the region is still exact
     because ideal membership is a predicate, but generators too close to
     the truncation boundary cannot be certified and raise RegionTooSmall,
     as does a region holding no point of the ideal (an ideal is never
@@ -1020,11 +1061,14 @@ def ideal_min_generators(ideal):
     shifted = [
         vadd(facet_values(facets, h), t) for h in pres._saturation_hilbert_basis for t in ideal.thresholds
     ]
+    denom = ideal.level * pres.denominator
     mins = []
-    for y in monoid_points_scaled(pres, ideal.level, ideal.bound):
+    for y in monoid_points_scaled(pres, floor(min(ideal.bound, ideal.certified_bound) * denom)):
         fy = facet_values(facets, y)
         if _dominates(fy, ideal.thresholds) and not _dominates(fy, shifted):
-            mins.append(unscale(y, ideal.level * pres.denominator))
+            mins.append(unscale(y, denom))
+    if ideal.bound >= ideal.certified_bound:
+        return mins
     # an ideal point of least l in the region is minimal, so none is found
     # exactly when the region holds no point of the ideal
     if not mins:

@@ -1,11 +1,17 @@
 """Delta geometry and the infinite-quotient decision procedure.
 
 Delta(P) is the set of rational cone points that are not (nonzero monoid
-element) + (cone point); its level-n slice is finite because every Delta
-point x satisfies l(x) < sum of l over the Hilbert basis for any l that is
-positive on the basis.  Delta0(P) keeps the points that are alone in their
-class modulo the group; at a fixed level this is decided exactly by the
-level-n enumeration, since congruent Delta points share denominators.
+element) + (cone point).  Its level-n slice is finite: by Caratheodory a
+cone point x is sum t_j r_j with t_j >= 0 over d = rank P linearly
+independent r_j, each the least element of P on an extreme ray.  If x is
+in Delta, then x - r_j is not in the cone, so every t_j < 1 and l(x) is
+less than the sum of the d largest l(r_j).  In the integer model (s the
+denominator) the s*r_j are `MonoidPresentation.ray_generators` and that
+sum is C/s, C = `caratheodory_sum`.
+
+Delta0(P) keeps the points that are alone in their class modulo the
+group; at a fixed level this is decided exactly by the level-n
+enumeration, since congruent Delta points share denominators.
 
 A truncated profinite element is a compatible family of coset labels over
 the divisors of a level N.  The family is fixed by its level-N label [x],
@@ -118,14 +124,20 @@ class DeltaSet:
 def delta_points(pres, level):
     """Delta(P) cap (1/level)P, lex-sorted, with Delta0 flags.
 
-    y = level*s*x is in Delta iff f(y) >= f(level*v) fails for some facet
-    f, for each integer Hilbert generator v of P: f is evaluated once per
-    point and once per v.
+    The walk: every t_j < 1 in x = sum t_j r_j for x in Delta (module
+    docstring), so y = level*s*x = sum level*t_j*(s*r_j) has l(y) < level*C
+    and the integer l(y) is at most level*C - 1.  This region is smaller
+    than the one `delta_bound` gives, which stays the documented bound.
+
+    The test: y = level*s*x is in Delta iff f(y) >= f(level*v) fails for
+    some facet f, for each integer Hilbert generator v of P.  f is
+    evaluated once per point and once per v.
     """
+    pres.hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
     facets = pres.cone.facets
     shifts = [facet_values(facets, vscale(level, v)) for v in pres._saturation_hilbert_basis]
     scaled = []
-    for y in monoid_points_scaled(pres, level, delta_bound(pres)):
+    for y in monoid_points_scaled(pres, level * pres.caratheodory_sum - 1):
         fy = facet_values(facets, y)
         if not any(all(map(ge, fy, fv)) for fv in shifts):
             scaled.append(y)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import floor, lcm
 
 from . import lattice
 from .errors import DimensionMismatch, EmptyGenerators, NotSaturated, NotSharp
@@ -41,7 +41,8 @@ from .lattice import (
 
 # Derived data fixed by (ambient_rank, generators), never by the denominator.
 INTEGER_MODEL = ("cone", "group_basis", "positive_functional", "is_sharp", "is_saturated", "is_simplicial",
-                 "_group_contains_int", "_saturation_hilbert_basis", "_in_generated_memo")
+                 "_group_contains_int", "ray_generators", "caratheodory_sum", "_saturation_hilbert_basis",
+                 "_in_generated_memo")
 
 
 @dataclass(frozen=True)
@@ -193,14 +194,12 @@ class MonoidPresentation:
         return found
 
     @cached_property
-    def _saturation_hilbert_basis(self):
-        """Hilbert basis of group lattice and cone, in the integer model.
+    def ray_generators(self):
+        """The extreme ray generators primitive in the group lattice L, in the integer model.
 
-        Every indecomposable of L cap cone satisfies l(x) < sum of l over
-        the primitive-in-L ray generators, so one bounded enumeration plus
-        a reduction pass is exhaustive.
+        Each is the least point of L on its ray, so it is indecomposable in
+        L cap cone: a Hilbert generator of the saturation.
         """
-        ell = self.positive_functional
         rays = []
         for r in self.cone.rays:
             coords = lattice_coords(self.group_basis, r)
@@ -210,9 +209,37 @@ class MonoidPresentation:
             for c in coords:
                 k = lcm(k, c.denominator)
             rays.append(tuple(k * a for a in r))
-        region = lattice.enumerate_integer_points(
-            self.cone, ell, sum(dot(ell, r) for r in rays)
-        )
+        return tuple(rays)
+
+    @cached_property
+    def caratheodory_sum(self):
+        """C = the sum of the d largest l(r) over `ray_generators` (d the rank, l the
+        positive functional).
+
+        By Caratheodory every x in the cone is sum t_j r_j with t_j >= 0 over
+        d linearly independent ray generators r_j, so l(x) < C as soon as
+        every t_j < 1.  This bounds every walk over the cone: Delta slices,
+        Hilbert bases and minimal generators of monomial ideals.
+        """
+        ell = self.positive_functional
+        return sum(sorted(dot(ell, r) for r in self.ray_generators)[-self.group_rank:])
+
+    @cached_property
+    def _saturation_hilbert_basis(self):
+        """Hilbert basis of group lattice and cone, in the integer model.
+
+        Write an indecomposable x of L cap cone as sum t_j r_j over d
+        independent ray generators (`caratheodory_sum`).  If some t_j >= 1,
+        then x - r_j is in L cap cone and x = r_j + (x - r_j) decomposes,
+        unless x = r_j.  So x is a ray generator or l(x) < C, and the walk
+        to l <= max(C - 1, l(r)) over the ray generators r is exhaustive
+        (the maximum matters only at rank 1, where C = l(r)).  The region is
+        closed under going down in the cone, so a reduction pass over it
+        finds the indecomposables.
+        """
+        ell = self.positive_functional
+        cap = max(self.caratheodory_sum - 1, *(dot(ell, r) for r in self.ray_generators))
+        region = lattice.enumerate_integer_points(self.cone, ell, cap)
         in_group = self._group_contains_int
         candidates = [x for x in region if any(x) and in_group(x)]
         cand_set = set(candidates)
@@ -306,18 +333,15 @@ def monoid_equal(p, q):
     )
 
 
-def monoid_points_scaled(pres, level, bound):
-    """Integer vectors y = level*denominator*x over x in (1/level)*P, l(x) <= bound.
+def monoid_points_scaled(pres, cap):
+    """Group points y of the cone with l(y) <= cap, for an int `cap`.
 
-    Exact: enumerates ambient lattice candidates and filters by the group
-    predicate, so sublattices (e.g. index > 1 groups) are handled.
+    At any level n these are the y = n*s*x over the x in (1/n)*P with
+    l(x) <= cap/(n*s) (s the denominator).  Exact: enumerates ambient
+    lattice candidates and filters by the group predicate, so sublattices
+    (e.g. index > 1 groups) are handled.
     """
-    from math import floor
-
-    ell = pres.positive_functional
-    denom = level * pres.denominator
-    cap = floor(Fraction(bound) * denom)
-    raw = lattice.enumerate_integer_points(pres.cone, ell, cap)
+    raw = lattice.enumerate_integer_points(pres.cone, pres.positive_functional, cap)
     in_group = pres._group_contains_int
     return [y for y in raw if in_group(y)]
 
@@ -325,4 +349,5 @@ def monoid_points_scaled(pres, level, bound):
 def monoid_points(pres, level, bound):
     """Points of (1/level)*P with positive-functional value <= bound."""
     denom = level * pres.denominator
-    return [unscale(y, denom) for y in monoid_points_scaled(pres, level, bound)]
+    cap = floor(Fraction(bound) * denom)
+    return [unscale(y, denom) for y in monoid_points_scaled(pres, cap)]

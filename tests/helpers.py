@@ -429,3 +429,42 @@ def random_scalar_module(algebra, rng):
         for lab in dims:
             action[(g, lab)] = ((field.of_int(rng.choice(scalars)),),)
     return GradedModule(algebra, dims, action, check=False)
+
+
+def saturation_hilbert_basis_oracle(pres):
+    """Hilbert basis of L cap cone over the all-rays region, in the integer model.
+
+    Every indecomposable has l(x) at most the sum of l over the
+    primitive-in-L ray generators, a region larger than the Caratheodory
+    one; the candidates are reduced by the definition, x not y + z.
+    """
+    from monostack.lattice import dot, enumerate_integer_points
+
+    ell = pres.positive_functional
+    region = enumerate_integer_points(pres.cone, ell, sum(dot(ell, r) for r in pres.ray_generators))
+    cands = [x for x in region if any(x) and pres._group_contains_int(x)]
+    sums = {tuple(a + b for a, b in zip(y, z)) for y in cands for z in cands}
+    return tuple(x for x in cands if x not in sums)
+
+
+def delta_points_oracle(pres, level):
+    """Delta(P) cap (1/level)P by the definition, over the `delta_bound` region.
+
+    The points x of (1/level)P with l(x) <= delta_bound(P) such that x - h
+    leaves the cone for every Hilbert generator h, tested on the integer
+    vectors y = level*s*x (s the denominator) and returned lex-sorted.
+    """
+    from math import floor
+
+    from monostack.infquot import delta_bound
+    from monostack.lattice import dot, enumerate_integer_points, unscale
+
+    denom = level * pres.denominator
+    region = enumerate_integer_points(pres.cone, pres.positive_functional, floor(delta_bound(pres) * denom))
+    shifts = [tuple(level * a for a in h) for h in pres._saturation_hilbert_basis]
+    return tuple(
+        unscale(y, denom)
+        for y in region
+        if pres._group_contains_int(y)
+        and all(any(dot(f, y) < dot(f, h) for f in pres.cone.facets) for h in shifts)
+    )

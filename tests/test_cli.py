@@ -315,6 +315,29 @@ def test_ideal_mingens_rejects_regions_without_ideal_points(extra, code, tmp_pat
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("extra", [["--generators", "0,0,20"], ["--colon", "0,0,0;0,0,20"]])
+def test_ideal_mingens_default_bound_is_certified(extra, tmp_path, capsys):
+    """Without --bound the region is the certified one, so a generator far
+    beyond 3 * delta_bound (l = 40 > 24 on the cone) is found, not refused."""
+    src = tmp_path / "cone.json"
+    src.write_text(json.dumps(NONSIMPLICIAL))
+    got = main(["ideal", "mingens", str(src), "--level", "1"] + extra)
+    out, err = capsys.readouterr()
+    assert (got, err) == (0, "")
+    assert json.loads(out)["generators"] == [["0", "0", "20"]]
+
+
+def test_ideal_mingens_clamps_a_larger_bound(tmp_path, capsys):
+    """A --bound above the certified one gives the default answer."""
+    src = tmp_path / "cone.json"
+    src.write_text(json.dumps(NONSIMPLICIAL))
+    outs = []
+    for extra in ([], ["--bound", "1000"]):
+        assert main(["ideal", "mingens", str(src), "--level", "2", "--colon", "1,0,0;0,0,1"] + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("level", [0, -1])
 @pytest.mark.parametrize("action, key", [("to-graded", "maps"), ("from-graded", "action")])
 def test_nonpositive_payload_level_is_malformed(action, key, level, tmp_path, capsys):

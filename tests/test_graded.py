@@ -452,6 +452,12 @@ def test_region_too_small_raises(nonsimplicial):
         ideal_min_generators(ideal)
 
 
+def test_ideal_without_generators_is_refused(nat2):
+    """The certified bound needs a generator or a colon pair to start from."""
+    with pytest.raises(ValueError, match="needs generators"):
+        MonoidIdeal(nat2, 1, generators=[])
+
+
 def test_contains_at_level(nat2):
     assert contains_at_level(nat2, 2, (Fraction(1, 2), Fraction(3, 2)))
     assert not contains_at_level(nat2, 2, (Fraction(1, 3), Fraction(0)))

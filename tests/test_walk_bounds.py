@@ -1,0 +1,95 @@
+"""Differential tests of the certified Caratheodory walk bounds.
+
+`delta_points`, `_saturation_hilbert_basis` and `ideal_min_generators`
+walk regions bounded through `MonoidPresentation.caratheodory_sum`.  Each
+is compared on random sharp monoids with the same answer over a larger
+region: the `delta_bound` region for Delta, the sum over all ray
+generators for the Hilbert basis, and three times the certified bound for
+minimal generators.
+"""
+
+from hypothesis import assume, example, given, settings, strategies as st
+
+from helpers import delta_points_oracle, ideal_min_generators_oracle, saturation_hilbert_basis_oracle
+from monostack.errors import EmptyGenerators, NotSharp
+from monostack.graded import MonoidIdeal, colon_degree_ideal, ideal_min_generators
+from monostack.infquot import delta_points
+from monostack.lattice import dot, lattice_basis
+from monostack.monoid import monoid_points, saturate, validate
+
+SETTINGS = settings(max_examples=12, deadline=None, database=None, derandomize=True)
+
+INDEX2 = [(2, 0), (1, 1), (0, 2)]  # the group x + y even has index 2 in Z^2
+PLANE = [(2, 0, 2), (1, 3, 1)]  # index 6 in the plane x = z of Z^3
+CONE = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]  # four rays, rank three
+
+
+@st.composite
+def sharp_generators(draw):
+    """2 to 4 small combinations of a random basis of rank r in Z^d, d = 2..4.
+
+    r < d gives cones that are not full-dimensional and a basis of
+    determinant > 1 groups of index > 1; coefficients of -1 make cones with
+    more rays than the rank, and those that are not sharp are rejected.
+    """
+    dim = draw(st.integers(2, 4))
+    rank = draw(st.integers(1, dim))
+    entry = st.integers(-1, 1)
+    basis = draw(st.lists(st.tuples(*[entry] * dim), min_size=rank, max_size=rank))
+    coeffs = draw(st.lists(st.lists(st.integers(-1, 2), min_size=rank, max_size=rank), min_size=2, max_size=4))
+    return [tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(dim)) for cs in coeffs]
+
+
+@st.composite
+def generators_and_level(draw, top_level):
+    """`sharp_generators` and a level up to `top_level[rank]`: the regions of
+    the oracles grow like level**rank."""
+    gens = draw(sharp_generators())
+    return gens, draw(st.integers(1, top_level[len(lattice_basis(gens))]))
+
+
+def sharp(gens, denominator=1):
+    try:
+        return validate(gens, denominator=denominator)
+    except (EmptyGenerators, NotSharp):
+        assume(False)
+
+
+@SETTINGS
+@given(sharp_generators())
+@example(INDEX2)
+@example(PLANE)
+@example(CONE)
+def test_hilbert_basis_matches_all_rays_region(gens):
+    pres = sharp(gens)
+    assert pres._saturation_hilbert_basis == saturation_hilbert_basis_oracle(pres)
+
+
+@SETTINGS
+@given(generators_and_level((1, 4, 4, 3, 2)), st.integers(1, 2))
+@example((INDEX2, 4), 1)
+@example((PLANE, 3), 2)
+@example((CONE, 3), 1)
+def test_delta_points_match_delta_bound_region(gens_level, denominator):
+    gens, level = gens_level
+    pres = saturate(sharp(gens, denominator))
+    assert delta_points(pres, level).points == delta_points_oracle(pres, level)
+
+
+@SETTINGS
+@given(generators_and_level((1, 2, 2, 1, 1)), st.lists(st.integers(0, 99), min_size=4, max_size=4))
+@example((INDEX2, 2), [1, 3, 0, 2])
+@example((PLANE, 2), [4, 1, 2, 3])
+@example((CONE, 2), [5, 2, 7, 1])
+def test_min_generators_match_oracle_at_three_times_certified(gens_level, picks):
+    """Colon and generator ideals of points of (1/level)P with l at most the
+    largest l(h) over the Hilbert basis."""
+    gens, level = gens_level
+    pres = saturate(sharp(gens))
+    ell = pres.positive_functional
+    small = monoid_points(pres, level, max(dot(ell, h) for h in pres.hilbert_basis))
+    a, b, g, h = (small[i % len(small)] for i in picks)
+    for ideal in (colon_degree_ideal(pres, level, a, b), MonoidIdeal(pres, level, generators=[g, h])):
+        got = ideal_min_generators(ideal)
+        ideal.bound = 3 * ideal.certified_bound
+        assert got == ideal_min_generators_oracle(ideal)
