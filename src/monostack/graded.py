@@ -952,10 +952,11 @@ def unit_map_check(dim0, algebra):
 class MonoidIdeal:
     """An ideal of (1/n)P given by generators or by a colon pair (a, b).
 
-    The generators, and a and b, must lie in (1/n)P.  In coordinates y =
-    n*s*x the ideal is the group points y with f(y) >= t for the facets f
-    and some row t of `thresholds`: f(g) per generator g, or max(0, -f(a -
-    b)) for the colon ideal.
+    P must be saturated (NotSaturated otherwise): minimality is tested
+    against its Hilbert basis.  The generators, and a and b, must lie in
+    (1/n)P.  In coordinates y = n*s*x the ideal is the group points y with
+    f(y) >= t for the facets f and some row t of `thresholds`: f(g) per
+    generator g, or max(0, -f(a - b)) for the colon ideal.
 
     `certified_bound` is a bound on l(x) for every minimal generator x,
     and the default `bound`.  Each row t cuts out a polyhedron {y : F*y >=
@@ -973,6 +974,7 @@ class MonoidIdeal:
     """
 
     def __init__(self, monoid, level, generators=None, shift=None, bound=None):
+        monoid.hilbert_basis  # raises NotSaturated
         self.monoid = monoid
         self.level = int(level)
         if generators:

@@ -54,12 +54,6 @@ def positive_functional(pres):
     return pres.positive_functional
 
 
-def delta_bound(pres):
-    """Sum of the positive functional over the Hilbert basis; Delta lives below it."""
-    ell = positive_functional(pres)
-    return Fraction(sum(lattice.dot(ell, v) for v in pres.hilbert_basis))
-
-
 def in_delta(pres, x):
     """Exact membership of a rational vector in Delta(P)."""
     x = lattice.as_fractions(x)
@@ -126,8 +120,7 @@ def delta_points(pres, level):
 
     The walk: every t_j < 1 in x = sum t_j r_j for x in Delta (module
     docstring), so y = level*s*x = sum level*t_j*(s*r_j) has l(y) < level*C
-    and the integer l(y) is at most level*C - 1.  This region is smaller
-    than the one `delta_bound` gives, which stays the documented bound.
+    and the integer l(y) is at most level*C - 1.
 
     The test: y = level*s*x is in Delta iff f(y) >= f(level*v) fails for
     some facet f, for each integer Hilbert generator v of P.  f is

@@ -447,6 +447,15 @@ def saturation_hilbert_basis_oracle(pres):
     return tuple(x for x in cands if x not in sums)
 
 
+def delta_bound(pres):
+    """Sum of the positive functional over the Hilbert basis; Delta lives below it."""
+    from monostack.infquot import positive_functional
+    from monostack.lattice import dot
+
+    ell = positive_functional(pres)
+    return Fraction(sum(dot(ell, v) for v in pres.hilbert_basis))
+
+
 def delta_points_oracle(pres, level):
     """Delta(P) cap (1/level)P by the definition, over the `delta_bound` region.
 
@@ -456,7 +465,6 @@ def delta_points_oracle(pres, level):
     """
     from math import floor
 
-    from monostack.infquot import delta_bound
     from monostack.lattice import dot, enumerate_integer_points, unscale
 
     denom = level * pres.denominator

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_kummer_hom, random_module, random_sharp_saturated, random_ses
+from helpers import delta_bound, random_kummer_hom, random_module, random_sharp_saturated, random_ses
 from monostack.graded import (
     ShortExactSequence,
     check_exactness,
@@ -20,7 +20,6 @@ from monostack.graded import (
 )
 from monostack.infquot import (
     TruncatedProfiniteElement,
-    delta_bound,
     divisors,
     delta_points,
     in_delta,

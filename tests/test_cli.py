@@ -338,6 +338,29 @@ def test_ideal_mingens_clamps_a_larger_bound(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ideal", "mingens", "{src}", "--level", "1", "--generators", "1"],
+        ["ideal", "mingens", "{src}", "--level", "1", "--generators", "2", "--bound", "100"],
+        ["ideal", "mingens", "{src}", "--level", "1", "--colon", "2;3"],
+        ["ideal", "mingens", "{src}", "--level", "1", "--colon", "2;3", "--bound", "1"],
+        ["probe", "coherence", "{src}", "--pair", "2;3", "--levels", "1,2"],
+    ],
+)
+def test_ideals_on_unsaturated_monoids_are_refused(command, tmp_path, capsys):
+    """Minimality is tested against the Hilbert basis of P, so an unsaturated
+    P is a failed precondition (exit 2) whatever the bound, and never an
+    answer computed for its saturation."""
+    src = tmp_path / "unsat.json"
+    src.write_text(json.dumps({"ambient_rank": 1, "generators": [[2], [3]]}))
+    got = main([str(src) if a == "{src}" else a for a in command])
+    out, err = capsys.readouterr()
+    assert got == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("level", [0, -1])
 @pytest.mark.parametrize("action, key", [("to-graded", "maps"), ("from-graded", "action")])
 def test_nonpositive_payload_level_is_malformed(action, key, level, tmp_path, capsys):

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import delta_bound
 from monostack.errors import IncompatibleFamily, NotSharp
 from monostack.infquot import (
     TruncatedProfiniteElement,
-    delta_bound,
     delta_points,
     delta0_points,
     divisors,

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_kummer_hom, random_sharp_saturated
+from helpers import delta_bound, random_kummer_hom, random_sharp_saturated
 from monostack.errors import InfiniteCokernel, LevelMismatch
-from monostack.infquot import delta_bound, divisors
+from monostack.infquot import divisors
 from monostack.kummer import (
     CosetLabel,
     FiniteAbelianGroup,
