@@ -8,7 +8,8 @@ friends, and an `ideal mingens --bound` below the certified bound whose
 region holds no point of the ideal or cannot certify its minimal
 generators; a larger --bound is clamped), 3 the infinite-quotient check
 came back inconclusive.  Every --level, --levels, --to and --divisor
-value must be a positive integer; anything else is malformed input.
+value must be a positive integer; anything else is malformed input, and so
+is every other usage error argparse reports.
 """
 
 from __future__ import annotations
@@ -62,6 +63,14 @@ def _parse_levels(text):
     if not levels:
         raise MalformedInput(f"empty level list {text!r}")
     return [_positive(n, "--levels") for n in levels]
+
+
+def _pair(text, flag):
+    """The two points of a "a;b" value."""
+    parts = text.split(";")
+    if len(parts) != 2:
+        raise MalformedInput(f"{flag} takes two points a;b, got {text!r}")
+    return [jsonio.vec_from_key(part) for part in parts]
 
 
 # -- command handlers ---------------------------------------------------------
@@ -161,13 +170,15 @@ def cmd_ideal(args):
     pres = jsonio.monoid_from_json(_read_payload(args.input))
     bound = jsonio.frac_from_str(args.bound) if args.bound else None
     if args.colon:
-        a, b = (jsonio.vec_from_key(part) for part in args.colon.split(";"))
+        a, b = _pair(args.colon, "--colon")
         ideal = graded.colon_degree_ideal(pres, args.level, a, b, bound=bound)
         colon = [jsonio.vec_to_json(a), jsonio.vec_to_json(b)]
-    else:
+    elif args.generators:
         gens = [jsonio.vec_from_key(part) for part in args.generators.split(";")]
         ideal = graded.MonoidIdeal(pres, args.level, generators=gens, bound=bound)
         colon = None
+    else:
+        raise MalformedInput("ideal mingens needs --colon or --generators")
     mins = graded.ideal_min_generators(ideal)
     payload = {
         "monoid": jsonio.monoid_to_json(pres),
@@ -182,7 +193,7 @@ def cmd_ideal(args):
 
 def cmd_probe(args):
     pres = jsonio.monoid_from_json(_read_payload(args.input))
-    a, b = (jsonio.vec_from_key(part) for part in args.pair.split(";"))
+    a, b = _pair(args.pair, "--pair")
     rows = graded.coherence_probe(pres, a, b, _parse_levels(args.levels))
     payload = {
         "monoid": jsonio.monoid_to_json(pres),
@@ -320,8 +331,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_MALFORMED if exc.code == 2 else exc.code
     try:
         for flag in ("level", "to", "divisor"):
             value = getattr(args, flag, None)

@@ -1,10 +1,11 @@
 """Exact field arithmetic and dense linear algebra.
 
-Two coefficient fields are supported: the rationals (`QQ`, backed by
-`fractions.Fraction`) and prime fields `GF(p)` for small p (elements are
-plain ints reduced mod p).  All matrix routines are written against the
-small `Field` interface below, so graded/parabolic code is generic in the
-field.  Matrices are tuples of row tuples; vectors are tuples.
+The coefficient field is a prime field, `PrimeField(p)`: the rationals
+`QQ = PrimeField(0)` (elements are `fractions.Fraction`) or `GF(p)` for
+a prime p <= 97 (elements are plain ints in [0, p)).  The matrix routines
+compute with Python's operators and bring each result back into the field
+with `norm`, so graded/parabolic code runs one code path for both fields.
+Matrices are tuples of row tuples; vectors are tuples.
 """
 
 from __future__ import annotations
@@ -14,114 +15,53 @@ from fractions import Fraction
 from .errors import MalformedInput
 
 
-class Field:
-    """Interface shared by QQ and GF(p)."""
+class PrimeField:
+    """The prime field of characteristic p: QQ for p = 0, else GF(p)."""
 
-    zero = None
-    one = None
-
-    def of_int(self, n):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def neg(self, a):
-        return self.sub(self.zero, a)
-
-    def is_zero(self, a):
-        return a == self.zero
-
-
-class RationalField(Field):
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def of_int(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return Fraction(1) / a
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-
-class PrimeField(Field):
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p and (p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1))):
             raise MalformedInput(f"{p} is not prime")
         if p > 97:
             raise MalformedInput("prime fields are supported for p <= 97")
         self.p = p
-        self.zero = 0
-        self.one = 1 % p
+        self.zero = self.of_int(0)
+        self.one = self.of_int(1)
 
     def of_int(self, n):
-        return n % self.p
+        return n % self.p if self.p else Fraction(n)
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
+    def norm(self, a):
+        """The field element of a sum or product of elements (a mod p over GF(p))."""
+        return a % self.p if self.p else a
 
     def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return pow(a, self.p - 2, self.p)
+        # Fraction(1) / a, not 1 / a: rref over QQ also takes int rows
+        return pow(a, -1, self.p) if self.p else Fraction(1) / a
 
     def __repr__(self):
-        return f"GF({self.p})"
+        return f"GF({self.p})" if self.p else "QQ"
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
     def __hash__(self):
-        return hash(("GF", self.p))
+        return hash(("PrimeField", self.p))
 
 
-QQ = RationalField()
+QQ = PrimeField(0)
 
 
 def field_from_spec(spec):
     """Parse a field tag: "Q" or "Fp:<prime>"."""
     if spec == "Q":
         return QQ
-    if spec.startswith("Fp:"):
+    if isinstance(spec, str) and spec.startswith("Fp:") and int(spec[3:]):  # "Fp:0" is no prime field
         return PrimeField(int(spec[3:]))
     raise MalformedInput(f"unknown field spec {spec!r}")
 
 
 def field_spec(field):
-    return "Q" if field == QQ else f"Fp:{field.p}"
+    return f"Fp:{field.p}" if field.p else "Q"
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +83,8 @@ def mat_from_rows(rows):
 
 
 def _dot(field, u, v):
-    acc = field.zero
-    for a, b in zip(u, v):
-        if a and b:  # a term with an exact zero factor adds nothing
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+    # a term with an exact zero factor adds nothing
+    return field.norm(sum((a * b for a, b in zip(u, v) if a and b), field.zero))
 
 
 def mat_mul(field, a, b):
@@ -163,49 +100,42 @@ def mat_mul_dims(field, a, b, rows, mid, cols):
     Tuples-of-tuples cannot carry the column count of an empty matrix, so
     compositions through a 0-dimensional space need the shape spelled out.
     """
-    if rows == 0 or cols == 0:
-        return zero_matrix(field, rows, cols)
-    if mid == 0:
+    if rows == 0 or cols == 0 or mid == 0:
         return zero_matrix(field, rows, cols)
     return mat_mul(field, a, b)
 
 
 def mat_add(field, a, b):
-    return tuple(
-        tuple(field.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+    return tuple(tuple(field.norm(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(field, c, a):
-    return tuple(tuple(field.mul(c, x) for x in row) for row in a)
+    return tuple(tuple(field.norm(c * x) for x in row) for row in a)
 
 
-def mat_eq_zero(field, a):
-    return all(field.is_zero(x) for row in a for x in row)
+def mat_eq_zero(a):
+    return not any(map(any, a))
 
 
 def rref(field, m):
     """Reduced row echelon form.  Returns (rows, pivot column list)."""
+    norm = field.norm
     rows = [list(r) for r in m]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = next(
-            (i for i in range(r, nrows) if not field.is_zero(rows[i][c])), None
-        )
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        rows[r] = [norm(inv * x) for x in rows[r]]
         for i in range(nrows):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], rows[r])
-                ]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [norm(x - f * y) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -223,15 +153,11 @@ def solve(field, a, b):
     """One solution x of A x = b, or None.  A is given by rows."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(nrows)]
-    red, pivots = rref(field, aug)
-    for row in red:
-        if all(field.is_zero(x) for x in row[:-1]) and not field.is_zero(row[-1]):
-            return None
+    red, pivots = rref(field, [list(a[i]) + [b[i]] for i in range(nrows)])
+    if pivots and pivots[-1] == ncols:  # a row 0 = nonzero
+        return None
     x = [field.zero] * ncols
     for i, c in enumerate(pivots):
-        if c == ncols:
-            return None
         x[c] = red[i][-1]
     return tuple(x)
 
@@ -248,11 +174,6 @@ def nullspace(field, a):
         v = [field.zero] * ncols
         v[f] = field.one
         for i, c in enumerate(pivots):
-            v[c] = field.neg(red[i][f])
+            v[c] = field.norm(-red[i][f])
         basis.append(tuple(v))
     return tuple(basis)
-
-
-def column_space_basis(field, m):
-    """Indices of a maximal independent subset of columns."""
-    return rref(field, m)[1]

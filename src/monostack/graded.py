@@ -374,13 +374,12 @@ class GradedModule:
              by C and induction.
         """
         alg = self.algebra
-        field = alg.field
         labels = list(self.dims)
         for h in alg.generators:
             if h in alg.delta_generators:
                 continue
             for lab in labels:
-                if not fields.mat_eq_zero(field, self.gen_matrix(h, lab)):
+                if not fields.mat_eq_zero(self.gen_matrix(h, lab)):
                     raise ValueError(f"generator {alg.point(h)} leaves Delta but acts nontrivially")
         for h in alg.delta_generators:
             for lab in labels:
@@ -395,7 +394,7 @@ class GradedModule:
         for h, gamma in law.zero:
             for lab in labels:
                 mid = self._target_label(gamma, lab)
-                if not fields.mat_eq_zero(field, self._gen_times(h, mid, self.act(gamma, lab), lab)):
+                if not fields.mat_eq_zero(self._gen_times(h, mid, self.act(gamma, lab), lab)):
                     raise ValueError(f"module law fails at generator {alg.point(h)}, basis {alg.point(gamma)}")
         for h, gamma, s in law.sums:
             for lab in labels:
@@ -442,21 +441,13 @@ def direct_sum(modules):
         raise AlgebraMismatch("direct sum over mixed algebras")
     field = algebra.field
     dims = {}
-    offsets = []
     for m in modules:
-        off = {}
         for lab, d in m.dims.items():
-            off[lab] = dims.get(lab, 0)
             dims[lab] = dims.get(lab, 0) + d
-        offsets.append(off)
     action = {}
     for lab, d in dims.items():
         for g in algebra.generators:
-            tgt = None
-            blocks = []
-            for m in modules:
-                mat = m.gen_matrix(g, lab)
-                blocks.append(mat)
+            blocks = [m.gen_matrix(g, lab) for m in modules]
             tgt_dim = sum(len(b) for b in blocks)
             if tgt_dim == 0 or d == 0:
                 continue
@@ -579,7 +570,7 @@ def _submodule(ambient, bases, what):
             moved = fields.mat_mul(field, ambient.gen_matrix(g, lab), basis)
             tbasis = incl.get(tgt)
             if tbasis is None:
-                if not fields.mat_eq_zero(field, moved):
+                if not fields.mat_eq_zero(moved):
                     raise ValueError(f"{what} is not action-stable")
                 continue
             cols = [fields.solve(field, tbasis, col) for col in zip(*moved)]
@@ -613,7 +604,7 @@ def image(f):
         if not mat or not mat[0]:
             continue
         cols = tuple(zip(*mat))
-        chosen = [cols[j] for j in fields.column_space_basis(field, mat)]
+        chosen = [cols[j] for j in fields.rref(field, mat)[1]]
         if chosen:
             bases[lab] = chosen
     return _submodule(f.target, bases, "image")
@@ -729,7 +720,7 @@ def is_exact_sequence(ses):
         comp = fields.mat_mul_dims(
             field, gb, fb, g.target.dim(lab), f.target.dim(lab), f.source.dim(lab)
         )
-        if not fields.mat_eq_zero(field, comp):
+        if not fields.mat_eq_zero(comp):
             return False
         if rank_f != f.target.dim(lab) - rank_g:
             return False
@@ -773,11 +764,12 @@ class PresentedSpace:
 
     def reduce(self, vec):
         """Coordinates of a generator-space vector in the quotient basis."""
+        norm = self.field.norm
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
-            if not self.field.is_zero(c):
-                v = [self.field.sub(a, self.field.mul(c, b)) for a, b in zip(v, row)]
+            if c:
+                v = [norm(a - c * b) for a, b in zip(v, row)]
         return tuple(v[j] for j in self.free)
 
     def unit(self, k):
@@ -819,8 +811,8 @@ class Presentation:
                 if row is None:
                     lab = hit[0]
                     row = [field.zero] * len(self.gens_per_label[lab])
-                row[hit[1]] = field.add(row[hit[1]], c)
-            if row is not None and any(not field.is_zero(c) for c in row):
+                row[hit[1]] = field.norm(row[hit[1]] + c)
+            if row is not None and any(row):
                 rows[lab].append(tuple(row))
         self.spaces = {
             lab: PresentedSpace(field, len(keys), rows[lab])
@@ -848,7 +840,7 @@ class Presentation:
         for key, c in terms:
             hit = self.index.get(key)
             if hit is not None:
-                vec[hit[1]] = sp.field.add(vec[hit[1]], c)
+                vec[hit[1]] = sp.field.norm(vec[hit[1]] + c)
         return sp.reduce(vec)
 
 
@@ -885,7 +877,7 @@ def tensor(m, n):
                     for i in range(dm):
                         for j in range(dn):
                             right = [
-                                ((mu, i, tnu, j2), field.neg(an[j2][j]))
+                                ((mu, i, tnu, j2), field.norm(-an[j2][j]))
                                 for j2 in range(n.dim(tnu))
                             ]
                             yield move(g, (mu, i, nu, j)) + right
@@ -903,23 +895,10 @@ def tensor(m, n):
 
 
 def base_tensor(dim0, module):
-    """V (x)_k M for a plain vector space V of dimension dim0."""
-    alg = module.algebra
-    field = alg.field
-    dims = {lab: dim0 * d for lab, d in module.dims.items()}
-    action = {}
-    for (g, lab), mat in module.gen_action.items():
-        rows = []
-        for v in range(dim0):
-            for r in mat:
-                row = []
-                for w in range(dim0):
-                    for c in r:
-                        row.append(c if v == w else field.zero)
-                rows.append(tuple(row))
-        # block-diagonal: rows grouped by V index
-        action[(g, lab)] = tuple(rows)
-    return GradedModule(alg, dims, action, check=False)
+    """V (x)_k M for a plain vector space V of dimension dim0: dim0 copies of M."""
+    if dim0 == 0:
+        return GradedModule(module.algebra, {}, {}, check=False)
+    return direct_sum([module] * dim0)
 
 
 def projection_formula_check(base, module):

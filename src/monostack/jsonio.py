@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import fields
 from .errors import MalformedInput
-from .fields import QQ, field_from_spec, field_spec
+from .fields import field_from_spec, field_spec
 from .graded import GradedModule, graded_algebra
 from .kummer import MonoidHom, coset_label
 from .monoid import validate
@@ -155,13 +155,13 @@ def profinite_from_json(data):
 
 
 def _fel_to_json(field, x):
-    if field == QQ:
-        return frac_to_str(x)
-    return int(x)
+    if field.p:
+        return int(x)
+    return frac_to_str(x)
 
 
 def _fel_from_json(field, data):
-    if field == QQ:
+    if not field.p:
         return frac_from_str(data)
     return field.of_int(int_from_json(data, "matrix entry"))
 
@@ -181,7 +181,7 @@ def _module_to_json(module, key):
     for lab in labels:
         for g in module.algebra.generators:
             mat = module.gen_matrix(g, lab)
-            if not mat or not mat[0] or fields.mat_eq_zero(field, mat):
+            if fields.mat_eq_zero(mat):
                 continue
             entries.append(
                 {

@@ -48,7 +48,7 @@ def ParabolicSheaf(monoid, level, field, components, structure, check=True):
     module = GradedModule(alg, components, action, check=False)
     if check:
         for (g, _), mat in action.items():
-            if g not in alg.delta_generators and not fields.mat_eq_zero(field, fields.mat_from_rows(mat)):
+            if g not in alg.delta_generators and not fields.mat_eq_zero(mat):
                 raise ValueError(f"structure matrix for {alg.point(g)} violates the zero law")
         module.validate()
     return module
@@ -110,7 +110,7 @@ def _induce_with_data(sheaf, level):
             gens.extend((lab, (nu, gamma, i)) for i in range(dm))
 
     def relations():
-        minus_one = field.neg(field.one)
+        minus_one = field.of_int(-1)
         for w in sheaf.algebra.delta_generators:
             big_w = vscale(level // sheaf.level, w)
             for nu, dm in sheaf.dims.items():
@@ -252,14 +252,15 @@ def hom_space(source, target):
                     for k in range(source.dim(tgt)):
                         key = var_index.get((tgt, r, k))
                         if key is not None:
-                            row[key] = field.add(row[key], a1[k][c])
+                            row[key] += a1[k][c]
                     # (a2 . f_lab)[r][c]
                     for k in range(target.dim(lab)):
                         key = var_index.get((lab, k, c))
                         if key is not None:
-                            row[key] = field.sub(row[key], a2[r][k])
-                    if any(not field.is_zero(x) for x in row):
-                        rows.append(tuple(row))
+                            row[key] -= a2[r][k]
+                    row = tuple(map(field.norm, row))
+                    if any(row):
+                        rows.append(row)
     if nvars == 0:
         return 0, []
     basis = fields.nullspace(field, tuple(rows)) if rows else fields.identity_matrix(field, nvars)

@@ -298,14 +298,14 @@ def _product(field, a, b, rows, cols):
         for j in range(cols):
             acc = field.zero
             for k in range(len(b)):
-                acc = field.add(acc, field.mul(a[i][k], b[k][j]))
+                acc = field.norm(acc + a[i][k] * b[k][j])
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
 
 def _is_zero(field, mat):
-    return all(field.is_zero(x) for row in mat for x in row)
+    return all(x == field.zero for row in mat for x in row)
 
 
 def _composite(module, gamma, label, memo=None):
@@ -413,7 +413,7 @@ def corrupt_entry(module, rng):
     key, i, j = rng.choice(entries)
     action = dict(module.gen_action)
     rows = [list(row) for row in action[key]]
-    rows[i][j] = field.add(rows[i][j], field.one)
+    rows[i][j] = field.norm(rows[i][j] + field.one)
     action[key] = rows
     return GradedModule(module.algebra, module.dims, action, check=False)
 

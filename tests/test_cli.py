@@ -294,6 +294,50 @@ def test_nonpositive_levels_and_denominators_are_malformed(argv, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["ideal", "mingens", "cone.json", "--level", "1"],
+        ["ideal", "mingens", "cone.json", "--colon", "0,0,0"],
+        ["ideal", "mingens", "cone.json", "--colon", "0,0,0;1,0,0;0,1,0"],
+        ["probe", "coherence", "cone.json", "--pair", "0,0,0"],
+    ],
+)
+def test_missing_or_misshapen_points_are_malformed(argv, tmp_path, capsys, monkeypatch):
+    """No --colon or --generators, or a pair that is not two points, is one
+    error line and exit 1, not a traceback or a precondition failure."""
+    (tmp_path / "cone.json").write_text(json.dumps(NONSIMPLICIAL))
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "cone.json", "--level", "abc"],
+        ["ideal", "mingens", "cone.json", "--generators"],
+        ["picard", "cone.json", "--level", "1/2"],
+        ["parabolic", "induce", "sheaf.json", "--to"],
+        ["probe", "coherence", "cone.json"],
+        ["nosuchcommand"],
+    ],
+)
+def test_usage_errors_are_malformed(argv, capsys):
+    """argparse's own usage errors exit 1, like every other malformed argument."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert "error:" in err.splitlines()[-1]
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: monostack")
+
+
+@pytest.mark.parametrize(
     "extra, code",
     [
         (["--colon", "1,0,0;0,0,1", "--bound", "-1"], 2),

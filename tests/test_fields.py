@@ -1,0 +1,154 @@
+"""The dense kernels of `monostack.fields` against sympy.
+
+`rref`, `rank`, `nullspace` and `solve` over QQ (oracle: `sympy.Matrix`)
+and over GF(2), GF(3) and GF(97) (oracle: `DomainMatrix` over `GF(p)`), on
+seeded random matrices with zero rows, zero columns and empty shapes.  The
+rref of a row space is unique, and a null space basis vector is fixed by
+the free column it is 1 at (0 at the others), so the results must agree
+exactly once sympy's null space vectors are scaled to that convention.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
+
+from monostack import fields
+from monostack.errors import MalformedInput
+from monostack.fields import QQ, PrimeField, field_from_spec, field_spec
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(97)]
+FIELD_IDS = ["Q", "F2", "F3", "F97"]
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 5), (4, 4), (5, 3), (6, 6)]
+
+
+def _entry(rng, field):
+    if field.p:
+        return field.of_int(rng.randint(-3, 3))
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _random_matrix(rng, field, rows, cols):
+    """Entries in a small range, one zero row and one zero column when the
+    shape allows, and often one row the sum of two others, so that rank
+    deficiency is common."""
+    mat = [[_entry(rng, field) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1:
+        mat[rng.randrange(rows)] = [field.zero] * cols
+    if cols > 1:
+        j = rng.randrange(cols)
+        for row in mat:
+            row[j] = field.zero
+    if rows > 2 and rng.random() < 0.5:
+        i, k, t = rng.sample(range(rows), 3)
+        mat[t] = [field.norm(x + y) for x, y in zip(mat[i], mat[k])]
+    return tuple(tuple(row) for row in mat)
+
+
+def _cases(field, seed):
+    rng = random.Random(seed)
+    return [(shape, _random_matrix(rng, field, *shape)) for shape in SHAPES for _ in range(3)]
+
+
+def _to_sympy(field, mat, rows, cols):
+    if field.p:
+        k = sympy.GF(field.p)
+        return DomainMatrix([[k(int(x)) for x in row] for row in mat], (rows, cols), k)
+    return sympy.Matrix(rows, cols, [sympy.Rational(x.numerator, x.denominator) for row in mat for x in row])
+
+
+def _from_sympy(field, rows):
+    if field.p:
+        return [tuple(int(x) % field.p for x in row) for row in rows]
+    return [tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in rows]
+
+
+def _oracle_rref(field, mat, rows, cols):
+    red, pivots = _to_sympy(field, mat, rows, cols).rref()
+    red_rows = red.to_list() if field.p else red.tolist()
+    return _from_sympy(field, red_rows), list(pivots)
+
+
+def _oracle_nullspace(field, mat, rows, cols):
+    """sympy's null space basis, each vector scaled to end in 1: the vector
+    of free column f is 1 at f and 0 at the other free columns, so its last
+    nonzero entry is at f, and `DomainMatrix` gives a multiple of it."""
+    sm = _to_sympy(field, mat, rows, cols)
+    if field.p:
+        basis = _from_sympy(field, sm.nullspace().to_list()) if cols else []
+    else:
+        basis = _from_sympy(field, [list(v) for v in sm.nullspace()])
+    scaled = []
+    for v in basis:
+        c = field.inv([x for x in v if x][-1])
+        scaled.append(tuple(field.norm(c * x) for x in v))
+    return scaled
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_rref_and_rank_match_sympy(field):
+    for (rows, cols), mat in _cases(field, 1):
+        red, pivots = fields.rref(field, mat)
+        assert ([tuple(r) for r in red], pivots) == _oracle_rref(field, mat, rows, cols), mat
+        assert fields.rank(field, mat) == len(pivots)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_nullspace_matches_sympy(field):
+    """A matrix without rows does not know its width, so it has no null
+    space basis to give; every other shape is compared."""
+    for (rows, cols), mat in _cases(field, 2):
+        if rows:
+            assert list(fields.nullspace(field, mat)) == _oracle_nullspace(field, mat, rows, cols), mat
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_solve_finds_a_solution_exactly_when_one_exists(field):
+    """A x = b has a solution iff rank A = rank [A | b]; b is half the time
+    A x0 for a random x0, so both verdicts occur."""
+    rng = random.Random(3)
+    verdicts = set()
+    for (rows, cols), mat in _cases(field, 3):
+        if not rows:  # as for nullspace, no rows means no known width
+            continue
+        if rng.random() < 0.5:
+            x0 = [_entry(rng, field) for _ in range(cols)]
+            b = tuple(field.norm(sum((a * x for a, x in zip(row, x0)), field.zero)) for row in mat)
+        else:
+            b = tuple(_entry(rng, field) for _ in range(rows))
+        aug = tuple(row + (bi,) for row, bi in zip(mat, b))
+        consistent = len(_oracle_rref(field, mat, rows, cols)[1]) == len(_oracle_rref(field, aug, rows, cols + 1)[1])
+        x = fields.solve(field, mat, b)
+        verdicts.add(consistent)
+        assert (x is not None) == consistent, (mat, b)
+        if x is not None:
+            assert len(x) == cols
+            assert all(field.norm(sum((a * xi for a, xi in zip(row, x)), field.zero)) == bi for row, bi in zip(mat, b))
+    assert verdicts == {True, False}
+
+
+def test_qq_is_the_prime_field_of_characteristic_zero():
+    assert PrimeField(0) == QQ and hash(PrimeField(0)) == hash(QQ)
+    assert QQ != PrimeField(2) and PrimeField(5) == PrimeField(5)
+    assert (repr(QQ), repr(PrimeField(5))) == ("QQ", "GF(5)")
+
+
+@pytest.mark.parametrize("p", [1, 4, 101, -3])
+def test_non_prime_or_large_characteristics_are_refused(p):
+    with pytest.raises(MalformedInput):
+        PrimeField(p)
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:5"])
+def test_field_spec_round_trips(spec):
+    assert field_spec(field_from_spec(spec)) == spec
+
+
+@pytest.mark.parametrize("spec", ["Fp:0", "Fp:4", "F5", "", 5, None])
+def test_bad_field_specs_are_malformed(spec):
+    """A payload's "field" may be any JSON value; a non-string is malformed
+    input too, not an AttributeError."""
+    with pytest.raises(MalformedInput):
+        field_from_spec(spec)

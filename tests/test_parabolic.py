@@ -99,7 +99,7 @@ def test_integral_composites_vanish(nat2):
                         mod.dim(mid),
                         mod.dim(lab),
                     )
-                    assert F.mat_eq_zero(QQ, comp)
+                    assert F.mat_eq_zero(comp)
 
 
 # -- conversion functors -----------------------------------------------------------
