@@ -2,10 +2,13 @@
 
 The level-n algebra has one basis monomial per point of Delta(P) cap
 (1/n)P, multiplied by x^g * x^d = x^(g+d) when the sum stays in Delta and
-0 otherwise.  Modules are graded by coset labels in (1/n)P^gp / P^gp and
-store action matrices for the Hilbert generators of (1/n)P; the action of
-a general Delta monomial is the memoized composite along a canonical
-decomposition.
+0 otherwise.  Modules are graded by coset labels in (1/n)P^gp / P^gp =
+(Z/n)^r, numbered once per algebra by their position in `labels`; one
+translation table per Hilbert generator (`GradedAlgebra.shift`) moves an
+index by the generator's label, so modules store dimensions and action
+matrices by index and act without label arithmetic.  `CosetLabel` appears
+only at the JSON and API edges.  The action of a general Delta monomial is
+the memoized composite along a canonical decomposition.
 
 Here and in `parabolic` a point x of (1/n)P is the int tuple y = n*s*x
 (s the presentation denominator); only the algebra knows the scale.  The
@@ -48,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import ceil, floor
-from operator import ge
+from operator import add, ge
 from typing import NamedTuple
 
 from . import fields, lattice
@@ -115,11 +118,11 @@ class GradedAlgebra:
         self.basis = self.delta.scaled
         self._basis_set = frozenset(self.basis)
         self.labels = tuple(enumerate_labels(monoid, self.level))
+        self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.zero_label = zero_label(monoid, self.level)
         self.generators = monoid._saturation_hilbert_basis
         self.delta_generators = tuple(g for g in self.generators if g in self._basis_set)
         self._decomp_memo = {(0,) * monoid.ambient_rank: ()}
-        self._label_memo = dict(zip(self.basis, self.delta.labels))
 
     def __eq__(self, other):
         return (
@@ -144,19 +147,47 @@ class GradedAlgebra:
         return y
 
     def label_of(self, y):
-        """Coset label of a point, memoized per algebra (errors are not stored)."""
-        memo = self._label_memo
-        lab = memo.get(y)
+        """Coset label of a point; the graded layer itself only reads the
+        labels of the generators, to build `shift`."""
+        lab = scaled_label(self.monoid, self.level, y)
         if lab is None:
-            lab = scaled_label(self.monoid, self.level, y)
-            if lab is None:
-                raise ValueError(f"{self.point(y)} is not in the level-{self.level} group lattice")
-            memo[y] = lab
+            raise ValueError(f"{self.point(y)} is not in the level-{self.level} group lattice")
         return lab
 
-    def basis_of_label(self, label):
-        """Delta monomials in one coset class."""
-        return self.delta.scaled_in_class(label)
+    def index(self, label):
+        """The position of a coset label in `labels`.  A label over another
+        monoid, or whose order does not divide the level, raises LevelMismatch."""
+        i = self.label_index.get(label)
+        if i is None:
+            raise LevelMismatch(f"label {_key(label.normal_form)} is not a level-{self.level} label of this monoid")
+        return i
+
+    def _position(self, residues):
+        """The index of the label with these residues mod n: `labels` runs
+        through (Z/n)^r in lex order."""
+        i = 0
+        for c in residues:
+            i = i * self.level + c % self.level
+        return i
+
+    @cached_property
+    def shift(self):
+        """shift[g][i] is the index of labels[i] + label(g), one table per
+        Hilbert generator g, built by residue arithmetic."""
+        digits = [lab.residues for lab in self.labels]
+        tables = {}
+        for g in self.generators:
+            step = self.label_of(g).residues
+            tables[g] = tuple(self._position(map(add, res, step)) for res in digits)
+        return tables
+
+    def target(self, gamma, i):
+        """The index of labels[i] + label(gamma) for gamma in (1/n)P, through
+        the generator tables along decompose(gamma)."""
+        shift = self.shift
+        for g in self.decompose(gamma):
+            i = shift[g][i]
+        return i
 
     def multiply(self, g, d):
         """x^g * x^d: the sum when it stays in Delta, else None (zero).
@@ -225,30 +256,41 @@ class ModuleLaw(NamedTuple):
 class GradedModule:
     """Finite-dimensional graded module over a level-n algebra.
 
-    `dims` maps coset labels to component dimensions (absent means zero);
-    `gen_action` maps (generator, label) to the matrix of the x^generator
-    action out of that label; a key that is not one of `algebra.generators`
-    raises ValueError.  Matrices for zero-dimensional source or target
-    components may be omitted.
+    The module is stored by label index (positions in `algebra.labels`):
+    `sizes[i]` is the dimension at label i, `support` lists the nonzero
+    ones in input order, and `action` maps (generator, i) to the matrix of
+    the x^generator action out of label i.  `act` and the law checks work
+    on indices only.  The constructor takes label-keyed `dims` and
+    `gen_action`, and `dims`, `dim`, `gen_action` and `gen_matrix` give
+    label-keyed views back.  A label over another monoid or level raises
+    LevelMismatch, an action key that is not one of `algebra.generators`
+    ValueError.  Matrices for zero-dimensional source or target components
+    may be omitted.
     """
 
     def __init__(self, algebra, dims, gen_action, check=True):
         self.algebra = algebra
-        self.dims = {lab: int(d) for lab, d in dims.items() if int(d) > 0}
-        self.gen_action = {}
+        self.sizes = [0] * len(algebra.labels)
+        support = []
+        for lab, d in dims.items():
+            i, d = algebra.index(lab), int(d)
+            if d > 0:
+                self.sizes[i] = d
+                support.append(i)
+        self.support = tuple(support)
+        self.action = {}
         for (g, lab), mat in gen_action.items():
             if g not in algebra.generators:
                 raise ValueError(f"gen {_key(algebra.point(g))} is not a Hilbert generator of (1/n)P")
+            i = algebra.index(lab)
             mat = fields.mat_from_rows(mat)
-            tgt = self._target_label(g, lab)
-            if self.dim(lab) == 0 or self.dim(tgt) == 0:
-                continue
-            self.gen_action[(g, lab)] = mat
+            if self.sizes[i] and self.sizes[algebra.shift[g][i]]:
+                self.action[(g, i)] = mat
         self._act_memo = {}
         if check:
             self.validate()
 
-    # -- shape helpers ------------------------------------------------------
+    # -- shape helpers and label-keyed views ---------------------------------
 
     @property
     def monoid(self):
@@ -266,75 +308,84 @@ class GradedModule:
         return (
             isinstance(other, GradedModule)
             and self.algebra == other.algebra
-            and self.dims == other.dims
-            and all(
-                self.gen_matrix(g, lab) == other.gen_matrix(g, lab)
-                for g in self.algebra.generators
-                for lab in self.dims
-            )
+            and self.sizes == other.sizes
+            and all(self._gen(g, i) == other._gen(g, i) for g in self.algebra.generators for i in self.support)
         )
+
+    @cached_property
+    def dims(self):
+        """Component dimensions keyed by coset label (absent means zero)."""
+        labels = self.algebra.labels
+        return {labels[i]: self.sizes[i] for i in self.support}
+
+    @property
+    def gen_action(self):
+        """The stored action matrices keyed by (generator, label)."""
+        labels = self.algebra.labels
+        return {(g, labels[i]): mat for (g, i), mat in self.action.items()}
 
     def dim(self, label):
         return self.dims.get(label, 0)
 
     @property
     def total_dim(self):
-        return sum(self.dims.values())
-
-    def _target_label(self, gamma, label):
-        return label_add(label, self.algebra.label_of(gamma))
+        return sum(self.sizes)
 
     def gen_matrix(self, g, label):
         """Action matrix of a Hilbert generator out of `label`."""
-        tgt = self._target_label(g, label)
-        shape = (self.dim(tgt), self.dim(label))
-        mat = self.gen_action.get((g, label))
+        return self._gen(g, self.algebra.index(label))
+
+    # -- the index store -----------------------------------------------------
+
+    def _gen(self, g, i):
+        """Action matrix of a Hilbert generator out of label i."""
+        shape = (self.sizes[self.algebra.shift[g][i]], self.sizes[i])
+        mat = self.action.get((g, i))
         if mat is None:
             return fields.zero_matrix(self.algebra.field, *shape)
         if (len(mat), len(mat[0]) if mat else 0) != shape:
-            where = f"gen {_key(self.algebra.point(g))} at rep {_key(label.representative)}"
+            where = f"gen {_key(self.algebra.point(g))} at rep {_key(self.algebra.labels[i].representative)}"
             raise ValueError(f"action matrix for {where} has a wrong shape")
         return mat
 
-    def act(self, gamma, label):
-        """Matrix of x^gamma out of `label` for gamma in Delta cap (1/n)P.
+    def act(self, gamma, i):
+        """Matrix of x^gamma out of label i for gamma in Delta cap (1/n)P.
 
         The composite along decompose(gamma) = (f, ...) is x^f times the
         action of gamma - f, so the longest memoized tail is reused and
         every tail on the way is memoized too.
         """
         memo = self._act_memo
-        hit = memo.get((gamma, label))
+        hit = memo.get((gamma, i))
         if hit is not None:
             return hit
-        parts = self.algebra.decompose(gamma)
+        alg = self.algebra
+        parts = alg.decompose(gamma)
         if parts is None:
-            raise ValueError(f"{self.algebra.point(gamma)} is not an element of the level monoid")
+            raise ValueError(f"{alg.point(gamma)} is not an element of the level monoid")
         points = [gamma]
         for g in parts:
             points.append(vsub(points[-1], g))
         k, mat = len(parts), None
-        for i in range(1, len(parts)):
-            mat = memo.get((points[i], label))
+        for j in range(1, len(parts)):
+            mat = memo.get((points[j], i))
             if mat is not None:
-                k = i
+                k = j
                 break
         if mat is None:
-            mat = fields.identity_matrix(self.algebra.field, self.dim(label))
+            mat = fields.identity_matrix(alg.field, self.sizes[i])
+        mid = alg.target(points[k], i)
         for j in range(k - 1, -1, -1):
-            mat = self._gen_times(parts[j], self._target_label(points[j + 1], label), mat, label)
-            memo[(points[j], label)] = mat
+            mat = self._gen_times(parts[j], mid, mat, i)
+            mid = alg.shift[parts[j]][mid]
+            memo[(points[j], i)] = mat
         return mat
 
-    def _gen_times(self, g, mid, mat, label):
-        """x^g out of `mid` times a matrix out of `label` into `mid`."""
+    def _gen_times(self, g, mid, mat, i):
+        """x^g out of label `mid` times a matrix out of label i into `mid`."""
+        sizes = self.sizes
         return fields.mat_mul_dims(
-            self.algebra.field,
-            self.gen_matrix(g, mid),
-            mat,
-            self.dim(self._target_label(g, mid)),
-            self.dim(mid),
-            self.dim(label),
+            self.algebra.field, self._gen(g, mid), mat, sizes[self.algebra.shift[g][mid]], sizes[mid], sizes[i]
         )
 
     # -- laws ----------------------------------------------------------------
@@ -374,60 +425,51 @@ class GradedModule:
              by C and induction.
         """
         alg = self.algebra
-        labels = list(self.dims)
+        shift, target, support = alg.shift, alg.target, self.support
         for h in alg.generators:
             if h in alg.delta_generators:
                 continue
-            for lab in labels:
-                if not fields.mat_eq_zero(self.gen_matrix(h, lab)):
+            for i in support:
+                if not fields.mat_eq_zero(self._gen(h, i)):
                     raise ValueError(f"generator {alg.point(h)} leaves Delta but acts nontrivially")
         for h in alg.delta_generators:
-            for lab in labels:
-                self.gen_matrix(h, lab)
+            for i in support:
+                self._gen(h, i)
         law = alg.module_law
         for g, h in law.commuting:
-            for lab in labels:
-                gh = self._gen_times(g, self._target_label(h, lab), self.gen_matrix(h, lab), lab)
-                hg = self._gen_times(h, self._target_label(g, lab), self.gen_matrix(g, lab), lab)
+            for i in support:
+                gh = self._gen_times(g, shift[h][i], self._gen(h, i), i)
+                hg = self._gen_times(h, shift[g][i], self._gen(g, i), i)
                 if gh != hg:
                     raise ValueError(f"module law fails: generators {alg.point(g)} and {alg.point(h)} do not commute")
         for h, gamma in law.zero:
-            for lab in labels:
-                mid = self._target_label(gamma, lab)
-                if not fields.mat_eq_zero(self._gen_times(h, mid, self.act(gamma, lab), lab)):
+            for i in support:
+                if not fields.mat_eq_zero(self._gen_times(h, target(gamma, i), self.act(gamma, i), i)):
                     raise ValueError(f"module law fails at generator {alg.point(h)}, basis {alg.point(gamma)}")
         for h, gamma, s in law.sums:
-            for lab in labels:
-                mid = self._target_label(gamma, lab)
-                if self._gen_times(h, mid, self.act(gamma, lab), lab) != self.act(s, lab):
+            for i in support:
+                if self._gen_times(h, target(gamma, i), self.act(gamma, i), i) != self.act(s, i):
                     raise ValueError(f"module law fails at generator {alg.point(h)}, basis {alg.point(gamma)}")
 
 
 def twist(algebra, label):
-    """The free rank-one module R(label): component at mu is R_(label+mu)."""
-    dims = {}
+    """The free rank-one module R(label): component at mu is R_(label+mu),
+    so the Delta monomial gamma sits at mu = label(gamma) - label."""
+    start = algebra._position(-c for c in algebra.labels[algebra.index(label)].residues)
     bases = {}
-    for mu in algebra.labels:
-        b = algebra.basis_of_label(label_add(label, mu))
-        if b:
-            dims[mu] = len(b)
-            bases[mu] = b
-    action = {}
-    field = algebra.field
-    for mu, b in bases.items():
+    for gamma in algebra.basis:
+        bases.setdefault(algebra.target(gamma, start), []).append(gamma)
+    labels, field = algebra.labels, algebra.field
+    dims, action = {}, {}
+    for mu in sorted(bases):
+        b = bases[mu]
+        dims[labels[mu]] = len(b)
         for g in algebra.generators:
-            tgt = label_add(mu, algebra.label_of(g))
-            tb = bases.get(tgt, ())
-            if not tb:
-                continue
-            rows = []
-            for t in tb:
-                row = []
-                for s in b:
-                    prod = algebra.multiply(g, s)
-                    row.append(field.one if prod == t else field.zero)
-                rows.append(tuple(row))
-            action[(g, mu)] = tuple(rows)
+            tb = bases.get(algebra.shift[g][mu])
+            if tb:
+                action[(g, labels[mu])] = tuple(
+                    tuple(field.one if algebra.multiply(g, s) == t else field.zero for s in b) for t in tb
+                )
     return GradedModule(algebra, dims, action, check=False)
 
 
@@ -445,14 +487,14 @@ def direct_sum(modules):
         for lab, d in m.dims.items():
             dims[lab] = dims.get(lab, 0) + d
     action = {}
-    for lab, d in dims.items():
+    for lab in dims:
+        i = algebra.index(lab)
+        col_sizes = [m.sizes[i] for m in modules]
         for g in algebra.generators:
-            blocks = [m.gen_matrix(g, lab) for m in modules]
-            tgt_dim = sum(len(b) for b in blocks)
-            if tgt_dim == 0 or d == 0:
+            blocks = [m._gen(g, i) for m in modules]
+            if not any(blocks):  # no target rows in any summand
                 continue
             rows = []
-            col_sizes = [m.dim(lab) for m in modules]
             for mi, mat in enumerate(blocks):
                 for row in mat:
                     full = []
@@ -488,71 +530,41 @@ class GradedMap:
             raise ValueError("map does not commute with the action")
 
     def block(self, label):
-        field = self.source.algebra.field
         mat = self.blocks.get(label)
         if mat is None:
-            return fields.zero_matrix(
-                field, self.target.dim(label), self.source.dim(label)
-            )
+            return fields.zero_matrix(self.source.algebra.field, self.target.dim(label), self.source.dim(label))
         return mat
 
     def commutes(self):
-        alg = self.source.algebra
-        field = alg.field
-        labels = set(self.source.dims) | set(self.target.dims)
+        src, tgt = self.source, self.target
+        alg = src.algebra
+        labels = alg.labels
         for g in alg.generators:
-            for lab in labels:
-                tgt = self.source._target_label(g, lab)
+            table = alg.shift[g]
+            for i in set(src.support) | set(tgt.support):
+                t = table[i]
                 lhs = fields.mat_mul_dims(
-                    field,
-                    self.block(tgt),
-                    self.source.gen_matrix(g, lab),
-                    self.target.dim(tgt),
-                    self.source.dim(tgt),
-                    self.source.dim(lab),
+                    alg.field, self.block(labels[t]), src._gen(g, i), tgt.sizes[t], src.sizes[t], src.sizes[i]
                 )
                 rhs = fields.mat_mul_dims(
-                    field,
-                    self.target.gen_matrix(g, lab),
-                    self.block(lab),
-                    self.target.dim(tgt),
-                    self.target.dim(lab),
-                    self.source.dim(lab),
+                    alg.field, tgt._gen(g, i), self.block(labels[i]), tgt.sizes[t], tgt.sizes[i], src.sizes[i]
                 )
                 if lhs != rhs:
                     return False
         return True
 
     def is_injective(self):
-        field = self.source.algebra.field
-        return all(
-            fields.rank(field, self.block(lab)) == d
-            for lab, d in self.source.dims.items()
-        )
+        return all(fields.rank(self.source.field, self.block(lab)) == d for lab, d in self.source.dims.items())
 
     def is_isomorphism(self):
-        return (
-            all(
-                self.source.dim(lab) == self.target.dim(lab)
-                for lab in set(self.source.dims) | set(self.target.dims)
-            )
-            and self.is_injective()
-        )
+        return self.source.sizes == self.target.sizes and self.is_injective()
 
 
 def compose_maps(g, f):
     field = f.source.algebra.field
-    labels = set(f.source.dims)
     blocks = {
-        lab: fields.mat_mul_dims(
-            field,
-            g.block(lab),
-            f.block(lab),
-            g.target.dim(lab),
-            f.target.dim(lab),
-            f.source.dim(lab),
-        )
-        for lab in labels
+        lab: fields.mat_mul_dims(field, g.block(lab), f.block(lab), g.target.dim(lab), f.target.dim(lab), d)
+        for lab, d in f.source.dims.items()
     }
     return GradedMap(f.source, g.target, blocks, check=False)
 
@@ -565,10 +577,10 @@ def _submodule(ambient, bases, what):
     incl = {lab: tuple(zip(*basis)) for lab, basis in bases.items()}
     action = {}
     for lab, basis in incl.items():
+        i = alg.index(lab)
         for g in alg.generators:
-            tgt = ambient._target_label(g, lab)
-            moved = fields.mat_mul(field, ambient.gen_matrix(g, lab), basis)
-            tbasis = incl.get(tgt)
+            moved = fields.mat_mul(field, ambient._gen(g, i), basis)
+            tbasis = incl.get(alg.labels[alg.shift[g][i]])
             if tbasis is None:
                 if not fields.mat_eq_zero(moved):
                     raise ValueError(f"{what} is not action-stable")
@@ -613,22 +625,25 @@ def image(f):
 def cokernel(f):
     """Quotient of the target by the image, with the projection."""
     target = f.target
+    alg = target.algebra
     img, incl = image(f)
-    gens = [(lab, (lab, a)) for lab, d in target.dims.items() for a in range(d)]
+    # generator keys are (label index, basis position)
+    gens = [(alg.labels[i], (i, a)) for i in target.support for a in range(target.sizes[i])]
 
     def relations():
         for lab, d in img.dims.items():
             mat = incl.block(lab)
+            i = alg.index(lab)
             for j in range(d):
-                yield [((lab, a), mat[a][j]) for a in range(target.dim(lab))]
+                yield [((i, a), mat[a][j]) for a in range(target.sizes[i])]
 
     def move(h, key):
-        lab, a = key
-        tgt = target._target_label(h, lab)
-        gmat = target.gen_matrix(h, lab)
-        return [((tgt, r), gmat[r][a]) for r in range(target.dim(tgt))]
+        i, a = key
+        t = alg.shift[h][i]
+        gmat = target._gen(h, i)
+        return [((t, r), gmat[r][a]) for r in range(target.sizes[t])]
 
-    pres = Presentation(target.algebra, gens, relations(), move)
+    pres = Presentation(alg, gens, relations(), move)
     proj_blocks = {
         lab: tuple(zip(*[sp.unit(a) for a in range(sp.ngens)]))
         for lab, sp in pres.spaces.items()
@@ -641,15 +656,10 @@ def corestrict_to_image(f, img, incl):
     """The surjection source -> image induced by f."""
     field = f.source.algebra.field
     blocks = {}
-    for lab, d in f.source.dims.items():
-        if img.dim(lab) == 0:
-            continue
-        tincl = incl.block(lab)
-        cols = []
-        for j in range(d):
-            col = tuple(f.block(lab)[i][j] for i in range(f.target.dim(lab)))
-            cols.append(fields.solve(field, tincl, col))
-        blocks[lab] = tuple(zip(*cols))
+    for lab in f.source.dims:
+        if img.dim(lab):
+            cols = [fields.solve(field, incl.block(lab), col) for col in zip(*f.block(lab))]
+            blocks[lab] = tuple(zip(*cols))
     return GradedMap(f.source, img, blocks, check=False)
 
 
@@ -672,13 +682,13 @@ def degree_zero_part(module, sublevel):
     for lab, d in module.dims.items():
         if label_level_divides(lab, sublevel):
             dims[label_at_level(lab, sublevel)] = d
+    # labels compare across levels, and a level-m generator moves a level-m
+    # label to a level-m label, so every target is a component here too
     action = {}
     for g in sub.delta_generators:
         big_g = vscale(alg.level // sublevel, g)
         for lab in dims:
-            big = label_at_level(lab, alg.level)
-            if label_level_divides(module._target_label(big_g, big), sublevel):
-                action[(g, lab)] = module.act(big_g, big)
+            action[(g, lab)] = module.act(big_g, alg.index(lab))
     return GradedModule(sub, dims, action, check=False)
 
 
@@ -705,9 +715,7 @@ def is_exact_sequence(ses):
     if f.target is not g.source and f.target.dims != g.source.dims:
         return False
     field = f.source.algebra.field
-    labels = (
-        set(f.source.dims) | set(f.target.dims) | set(g.target.dims)
-    )
+    labels = set(f.source.dims) | set(f.target.dims) | set(g.target.dims)
     for lab in labels:
         fb = f.block(lab)
         gb = g.block(lab)
@@ -823,8 +831,9 @@ class Presentation:
             sp = self.spaces[lab]
             if sp.dim == 0:
                 continue
+            i = algebra.index(lab)
             for h in algebra.delta_generators:
-                tlab = label_add(lab, algebra.label_of(h))
+                tlab = algebra.labels[algebra.shift[h][i]]
                 tsp = self.spaces.get(tlab)
                 if tsp is None or tsp.dim == 0:
                     continue
@@ -860,25 +869,29 @@ def tensor(m, n):
             lab = label_add(mu, nu)
             gens.extend((lab, (mu, i, nu, j)) for i in range(dm) for j in range(dn))
 
+    labels = alg.labels
+
     def move(g, key):
         """x^g on the left factor of e_i (x) e_j."""
         mu, i, nu, j = key
-        tmu = m._target_label(g, mu)
-        am = m.act(g, mu)
-        return [((tmu, i2, nu, j), am[i2][i]) for i2 in range(m.dim(tmu))]
+        k = alg.index(mu)
+        t = alg.shift[g][k]
+        am = m.act(g, k)
+        return [((labels[t], i2, nu, j), am[i2][i]) for i2 in range(m.sizes[t])]
 
     def relations():
         # (x^g e_i) (x) e_j = e_i (x) (x^g e_j)
         for g in alg.delta_generators:
             for mu, dm in m.dims.items():
                 for nu, dn in n.dims.items():
-                    tnu = n._target_label(g, nu)
-                    an = n.act(g, nu)
+                    k = alg.index(nu)
+                    t = alg.shift[g][k]
+                    an = n.act(g, k)
                     for i in range(dm):
                         for j in range(dn):
                             right = [
-                                ((mu, i, tnu, j2), field.norm(-an[j2][j]))
-                                for j2 in range(n.dim(tnu))
+                                ((mu, i, labels[t], j2), field.norm(-an[j2][j]))
+                                for j2 in range(n.sizes[t])
                             ]
                             yield move(g, (mu, i, nu, j)) + right
 

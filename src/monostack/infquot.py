@@ -68,8 +68,8 @@ def in_delta(pres, x):
 class DeltaSet:
     """Delta(P) intersected with (1/n)P, with per-point labels and Delta0 flags.
 
-    `scaled` and `scaled_in_class` give int tuples y = n*s*x, the other
-    accessors rational points.  Classes are keyed by (order, res).
+    `scaled` gives int tuples y = n*s*x, the other accessors rational
+    points.  Classes are keyed by (order, res).
     """
 
     def __init__(self, monoid, level, scaled, labels):
@@ -97,11 +97,8 @@ class DeltaSet:
             p for p, flag in zip(self.points, self.delta0_mask) if flag
         )
 
-    def scaled_in_class(self, label):
-        return tuple(self._by_label.get((label.order, label.res), ()))
-
     def points_in_class(self, label):
-        return self._unscale(self.scaled_in_class(label))
+        return self._unscale(self._by_label.get((label.order, label.res), ()))
 
     def delta0_point_in_class(self, label):
         pts = self.points_in_class(label)

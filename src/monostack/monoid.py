@@ -74,6 +74,15 @@ class MonoidPresentation:
         other.__dict__.update(shared)
         return other
 
+    @cached_property
+    def _hash(self):
+        return hash((self.ambient_rank, self.generators, self.denominator))
+
+    def __hash__(self):
+        """The dataclass field hash, computed once per object: every coset
+        label and memo key over the monoid hashes it."""
+        return self._hash
+
     # -- basic derived data -------------------------------------------------
 
     @cached_property

@@ -31,8 +31,9 @@ from __future__ import annotations
 from . import fields, graded
 from .errors import LevelMismatch, NotADivisor, NotAMultiple
 from .graded import GradedMap, GradedModule, graded_algebra
-from .infquot import in_delta  # bound only for perfbench's tracer
-from .kummer import label_add, label_at_level
+# in_delta and label_add are bound only for perfbench's tracer
+from .infquot import in_delta
+from .kummer import label_add
 from .lattice import vadd, vscale
 
 
@@ -104,22 +105,25 @@ def _induce_with_data(sheaf, level):
     alg_n = graded_algebra(sheaf.monoid, level, field)
     gens = []
     for nu, dm in sheaf.dims.items():
-        nu_big = label_at_level(nu, level)
+        start = alg_n.index(nu)  # labels compare across levels
         for gamma in alg_n.basis:
-            lab = label_add(nu_big, alg_n.label_of(gamma))
+            lab = alg_n.labels[alg_n.target(gamma, start)]
             gens.extend((lab, (nu, gamma, i)) for i in range(dm))
 
     def relations():
         minus_one = field.of_int(-1)
-        for w in sheaf.algebra.delta_generators:
+        alg = sheaf.algebra
+        for w in alg.delta_generators:
             big_w = vscale(level // sheaf.level, w)
             for nu, dm in sheaf.dims.items():
-                act = sheaf.act(w, nu)
-                tnu = sheaf._target_label(w, nu)
+                j = alg.index(nu)
+                act = sheaf.act(w, j)
+                t = alg.shift[w][j]
+                tnu = alg.labels[t]
                 for gamma in alg_n.basis:
                     shifted = vadd(big_w, gamma)
                     for i in range(dm):
-                        row = [((tnu, gamma, k), act[k][i]) for k in range(sheaf.dim(tnu))]
+                        row = [((tnu, gamma, k), act[k][i]) for k in range(sheaf.sizes[t])]
                         row.append(((nu, shifted, i), minus_one))
                         yield row
 
@@ -169,10 +173,9 @@ def unit_map(sheaf, level, ind=None):
     zero = (0,) * sheaf.monoid.ambient_rank
     blocks = {}
     for nu, d in sheaf.dims.items():
-        lab_big = label_at_level(nu, level)
-        if not ind_sheaf.dim(lab_big):
+        if not ind_sheaf.dim(nu):  # labels compare across levels
             continue
-        cols = [pres.coords(lab_big, [((nu, zero, i), field.one)]) for i in range(d)]
+        cols = [pres.coords(nu, [((nu, zero, i), field.one)]) for i in range(d)]
         blocks[nu] = tuple(zip(*cols))
     return GradedMap(sheaf, res, blocks, check=False)
 
@@ -193,7 +196,7 @@ def counit_map(sheaf, sublevel, ind=None):
         cols = []
         for k in pres.spaces[lab].free:
             nu, gamma, i = pres.gens_per_label[lab][k]
-            act = sheaf.act(gamma, label_at_level(nu, sheaf.level))
+            act = sheaf.act(gamma, sheaf.algebra.index(nu))
             cols.append(tuple(act[t][i] for t in range(tdim)))
         blocks[lab] = tuple(zip(*cols))
     return GradedMap(ind_sheaf, sheaf, blocks, check=False)
@@ -238,10 +241,11 @@ def hom_space(source, target):
             for c in range(d):
                 var_index[(lab, r, c)] = len(var_index)
     nvars = len(var_index)
+    alg = source.algebra
     rows = []
-    for g in source.algebra.delta_generators:
+    for g in alg.delta_generators:
         for lab, d in source.dims.items():
-            tgt = source._target_label(g, lab)
+            tgt = alg.labels[alg.shift[g][alg.index(lab)]]
             a1 = source.gen_matrix(g, lab)  # dim(tgt_src) x d
             a2 = target.gen_matrix(g, lab)
             rows_out = target.dim(tgt)
@@ -268,11 +272,7 @@ def hom_space(source, target):
     for vec in basis:
         blocks = {}
         for lab, d in source.dims.items():
-            td = target.dim(lab)
-            mat = [[field.zero] * d for _ in range(td)]
-            for r in range(td):
-                for c in range(d):
-                    mat[r][c] = vec[var_index[(lab, r, c)]]
-            blocks[lab] = tuple(tuple(r) for r in mat)
+            rows_out = range(target.dim(lab))
+            blocks[lab] = tuple(tuple(vec[var_index[(lab, r, c)]] for c in range(d)) for r in rows_out)
         maps.append(GradedMap(source, target, blocks, check=False))
     return len(maps), maps

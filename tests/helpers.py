@@ -20,7 +20,7 @@ from monostack.graded import (
     kernel,
     twist,
 )
-from monostack.kummer import MonoidHom
+from monostack.kummer import MonoidHom, label_add
 from monostack.monoid import saturate, validate
 from monostack.parabolic import from_graded, hom_space
 
@@ -308,6 +308,11 @@ def _is_zero(field, mat):
     return all(x == field.zero for row in mat for x in row)
 
 
+def _shifted(module, label, gamma):
+    """label + label(gamma), by coset label arithmetic."""
+    return label_add(label, module.algebra.label_of(gamma))
+
+
 def _composite(module, gamma, label, memo=None):
     """x^gamma out of `label`: the chain product along `decompose(gamma)`,
     stored in `memo` when one is given."""
@@ -321,15 +326,15 @@ def _composite(module, gamma, label, memo=None):
     cur = label
     for g in reversed(module.algebra.decompose(gamma)):
         gmat = module.gen_matrix(g, cur)
-        cur = module._target_label(g, cur)
+        cur = _shifted(module, cur, g)
         mat = _product(field, gmat, mat, module.dim(cur), d)
     return mat
 
 
 def _times(module, h, gamma, label, memo=None):
     """x^h x^gamma out of `label`."""
-    mid = module._target_label(gamma, label)
-    end = module._target_label(h, mid)
+    mid = _shifted(module, label, gamma)
+    end = _shifted(module, mid, h)
     field = module.algebra.field
     return _product(
         field, module.gen_matrix(h, mid), _composite(module, gamma, label, memo),

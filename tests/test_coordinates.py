@@ -107,9 +107,9 @@ def test_algebra_internals_are_ints(name):
         assert alg.generators == pres._saturation_hilbert_basis
         module = random_twist_sum(alg, rng)
         module.validate()
-        for gamma, lab in itertools.product(alg.basis, module.dims):
-            module.act(gamma, lab)
-        points = [alg.basis, alg.generators, alg.delta_generators, alg._decomp_memo, alg._label_memo]
+        for gamma, i in itertools.product(alg.basis, module.support):
+            module.act(gamma, i)
+        points = [alg.basis, alg.generators, alg.delta_generators, alg._decomp_memo]
         points += [[y for y, _ in module._act_memo], [g for g, _ in module.gen_action]]
         points += [parts for parts in alg._decomp_memo.values() if parts]
         assert all(_is_int_point(y) for group in points for y in group)

@@ -87,17 +87,17 @@ def test_integral_composites_vanish(nat2):
         for b in alg.basis:
             s = alg.point(vadd(a, b))
             if any(x != 0 for x in s) and all(x.denominator == 1 for x in s):
-                for lab in mod.dims:
-                    mid = mod._target_label(a, lab)
+                for i in mod.support:
+                    mid = alg.target(a, i)
                     import monostack.fields as F
 
                     comp = F.mat_mul_dims(
                         QQ,
                         mod.act(b, mid),
-                        mod.act(a, lab),
-                        mod.dim(mod._target_label(b, mid)),
-                        mod.dim(mid),
-                        mod.dim(lab),
+                        mod.act(a, i),
+                        mod.sizes[alg.target(b, mid)],
+                        mod.sizes[mid],
+                        mod.sizes[i],
                     )
                     assert F.mat_eq_zero(comp)
 
