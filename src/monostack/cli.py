@@ -4,10 +4,9 @@ Payloads are read from a file argument (or stdin when the argument is "-"
 or omitted) and written to stdout; identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 malformed input, 2 a
 semantic precondition was violated (non-sharp monoid, level mismatch and
-friends, and an `ideal mingens --bound` below the certified bound whose
-region holds no point of the ideal or cannot certify its minimal
-generators; a larger --bound is clamped), 3 the infinite-quotient check
-came back inconclusive.  Every --level, --levels, --to and --divisor
+friends, and any `ideal mingens --bound` below the certified bound; a
+larger --bound changes nothing), 3 the infinite-quotient check came back
+inconclusive.  Every --level, --levels, --to and --divisor
 value must be a positive integer; anything else is malformed input, and so
 is every other usage error argparse reports.
 """
@@ -168,7 +167,7 @@ def cmd_picard(args):
 
 def cmd_ideal(args):
     pres = jsonio.monoid_from_json(_read_payload(args.input))
-    bound = jsonio.frac_from_str(args.bound) if args.bound else None
+    bound = None if args.bound is None else jsonio.frac_from_str(args.bound)
     if args.colon:
         a, b = _pair(args.colon, "--colon")
         ideal = graded.colon_degree_ideal(pres, args.level, a, b, bound=bound)
@@ -306,7 +305,7 @@ def build_parser():
     q.add_argument("--level", type=int, default=1)
     q.add_argument("--colon", help='colon pair "a;b" with comma-separated rational coordinates')
     q.add_argument("--generators", help='ideal generators "g1;g2;..."')
-    q.add_argument("--bound", help="truncation bound for the region (default and cap: the certified bound)")
+    q.add_argument("--bound", help="bound on l(x) for the region; below the certified bound (the default) exits 2")
     q.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("probe", help="coherence probe across levels")

@@ -42,7 +42,7 @@ class AlgebraMismatch(MonostackError):
 
 
 class RegionTooSmall(MonostackError):
-    """A minimal generator was found too close to the truncation boundary."""
+    """An ideal walk was asked for a region below its certified bound."""
 
 
 class LevelMismatch(MonostackError):

@@ -57,7 +57,6 @@ from typing import NamedTuple
 from . import fields, lattice
 from .errors import (
     AlgebraMismatch,
-    DimensionMismatch,
     LevelMismatch,
     NotExactInput,
     RegionTooSmall,
@@ -80,8 +79,6 @@ from .monoid import monoid_points_scaled
 
 def _level_coords(pres, level, x):
     """y = level*s*x for a rational vector x, or None when y is not integral."""
-    if len(x) != pres.cone.dim:
-        raise DimensionMismatch(f"point of dim {len(x)} against cone of dim {pres.cone.dim}")
     return pres._scaled(vscale(level, x))
 
 
@@ -352,8 +349,9 @@ class GradedModule:
         """Matrix of x^gamma out of label i for gamma in Delta cap (1/n)P.
 
         The composite along decompose(gamma) = (f, ...) is x^f times the
-        action of gamma - f, so the longest memoized tail is reused and
-        every tail on the way is memoized too.
+        action of gamma - f.  The walk down the tails stops at the first
+        memoized one, and every tail above it is memoized on the way back;
+        gamma = 0 gives the identity, which is not memoized.
         """
         memo = self._act_memo
         hit = memo.get((gamma, i))
@@ -363,18 +361,17 @@ class GradedModule:
         parts = alg.decompose(gamma)
         if parts is None:
             raise ValueError(f"{alg.point(gamma)} is not an element of the level monoid")
-        points = [gamma]
-        for g in parts:
-            points.append(vsub(points[-1], g))
-        k, mat = len(parts), None
+        points, k, mat = [gamma], len(parts), None
         for j in range(1, len(parts)):
+            points.append(vsub(points[-1], parts[j - 1]))
             mat = memo.get((points[j], i))
             if mat is not None:
                 k = j
                 break
         if mat is None:
-            mat = fields.identity_matrix(alg.field, self.sizes[i])
-        mid = alg.target(points[k], i)
+            mat, mid = fields.identity_matrix(alg.field, self.sizes[i]), i
+        else:
+            mid = alg.target(points[k], i)
         for j in range(k - 1, -1, -1):
             mat = self._gen_times(parts[j], mid, mat, i)
             mid = alg.shift[parts[j]][mid]
@@ -951,11 +948,12 @@ class MonoidIdeal:
     generator g, or max(0, -f(a - b)) for the colon ideal.
 
     `certified_bound` is a bound on l(x) for every minimal generator x,
-    and the default `bound`.  Each row t cuts out a polyhedron {y : F*y >=
-    t} with recession cone the cone of P; it is pointed, so by
-    Minkowski-Weyl (Ziegler, Lectures on Polytopes, section 1) it is
-    conv(V) + cone for its vertex set V.  Write a point y of it as q + sum
-    t_j r_j with q in conv(V) and, by Caratheodory, t_j >= 0 over d
+    and the default `bound`; `ideal_min_generators` always walks to it and
+    refuses a `bound` below it (RegionTooSmall).  Each row t cuts out a
+    polyhedron {y : F*y >= t} with recession cone the cone of P; it is
+    pointed, so by Minkowski-Weyl (Ziegler, Lectures on Polytopes, section
+    1) it is conv(V) + cone for its vertex set V.  Write a point y of it as
+    q + sum t_j r_j with q in conv(V) and, by Caratheodory, t_j >= 0 over d
     independent ray generators r_j of P, which are group points and
     Hilbert generators of (1/n)P in these coordinates.  If some t_j >= 1,
     then y - r_j still lies in the polyhedron, so in the ideal, and y is
@@ -980,7 +978,7 @@ class MonoidIdeal:
         for x in points:
             y = _level_coords(monoid, self.level, x)
             if y is None or not monoid._contains_int(y):
-                raise ValueError(message.format(lattice.as_fractions(x)))
+                raise ValueError(message.format(_key(x)))
             ys.append(y)
         ell = monoid.positive_functional
         if generators:
@@ -1038,18 +1036,19 @@ def ideal_min_generators(ideal):
 
     A point x is minimal iff x - h leaves the ideal for every Hilbert
     generator h of (1/n)P.  Every minimal generator has l(x) <=
-    `certified_bound` (`MonoidIdeal`), so the walk to min(bound,
-    certified_bound) is exact from the certified bound up; a larger bound
-    is clamped.  Below it, minimality within the region is still exact
-    because ideal membership is a predicate, but generators too close to
-    the truncation boundary cannot be certified and raise RegionTooSmall,
-    as does a region holding no point of the ideal (an ideal is never
-    empty, so an empty answer would be wrong).
+    `certified_bound` (`MonoidIdeal`), so the walk goes exactly that far;
+    a larger `bound` changes nothing.  A smaller one cannot be answered
+    (a truncated region may miss minimal generators, and nothing in it
+    shows which) and raises RegionTooSmall before any walk.
 
     Region points y = n*s*x and generators h are group points, so y - h is
     in the ideal iff f(y) >= f(h) + t for a row t of `thresholds`: f is
     evaluated once per point and per h, and no lattice test is made.
     """
+    if ideal.bound < ideal.certified_bound:
+        raise RegionTooSmall(
+            f"bound {ideal.bound} is below the certified bound {ideal.certified_bound}"
+        )
     pres = ideal.monoid
     facets = pres.cone.facets
     shifted = [
@@ -1057,23 +1056,10 @@ def ideal_min_generators(ideal):
     ]
     denom = ideal.level * pres.denominator
     mins = []
-    for y in monoid_points_scaled(pres, floor(min(ideal.bound, ideal.certified_bound) * denom)):
+    for y in monoid_points_scaled(pres, floor(ideal.certified_bound * denom)):
         fy = facet_values(facets, y)
         if _dominates(fy, ideal.thresholds) and not _dominates(fy, shifted):
             mins.append(unscale(y, denom))
-    if ideal.bound >= ideal.certified_bound:
-        return mins
-    # an ideal point of least l in the region is minimal, so none is found
-    # exactly when the region holds no point of the ideal
-    if not mins:
-        raise RegionTooSmall(f"no point of the ideal has l(x) <= {ideal.bound}")
-    ell = pres.positive_functional
-    margin = ideal.bound - max(lattice.dot(ell, v) for v in pres.hilbert_basis)
-    for x in mins:
-        if lattice.dot(ell, x) > margin:
-            raise RegionTooSmall(
-                f"minimal generator {x} is beyond the certified margin"
-            )
     return mins
 
 

@@ -4,11 +4,11 @@ A point x with denominator d travels as the int tuple d*x, and `unscale`
 gives x back; only `lattice_coords` solves over Q, and `cone_contains`
 also takes Fractions.  No floating point is used.  This module provides
 Smith normal forms with transform matrices, integer lattice bases and
-membership, facets and extreme rays of rational polyhedral cones by
-integer elimination (Hermite bases and Smith kernels), cone membership,
-and bounded enumeration of points with a prescribed denominator.  The
-enumeration is an all-int walk over the coordinates in which the facets
-and the cap confine each coordinate to one interval (facet-bounded
+membership (`lattice_contains_int`), facets and extreme rays of rational
+polyhedral cones by integer elimination (Hermite bases and Smith
+kernels), cone membership, and bounded enumeration of integer points.
+The enumeration is an all-int walk over the coordinates in which the
+facets and the cap confine each coordinate to one interval (facet-bounded
 lattice-point walks as in Beck-Robins, 2007).
 
 A cone is stored by generators together with its derived H-description.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import floor, gcd
+from math import gcd
 from operator import mul
 
 from .errors import DimensionMismatch, UnboundedRegion
@@ -216,7 +216,7 @@ def lattice_coords(basis_rows, x):
     """Coordinates of x in a Hermite row basis, or None if x not in span.
 
     The coordinates are Fractions; x lies in the lattice iff all of them
-    are integers (use `lattice_contains`).
+    are integers (`lattice_contains_int` tests that for integer x).
     """
     y = list(as_fractions(x))
     coords = []
@@ -250,11 +250,6 @@ def lattice_coords_int(basis_rows, y):
     return tuple(coords)
 
 
-def lattice_contains(basis_rows, x):
-    coords = lattice_coords(basis_rows, x)
-    return coords is not None and all(c.denominator == 1 for c in coords)
-
-
 def lattice_contains_int(basis_rows, x):
     """Integer-only membership test against a Hermite row basis."""
     return lattice_coords_int(basis_rows, x) is not None
@@ -277,9 +272,6 @@ class RationalCone:
     generators: tuple
     facets: tuple
     rays: tuple
-
-    def contains(self, x):
-        return cone_contains(self, x)
 
 
 def _kernel_line(rows, dim):
@@ -448,18 +440,3 @@ def enumerate_integer_points(cone, bound_functional, cap):
                 and all(fs + fc * c >= 0 for fs, fc in zip(fsums, column))
             ]
     return out
-
-
-def enumerate_points(cone, denominator, bound_functional, bound):
-    """All x with denominator*x integral, x in cone and l(x) <= bound.
-
-    The bounding functional must be strictly positive on the cone away
-    from the origin; this is checked on the generators and violated input
-    raises UnboundedRegion.  Points come back in lexicographic order.
-    """
-    bound = Fraction(bound)
-    if bound < 0:
-        return []
-    cap = floor(bound * denominator)
-    ys = enumerate_integer_points(cone, bound_functional, cap)
-    return [unscale(y, denominator) for y in ys]

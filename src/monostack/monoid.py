@@ -159,7 +159,12 @@ class MonoidPresentation:
         return all(dot(f, y) >= 0 for f in self.cone.facets) and self._group_contains_int(y)
 
     def _scaled(self, x):
-        """s*x as an int tuple (s the denominator), or None if not integral."""
+        """s*x as an int tuple (s the denominator), or None if not integral.
+
+        A point of another dimension raises DimensionMismatch.
+        """
+        if len(x) != self.ambient_rank:
+            raise DimensionMismatch(f"point of dim {len(x)} against cone of dim {self.ambient_rank}")
         scaled = tuple(a * self.denominator for a in as_fractions(x))
         if all(c.denominator == 1 for c in scaled):
             return tuple(int(c) for c in scaled)
@@ -273,17 +278,13 @@ class MonoidPresentation:
         if not self.is_saturated:
             raise NotSaturated("membership test requires a saturated monoid")
         xi = self._scaled(x)
-        return xi is not None and self._group_contains_int(xi) and lattice.cone_contains(self.cone, xi)
+        return xi is not None and self._contains_int(xi)
 
     def contains_generated(self, x):
-        """Membership in the generated (possibly unsaturated) monoid."""
+        """Membership in the generated (possibly unsaturated) monoid.  A point
+        outside the cone needs no separate test: so is every x - g."""
         xi = self._scaled(x)
-        return xi is not None and lattice.cone_contains(self.cone, xi) and self._in_generated_int(xi)
-
-    def group_contains(self, x):
-        """Membership in the group generated by the monoid."""
-        xi = self._scaled(x)
-        return xi is not None and self._group_contains_int(xi)
+        return xi is not None and self._in_generated_int(xi)
 
 
 @dataclass(frozen=True)

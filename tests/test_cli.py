@@ -11,6 +11,7 @@ SCHEMA_DIR = Path(__file__).parent.parent / "docs" / "schemas"
 
 NONSIMPLICIAL = {"ambient_rank": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]}
 NAT = {"ambient_rank": 1, "generators": [[1]]}
+N2 = {"ambient_rank": 2, "generators": [[1, 0], [0, 1]]}
 
 
 def run_cli(args, stdin_payload=None, capsys=None, monkeypatch=None):
@@ -344,12 +345,14 @@ def test_help_exits_zero(capsys):
         (["--colon", "1,0,0;0,0,1", "--bound", "0"], 2),
         (["--generators", "1,0,0", "--bound", "1/2"], 2),
         (["--colon", "1,0,0;0,0,1", "--bound", "abc"], 1),
+        (["--colon", "1,0,0;0,0,1", "--bound", ""], 1),
     ],
 )
 def test_ideal_mingens_rejects_regions_without_ideal_points(extra, code, tmp_path, capsys):
-    """An ideal is never empty, so a region holding none of its points is too
-    small (exit 2), not an answer of zero generators; a bound that is not a
-    rational is malformed input (exit 1)."""
+    """Any --bound below the certified bound is refused (exit 2), as a
+    truncated region may miss minimal generators, and never answered with
+    zero or too few generators; a bound that is empty or not a rational is
+    malformed input (exit 1)."""
     src = tmp_path / "cone.json"
     src.write_text(json.dumps(NONSIMPLICIAL))
     got = main(["ideal", "mingens", str(src), "--level", "2"] + extra)
@@ -380,6 +383,40 @@ def test_ideal_mingens_clamps_a_larger_bound(tmp_path, capsys):
         assert main(["ideal", "mingens", str(src), "--level", "2", "--colon", "1,0,0;0,0,1"] + extra) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_ideal_mingens_refuses_a_bound_below_the_certified_one(tmp_path, capsys):
+    """<(1,0),(0,9)> on N^2 has two minimal generators and certified bound 10
+    (l(0,9) + C with C = 2, less one).  At --bound 5 the region misses
+    (0,9), so the walk is refused; at --bound 10 the bytes are the default's."""
+    src = tmp_path / "n2.json"
+    src.write_text(json.dumps(N2))
+    argv = ["ideal", "mingens", str(src), "--level", "1", "--generators", "1,0;0,9"]
+    assert main(argv + ["--bound", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bound 5 is below the certified bound 10\n"
+    outs = []
+    for extra in ([], ["--bound", "10"]):
+        assert main(argv + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["generators"] == [["0", "9"], ["1", "0"]]
+
+
+@pytest.mark.parametrize(
+    "extra, line",
+    [
+        (["--generators", "1/3,0"], "error: ideal generator 1/3,0 outside (1/n)P\n"),
+        (["--colon", "1/3,0;0,1"], "error: 1/3,0 is not an element of (1/n)P\n"),
+    ],
+    ids=["generators", "colon"],
+)
+def test_ideal_points_outside_the_level_are_named_in_payload_notation(extra, line, tmp_path, capsys):
+    src = tmp_path / "n2.json"
+    src.write_text(json.dumps(N2))
+    assert main(["ideal", "mingens", str(src), "--level", "1"] + extra) == 2
+    assert capsys.readouterr() == ("", line)
 
 
 @pytest.mark.parametrize(

@@ -452,6 +452,31 @@ def test_region_too_small_raises(nonsimplicial):
         ideal_min_generators(ideal)
 
 
+@pytest.mark.parametrize(
+    "gens, generator, colon",
+    [
+        ([(1, 0), (0, 1)], (Fraction(1, 2), 3), ((1, 0), (0, 1))),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], (0, Fraction(1, 2), 2), ((1, 0, 0), (0, 0, 1))),
+        ([(2, 0), (1, 1), (0, 2)], (Fraction(1, 2), Fraction(1, 2)), ((2, 0), (1, 1))),
+    ],
+    ids=["N2", "cone", "index2"],
+)
+def test_bound_below_certified_raises_and_at_certified_is_the_default(gens, generator, colon):
+    """One step of (1/n)P below the certified bound is refused before any
+    walk; the certified bound itself gives the default answer."""
+    pres = validate(gens)
+    n = 2
+    for make in (
+        lambda bound: MonoidIdeal(pres, n, generators=[generator], bound=bound),
+        lambda bound: colon_degree_ideal(pres, n, *colon, bound=bound),
+    ):
+        default = make(None)
+        certified = default.certified_bound
+        with pytest.raises(RegionTooSmall, match="below the certified bound"):
+            ideal_min_generators(make(certified - Fraction(1, n * pres.denominator)))
+        assert ideal_min_generators(make(certified)) == ideal_min_generators(default)
+
+
 def test_ideal_without_generators_is_refused(nat2):
     """The certified bound needs a generator or a colon pair to start from."""
     with pytest.raises(ValueError, match="needs generators"):

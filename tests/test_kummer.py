@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 
@@ -62,13 +63,14 @@ def test_root_extension_right_quotient_identity(nonsimplicial):
     pts = monoid_points(p, 2, bound)
     for x in pts:
         assert half.contains(x)
-    # conversely: enumerate ambient level-2 box points in the cone that lie
-    # in the half group lattice; they must all be points of (1/2)P
-    from monostack.lattice import enumerate_points
+    # conversely: enumerate ambient level-2 box points y = 2*x in the cone
+    # that lie in the half group lattice; they must all be points of (1/2)P
+    from monostack.lattice import enumerate_integer_points, unscale
 
-    raw = enumerate_points(p.cone, 2, p.positive_functional, bound)
-    for x in raw:
-        if half.group_contains(x):
+    raw = enumerate_integer_points(p.cone, p.positive_functional, floor(2 * bound))
+    for y in raw:
+        if half._group_contains_int(y):
+            x = unscale(y, 2)
             assert half.contains(x)
             assert x in pts
 

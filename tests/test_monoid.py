@@ -220,6 +220,5 @@ def test_group_predicate_matches_lattice_membership(gens, denominator, whole):
     for y in product(range(-5, 6), repeat=pres.ambient_rank):
         expected = lattice_contains_int(pres.group_basis, y)
         assert member(y) == expected, y
-        assert pres.group_contains(tuple(Fraction(a, denominator) for a in y)) == expected
         hits += expected
     assert (hits == 11 ** pres.ambient_rank) == whole
