@@ -13,6 +13,7 @@ from .errors import (
     AlgebraMismatch,
     DimensionMismatch,
     EmptyGenerators,
+    EnumerationBudget,
     IncompatibleFamily,
     InfiniteCokernel,
     LevelMismatch,
@@ -32,6 +33,7 @@ __all__ = [
     "AlgebraMismatch",
     "DimensionMismatch",
     "EmptyGenerators",
+    "EnumerationBudget",
     "IncompatibleFamily",
     "InfiniteCokernel",
     "LevelMismatch",

@@ -4,8 +4,9 @@ Payloads are read from a file argument (or stdin when the argument is "-"
 or omitted) and written to stdout; identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 malformed input, 2 a
 semantic precondition was violated (non-sharp monoid, level mismatch and
-friends, and any `ideal mingens --bound` below the certified bound; a
-larger --bound changes nothing), 3 the infinite-quotient check came back
+friends, any `ideal mingens --bound` below the certified bound, where a
+larger --bound changes nothing, and a `delta`/`delta0` level past the
+enumeration budget of `infquot.delta_points`), 3 the infinite-quotient check came back
 inconclusive.  Every --level, --levels, --to and --divisor
 value must be a positive integer; anything else is malformed input, and so
 is every other usage error argparse reports.

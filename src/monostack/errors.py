@@ -45,6 +45,10 @@ class RegionTooSmall(MonostackError):
     """An ideal walk was asked for a region below its certified bound."""
 
 
+class EnumerationBudget(MonostackError):
+    """An enumeration would visit more points than its fixed budget."""
+
+
 class LevelMismatch(MonostackError):
     """Parabolic/graded data at different root levels cannot be compared."""
 

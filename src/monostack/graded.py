@@ -148,7 +148,7 @@ class GradedAlgebra:
         labels of the generators, to build `shift`."""
         lab = scaled_label(self.monoid, self.level, y)
         if lab is None:
-            raise ValueError(f"{self.point(y)} is not in the level-{self.level} group lattice")
+            raise ValueError(f"{_key(self.point(y))} is not in the level-{self.level} group lattice")
         return lab
 
     def index(self, label):
@@ -360,7 +360,7 @@ class GradedModule:
         alg = self.algebra
         parts = alg.decompose(gamma)
         if parts is None:
-            raise ValueError(f"{alg.point(gamma)} is not an element of the level monoid")
+            raise ValueError(f"{_key(alg.point(gamma))} is not an element of the level monoid")
         points, k, mat = [gamma], len(parts), None
         for j in range(1, len(parts)):
             points.append(vsub(points[-1], parts[j - 1]))
@@ -428,7 +428,7 @@ class GradedModule:
                 continue
             for i in support:
                 if not fields.mat_eq_zero(self._gen(h, i)):
-                    raise ValueError(f"generator {alg.point(h)} leaves Delta but acts nontrivially")
+                    raise ValueError(f"generator {_key(alg.point(h))} leaves Delta but acts nontrivially")
         for h in alg.delta_generators:
             for i in support:
                 self._gen(h, i)
@@ -438,15 +438,15 @@ class GradedModule:
                 gh = self._gen_times(g, shift[h][i], self._gen(h, i), i)
                 hg = self._gen_times(h, shift[g][i], self._gen(g, i), i)
                 if gh != hg:
-                    raise ValueError(f"module law fails: generators {alg.point(g)} and {alg.point(h)} do not commute")
+                    raise ValueError(f"module law fails: generators {_key(alg.point(g))} and {_key(alg.point(h))} do not commute")
         for h, gamma in law.zero:
             for i in support:
                 if not fields.mat_eq_zero(self._gen_times(h, target(gamma, i), self.act(gamma, i), i)):
-                    raise ValueError(f"module law fails at generator {alg.point(h)}, basis {alg.point(gamma)}")
+                    raise ValueError(f"module law fails at generator {_key(alg.point(h))}, basis {_key(alg.point(gamma))}")
         for h, gamma, s in law.sums:
             for i in support:
                 if self._gen_times(h, target(gamma, i), self.act(gamma, i), i) != self.act(s, i):
-                    raise ValueError(f"module law fails at generator {alg.point(h)}, basis {alg.point(gamma)}")
+                    raise ValueError(f"module law fails at generator {_key(alg.point(h))}, basis {_key(alg.point(gamma))}")
 
 
 def twist(algebra, label):

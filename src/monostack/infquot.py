@@ -1,13 +1,19 @@
 """Delta geometry and the infinite-quotient decision procedure.
 
 Delta(P) is the set of rational cone points that are not (nonzero monoid
-element) + (cone point).  Its level-n slice is finite: by Caratheodory a
-cone point x is sum t_j r_j with t_j >= 0 over d = rank P linearly
-independent r_j, each the least element of P on an extreme ray.  If x is
-in Delta, then x - r_j is not in the cone, so every t_j < 1 and l(x) is
-less than the sum of the d largest l(r_j).  In the integer model (s the
-denominator) the s*r_j are `MonoidPresentation.ray_generators` and that
-sum is C/s, C = `caratheodory_sum`.
+element) + (cone point).  Its level-n slice is finite: a cone point x lies
+in the cone of a simplex of a triangulation of the extreme rays, so x is
+sum t_j r_j with t_j >= 0 over d = rank P linearly independent r_j, each
+the least element of P on an extreme ray.  If x is in Delta, then x - r_j
+is not in the cone, so every t_j < 1: x lies in the half-open
+parallelepiped of the simplex.  In the integer model (s the denominator)
+the s*r_j are `MonoidPresentation.ray_generators`, and
+`MonoidPresentation._parallelepipeds` holds a pulling triangulation with
+the group points of each parallelepiped; the level-n slice is read off
+them (the Normaliz primal algorithm: Bruns-Ichim, "Normaliz: algorithms
+for affine monoids and rational cones", J. Algebra 324, 2010).  Its
+candidates are counted before they are enumerated, and more than
+`ENUMERATION_BUDGET` raise `EnumerationBudget`.
 
 Delta0(P) keeps the points that are alone in their class modulo the
 group; at a fixed level this is decided exactly by the level-n
@@ -37,10 +43,13 @@ from functools import cached_property, lru_cache
 from operator import ge
 
 from . import lattice
-from .errors import IncompatibleFamily, NotSharp
+from .errors import EnumerationBudget, IncompatibleFamily, NotSharp
 from .kummer import coset_label, label_scale, scaled_label
-from .lattice import facet_values, unscale, vscale
-from .monoid import MonoidElement, monoid_points_scaled
+from .lattice import facet_values, unscale, vadd, vscale
+from .monoid import MonoidElement
+
+# Most Delta candidates `delta_points` enumerates at one level.
+ENUMERATION_BUDGET = 2 * 10**6
 
 
 def divisors(n):
@@ -115,19 +124,38 @@ class DeltaSet:
 def delta_points(pres, level):
     """Delta(P) cap (1/level)P, lex-sorted, with Delta0 flags.
 
-    The walk: every t_j < 1 in x = sum t_j r_j for x in Delta (module
-    docstring), so y = level*s*x = sum level*t_j*(s*r_j) has l(y) < level*C
-    and the integer l(y) is at most level*C - 1.
+    The candidates: for x in Delta, the group point y = level*s*x lies in
+    the cone of a simplex of `_parallelepipeds`, y = sum u_j r_j over its
+    integer ray generators r_j.  As x is in Delta, u_j/level < 1 (module
+    docstring), so 0 <= u_j < level, and with k_j = floor(u_j) the group
+    point y - sum k_j r_j lies in the simplex's half-open parallelepiped.
+    So y is p + sum k_j r_j for a parallelepiped point p and 0 <= k_j <
+    level: level^d * sum |Pi| candidates over the simplices, d the rank.
+    Past `ENUMERATION_BUDGET` of them it raises `EnumerationBudget` before
+    enumerating.
 
     The test: y = level*s*x is in Delta iff f(y) >= f(level*v) fails for
     some facet f, for each integer Hilbert generator v of P.  f is
     evaluated once per point and once per v.
     """
     pres.hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
+    pieces = pres._parallelepipeds
+    count = level ** pres.group_rank * sum(len(points) for _, points in pieces)
+    if count > ENUMERATION_BUDGET:
+        raise EnumerationBudget(
+            f"level {level} has {count} Delta candidates, past the budget of {ENUMERATION_BUDGET}"
+        )
+    candidates = set()
+    for rays, points in pieces:
+        offsets = [(0,) * pres.ambient_rank]
+        for r in rays:
+            steps = [vscale(k, r) for k in range(level)]
+            offsets = [vadd(o, t) for o in offsets for t in steps]
+        candidates.update(vadd(p, o) for p in points for o in offsets)
     facets = pres.cone.facets
     shifts = [facet_values(facets, vscale(level, v)) for v in pres._saturation_hilbert_basis]
     scaled = []
-    for y in monoid_points_scaled(pres, level * pres.caratheodory_sum - 1):
+    for y in sorted(candidates):
         fy = facet_values(facets, y)
         if not any(all(map(ge, fy, fv)) for fv in shifts):
             scaled.append(y)

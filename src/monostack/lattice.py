@@ -6,7 +6,9 @@ also takes Fractions.  No floating point is used.  This module provides
 Smith normal forms with transform matrices, integer lattice bases and
 membership (`lattice_contains_int`), facets and extreme rays of rational
 polyhedral cones by integer elimination (Hermite bases and Smith
-kernels), cone membership, and bounded enumeration of integer points.
+kernels), pulling triangulations of a cone's rays with the lattice points
+of each simplex's half-open parallelepiped, cone membership, and bounded
+enumeration of integer points.
 The enumeration is an all-int walk over the coordinates in which the
 facets and the cap confine each coordinate to one interval (facet-bounded
 lattice-point walks as in Beck-Robins, 2007).
@@ -21,19 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DimensionMismatch, UnboundedRegion
 
 
 def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u):
@@ -350,6 +352,59 @@ def _extreme_rays(prim_gens, facets, dim):
         g for g in prim_gens
         if len(lattice_basis([f for f in facets if dot(f, g) == 0])) == dim - 1
     ))
+
+
+def pulling_triangulation(rays, facets):
+    """A pulling triangulation of the pointed cone over `rays`, cut out by `facets`.
+
+    Each simplex is a sorted tuple of indices into `rays`, of linearly
+    independent rays as many as the rank.  A face F (a set of rays) of
+    rank r is one simplex when it has r rays; else its first ray v is the
+    apex, joined to the triangulation of every facet of F that misses v.
+    The facets of F are the F cap {f = 0} of rank r - 1 over the facets f
+    of the cone (a facet of F is a face of the cone, cut out in F by any
+    facet of the cone through it and not through F).  A face is
+    triangulated the same way wherever it occurs, so the simplices meet
+    face to face: they cover the cone and their interiors are disjoint.
+    """
+
+    def rank(face):
+        return len(lattice_basis([rays[i] for i in face]))
+
+    def triangulate(face, r):
+        if len(face) == r:
+            return [face]
+        apex, simplices, seen = face[0], [], set()
+        for f in facets:
+            facet = tuple(i for i in face if dot(f, rays[i]) == 0)
+            if apex not in facet and facet not in seen and rank(facet) == r - 1:
+                seen.add(facet)
+                simplices += [(apex,) + s for s in triangulate(facet, r - 1)]
+        return simplices
+
+    whole = tuple(range(len(rays)))
+    return [tuple(sorted(s)) for s in triangulate(whole, rank(whole))]
+
+
+def parallelepiped_points(rays, coords):
+    """The points of L in the half-open parallelepiped {sum u_j r_j : 0 <= u_j < 1}.
+
+    `rays` are linearly independent integer vectors of a lattice L and
+    `coords` (a square matrix, rows) their coordinates in a basis of L.
+    With the Smith form U*R*V = D of R = `coords`, R^-1 = V*D^-1*U, and
+    the coordinate vectors a*V^-1, 0 <= a_i < d_i, run once over L/(sum Z r_j).
+    Such a w has u = w*R^-1 = a*D^-1*U, so with e the last divisor the point
+    of its class in the parallelepiped is sum c_j r_j / e, c_j = e*u_j mod e.
+    There are |det R| points, the first 0.
+    """
+    snf = smith_normal_form(coords)
+    e = snf.divisors[-1]
+    rows = [[(e // d) * x for x in row] for d, row in zip(snf.divisors, snf.u)]
+    points = []
+    for a in product(*(range(d) for d in snf.divisors)):
+        c = [sum(ai * row[j] for ai, row in zip(a, rows)) % e for j in range(len(rays))]
+        points.append(tuple(sum(map(mul, c, col)) // e for col in zip(*rays)))
+    return points
 
 
 def cone_contains(cone, x):

@@ -14,6 +14,9 @@ Membership in the group P^gp is one integer predicate per monoid: nothing
 to test when the group is Z^d, else one residue test per Smith invariant
 factor of the group basis (the proof is at `_group_contains_int`).
 `_contains_int(y)` tests y/s in P, so y = n*s*x tests x in (1/n)P.
+The Hilbert basis and the Delta slices (`infquot.delta_points`) are read
+off `_parallelepipeds`, a triangulation of the cone with the group points
+of each simplex's half-open parallelepiped, not off a walk.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import floor, lcm
+from operator import ge
 
 from . import lattice
 from .errors import DimensionMismatch, EmptyGenerators, NotSaturated, NotSharp
@@ -30,6 +34,7 @@ from .lattice import (
     as_fractions,
     cone_from_generators,
     dot,
+    facet_values,
     is_zero_vector,
     lattice_basis,
     lattice_coords,
@@ -41,8 +46,8 @@ from .lattice import (
 
 # Derived data fixed by (ambient_rank, generators), never by the denominator.
 INTEGER_MODEL = ("cone", "group_basis", "positive_functional", "is_sharp", "is_saturated", "is_simplicial",
-                 "_group_contains_int", "ray_generators", "caratheodory_sum", "_saturation_hilbert_basis",
-                 "_in_generated_memo")
+                 "_group_contains_int", "ray_generators", "caratheodory_sum", "_parallelepipeds",
+                 "_saturation_hilbert_basis", "_in_generated_memo")
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,12 @@ class MonoidPresentation:
 
     # -- integer-model helpers ----------------------------------------------
 
+    @property
+    def _group_is_ambient(self):
+        """The group is Z^d: its Hermite basis is the identity."""
+        d = self.ambient_rank
+        return self.group_basis == tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+
     @cached_property
     def _group_contains_int(self):
         """Integer predicate y in P^gp, built once per monoid.
@@ -137,10 +148,10 @@ class MonoidPresentation:
         j < r and (y*V)_j = 0 for j >= r.  Columns with d_j = 1 impose
         nothing, and the identity basis (the group is Z^d) none at all.
         """
+        if self._group_is_ambient:
+            return lambda y: True
         d = self.ambient_rank
         basis = self.group_basis
-        if basis == tuple(tuple(int(i == j) for j in range(d)) for i in range(d)):
-            return lambda y: True
         snf = lattice.smith_normal_form(basis)
         moduli = snf.divisors + (0,) * (d - len(basis))
         tests = [(col, m) for col, m in zip(zip(*snf.v), moduli) if m != 1]
@@ -232,36 +243,58 @@ class MonoidPresentation:
 
         By Caratheodory every x in the cone is sum t_j r_j with t_j >= 0 over
         d linearly independent ray generators r_j, so l(x) < C as soon as
-        every t_j < 1.  This bounds every walk over the cone: Delta slices,
-        Hilbert bases and minimal generators of monomial ideals.
+        every t_j < 1.  This bounds the walk for minimal generators of
+        monomial ideals.
         """
         ell = self.positive_functional
         return sum(sorted(dot(ell, r) for r in self.ray_generators)[-self.group_rank:])
 
     @cached_property
-    def _saturation_hilbert_basis(self):
-        """Hilbert basis of group lattice and cone, in the integer model.
+    def _parallelepipeds(self):
+        """A pulling triangulation of `ray_generators`, each simplex with its
+        half-open parallelepiped, in the integer model.
 
-        Write an indecomposable x of L cap cone as sum t_j r_j over d
-        independent ray generators (`caratheodory_sum`).  If some t_j >= 1,
-        then x - r_j is in L cap cone and x = r_j + (x - r_j) decomposes,
-        unless x = r_j.  So x is a ray generator or l(x) < C, and the walk
-        to l <= max(C - 1, l(r)) over the ray generators r is exhaustive
-        (the maximum matters only at rank 1, where C = l(r)).  The region is
-        closed under going down in the cone, so a reduction pass over it
-        finds the indecomposables.
+        A tuple of pairs (rays r_1..r_d of the simplex, the points of the
+        group lattice L in {sum u_j r_j : 0 <= u_j < 1}), see
+        `lattice.pulling_triangulation` and `lattice.parallelepiped_points`.
+        The parallelepiped holds [L : sum Z r_j] = |det| points (the ray
+        coordinates in the group basis); when the group is Z^d those
+        coordinates are the rays themselves.
         """
-        ell = self.positive_functional
-        cap = max(self.caratheodory_sum - 1, *(dot(ell, r) for r in self.ray_generators))
-        region = lattice.enumerate_integer_points(self.cone, ell, cap)
-        in_group = self._group_contains_int
-        candidates = [x for x in region if any(x) and in_group(x)]
-        cand_set = set(candidates)
-        # x = y + z with y, z nonzero forces z into the enumerated region
+        rays = self.ray_generators
+        if self._group_is_ambient:
+            coords = rays
+        else:
+            coords = tuple(lattice.lattice_coords_int(self.group_basis, r) for r in rays)
+        return tuple(
+            (tuple(rays[i] for i in simplex),
+             tuple(lattice.parallelepiped_points([rays[i] for i in simplex], [coords[i] for i in simplex])))
+            for simplex in lattice.pulling_triangulation(rays, self.cone.facets)
+        )
+
+    @cached_property
+    def _saturation_hilbert_basis(self):
+        """Hilbert basis of group lattice and cone, in the integer model, lex-sorted.
+
+        An indecomposable x of L cap cone lies in some simplex of
+        `_parallelepipeds`: x = sum t_j r_j with t_j >= 0.  If some t_j >= 1,
+        then x - r_j is in L cap cone and x = r_j + (x - r_j) decomposes,
+        unless x = r_j.  So x is a ray generator or every t_j < 1, and then
+        x is a nonzero point of that simplex's parallelepiped: a candidate.
+        A candidate x is dropped when x - y is in the cone (so in L cap cone,
+        and nonzero) for another candidate y, which decomposes x.  A
+        decomposable x = a + b has a Hilbert generator h with a - h in L cap
+        cone: a candidate other than x with x - h in the cone.  So exactly
+        the indecomposables stay.
+        """
+        facets = self.cone.facets
+        candidates = set(self.ray_generators)
+        candidates.update(p for _, points in self._parallelepipeds for p in points if any(p))
+        values = [(x, facet_values(facets, x)) for x in sorted(candidates)]
         return tuple(
             x
-            for x in candidates
-            if not any(y != x and vsub(x, y) in cand_set for y in candidates)
+            for x, fx in values
+            if not any(y != x and all(map(ge, fx, fy)) for y, fy in values)
         )
 
     # -- public operations ----------------------------------------------------

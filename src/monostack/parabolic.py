@@ -50,7 +50,7 @@ def ParabolicSheaf(monoid, level, field, components, structure, check=True):
     if check:
         for (g, _), mat in action.items():
             if g not in alg.delta_generators and not fields.mat_eq_zero(mat):
-                raise ValueError(f"structure matrix for {alg.point(g)} violates the zero law")
+                raise ValueError(f"structure matrix for {graded._key(alg.point(g))} violates the zero law")
         module.validate()
     return module
 

@@ -404,6 +404,18 @@ def test_ideal_mingens_refuses_a_bound_below_the_certified_one(tmp_path, capsys)
     assert json.loads(outs[0])["generators"] == [["0", "9"], ["1", "0"]]
 
 
+@pytest.mark.parametrize("command", ["delta", "delta0"])
+def test_delta_past_the_enumeration_budget_exits_2(command, tmp_path, capsys):
+    """N^2 at level 10^6 has 10^12 Delta candidates (one unimodular simplex):
+    refused at once, before any enumeration."""
+    src = tmp_path / "n2.json"
+    src.write_text(json.dumps(N2))
+    assert main([command, "--level", "1000000", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: level 1000000 has 1000000000000 Delta candidates, past the budget of 2000000\n"
+
+
 @pytest.mark.parametrize(
     "extra, line",
     [

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import delta_bound
-from monostack.errors import IncompatibleFamily, NotSharp
+from monostack import infquot
+from monostack.errors import EnumerationBudget, IncompatibleFamily, NotSharp
 from monostack.infquot import (
     TruncatedProfiniteElement,
     delta_points,
@@ -89,6 +90,19 @@ def test_delta_divisor_closure_exhaustive(nat, nat2, nat3, nonsimplicial):
                         continue
                     assert in_delta(pres, gamma)
                     assert in_delta(pres, rest)
+
+
+def test_delta_budget_is_the_exact_candidate_count(nonsimplicial, monkeypatch):
+    """The cone's two unimodular simplices give 2 * n^3 candidates at level n:
+    a budget of 2 * 8^3 admits level 8 and refuses level 9 before enumerating."""
+    monkeypatch.setattr(infquot, "ENUMERATION_BUDGET", 2 * 8**3)
+    infquot.delta_points.cache_clear()
+    try:
+        assert len(delta_points(nonsimplicial, 8)) > 0
+        with pytest.raises(EnumerationBudget, match="^level 9 has 1458 Delta candidates, past the budget of 1024$"):
+            delta_points(nonsimplicial, 9)
+    finally:
+        infquot.delta_points.cache_clear()
 
 
 def test_delta0_nat_every_class(nat):
