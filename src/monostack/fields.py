@@ -1,16 +1,18 @@
 """Exact field arithmetic and dense linear algebra.
 
 The coefficient field is a prime field, `PrimeField(p)`: the rationals
-`QQ = PrimeField(0)` (elements are `fractions.Fraction`) or `GF(p)` for
-a prime p <= 97 (elements are plain ints in [0, p)).  The matrix routines
-compute with Python's operators and bring each result back into the field
-with `norm`, so graded/parabolic code runs one code path for both fields.
-Matrices are tuples of row tuples; vectors are tuples.
+`QQ = PrimeField(0)` (elements are ints, or `fractions.Fraction`s once a
+division makes the value fractional) or `GF(p)` for a prime p <= 97
+(elements are plain ints in [0, p)).  The matrix routines compute with
+Python's operators and bring each result back into the field with `norm`,
+so graded/parabolic code runs one code path for both fields.  Matrices
+are tuples of row tuples; vectors are tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import MalformedInput
 
@@ -28,14 +30,14 @@ class PrimeField:
         self.one = self.of_int(1)
 
     def of_int(self, n):
-        return n % self.p if self.p else Fraction(n)
+        return n % self.p if self.p else n
 
     def norm(self, a):
-        """The field element of a sum or product of elements (a mod p over GF(p))."""
-        return a % self.p if self.p else a
+        """The field element of a sum or product: a mod p, or over QQ the int of an integral value."""
+        return a % self.p if self.p else a.numerator if type(a) is Fraction and a.denominator == 1 else a
 
     def inv(self, a):
-        # Fraction(1) / a, not 1 / a: rref over QQ also takes int rows
+        # Fraction(1) / a, not 1 / a: QQ elements are often ints
         return pow(a, -1, self.p) if self.p else Fraction(1) / a
 
     def __repr__(self):
@@ -83,8 +85,7 @@ def mat_from_rows(rows):
 
 
 def _dot(field, u, v):
-    # a term with an exact zero factor adds nothing
-    return field.norm(sum((a * b for a, b in zip(u, v) if a and b), field.zero))
+    return field.norm(sum(map(mul, u, v)))
 
 
 def mat_mul(field, a, b):
@@ -118,7 +119,8 @@ def mat_eq_zero(a):
 
 
 def rref(field, m):
-    """Reduced row echelon form.  Returns (rows, pivot column list)."""
+    """Reduced row echelon form.  Returns (rows, pivot column list); the
+    rows past the pivots are zero."""
     norm = field.norm
     rows = [list(r) for r in m]
     nrows = len(rows)
@@ -130,7 +132,7 @@ def rref(field, m):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
+        inv = norm(field.inv(rows[r][c]))  # an int when the pivot is 1 or -1
         rows[r] = [norm(inv * x) for x in rows[r]]
         for i in range(nrows):
             f = rows[i][c]
@@ -140,7 +142,7 @@ def rref(field, m):
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), pivots
+    return tuple(tuple(row) for row in rows[:r]) + ((field.zero,) * ncols,) * (nrows - r), pivots
 
 
 def rank(field, m):

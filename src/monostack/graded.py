@@ -73,7 +73,7 @@ from .kummer import (
     scaled_label,
     zero_label,
 )
-from .lattice import facet_values, unscale, vadd, vscale, vsub
+from .lattice import facet_values, unscale, vadd, vec_key, vscale, vsub
 from .monoid import monoid_points_scaled
 
 
@@ -87,11 +87,6 @@ def contains_at_level(pres, level, x):
     level*s*x is integral and `pres._contains_int(y)`."""
     y = _level_coords(pres, level, x)
     return y is not None and pres._contains_int(y)
-
-
-def _key(x):
-    """A rational vector in payload notation, such as 1/2,0."""
-    return ",".join(map(str, x))
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +135,7 @@ class GradedAlgebra:
         """The integer coordinates scale*x of a rational vector x, or ValueError."""
         y = _level_coords(self.monoid, self.level, x)
         if y is None:
-            raise ValueError(f"{_key(x)} is not a point of level {self.level}")
+            raise ValueError(f"{vec_key(x)} is not a point of level {self.level}")
         return y
 
     def label_of(self, y):
@@ -148,7 +143,7 @@ class GradedAlgebra:
         labels of the generators, to build `shift`."""
         lab = scaled_label(self.monoid, self.level, y)
         if lab is None:
-            raise ValueError(f"{_key(self.point(y))} is not in the level-{self.level} group lattice")
+            raise ValueError(f"{vec_key(self.point(y))} is not in the level-{self.level} group lattice")
         return lab
 
     def index(self, label):
@@ -156,7 +151,7 @@ class GradedAlgebra:
         monoid, or whose order does not divide the level, raises LevelMismatch."""
         i = self.label_index.get(label)
         if i is None:
-            raise LevelMismatch(f"label {_key(label.normal_form)} is not a level-{self.level} label of this monoid")
+            raise LevelMismatch(f"label {vec_key(label.normal_form)} is not a level-{self.level} label of this monoid")
         return i
 
     def _position(self, residues):
@@ -278,7 +273,7 @@ class GradedModule:
         self.action = {}
         for (g, lab), mat in gen_action.items():
             if g not in algebra.generators:
-                raise ValueError(f"gen {_key(algebra.point(g))} is not a Hilbert generator of (1/n)P")
+                raise ValueError(f"gen {vec_key(algebra.point(g))} is not a Hilbert generator of (1/n)P")
             i = algebra.index(lab)
             mat = fields.mat_from_rows(mat)
             if self.sizes[i] and self.sizes[algebra.shift[g][i]]:
@@ -341,7 +336,7 @@ class GradedModule:
         if mat is None:
             return fields.zero_matrix(self.algebra.field, *shape)
         if (len(mat), len(mat[0]) if mat else 0) != shape:
-            where = f"gen {_key(self.algebra.point(g))} at rep {_key(self.algebra.labels[i].representative)}"
+            where = f"gen {vec_key(self.algebra.point(g))} at rep {vec_key(self.algebra.labels[i].representative)}"
             raise ValueError(f"action matrix for {where} has a wrong shape")
         return mat
 
@@ -360,7 +355,7 @@ class GradedModule:
         alg = self.algebra
         parts = alg.decompose(gamma)
         if parts is None:
-            raise ValueError(f"{_key(alg.point(gamma))} is not an element of the level monoid")
+            raise ValueError(f"{vec_key(alg.point(gamma))} is not an element of the level monoid")
         points, k, mat = [gamma], len(parts), None
         for j in range(1, len(parts)):
             points.append(vsub(points[-1], parts[j - 1]))
@@ -428,7 +423,7 @@ class GradedModule:
                 continue
             for i in support:
                 if not fields.mat_eq_zero(self._gen(h, i)):
-                    raise ValueError(f"generator {_key(alg.point(h))} leaves Delta but acts nontrivially")
+                    raise ValueError(f"generator {vec_key(alg.point(h))} leaves Delta but acts nontrivially")
         for h in alg.delta_generators:
             for i in support:
                 self._gen(h, i)
@@ -438,15 +433,15 @@ class GradedModule:
                 gh = self._gen_times(g, shift[h][i], self._gen(h, i), i)
                 hg = self._gen_times(h, shift[g][i], self._gen(g, i), i)
                 if gh != hg:
-                    raise ValueError(f"module law fails: generators {_key(alg.point(g))} and {_key(alg.point(h))} do not commute")
+                    raise ValueError(f"module law fails: generators {vec_key(alg.point(g))} and {vec_key(alg.point(h))} do not commute")
         for h, gamma in law.zero:
             for i in support:
                 if not fields.mat_eq_zero(self._gen_times(h, target(gamma, i), self.act(gamma, i), i)):
-                    raise ValueError(f"module law fails at generator {_key(alg.point(h))}, basis {_key(alg.point(gamma))}")
+                    raise ValueError(f"module law fails at generator {vec_key(alg.point(h))}, basis {vec_key(alg.point(gamma))}")
         for h, gamma, s in law.sums:
             for i in support:
                 if self._gen_times(h, target(gamma, i), self.act(gamma, i), i) != self.act(s, i):
-                    raise ValueError(f"module law fails at generator {_key(alg.point(h))}, basis {_key(alg.point(gamma))}")
+                    raise ValueError(f"module law fails at generator {vec_key(alg.point(h))}, basis {vec_key(alg.point(gamma))}")
 
 
 def twist(algebra, label):
@@ -978,7 +973,7 @@ class MonoidIdeal:
         for x in points:
             y = _level_coords(monoid, self.level, x)
             if y is None or not monoid._contains_int(y):
-                raise ValueError(message.format(_key(x)))
+                raise ValueError(message.format(vec_key(x)))
             ys.append(y)
         ell = monoid.positive_functional
         if generators:

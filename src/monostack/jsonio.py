@@ -1,11 +1,12 @@
 """JSON (de)serialization for all interchange formats.
 
-Rationals travel as exact strings ("3/4", "2"); generator matrices of
-monoids and homomorphisms are plain integer arrays.  Derived data is never
-read back from payloads: monoids rebuild their cones, flags and Hilbert
-bases from the generators alone.  A parabolic sheaf is a `GradedModule`,
-so the parabolic and graded-module formats share one writer and one
-reader and differ only in the key of the matrix list, "maps" or "action".
+Rationals travel as exact strings ("3/4", "2") and read back as ints when
+integral, like QQ field elements; generator matrices of monoids and
+homomorphisms are plain integer arrays.  Derived data is never read back
+from payloads: monoids rebuild their cones, flags and Hilbert bases from
+the generators alone.  A parabolic sheaf is a `GradedModule`, so the
+parabolic and graded-module formats share one writer and one reader and
+differ only in the key of the matrix list, "maps" or "action".
 Generators travel as rational keys, converted by `GradedAlgebra.coords`
 and `GradedAlgebra.point`.  Every value the schemas type as integer, and
 every GF(p) matrix entry, goes through `int_from_json`, which rejects
@@ -22,19 +23,21 @@ from .errors import MalformedInput
 from .fields import field_from_spec, field_spec
 from .graded import GradedModule, graded_algebra
 from .kummer import MonoidHom, coset_label
+from .lattice import vec_key as vec_to_key
 from .monoid import validate
 from .parabolic import ParabolicSheaf
 
 
 def frac_to_str(x):
-    return str(Fraction(x))
+    return str(x) if type(x) is int else str(Fraction(x))
 
 
 def frac_from_str(s):
     try:
-        return Fraction(str(s))
+        x = Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad rational {s!r}") from exc
+    return x.numerator if x.denominator == 1 else x
 
 
 def int_from_json(value, what, minimum=None):
@@ -58,10 +61,6 @@ def vec_from_json(data):
     if not isinstance(data, (list, tuple)):
         raise MalformedInput("vector must be an array of rationals")
     return tuple(frac_from_str(a) for a in data)
-
-
-def vec_to_key(v):
-    return ",".join(frac_to_str(a) for a in v)
 
 
 def vec_from_key(s):
@@ -155,9 +154,7 @@ def profinite_from_json(data):
 
 
 def _fel_to_json(field, x):
-    if field.p:
-        return int(x)
-    return frac_to_str(x)
+    return int(x) if field.p else frac_to_str(x)
 
 
 def _fel_from_json(field, data):

@@ -255,8 +255,8 @@ def coset_label(pres, n, x):
         if label is not None:
             return label
     if _group_coords(pres, x) is None:
-        raise ValueError(f"{x} is not in the rational span of the group")
-    raise ValueError(f"{x} is not in the level-{n} group lattice")
+        raise ValueError(f"{lattice.vec_key(x)} is not in the rational span of the group")
+    raise ValueError(f"{lattice.vec_key(x)} is not in the level-{n} group lattice")
 
 
 def zero_label(pres, n=1):
@@ -288,7 +288,7 @@ def label_scale(k, a):
 def label_at_level(a, n):
     """Reinterpret a label at level n (its order must divide n)."""
     if n % a.order:
-        raise LevelMismatch(f"label {a.normal_form} does not live at level {n}")
+        raise LevelMismatch(f"label {lattice.vec_key(a.normal_form)} does not live at level {n}")
     return CosetLabel(a.monoid, n, a.order, a.res)
 
 

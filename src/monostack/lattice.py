@@ -59,6 +59,11 @@ def is_zero_vector(u):
     return all(a == 0 for a in u)
 
 
+def vec_key(x):
+    """A rational vector in payload notation, such as 1/2,0."""
+    return ",".join(map(str, x))
+
+
 def as_fractions(u):
     return tuple(Fraction(a) for a in u)
 

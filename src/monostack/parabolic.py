@@ -34,7 +34,7 @@ from .graded import GradedMap, GradedModule, graded_algebra
 # in_delta and label_add are bound only for perfbench's tracer
 from .infquot import in_delta
 from .kummer import label_add
-from .lattice import vadd, vscale
+from .lattice import vadd, vec_key, vscale
 
 
 def ParabolicSheaf(monoid, level, field, components, structure, check=True):
@@ -50,7 +50,7 @@ def ParabolicSheaf(monoid, level, field, components, structure, check=True):
     if check:
         for (g, _), mat in action.items():
             if g not in alg.delta_generators and not fields.mat_eq_zero(mat):
-                raise ValueError(f"structure matrix for {graded._key(alg.point(g))} violates the zero law")
+                raise ValueError(f"structure matrix for {vec_key(alg.point(g))} violates the zero law")
         module.validate()
     return module
 

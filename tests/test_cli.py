@@ -432,6 +432,26 @@ def test_ideal_points_outside_the_level_are_named_in_payload_notation(extra, lin
 
 
 @pytest.mark.parametrize(
+    "monoid, labels, line",
+    [
+        (NAT, {"1": ["0"], "2": ["1/3"]}, "1/3 is not in the level-2 group lattice"),
+        (N2, {"2": ["1/3", "0"]}, "1/3,0 is not in the level-2 group lattice"),
+        ({"ambient_rank": 2, "generators": [[1, 0]]}, {"2": ["0", "1/2"]}, "0,1/2 is not in the rational span of the group"),
+    ],
+    ids=["nat", "mixed", "span"],
+)
+def test_profinite_labels_outside_the_lattice_are_named_in_payload_notation(monoid, labels, line, tmp_path, capsys):
+    """Integral entries read as ints, so a label vector can mix ints and
+    Fractions; the error line prints both as the payload does."""
+    src = tmp_path / "profinite.json"
+    src.write_text(json.dumps({"monoid": monoid, "level": 2, "labels": labels}))
+    assert main(["infquot", "check", str(src)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: bad profinite payload: {line}\n")
+    assert "Fraction(" not in err
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ["ideal", "mingens", "{src}", "--level", "1", "--generators", "1"],

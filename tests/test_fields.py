@@ -6,6 +6,8 @@ seeded random matrices with zero rows, zero columns and empty shapes.  The
 rref of a row space is unique, and a null space basis vector is fixed by
 the free column it is 1 at (0 at the others), so the results must agree
 exactly once sympy's null space vectors are scaled to that convention.
+Over QQ the kernels return an int wherever a value is integral, and
+`jsonio` reads integral payload rationals as ints.
 """
 
 import random
@@ -18,6 +20,7 @@ from sympy.polys.matrices import DomainMatrix
 from monostack import fields
 from monostack.errors import MalformedInput
 from monostack.fields import QQ, PrimeField, field_from_spec, field_spec
+from monostack.jsonio import frac_from_str, frac_to_str
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(97)]
 FIELD_IDS = ["Q", "F2", "F3", "F97"]
@@ -152,3 +155,41 @@ def test_bad_field_specs_are_malformed(spec):
     input too, not an AttributeError."""
     with pytest.raises(MalformedInput):
         field_from_spec(spec)
+
+
+def _integral_fractions(values):
+    return [x for x in values if type(x) is Fraction and x.denominator == 1]
+
+
+def test_qq_results_hold_ints_where_the_value_is_integral():
+    """Over QQ an integral value is an int, also where the input holds
+    integral Fractions: rref, nullspace, solve and mat_mul bring every
+    entry they return into that form."""
+    assert type(QQ.of_int(3)) is int and type(QQ.zero) is int and type(QQ.one) is int
+    for seed in (1, 2, 3):
+        for (rows, cols), mat in _cases(QQ, seed):
+            red, _ = fields.rref(QQ, mat)
+            assert not _integral_fractions(x for row in red for x in row), mat
+            if rows:
+                assert not _integral_fractions(x for v in fields.nullspace(QQ, mat) for x in v), mat
+                x = fields.solve(QQ, mat, tuple(Fraction(k) for k in range(rows)))
+                assert x is None or not _integral_fractions(x), mat
+            square = fields.mat_mul(QQ, mat, tuple(zip(*mat)))
+            assert not _integral_fractions(x for row in square for x in row), mat
+
+
+def test_qq_keeps_true_fractions_and_gf_p_stays_in_range():
+    assert fields.rref(QQ, ((2, 1),)) == (((1, Fraction(1, 2)),), [0])
+    assert type(QQ.inv(1)) is Fraction and QQ.norm(QQ.inv(1)) == 1 and type(QQ.norm(QQ.inv(1))) is int
+    for field in FIELDS[1:]:
+        assert field.zero == 0 and field.one == 1 and field.of_int(-1) == field.p - 1
+        for (rows, cols), mat in _cases(field, 1):
+            red, _ = fields.rref(field, mat)
+            assert all(type(x) is int and 0 <= x < field.p for row in red for x in row)
+
+
+def test_payload_rationals_read_as_ints_when_integral():
+    assert type(frac_from_str("4/2")) is int and frac_from_str("4/2") == 2
+    assert type(frac_from_str("-3")) is int and frac_from_str("-3") == -3
+    assert frac_from_str("1/2") == Fraction(1, 2) and type(frac_from_str("1/2")) is Fraction
+    assert [frac_to_str(x) for x in (2, Fraction(4, 2), Fraction(-1, 3))] == ["2", "2", "-1/3"]

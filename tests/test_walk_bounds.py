@@ -1,8 +1,10 @@
-"""Differential tests of the certified Caratheodory walk bounds.
+"""Differential tests of Delta, the Hilbert basis and the ideal walk bound.
 
-`delta_points`, `_saturation_hilbert_basis` and `ideal_min_generators`
-walk regions bounded through `MonoidPresentation.caratheodory_sum`.  Each
-is compared on random sharp monoids with the same answer over a larger
+`delta_points` and `_saturation_hilbert_basis` take their candidates from
+the half-open parallelepipeds of a triangulation of the rays
+(`MonoidPresentation._parallelepipeds`); `ideal_min_generators` walks a
+region bounded through `MonoidPresentation.caratheodory_sum`.  Each is
+compared on random sharp monoids with the same answer over a larger
 region: the `delta_bound` region for Delta, the sum over all ray
 generators for the Hilbert basis, and three times the certified bound for
 minimal generators.
