@@ -31,20 +31,22 @@ is realised in P, a valid family can never be refuted, so no refutation
 is searched for: `InconclusiveAtLevel` is the answer when recognition
 finds no Delta0 representative.
 
-`delta_points` stores the level-n slice as int tuples y = n*s*x (s the
-denominator); `DeltaSet.points`, `in_delta` and the rest take Fractions.
+All of it runs on int tuples: y = n*s*x for the level-n slice (s the
+denominator), and for the family of p the one vector s*p = n*s*(p/n),
+whose coordinates give the labels at every divisor n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from operator import ge
 
 from . import lattice
 from .errors import EnumerationBudget, IncompatibleFamily, NotSharp
-from .kummer import coset_label, label_scale, scaled_label
+# coset_label and scaled_label stay bound for perfbench's tracer and for tests that patch them
+from .kummer import coset_label, label_scale, scaled_label, scaled_labels
 from .lattice import facet_values, unscale, vadd, vscale
 from .monoid import MonoidElement
 
@@ -63,35 +65,44 @@ def positive_functional(pres):
     return pres.positive_functional
 
 
+def _delta_test(pres, k):
+    """Whether a cone point y is in Delta, from its facet values: y - k*h
+    leaves the cone for every integer Hilbert generator h of P."""
+    shifts = [facet_values(pres.cone.facets, vscale(k, h)) for h in pres._saturation_hilbert_basis]
+    return lambda fy: not any(all(map(ge, fy, fv)) for fv in shifts)
+
+
 def in_delta(pres, x):
-    """Exact membership of a rational vector in Delta(P)."""
+    """Exact membership of a rational vector in Delta(P): the `delta_points`
+    test on y = k*s*x, k the least common denominator of x."""
+    pres.hilbert_basis  # raises NotSaturated
     x = lattice.as_fractions(x)
-    if not lattice.cone_contains(pres.cone, x):
-        return False
-    return all(
-        not lattice.cone_contains(pres.cone, lattice.vsub(x, v))
-        for v in pres.hilbert_basis
-    )
+    k = lcm(*(a.denominator for a in x))
+    fy = facet_values(pres.cone.facets, pres._scaled(vscale(k, x)))
+    return min(fy) >= 0 and _delta_test(pres, k)(fy)
 
 
 class DeltaSet:
     """Delta(P) intersected with (1/n)P, with per-point labels and Delta0 flags.
 
-    `scaled` gives int tuples y = n*s*x, the other accessors rational
-    points.  Classes are keyed by (order, res).
+    `scaled` gives int tuples y = n*s*x, `residues` their labels' residues
+    mod n, which key the classes, and the other accessors rational points.
     """
 
-    def __init__(self, monoid, level, scaled, labels):
+    def __init__(self, monoid, level, scaled, residues):
         self.monoid = monoid
         self.level = level
         self.scaled = scaled
-        self.labels = labels
-        self._by_label = {}
-        for y, lab in zip(scaled, labels):
-            self._by_label.setdefault((lab.order, lab.res), []).append(y)
-        self.delta0_mask = tuple(
-            len(self._by_label[lab.order, lab.res]) == 1 for lab in labels
-        )
+        self.residues = residues
+        self._by_class = {}
+        for y, res in zip(scaled, residues):
+            self._by_class.setdefault(res, []).append(y)
+        self.delta0_mask = tuple(len(self._by_class[res]) == 1 for res in residues)
+
+    def _class(self, label):
+        """The scaled points of a label's class; none when its order does not divide n."""
+        k, rem = divmod(self.level, label.order)
+        return () if rem else self._by_class.get(tuple(k * c for c in label.res), ())
 
     def _unscale(self, ys):
         return tuple(unscale(y, self.level * self.monoid.denominator) for y in ys)
@@ -107,7 +118,12 @@ class DeltaSet:
         )
 
     def points_in_class(self, label):
-        return self._unscale(self._by_label.get((label.order, label.res), ()))
+        return self._unscale(self._class(label))
+
+    def delta0_scaled_in_class(self, label):
+        """The scaled point y = n*s*x of the class when it is alone there, else None."""
+        ys = self._class(label)
+        return ys[0] if len(ys) == 1 else None
 
     def delta0_point_in_class(self, label):
         pts = self.points_in_class(label)
@@ -135,8 +151,11 @@ def delta_points(pres, level):
     enumerating.
 
     The test: y = level*s*x is in Delta iff f(y) >= f(level*v) fails for
-    some facet f, for each integer Hilbert generator v of P.  f is
-    evaluated once per point and once per v.
+    some facet f, for each integer Hilbert generator v of P.  Facet values
+    and coordinates in the group basis are linear, so each parallelepiped
+    point and ray is lifted once to (itself, its coordinates unless the
+    group is Z^d, its facet values) and the candidates are built on the
+    lifts; a survivor's label residues are its coordinates mod level.
     """
     pres.hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
     pieces = pres._parallelepipeds
@@ -145,22 +164,32 @@ def delta_points(pres, level):
         raise EnumerationBudget(
             f"level {level} has {count} Delta candidates, past the budget of {ENUMERATION_BUDGET}"
         )
-    candidates = set()
-    for rays, points in pieces:
-        offsets = [(0,) * pres.ambient_rank]
-        for r in rays:
-            steps = [vscale(k, r) for k in range(level)]
-            offsets = [vadd(o, t) for o in offsets for t in steps]
-        candidates.update(vadd(p, o) for p in points for o in offsets)
+    d, r = pres.ambient_rank, pres.group_rank
+    ambient = pres._group_is_ambient
     facets = pres.cone.facets
-    shifts = [facet_values(facets, vscale(level, v)) for v in pres._saturation_hilbert_basis]
-    scaled = []
-    for y in sorted(candidates):
-        fy = facet_values(facets, y)
-        if not any(all(map(ge, fy, fv)) for fv in shifts):
-            scaled.append(y)
-    labels = tuple(scaled_label(pres, level, y) for y in scaled)
-    return DeltaSet(pres, level, tuple(scaled), labels)
+    nf = len(facets)
+
+    def lift(v):
+        coords = () if ambient else lattice.lattice_coords_int(pres.group_basis, v)
+        return v + coords + tuple(facet_values(facets, v))
+
+    test = _delta_test(pres, level)
+    kept = {}  # lifted candidate -> in Delta
+    for rays, points in pieces:
+        offsets = [lift((0,) * d)]
+        for ray in map(lift, rays):
+            steps = [vscale(k, ray) for k in range(level)]
+            offsets = [vadd(o, t) for o in offsets for t in steps]
+        for p in map(lift, points):
+            for o in offsets:
+                v = vadd(p, o)
+                if v not in kept:
+                    kept[v] = test(v[-nf:])
+    lifted = sorted(v for v, keep in kept.items() if keep)  # a lift starts with its y: sorted as the y are
+    scaled = tuple(v[:d] for v in lifted)
+    first = 0 if ambient else d
+    residues = tuple(tuple(c % level for c in v[first:first + r]) for v in lifted)
+    return DeltaSet(pres, level, scaled, residues)
 
 
 def delta0_points(pres, level):
@@ -199,11 +228,10 @@ class TruncatedProfiniteElement:
 
     @classmethod
     def from_element(cls, monoid, p, level):
-        p = lattice.as_fractions(p)
-        labels = {
-            n: coset_label(monoid, n, vscale(Fraction(1, n), p))
-            for n in divisors(level)
-        }
+        y = monoid._scaled(p)
+        labels = None if y is None else scaled_labels(monoid, y, divisors(level))
+        if labels is None:
+            raise ValueError(f"{lattice.vec_key(p)} is not in the group of the monoid")
         return cls(monoid, level, labels)
 
 
@@ -250,14 +278,8 @@ def is_infinite_quotient(element, depth=4):
     pres = element.monoid
     divs = divisors(element.level)
     for n in divs:
-        gamma = delta_points(pres, n).delta0_point_in_class(element.labels[n])
-        if gamma is None:
-            continue
-        p = vscale(Fraction(n), gamma)
-        if all(
-            element.labels[m]
-            == coset_label(pres, m, vscale(Fraction(1, m), p))
-            for m in divs
-        ):
-            return InfquotVerdict("confirmed", element=MonoidElement(pres, p))
+        # y = n*s*gamma = s*p for p = n*gamma
+        y = delta_points(pres, n).delta0_scaled_in_class(element.labels[n])
+        if y is not None and scaled_labels(pres, y, divs) == element.labels:
+            return InfquotVerdict("confirmed", element=MonoidElement(pres, unscale(y, pres.denominator)))
     return InfquotVerdict("inconclusive", level=element.level)

@@ -5,8 +5,9 @@ only bumps the stored denominator.  Nothing in the integer model (cone,
 group lattice, Hilbert basis of the saturation, flags, membership memo)
 depends on the denominator, so `root_extension` passes all of it by
 reference and P and all its root extensions share one cone and one integer
-lattice, each computed once.  Finite quotients like (1/n)P^gp / P^gp are
-handled through Smith normal forms.
+lattice, each computed once.  Homomorphisms act on the integer models
+too (`MonoidHom.image`), so the Kummer test and cokernels, and with them
+the Picard groups (1/n)P^gp / P^gp, are integer Smith normal forms.
 
 A coset label is an element of (1/n)P^gp / P^gp = (Z/n)^r, stored as
 integer residues against the group basis and reduced to the smallest level
@@ -16,7 +17,8 @@ integer arithmetic; the Fraction normal form and representative are
 derived on demand, for sorting and for JSON.
 
 `coset_label` takes a rational x, `scaled_label` the int tuple y = n*s*x
-(s the denominator) that the Delta slice and the graded layer store.
+(s the denominator) that the Delta slice and the graded layer store.  On
+a group Z^d, y is its own coordinate vector (`group_coords`).
 """
 
 from __future__ import annotations
@@ -26,15 +28,16 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from . import fields, lattice
 from .errors import InfiniteCokernel, LevelMismatch, NotSaturated
-from .fields import QQ
 from .lattice import (
     as_fractions,
+    dot,
+    facet_values,
     lattice_coords,
     lattice_coords_int,
     smith_normal_form,
     unscale,
+    vec_key,
 )
 from .monoid import MonoidPresentation
 
@@ -64,12 +67,10 @@ class FiniteAbelianGroup:
 
 @dataclass(frozen=True)
 class MonoidHom:
-    """Lattice map between monoid presentations, on rational coordinates.
-
-    The integer matrix acts on the underlying rational vectors (rows of
-    shape target.ambient_rank x source.ambient_rank); every source
-    generator must land in the target monoid.
-    """
+    """Lattice map between monoid presentations: an integer matrix M
+    (target.ambient_rank x source.ambient_rank rows) that maps every source
+    generator into the target monoid.  On the integer models (s, t the
+    denominators) it sends y, for y/s, to M*y*t/s, for M*y/s: `image`."""
 
     source: MonoidPresentation
     target: MonoidPresentation
@@ -82,22 +83,26 @@ class MonoidHom:
             len(row) != self.source.ambient_rank for row in m
         ):
             raise ValueError("matrix shape does not match ambient ranks")
-        for g in self.source.rational_generators:
-            if not self.target.contains_generated(self.apply(g)):
-                raise ValueError(
-                    f"generator {g} does not map into the target monoid"
-                )
+        s, t = self.source.denominator, self.target.denominator
+        for g in self.source.generators:
+            if any(dot(row, g) * t % s for row in m) or not self.target._in_generated_int(self.image(g)):
+                raise ValueError(f"generator {vec_key(unscale(g, s))} does not map into the target monoid")
+
+    def image(self, y):
+        """M*y*t/s for y in the source group: integral, as the generators' images are."""
+        s, t = self.source.denominator, self.target.denominator
+        return tuple(dot(row, y) * t // s for row in self.matrix)
 
     def apply(self, x):
         x = as_fractions(x)
-        return tuple(lattice.dot(row, x) for row in self.matrix)
+        return tuple(dot(row, x) for row in self.matrix)
 
 
 def compose(g, f):
     """g after f."""
     if f.target != g.source:
         raise LevelMismatch("homomorphisms do not compose")
-    m = tuple(tuple(lattice.dot(row, col) for col in zip(*f.matrix)) for row in g.matrix)
+    m = tuple(tuple(dot(row, col) for col in zip(*f.matrix)) for row in g.matrix)
     return MonoidHom(f.source, g.target, m)
 
 
@@ -123,63 +128,59 @@ def root_inclusion(pres, n):
 # Kummer test and cokernels
 
 
-def _rational_group_basis(pres):
-    return tuple(unscale(row, pres.denominator) for row in pres.group_basis)
-
-
-def _group_coords(pres, x):
-    """Coordinates of rational x against the rational group basis, or None."""
-    scaled = tuple(Fraction(a) * pres.denominator for a in x)
-    return lattice_coords(pres.group_basis, scaled)
+def group_coords(pres, y):
+    """Coordinates of an integer vector y against the group basis, or None
+    off the group lattice.  When the group is Z^d, an int tuple is its own
+    coordinate vector; other entries (integral Fractions) take the solve."""
+    if pres._group_is_ambient and all(type(c) is int for c in y):
+        return y
+    return lattice_coords_int(pres.group_basis, y)
 
 
 def is_kummer(hom):
     """Injective on groups, and every target element has a multiple in the image.
 
     Exact decision: the multiple condition holds for all of Q iff it holds
-    on the target Hilbert basis, iff each basis element lies in the rational
-    span of the image group and its unique rational preimage lies in the
-    source cone.
+    on the target Hilbert basis, iff each basis element h has a rational
+    preimage c*B in the source cone, B the source group basis.  With the
+    columns of A the images of B and U*A*V = D in Smith form: injective iff
+    no d_j vanishes, and then A*c = h iff (U*h)_j = 0 for j >= r, with
+    c = V*z, z_j = (U*h)_j/d_j.  e*c*B (e the last divisor) is the sum of
+    (U*h)_j times the rows w_j = (e/d_j)*(V^T*B)_j, so the facet values of
+    the w_j decide the cone test in integers.
     """
     src, tgt = hom.source, hom.target
     if not (src.is_saturated and tgt.is_saturated):
         raise NotSaturated("the Kummer test requires saturated monoids")
-    basis = _rational_group_basis(src)
-    images = tuple(hom.apply(b) for b in basis)
-    if fields.rank(QQ, images) != len(basis):
+    basis = src.group_basis
+    r = len(basis)
+    snf = smith_normal_form(tuple(zip(*(hom.image(b) for b in basis))))
+    if len(snf.divisors) < r or not all(snf.divisors):
         return False
-    # f(x) = q solved inside the source group span
-    amat = tuple(zip(*images))  # ambient x r, columns are images
-    for q in tgt.hilbert_basis:
-        coeffs = fields.solve(QQ, amat, as_fractions(q))
-        if coeffs is None:
-            return False
-        preimage = tuple(
-            sum(c * b[i] for c, b in zip(coeffs, basis))
-            for i in range(src.ambient_rank)
-        )
-        if not lattice.cone_contains(src.cone, preimage):
+    e = snf.divisors[-1]
+    w = [[(e // d) * dot(vcol, bcol) for bcol in zip(*basis)] for d, vcol in zip(snf.divisors, zip(*snf.v))]
+    values = list(zip(*(facet_values(src.cone.facets, wj) for wj in w)))  # per facet, its values on the w_j
+    for h in tgt._saturation_hilbert_basis:
+        uh = [dot(row, h) for row in snf.u]
+        if any(uh[r:]) or any(dot(f, uh[:r]) < 0 for f in values):
             return False
     return True
 
 
 def cokernel(hom):
-    """Invariant factors of Q^gp / f(P^gp); requires a finite quotient."""
+    """Invariant factors of Q^gp / f(P^gp); requires a finite quotient.
+
+    f(P^gp) lies in Q^gp, as the constructor puts each generator's image in
+    Q and the group basis of P is an integer combination of generators.  So
+    the images of that basis have integer coordinates in the group basis of
+    Q, and the quotient is finite iff the ranks agree and no Smith divisor
+    of the coordinate matrix is 0.
+    """
     src, tgt = hom.source, hom.target
-    cols = []
-    for b in _rational_group_basis(src):
-        y = hom.apply(b)
-        coords = _group_coords(tgt, y)
-        if coords is None:
-            raise InfiniteCokernel("image leaves the target group lattice")
-        if any(c.denominator != 1 for c in coords):
-            raise InfiniteCokernel("image is not contained in the target group")
-        cols.append(tuple(int(c) for c in coords))
-    if len(cols) != tgt.group_rank:
+    if src.group_rank != tgt.group_rank:
         raise InfiniteCokernel("group ranks differ")
-    mat = tuple(zip(*cols))  # r_target x r_source
-    snf = smith_normal_form(mat)
-    if any(d == 0 for d in snf.divisors) or len(snf.divisors) < tgt.group_rank:
+    snf = smith_normal_form(tuple(zip(*(group_coords(tgt, hom.image(b)) for b in src.group_basis))))
+    if not all(snf.divisors):
         raise InfiniteCokernel("the homomorphism is not injective with finite index")
     return FiniteAbelianGroup(snf.divisors)
 
@@ -242,8 +243,17 @@ class CosetLabel:
 def scaled_label(pres, n, y):
     """Label of x = y/(n*s) for an integer vector y, or None when x is not
     in the level-n group lattice (s the presentation denominator)."""
-    coords = lattice_coords_int(pres.group_basis, y)
+    coords = group_coords(pres, y)
     return None if coords is None else CosetLabel(pres, n, n, tuple(c % n for c in coords))
+
+
+def scaled_labels(pres, y, levels):
+    """{n: `scaled_label(pres, n, y)`} over the levels, from one coordinate
+    solve of y (None when y is not in the group lattice)."""
+    coords = group_coords(pres, y)
+    if coords is None:
+        return None
+    return {n: CosetLabel(pres, n, n, tuple(c % n for c in coords)) for n in levels}
 
 
 def coset_label(pres, n, x):
@@ -251,12 +261,12 @@ def coset_label(pres, n, x):
     ns = n * pres.denominator
     scaled = [Fraction(a) * ns for a in x]
     if all(c.denominator == 1 for c in scaled):
-        label = scaled_label(pres, n, [c.numerator for c in scaled])
+        label = scaled_label(pres, n, tuple(c.numerator for c in scaled))
         if label is not None:
             return label
-    if _group_coords(pres, x) is None:
-        raise ValueError(f"{lattice.vec_key(x)} is not in the rational span of the group")
-    raise ValueError(f"{lattice.vec_key(x)} is not in the level-{n} group lattice")
+    if lattice_coords(pres.group_basis, scaled) is None:
+        raise ValueError(f"{vec_key(x)} is not in the rational span of the group")
+    raise ValueError(f"{vec_key(x)} is not in the level-{n} group lattice")
 
 
 def zero_label(pres, n=1):
@@ -288,7 +298,7 @@ def label_scale(k, a):
 def label_at_level(a, n):
     """Reinterpret a label at level n (its order must divide n)."""
     if n % a.order:
-        raise LevelMismatch(f"label {lattice.vec_key(a.normal_form)} does not live at level {n}")
+        raise LevelMismatch(f"label {vec_key(a.normal_form)} does not live at level {n}")
     return CosetLabel(a.monoid, n, a.order, a.res)
 
 

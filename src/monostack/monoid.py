@@ -12,7 +12,7 @@ share P's `INTEGER_MODEL` values by reference; so does the saturation, which
 has the same cone and group, except the two that read the generator list.
 Membership in the group P^gp is one integer predicate per monoid: nothing
 to test when the group is Z^d, else one residue test per Smith invariant
-factor of the group basis (the proof is at `_group_contains_int`).
+factor of the group basis (the proof is at `_group_tests`).
 `_contains_int(y)` tests y/s in P, so y = n*s*x tests x in (1/n)P.
 The Hilbert basis and the Delta slices (`infquot.delta_points`) are read
 off `_parallelepipeds`, a triangulation of the cone with the group points
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import floor, lcm
+from math import floor, gcd, lcm
 from operator import ge
 
 from . import lattice
@@ -37,17 +37,17 @@ from .lattice import (
     facet_values,
     is_zero_vector,
     lattice_basis,
-    lattice_coords,
     primitive_directions,
     unscale,
+    vscale,
     vsub,
 )
 
 
 # Derived data fixed by (ambient_rank, generators), never by the denominator.
 INTEGER_MODEL = ("cone", "group_basis", "positive_functional", "is_sharp", "is_saturated", "is_simplicial",
-                 "_group_contains_int", "ray_generators", "caratheodory_sum", "_parallelepipeds",
-                 "_saturation_hilbert_basis", "_in_generated_memo")
+                 "_group_is_ambient", "_group_tests", "_group_contains_int", "ray_generators", "caratheodory_sum",
+                 "_parallelepipeds", "_saturation_hilbert_basis", "_in_generated_memo")
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,15 @@ class MonoidPresentation:
 
     # -- integer-model helpers ----------------------------------------------
 
-    @property
+    @cached_property
     def _group_is_ambient(self):
         """The group is Z^d: its Hermite basis is the identity."""
         d = self.ambient_rank
         return self.group_basis == tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
 
     @cached_property
-    def _group_contains_int(self):
-        """Integer predicate y in P^gp, built once per monoid.
+    def _group_tests(self):
+        """Pairs (col, m) with y in P^gp iff col*y = 0 mod m for each (mod 0: equal).
 
         With the Smith form U*B*V = D of the Hermite basis B (r rows, U and
         V unimodular), y = x*B for an integer x iff y*V = (x*U^-1)*D, and
@@ -149,12 +149,17 @@ class MonoidPresentation:
         nothing, and the identity basis (the group is Z^d) none at all.
         """
         if self._group_is_ambient:
+            return ()
+        snf = lattice.smith_normal_form(self.group_basis)
+        moduli = snf.divisors + (0,) * (self.ambient_rank - self.group_rank)
+        return tuple((col, m) for col, m in zip(zip(*snf.v), moduli) if m != 1)
+
+    @cached_property
+    def _group_contains_int(self):
+        """Integer predicate y in P^gp, built once per monoid from `_group_tests`."""
+        tests = self._group_tests
+        if not tests:
             return lambda y: True
-        d = self.ambient_rank
-        basis = self.group_basis
-        snf = lattice.smith_normal_form(basis)
-        moduli = snf.divisors + (0,) * (d - len(basis))
-        tests = [(col, m) for col, m in zip(zip(*snf.v), moduli) if m != 1]
 
         def contains(y):
             for col, m in tests:
@@ -223,18 +228,12 @@ class MonoidPresentation:
         """The extreme ray generators primitive in the group lattice L, in the integer model.
 
         Each is the least point of L on its ray, so it is indecomposable in
-        L cap cone: a Hilbert generator of the saturation.
+        L cap cone: a Hilbert generator of the saturation.  The rays span
+        the span of L, so of the `_group_tests` only those mod m > 0 bind:
+        k*r is in L iff m/gcd(m, col*r) divides k for each.
         """
-        rays = []
-        for r in self.cone.rays:
-            coords = lattice_coords(self.group_basis, r)
-            if coords is None:
-                raise NotSharp("extreme ray outside the generated group")
-            k = 1
-            for c in coords:
-                k = lcm(k, c.denominator)
-            rays.append(tuple(k * a for a in r))
-        return tuple(rays)
+        tests = [(col, m) for col, m in self._group_tests if m]
+        return tuple(vscale(lcm(*(m // gcd(m, dot(col, r)) for col, m in tests)), r) for r in self.cone.rays)
 
     @cached_property
     def caratheodory_sum(self):

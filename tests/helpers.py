@@ -205,6 +205,56 @@ def coset_label_oracle(pres, n, x):
     return tuple(c - floor(c) for c in coords)
 
 
+def hom_oracle(source, target, matrix):
+    """The generator check, cokernel and Kummer test of x -> matrix*x, by Fractions.
+
+    Returns (maps, factors, kummer):
+    - maps: every rational source generator is an N-combination of the
+      rational target generators (`nat_combination_oracle`);
+    - factors: the invariant factors of Q^gp / f(P^gp), None when it is
+      infinite.  The images of the rational group basis are solved against
+      the target's over QQ; d_k = D_k / D_(k-1), D_k the gcd of the k x k
+      minors of the coordinate matrix (`det_frac`);
+    - kummer: for saturated monoids, injective (QQ rank) and each rational
+      target generator has a QQ preimage in the source cone
+      (`in_cone_oracle`); None otherwise.
+    """
+    from itertools import combinations
+    from math import gcd
+
+    def apply(x):
+        return tuple(sum(a * b for a, b in zip(row, x)) for row in matrix)
+
+    maps = all(nat_combination_oracle(target.rational_generators, apply(g)) for g in source.rational_generators)
+    basis = [tuple(Fraction(a, source.denominator) for a in b) for b in source.group_basis]
+    tbasis = tuple(zip(*(tuple(Fraction(a, target.denominator) for a in t) for t in target.group_basis)))
+    coords = [fields.solve(QQ, tbasis, apply(b)) for b in basis]
+    factors = None
+    if len(basis) == len(target.group_basis) and all(c is not None and all(x.denominator == 1 for x in c) for c in coords):
+        r = len(basis)
+        minors = [1]
+        for k in range(1, r + 1):
+            dk = 0
+            for rows in combinations(range(r), k):
+                for cols in combinations(range(r), k):
+                    dk = gcd(dk, int(det_frac([[coords[j][i] for j in cols] for i in rows])))
+            minors.append(dk)
+        if minors[r]:
+            factors = tuple(minors[k] // minors[k - 1] for k in range(1, r + 1) if minors[k] != minors[k - 1])
+    kummer = None
+    if source.is_saturated and target.is_saturated:
+        images = tuple(apply(b) for b in basis)
+        kummer = fields.rank(QQ, images) == len(basis)
+        amat = tuple(zip(*images))
+        for q in target.rational_generators if kummer else ():
+            c = fields.solve(QQ, amat, q)
+            pre = None if c is None else tuple(sum(ci * b[i] for ci, b in zip(c, basis)) for i in range(source.ambient_rank))
+            if pre is None or not in_cone_oracle(source.generators, pre):
+                kummer = False
+                break
+    return maps, factors, kummer
+
+
 def ideal_min_generators_oracle(ideal):
     """Minimal generators of a monomial ideal by the membership definition.
 

@@ -151,6 +151,27 @@ def test_kummer_check_cli(tmp_path, capsys):
     assert data == {"cokernel": [2], "kummer": True}
 
 
+def _root_hom(source_denominator, target_denominator):
+    return {
+        "source": dict(NAT, denominator=source_denominator),
+        "target": dict(NAT, denominator=target_denominator),
+        "matrix": [[1]],
+    }
+
+
+def test_kummer_check_across_denominators(capsys, monkeypatch):
+    """N at denominator 3 into N at denominator 6 is the level-2 root inclusion."""
+    code, out, err = run_cli(["kummer", "check"], stdin_payload=_root_hom(3, 6), capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"cokernel": [2], "kummer": True}
+
+
+def test_generator_outside_the_target_is_named_in_payload_notation(capsys, monkeypatch):
+    """1/2 is not in (1/3)N: the error line prints the generator as the payload does."""
+    code, out, err = run_cli(["kummer", "check"], stdin_payload=_root_hom(2, 3), capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", "error: generator 1/2 does not map into the target monoid\n")
+
+
 def test_parabolic_roundtrip_through_cli(tmp_path, capsys):
     from fractions import Fraction
 

@@ -254,3 +254,96 @@ def test_confirmed_element_matches_all_labels(nat3):
             assert fam.labels[m] == coset_label(
                 nat3, m, tuple(a / m for a in q)
             )
+
+
+# -- labels by linearity and the integer profinite layer -------------------------
+
+
+@pytest.fixture(scope="module")
+def sublattice_monoids():
+    """Monoids whose group is not Z^d: index 2 in Z^2, the saturation of an
+    unsaturated monoid with that group, a rank-2 monoid in Z^3, and a root
+    extension with denominator 3."""
+    from monostack.kummer import root_extension
+    from monostack.monoid import saturate
+
+    index2 = validate([(2, 0), (1, 1), (0, 2)])
+    return {
+        "index2": index2,
+        "saturated": saturate(validate([(2, 0), (0, 2), (3, 1)])),
+        "plane": validate([(1, 0, 1), (0, 1, 1)]),
+        "denom3": root_extension(index2, 3),
+    }
+
+
+def test_delta_labels_match_fraction_oracle(sublattice_monoids):
+    from helpers import coset_label_oracle, delta_points_oracle
+
+    for name, pres in sublattice_monoids.items():
+        assert not pres._group_is_ambient
+        for n in range(1, 7):
+            ds = delta_points(pres, n)
+            assert ds.points == delta_points_oracle(pres, n), (name, n)
+            classes = {}
+            for p, res in zip(ds.points, ds.residues):
+                nf = coset_label_oracle(pres, n, p)
+                assert tuple(Fraction(c, n) for c in res) == nf, (name, n, p)
+                assert coset_label(pres, n, p).residues == res
+                classes[nf] = classes.get(nf, 0) + 1
+            for p, flag in zip(ds.points, ds.delta0_mask):
+                assert flag == (classes[coset_label_oracle(pres, n, p)] == 1)
+                if flag:
+                    assert ds.delta0_point_in_class(coset_label(pres, n, p)) == p
+
+
+def _coset_family(pres, p, level):
+    return {n: coset_label(pres, n, tuple(Fraction(a) / n for a in p)) for n in divisors(level)}
+
+
+def _recognized_by_coset_labels(element):
+    """Recognition as `is_infinite_quotient` documents it, on `coset_label`."""
+    pres, divs = element.monoid, divisors(element.level)
+    for n in divs:
+        gamma = delta_points(pres, n).delta0_point_in_class(element.labels[n])
+        if gamma is not None:
+            p = tuple(n * a for a in gamma)
+            if _coset_family(pres, p, element.level) == element.labels:
+                return p
+    return None
+
+
+def test_profinite_labels_match_the_coset_label_route(nat2, nonsimplicial, sublattice_monoids):
+    monoids = dict(sublattice_monoids, N2=nat2, cone=nonsimplicial)
+    for name, pres in monoids.items():
+        for p in monoid_points(pres, 1, 2 * delta_bound(pres)):
+            for level in (6, 12):
+                fam = TruncatedProfiniteElement.from_element(pres, p, level)
+                want = _coset_family(pres, p, level)
+                assert fam.labels == want, (name, p)
+                assert all(fam.labels[n].level == n for n in want)
+                verdict = is_infinite_quotient(fam)
+                found = _recognized_by_coset_labels(fam)
+                if found is None:
+                    assert verdict.is_inconclusive, (name, p, level)
+                else:
+                    assert verdict.is_confirmed and verdict.element.vector == found, (name, p, level)
+
+
+def test_from_element_rejects_points_off_the_group(sublattice_monoids):
+    with pytest.raises(ValueError, match="^1,0 is not in the group of the monoid$"):
+        TruncatedProfiniteElement.from_element(sublattice_monoids["index2"], (1, 0), 4)
+
+
+def test_in_delta_matches_the_cone_oracle(nat2, nonsimplicial, sublattice_monoids):
+    from helpers import in_cone_oracle
+
+    rng = random.Random(17)
+    monoids = dict(sublattice_monoids, N2=nat2, cone=nonsimplicial)
+    for name, pres in monoids.items():
+        hilbert = pres.hilbert_basis
+        for _ in range(40):
+            x = tuple(Fraction(rng.randint(-2, 9), rng.choice((1, 2, 3, 6))) for _ in range(pres.ambient_rank))
+            want = in_cone_oracle(pres.generators, x) and not any(
+                in_cone_oracle(pres.generators, vsub(x, h)) for h in hilbert
+            )
+            assert in_delta(pres, x) == want, (name, x)

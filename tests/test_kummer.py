@@ -321,3 +321,69 @@ def test_off_lattice_points_raise(label_monoids, nat):
         with pytest.raises(ValueError, match="level-2 group lattice"):
             alg.label_of(alg.coords((Fraction(1, 2), Fraction(0))))
     assert alg.label_of(alg.coords((Fraction(1, 2), Fraction(1, 2)))).residues == (1, 0)
+
+
+# -- the integer hom layer against the Fraction oracle --------------------------
+
+
+def test_cokernel_messages(nat, nat2):
+    with pytest.raises(InfiniteCokernel, match="^group ranks differ$"):
+        cokernel(MonoidHom(nat, nat2, ((1,), (0,))))
+    with pytest.raises(InfiniteCokernel, match="^the homomorphism is not injective with finite index$"):
+        cokernel(MonoidHom(nat2, nat2, ((1, 1), (0, 0))))
+
+
+def _hom_cases(nat, nat2, nonsimplicial):
+    """(name, source, target, matrix): N and N^2 maps, denominators that differ
+    between source and target, a group of index 2, and one map that fails."""
+    index2 = validate([(2, 0), (1, 1), (0, 2)])
+    return [
+        ("double on N", nat, nat, ((2,),)),
+        ("swap on N2", nat2, nat2, ((0, 1), (1, 0))),
+        ("shear on N2", nat2, nat2, ((1, 1), (0, 1))),
+        ("projection N2 -> N", nat2, nat, ((1, 1),)),
+        ("axis N -> N2", nat, nat2, ((1,), (0,))),
+        ("collapse on N2", nat2, nat2, ((1, 1), (0, 0))),
+        ("N/3 -> N/6", root_extension(nat, 3), root_extension(nat, 6), ((1,),)),
+        ("N/2 -> N/3", root_extension(nat, 2), root_extension(nat, 3), ((1,),)),
+        ("N/2 -> N/4, times 3", root_extension(nat, 2), root_extension(nat, 4), ((3,),)),
+        ("N2 -> index2, onto a half cone", nat2, index2, ((2, 1), (0, 1))),
+        ("N2/2 -> index2", root_extension(nat2, 2), index2, ((1, 1), (1, -1))),
+        ("index2/2 -> N2/6", root_extension(index2, 2), root_extension(nat2, 6), ((1, 0), (0, 1))),
+        ("index2 -> N2", index2, nat2, ((1, 0), (0, 1))),
+        ("cone -> cone/2", nonsimplicial, root_extension(nonsimplicial, 2), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ]
+
+
+def test_homs_match_fraction_oracle(nat, nat2, nonsimplicial):
+    from helpers import hom_oracle
+
+    seen = set()
+    for name, source, target, matrix in _hom_cases(nat, nat2, nonsimplicial):
+        maps, factors, kummer = hom_oracle(source, target, matrix)
+        if not maps:
+            with pytest.raises(ValueError, match="does not map into the target monoid"):
+                MonoidHom(source, target, matrix)
+            seen.add("refused")
+            continue
+        hom = MonoidHom(source, target, matrix)
+        if factors is None:
+            with pytest.raises(InfiniteCokernel):
+                cokernel(hom)
+        else:
+            assert cokernel(hom).invariant_factors == factors, name
+        assert is_kummer(hom) == kummer, name
+        seen.add(kummer)
+    assert seen == {True, False, "refused"}
+
+
+def test_random_kummer_homs_match_fraction_oracle():
+    from helpers import hom_oracle
+
+    rng = random.Random(41)
+    for _ in range(12):
+        f = random_kummer_hom(random_sharp_saturated(rng, rank=2), rng)
+        maps, factors, kummer = hom_oracle(f.source, f.target, f.matrix)
+        assert maps and kummer
+        assert cokernel(f).invariant_factors == factors
+        assert is_kummer(f)

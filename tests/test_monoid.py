@@ -222,3 +222,23 @@ def test_group_predicate_matches_lattice_membership(gens, denominator, whole):
         assert member(y) == expected, y
         hits += expected
     assert (hits == 11 ** pres.ambient_rank) == whole
+    assert pres._group_is_ambient == whole
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[(1, 0), (0, 1)], [(2, 0), (1, 1), (0, 2)], [(3, 0), (1, 1), (0, 3)], [(1, 0, 1), (1, 2, 1)], [(2, 1), (1, 3)]],
+    ids=["Z2", "index2", "index3", "rank_deficient", "index5"],
+)
+def test_ray_generators_are_the_least_group_points_on_the_rays(gens):
+    """k*r for the least k whose Fraction coordinates against the group basis are integers."""
+    from math import lcm
+
+    from monostack.lattice import lattice_coords
+
+    pres = validate(gens)
+    want = []
+    for r in pres.cone.rays:
+        k = lcm(*(c.denominator for c in lattice_coords(pres.group_basis, r)))
+        want.append(tuple(k * a for a in r))
+    assert pres.ray_generators == tuple(want)
