@@ -18,14 +18,13 @@ level N by y -> (N/m)*y.  `GradedAlgebra.point` and `coords` convert at
 the edges: JSON, error messages, `contains_at_level` and `MonoidIdeal`.
 
 Construction paths that take untrusted data check the module law x^h
-x^gamma = x^(h+gamma), or 0 when h+gamma leaves Delta, on a generating set
-of it that depends only on the algebra (`GradedAlgebra.module_law`):
-generators outside Delta act as zero, the generators in Delta commute, the
-law holds at the pairs where h+gamma first leaves Delta, and at the pairs
-where h+gamma is in Delta and its canonical decomposition starts with a
-generator that is neither h nor a summand of gamma in (1/n)P.
-`GradedModule.validate` proves, by induction on the positive functional,
-that these imply the law for every generator and Delta monomial, so no
+x^gamma = x^(h+gamma), or 0 when h+gamma leaves Delta, on the defining
+relations of the presentation k[x_h : h in H]/(I_H + (x_h^n)) of the
+algebra (H the Hilbert basis, I_H its toric ideal), whose size does not
+grow with n: generators outside Delta act as zero, the generators in
+Delta commute, satisfy the moves of I_H (`GradedAlgebra.moves`, computed
+once per monoid) and have X_h^n = 0.  `GradedModule.validate` proves that
+these are the law for every generator and Delta monomial, so no
 multiplication table is built.
 
 A parabolic sheaf over a log point is a graded module here: `parabolic`
@@ -52,7 +51,6 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import ceil, floor
 from operator import add, ge
-from typing import NamedTuple
 
 from . import fields, lattice
 from .errors import (
@@ -139,8 +137,11 @@ class GradedAlgebra:
         return y
 
     def label_of(self, y):
-        """Coset label of a point; the graded layer itself only reads the
-        labels of the generators, to build `shift`."""
+        """Coset label of a point given by its int tuple y; other entries
+        (Fractions, even integral ones) raise TypeError.  The graded layer
+        itself only reads the labels of the generators, to build `shift`."""
+        if not all(type(c) is int for c in y):
+            raise TypeError(f"label_of takes the int coordinates of a point, not {vec_key(y)}")
         lab = scaled_label(self.monoid, self.level, y)
         if lab is None:
             raise ValueError(f"{vec_key(self.point(y))} is not in the level-{self.level} group lattice")
@@ -221,28 +222,17 @@ class GradedAlgebra:
         return memo[gamma]
 
     @cached_property
-    def module_law(self):
-        """The pairs at which `GradedModule.validate` checks the module law,
-        built once per algebra: `zero` (h, gamma), `sums` (h, gamma, h+gamma)
-        and `commuting` (g, h) are its families Z, S and C."""
-        zero, sums = [], []
-        for h in self.delta_generators:
-            for gamma in self.basis:
-                s = self.multiply(h, gamma)
-                if s is None:
-                    if any(gamma) and self.multiply(h, vsub(gamma, self.decompose(gamma)[0])) is not None:
-                        zero.append((h, gamma))
-                    continue
-                f = self.decompose(s)[0]
-                if f != h and not self.monoid._contains_int(vsub(vsub(s, f), h)):
-                    sums.append((h, gamma, s))
-        return ModuleLaw(tuple(zero), tuple(sums), tuple(combinations(self.delta_generators, 2)))
-
-
-class ModuleLaw(NamedTuple):
-    zero: tuple
-    sums: tuple
-    commuting: tuple
+    def moves(self):
+        """The moves of the toric ideal I_H as pairs of generator words (u, v),
+        X^u = X^v (`MonoidPresentation._toric_moves`).  Empty at level 1,
+        where no generator is in Delta (see `GradedModule.validate`)."""
+        if not self.delta_generators:
+            return ()
+        gens = self.generators
+        return tuple(
+            tuple(tuple(g for g, e in zip(gens, exps) for _ in range(e)) for exps in move)
+            for move in self.monoid._toric_moves
+        )
 
 
 class GradedModule:
@@ -380,44 +370,88 @@ class GradedModule:
             self.algebra.field, self._gen(g, mid), mat, sizes[self.algebra.shift[g][mid]], sizes[mid], sizes[i]
         )
 
+    def _word(self, word, i):
+        """The generators of `word` applied in order out of label i:
+        X_(word[-1]) ... X_(word[0])."""
+        shift = self.algebra.shift
+        mat, mid = self._gen(word[0], i), shift[word[0]][i]
+        for g in word[1:]:
+            mat = self._gen_times(g, mid, mat, i)
+            mid = shift[g][mid]
+        return mat
+
+    def _power(self, h, e, i, memo):
+        """(X_h^e out of label i, its target label) for e >= 1, by repeated
+        squaring along shift[h]: X_h^e = X_h^(e - e//2) X_h^(e//2), with
+        every (exponent, label) memoized, so O(log e) products per label."""
+        if e == 1:
+            return self._gen(h, i), self.algebra.shift[h][i]
+        hit = memo.get((e, i))
+        if hit is None:
+            low, mid = self._power(h, e // 2, i, memo)
+            high, end = self._power(h, e - e // 2, mid, memo)
+            sizes = self.sizes
+            hit = memo[(e, i)] = (
+                fields.mat_mul_dims(self.algebra.field, high, low, sizes[end], sizes[mid], sizes[i]),
+                end,
+            )
+        return hit
+
     # -- laws ----------------------------------------------------------------
 
     def validate(self):
-        """Check the module law x^h x^gamma = x^(h+gamma), or 0 when h+gamma
-        leaves Delta, on a generating set of it.
+        """Check the module law on the defining relations of the algebra.
 
-        The law for every Hilbert generator h and Delta monomial gamma (with
-        x^gamma = act(gamma), the composite along `decompose`) is the full
-        module law: products of generators then evaluate order-independently
-        by induction.  It is checked on the set below, which depends only
-        on the algebra (`GradedAlgebra.module_law`).  With first(x) =
-        decompose(x)[0], so that act(x) = X_first(x) act(x - first(x)):
-          N  every Hilbert generator outside Delta acts as zero (then the
-             law only concerns the delta generators h);
-          C  X_g X_h = X_h X_g for every pair of delta generators;
-          Z  X_h act(gamma) = 0 where gamma != 0, h+gamma is outside Delta
-             and h+(gamma-first(gamma)) is in Delta;
-          S  X_h act(gamma) = act(s) where s = h+gamma is in Delta, f =
-             first(s) != h and s-f-h is outside (1/n)P;
-        at every label, and the matrix shapes of the delta generators.
-        Each is an instance of the law, so no module satisfying it is
-        rejected.  Conversely, the law at (h, gamma) follows by induction
-        on l(h+gamma), l the positive functional; Delta is closed under
-        taking summands in (1/n)P, so every point below is in Delta.
-          gamma = 0: act(h) = X_h.
-          s = h+gamma in Delta, f = first(s): if f = h, act(s) = X_h
-             act(gamma) by definition.  If r = s-f-h is outside (1/n)P the
-             pair is in S.  Otherwise gamma = f+r and h+r = s-f are in
-             Delta and below s, so act(s) = X_f act(h+r) = X_f X_h act(r)
-             = X_h X_f act(r) = X_h act(gamma), by induction, C and
-             induction again.
-          h+gamma outside Delta, gamma != 0, f = first(gamma), gamma' =
-             gamma-f: if h+gamma' is in Delta the pair is in Z.  Otherwise
-             X_h act(gamma) = X_h X_f act(gamma') = X_f X_h act(gamma') = 0
-             by C and induction.
+        In the coordinates y = n*s*x, (1/n)P is the saturated monoid S =
+        L cap cone (L the group lattice) with Hilbert basis H =
+        `generators`, and P sits in it as n*S, so P+ generates the ideal E
+        of S generated by the n*h, h in H (a nonzero n*p is n*h + n*(p-h)
+        for some h in H with p - h in S).
+
+        Claim: a point y of level n (a point of S) lies outside
+        `delta_points(P, n)` iff y - n*h is in (1/n)P, that is in S, for
+        some h in H.  `delta_points` keeps exactly the group points y of
+        the cone for which every y - n*h leaves the cone (`infquot`: the
+        parallelepipeds hold every such point, and `_delta_test` drops the
+        others).  y - n*h is a group point, as y and h are, and a group
+        point of the cone is in S, as S is saturated; so y - n*h stays in
+        the cone iff it is in S.  So the points of S outside Delta are E.
+
+        Hence A = k[(1/n)P]/(P+) = k[S]/k[E] has the basis x^gamma, gamma
+        in Delta, with x^g x^d = x^(g+d), or 0 when g+d is in E.  And k[S]
+        = k[x_h : h in H]/I_H (x_h -> x^h is onto, as H generates S, and
+        its kernel is the toric ideal I_H), and x^(n*h) is the image of
+        x_h^n, so A = k[x_h : h in H]/(I_H + (x_h^n : h in H)), whatever n.
+        At n = 1 every h is in E (h - h = 0), so A = k.  At n >= 2 every h
+        is in Delta: h - n*h' in S would write h as h' + ((n-1)*h' + (h -
+        n*h')), a sum of two nonzero points of S, but h is indecomposable.
+
+        So, at every label and after the matrix shapes, with X_h the
+        action of h:
+          N  generators outside Delta act as zero (all of them at level 1,
+             where A = k and nothing else is asked, none at n >= 2);
+          C  X_g X_h = X_h X_g for each pair of delta generators;
+          M  X^u = X^v for each move (u, v) of `GradedAlgebra.moves`, a
+             generating set of I_H (`MonoidPresentation._toric_moves`);
+          P  X_h^n = 0 for each delta generator h (`_power`).
+        These say that h -> X_h makes the module a module over k[x_h]/(I_H
+        + (x_h^n)) = A: with C every polynomial acts through its value on
+        commuting matrices, and each element of the ideal, a sum of
+        polynomials times x^u - x^v or x_h^n, acts as zero.  The composite
+        act(gamma) along `decompose(gamma)` is then the action of the
+        monomial x^gamma, and the module law follows: X_h act(gamma) is
+        act(h+gamma), or 0 when h+gamma leaves Delta.
+
+        Conversely the law, by induction on the length of a word, makes a
+        product X_h1 ... X_hk equal to act(h1 + ... + hk) when the sum is
+        in Delta and 0 otherwise (E is an ideal, so the sum of a longer
+        word stays outside Delta).  C, M and P each compare two products
+        of equal sums (n*h is in E), so no module satisfying the law is
+        rejected.  The relations do not grow with n: |H| choose 2
+        commutators, the moves, and |H| powers of O(log n) products each.
         """
         alg = self.algebra
-        shift, target, support = alg.shift, alg.target, self.support
+        support = self.support
         for h in alg.generators:
             if h in alg.delta_generators:
                 continue
@@ -427,21 +461,24 @@ class GradedModule:
         for h in alg.delta_generators:
             for i in support:
                 self._gen(h, i)
-        law = alg.module_law
-        for g, h in law.commuting:
+        for g, h in combinations(alg.delta_generators, 2):
             for i in support:
-                gh = self._gen_times(g, shift[h][i], self._gen(h, i), i)
-                hg = self._gen_times(h, shift[g][i], self._gen(g, i), i)
-                if gh != hg:
+                if self._word((h, g), i) != self._word((g, h), i):
                     raise ValueError(f"module law fails: generators {vec_key(alg.point(g))} and {vec_key(alg.point(h))} do not commute")
-        for h, gamma in law.zero:
+        for u, v in alg.moves:
             for i in support:
-                if not fields.mat_eq_zero(self._gen_times(h, target(gamma, i), self.act(gamma, i), i)):
-                    raise ValueError(f"module law fails at generator {vec_key(alg.point(h))}, basis {vec_key(alg.point(gamma))}")
-        for h, gamma, s in law.sums:
+                if self._word(u, i) != self._word(v, i):
+                    raise ValueError(f"module law fails: the products {_word_key(alg, u)} and {_word_key(alg, v)} differ")
+        for h in alg.delta_generators:
+            memo = {}
             for i in support:
-                if self._gen_times(h, target(gamma, i), self.act(gamma, i), i) != self.act(s, i):
-                    raise ValueError(f"module law fails at generator {vec_key(alg.point(h))}, basis {vec_key(alg.point(gamma))}")
+                if not fields.mat_eq_zero(self._power(h, alg.level, i, memo)[0]):
+                    raise ValueError(f"module law fails: generator {vec_key(alg.point(h))} to the power {alg.level} acts nontrivially")
+
+
+def _word_key(alg, word):
+    """A word of generators in payload notation, such as 1/2,0 + 0,1/2."""
+    return " + ".join(vec_key(alg.point(g)) for g in word)
 
 
 def twist(algebra, label):

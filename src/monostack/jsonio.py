@@ -33,8 +33,14 @@ def frac_to_str(x):
 
 
 def frac_from_str(s):
+    """A rational from its string; plain ASCII decimal integers (most
+    payload entries) skip the `Fraction` parse, which gives them the same
+    int."""
+    s = str(s)
+    if s.isascii() and (s.isdigit() or (s[:1] == "-" and s[1:].isdigit())):
+        return int(s)
     try:
-        x = Fraction(str(s))
+        x = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad rational {s!r}") from exc
     return x.numerator if x.denominator == 1 else x

@@ -129,10 +129,10 @@ def root_inclusion(pres, n):
 
 
 def group_coords(pres, y):
-    """Coordinates of an integer vector y against the group basis, or None
-    off the group lattice.  When the group is Z^d, an int tuple is its own
-    coordinate vector; other entries (integral Fractions) take the solve."""
-    if pres._group_is_ambient and all(type(c) is int for c in y):
+    """Coordinates of an int tuple y against the group basis, or None off
+    the group lattice.  When the group is Z^d, y is its own coordinate
+    vector."""
+    if pres._group_is_ambient:
         return y
     return lattice_coords_int(pres.group_basis, y)
 

@@ -8,7 +8,8 @@ membership (`lattice_contains_int`), facets and extreme rays of rational
 polyhedral cones by integer elimination (Hermite bases and Smith
 kernels), pulling triangulations of a cone's rays with the lattice points
 of each simplex's half-open parallelepiped, cone membership, and bounded
-enumeration of integer points.
+enumeration of integer points, and minimal generating sets of toric
+ideals (`toric_moves`).
 The enumeration is an all-int walk over the coordinates in which the
 facets and the cap confine each coordinate to one interval (facet-bounded
 lattice-point walks as in Beck-Robins, 2007).
@@ -21,11 +22,13 @@ full dimensional).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, product
 from math import gcd
-from operator import add, mul, sub
+from operator import add, le, mul, sub
 
 from .errors import DimensionMismatch, UnboundedRegion
 
@@ -500,3 +503,157 @@ def enumerate_integer_points(cone, bound_functional, cap):
                 and all(fs + fc * c >= 0 for fs, fc in zip(fsums, column))
             ]
     return out
+
+
+# ---------------------------------------------------------------------------
+# toric ideals
+
+
+def _divides(a, b):
+    return all(map(le, a, b))
+
+
+def _move(e, a, b):
+    """The exponent vector e - a + b."""
+    return tuple(c - p + q for c, p, q in zip(e, a, b))
+
+
+def _cancel(a, b, coords):
+    """x^a - x^b divided by the largest monomial in the variables `coords`
+    that divides both terms."""
+    a, b = list(a), list(b)
+    for j in coords:
+        c = min(a[j], b[j])
+        a[j] -= c
+        b[j] -= c
+    return tuple(a), tuple(b)
+
+
+def _binomial_groebner(binomials, key):
+    """A Groebner basis of the ideal of pure binomials x^a - x^b, as (lead, trail) pairs.
+
+    `key` sorts exponent vectors in a monomial order.  The normal form of a
+    monomial modulo such binomials is a monomial, and so is each term of
+    an S-polynomial, so the whole of Buchberger's algorithm runs on
+    exponent pairs.  Pairs go smallest lcm first; those with coprime
+    leads (Buchberger's first criterion) and those whose lcm a third lead
+    divides while both of its pairs are done (the chain criterion) are
+    skipped.  Only the elements with minimal leads are returned.
+    """
+    basis, heap, pending = [], [], set()
+
+    def normal_form(e):
+        while True:
+            for lead, trail in basis:
+                if _divides(lead, e):
+                    e = _move(e, lead, trail)
+                    break
+            else:
+                return e
+
+    def add(a, b):
+        if a == b:
+            return
+        new = (a, b) if key(a) > key(b) else (b, a)
+        k = len(basis)
+        basis.append(new)
+        for i in range(k):
+            lcm_ = tuple(map(max, basis[i][0], new[0]))
+            heappush(heap, (key(lcm_), i, k, lcm_))
+            pending.add((i, k))
+
+    for a, b in binomials:
+        add(normal_form(a), normal_form(b))
+    while heap:
+        _, i, j, lcm_ = heappop(heap)
+        pending.discard((i, j))
+        (a1, b1), (a2, b2) = basis[i], basis[j]
+        if not any(map(min, a1, a2)):
+            continue
+        if any(
+            k not in (i, j) and (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending
+            and _divides(basis[k][0], lcm_)
+            for k in range(len(basis))
+        ):
+            continue
+        add(normal_form(_move(lcm_, a1, b1)), normal_form(_move(lcm_, a2, b2)))
+    return [
+        g for i, g in enumerate(basis)
+        if not any(_divides(h[0], g[0]) and (h[0] != g[0] or j < i) for j, h in enumerate(basis) if j != i)
+    ]
+
+
+def _joined(u, v, moves):
+    """Whether u and v are joined by the moves, used either way, inside
+    the nonnegative orthant (breadth first; the fiber is finite)."""
+    seen, todo = {u}, deque([u])
+    while todo:
+        w = todo.popleft()
+        for a, b in moves:
+            for p, q in ((a, b), (b, a)):
+                if _divides(p, w):
+                    z = _move(w, p, q)
+                    if z == v:
+                        return True
+                    if z not in seen:
+                        seen.add(z)
+                        todo.append(z)
+    return False
+
+
+def toric_moves(points, weights):
+    """A minimal generating set of the toric ideal of `points`, as moves (u, v).
+
+    The toric ideal I of integer vectors a_1..a_m is the kernel of
+    k[x_1..x_m] -> k[Z^d], x_j -> t^(a_j).  It is spanned by the binomials
+    x^u - x^v with sum u_j a_j = sum v_j a_j; a move is such a pair of
+    exponent vectors, here with disjoint supports.  `weights` are the
+    values l(a_j) > 0 of a functional positive on every a_j, so every
+    binomial of I is homogeneous for deg x_j = l(a_j).
+
+    Lattice-basis saturation (Hosten-Sturmfels, IPCO 1995; Sturmfels,
+    Groebner Bases and Convex Polytopes, 1996, chapter 12): with B a basis
+    of the kernel lattice {c in Z^m : sum c_j a_j = 0} (a Hermite basis of
+    the rows (a_j, e_j), read off the rows that vanish on the a-block), I
+    is the saturation J : (x_1 ... x_m)^inf of J = (x^(b+) - x^(b-) : b in
+    B).  For a homogeneous ideal and the weighted reverse lexicographic
+    order with x_i last, x_i divides the initial term of a homogeneous
+    binomial iff it divides both terms, so dividing each element of a
+    Groebner basis by the largest power of x_i it has gives a Groebner
+    basis of the saturation by x_i (Sturmfels 1996, Lemma 12.1).
+    Saturating by x_1, ..., x_m in turn gives I.
+
+    I is prime and holds no monomial, so each binomial can also drop the
+    common factor of its two terms.  The set is then made minimal: x^u -
+    x^v lies in the ideal of other binomials iff u and v are joined in
+    their fiber {w >= 0 : sum w_j a_j = sum u_j a_j} by their moves (the
+    proof of Diaconis-Sturmfels, Ann. Statist. 26, 1998, Theorem 3.1).
+    Dropping the redundant moves from the top degree down leaves an
+    irredundant set of homogeneous generators, which is minimal; moves
+    above a fiber's degree never act on it.  The moves come back sorted
+    by degree.
+    """
+    m = len(points)
+    d = len(points[0]) if m else 0
+    unit = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    kernel = [row[d:] for row in lattice_basis([tuple(a) + e for a, e in zip(points, unit)]) if not any(row[:d])]
+    moves = [(tuple(max(c, 0) for c in b), tuple(max(-c, 0) for c in b)) for b in kernel]
+
+    def degree(e):
+        return sum(map(mul, weights, e))
+
+    for last in range(m):
+        order = [j for j in range(m) if j != last] + [last]
+
+        def key(e, order=order):
+            return degree(e), tuple(-e[j] for j in reversed(order))
+
+        moves = [_cancel(a, b, (last,)) for a, b in _binomial_groebner(moves, key)]
+    moves = sorted({(max(mv), min(mv)) for mv in (_cancel(a, b, range(m)) for a, b in moves)},
+                   key=lambda mv: (degree(mv[0]), mv))
+    kept = list(moves)
+    for mv in reversed(moves):
+        others = [o for o in kept if o != mv and degree(o[0]) <= degree(mv[0])]
+        if _joined(*mv, others):
+            kept.remove(mv)
+    return tuple(kept)

@@ -47,7 +47,7 @@ from .lattice import (
 # Derived data fixed by (ambient_rank, generators), never by the denominator.
 INTEGER_MODEL = ("cone", "group_basis", "positive_functional", "is_sharp", "is_saturated", "is_simplicial",
                  "_group_is_ambient", "_group_tests", "_group_contains_int", "ray_generators", "caratheodory_sum",
-                 "_parallelepipeds", "_saturation_hilbert_basis", "_in_generated_memo")
+                 "_parallelepipeds", "_saturation_hilbert_basis", "_toric_moves", "_in_generated_memo")
 
 
 @dataclass(frozen=True)
@@ -295,6 +295,17 @@ class MonoidPresentation:
             for x, fx in values
             if not any(y != x and all(map(ge, fx, fy)) for y, fy in values)
         )
+
+    @cached_property
+    def _toric_moves(self):
+        """A minimal generating set of the toric ideal I_H of the Hilbert basis H
+        (`_saturation_hilbert_basis`), in the integer model: pairs (u, v) of
+        exponent vectors over H with sum u_j h_j = sum v_j h_j, from
+        `lattice.toric_moves`.  So k[x_h : h in H]/I_H is the semigroup ring of
+        the saturation; the graded layer checks its modules against these moves.
+        """
+        hb = self._saturation_hilbert_basis
+        return lattice.toric_moves(hb, [dot(self.positive_functional, h) for h in hb])
 
     # -- public operations ----------------------------------------------------
 

@@ -6,6 +6,7 @@ nonnegative-combination system, monoid membership by bounded brute-force
 coefficient search, determinants by fraction Gaussian elimination.
 """
 
+import itertools
 from fractions import Fraction
 
 from monostack import fields
@@ -363,6 +364,20 @@ def _shifted(module, label, gamma):
     return label_add(label, module.algebra.label_of(gamma))
 
 
+def _chain(module, word, label):
+    """The generators of `word` applied in order out of `label`, by schoolbook
+    products; the empty word gives the identity."""
+    field = module.algebra.field
+    d = module.dim(label)
+    mat = tuple(tuple(field.one if i == j else field.zero for j in range(d)) for i in range(d))
+    cur = label
+    for g in word:
+        gmat = module.gen_matrix(g, cur)
+        cur = _shifted(module, cur, g)
+        mat = _product(field, gmat, mat, module.dim(cur), d)
+    return mat
+
+
 def _composite(module, gamma, label, memo=None):
     """x^gamma out of `label`: the chain product along `decompose(gamma)`,
     stored in `memo` when one is given."""
@@ -370,15 +385,7 @@ def _composite(module, gamma, label, memo=None):
         if (gamma, label) not in memo:
             memo[(gamma, label)] = _composite(module, gamma, label)
         return memo[(gamma, label)]
-    field = module.algebra.field
-    d = module.dim(label)
-    mat = tuple(tuple(field.one if i == j else field.zero for j in range(d)) for i in range(d))
-    cur = label
-    for g in reversed(module.algebra.decompose(gamma)):
-        gmat = module.gen_matrix(g, cur)
-        cur = _shifted(module, cur, g)
-        mat = _product(field, gmat, mat, module.dim(cur), d)
-    return mat
+    return _chain(module, tuple(reversed(module.algebra.decompose(gamma))), label)
 
 
 def _times(module, h, gamma, label, memo=None):
@@ -421,12 +428,13 @@ def module_law_oracle(module):
 
 
 def law_family_failures(module):
-    """The families of the law set at which a module fails, each checked on
-    its own: "N" (generators outside Delta) and the "C", "Z" and "S" pairs
-    of `GradedAlgebra.module_law`."""
+    """The families of relations of `GradedModule.validate` at which a module
+    fails, each checked on its own with schoolbook products: "N" (generators
+    outside Delta act as zero), "C" (the delta generators commute), "M" (X^u =
+    X^v for the moves of `GradedAlgebra.moves`) and "P" (X_h^n = 0 for each
+    delta generator h, as n products in a row)."""
     alg = module.algebra
     field = alg.field
-    law = alg.module_law
     labels = list(module.dims)
     failed = set()
     if any(
@@ -437,19 +445,15 @@ def law_family_failures(module):
     ):
         failed.add("N")
     if any(
-        _times(module, g, h, lab) != _times(module, h, g, lab)
-        for g, h in law.commuting
+        _chain(module, (g, h), lab) != _chain(module, (h, g), lab)
+        for g, h in itertools.combinations(alg.delta_generators, 2)
         for lab in labels
     ):
         failed.add("C")
-    if any(not _is_zero(field, _times(module, h, gamma, lab)) for h, gamma in law.zero for lab in labels):
-        failed.add("Z")
-    if any(
-        _times(module, h, gamma, lab) != _composite(module, s, lab)
-        for h, gamma, s in law.sums
-        for lab in labels
-    ):
-        failed.add("S")
+    if any(_chain(module, u, lab) != _chain(module, v, lab) for u, v in alg.moves for lab in labels):
+        failed.add("M")
+    if any(not _is_zero(field, _chain(module, (h,) * alg.level, lab)) for h in alg.delta_generators for lab in labels):
+        failed.add("P")
     return failed
 
 

@@ -588,6 +588,18 @@ def test_non_generator_action_entry_is_malformed(action, tmp_path, capsys):
     assert err == "error: gen 1/2,1/2 is not a Hilbert generator of (1/n)P\n"
 
 
+def test_nilpotency_failure_is_malformed(monkeypatch, capsys):
+    """On N at level 2, x^(1/2) acting by 1 in both directions squares to 1,
+    not 0: exit 1 with the generator in payload notation."""
+    payload = {
+        "monoid": NAT, "level": 2, "field": "Q", "components": {"0": 1, "1/2": 1},
+        "action": [{"rep": "0", "gen": "1/2", "matrix": [["1"]]}, {"rep": "1/2", "gen": "1/2", "matrix": [["1"]]}],
+    }
+    code, out, err = run_cli(["parabolic", "from-graded"], payload, capsys, monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "error: module law fails: generator 1/2 to the power 2 acts nontrivially\n"
+
+
 def _profinite_payload():
     from monostack.infquot import TruncatedProfiniteElement
     from monostack.jsonio import monoid_from_json, profinite_to_json

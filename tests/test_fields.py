@@ -188,6 +188,25 @@ def test_qq_keeps_true_fractions_and_gf_p_stays_in_range():
             assert all(type(x) is int and 0 <= x < field.p for row in red for x in row)
 
 
+@pytest.mark.parametrize("text", [" 3", "+3", "-0", "007", "3.0", "1e2", "\u0663", "\u00b2", "1/0", "", "-", "12", "-45", "2/4"])
+def test_frac_from_str_matches_the_fraction_parse(text):
+    """The int fast path gives every string the value and type, or the
+    MalformedInput, of the plain `Fraction` parse.  "\u0663" (ARABIC-INDIC
+    DIGIT THREE) reads as 3; "\u00b2" (SUPERSCRIPT TWO) is a digit to
+    `str.isdigit` that neither `int` nor `Fraction` reads."""
+    from monostack.errors import MalformedInput
+
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(MalformedInput, match="bad rational"):
+            frac_from_str(text)
+        return
+    want = x.numerator if x.denominator == 1 else x
+    got = frac_from_str(text)
+    assert (got, type(got)) == (want, type(want))
+
+
 def test_payload_rationals_read_as_ints_when_integral():
     assert type(frac_from_str("4/2")) is int and frac_from_str("4/2") == 2
     assert type(frac_from_str("-3")) is int and frac_from_str("-3") == -3

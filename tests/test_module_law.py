@@ -1,10 +1,13 @@
-"""The module law of graded modules, checked on its generating set.
+"""The module law of graded modules, checked on the algebra's presentation.
 
-`GradedModule.validate` checks the law on the pairs of
-`GradedAlgebra.module_law` only.  These tests compare its verdicts with
-the full multiplication table (`helpers.module_law_oracle`), pin the size
-of the generating set, and give one module per family that fails that
-family alone, so that no family can be dropped.
+`GradedModule.validate` checks the relations of k[x_h : h in H]/(I_H +
+(x_h^n)): commutators C, the toric moves M of `GradedAlgebra.moves` and
+the powers P, besides the zero law N.  These tests compare its verdicts
+with the full multiplication table (`helpers.module_law_oracle`), pin the
+sizes of the families and the moves themselves, check that the moves
+generate the toric ideal against sympy's elimination Groebner basis, and
+give one module per family that fails that family alone, so that no
+family can be dropped.
 """
 
 import itertools
@@ -25,6 +28,7 @@ from helpers import (
 from monostack.fields import QQ, PrimeField
 from monostack.graded import GradedModule, contains_at_level, graded_algebra
 from monostack.kummer import label_add
+from monostack.lattice import facet_values, vadd
 from monostack.monoid import saturate, validate
 
 MONOIDS = {
@@ -33,7 +37,15 @@ MONOIDS = {
     "cone": lambda: validate([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]),
     "index2": lambda: saturate(validate([(2, 0), (1, 1), (0, 2)])),
     "wide": lambda: validate([(1, 0), (1, 1), (1, 2)]),
+    # one cubic move: 3*(1,1,1) = (1,1,2) + (2,2,1)
+    "cubic": lambda: saturate(validate([(1, 1, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2)])),
+    # the twisted cubic: Hilbert basis (1,0), (1,-1), (1,-2), (1,-3), three quadrics
+    "quadrics": lambda: saturate(validate([(1, 0), (1, -3), (2, -1)])),
 }
+
+# the cone over a lattice hexagon: 7 Hilbert generators and 9 quadric moves;
+# the saturation steps leave redundant binomials that the minimization drops
+HEXAGON = ((1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1))
 
 FIELDS = (QQ, PrimeField(2), PrimeField(3))
 
@@ -54,8 +66,8 @@ def _accepts(module):
 def test_law_set_agrees_with_full_table(name):
     """Twist sums, single-entry corruptions of them and random scalar modules,
     at levels 1-3 over QQ, GF(2) and GF(3): the verdicts agree with the full
-    table.  The cone at level 3 gets one small case per field (the table
-    check is slow there)."""
+    table.  Algebras with 20 or more basis points get one small case per
+    field (the table check is slow there)."""
     pres = MONOIDS[name]()
     rng = random.Random(f"module-law-{name}")
     verdicts = {True: 0, False: 0}
@@ -74,14 +86,107 @@ def test_law_set_agrees_with_full_table(name):
 
 @pytest.mark.parametrize(
     "name, level, sizes",
-    [("N2", 6, (7, 0, 1)), ("cone", 2, (19, 2, 6)), ("cone", 3, (40, 8, 6))],
+    [
+        ("N2", 6, (1, 0, 2)),
+        ("cone", 2, (6, 1, 4)),
+        ("cone", 3, (6, 1, 4)),
+        ("cone", 6, (6, 1, 4)),
+        ("N", 1, (0, 0, 0)),
+        ("cubic", 2, (6, 1, 4)),
+        ("quadrics", 3, (6, 3, 4)),
+        ("hexagon", 2, (21, 9, 7)),
+    ],
 )
 def test_law_set_sizes(name, level, sizes):
-    """(zero, sums, commuting) pair counts; the full table has |delta
-    generators| x |basis| pairs (72 on N^2 at level 6, 140 on the cone at
-    level 3)."""
-    law = graded_algebra(MONOIDS[name](), level).module_law
-    assert (len(law.zero), len(law.sums), len(law.commuting)) == sizes
+    """(C, M, P) relation counts: pairs of delta generators, moves and delta
+    generators.  They do not grow with the level; the full table has
+    |delta generators| x |basis| pairs (72 on N^2 at level 6, 140 on the
+    cone at level 3), and level 1 has no delta generator at all."""
+    pres = saturate(validate(HEXAGON)) if name == "hexagon" else MONOIDS[name]()
+    alg = graded_algebra(pres, level)
+    pairs = list(itertools.combinations(alg.delta_generators, 2))
+    assert (len(pairs), len(alg.moves), len(alg.delta_generators)) == sizes
+
+
+def _move_words(pres):
+    """The moves as unordered pairs of sorted generator words."""
+    hb = pres._saturation_hilbert_basis
+    return {
+        frozenset(tuple(sorted(h for h, e in zip(hb, exps) for _ in range(e))) for exps in move)
+        for move in pres._toric_moves
+    }
+
+
+@pytest.mark.parametrize(
+    "name, words",
+    [
+        ("N", []),
+        ("N2", []),
+        ("cone", [(((0, 0, 1), (1, 1, -1)), ((0, 1, 0), (1, 0, 0)))]),
+        ("wide", [(((1, 0), (1, 2)), ((1, 1), (1, 1)))]),
+        ("index2", [(((0, 2), (2, 0)), ((1, 1), (1, 1)))]),
+        ("cubic", [(((1, 1, 1),) * 3, ((1, 1, 2), (2, 2, 1)))]),
+        (
+            "quadrics",
+            [
+                (((1, -3), (1, -1)), ((1, -2), (1, -2))),
+                (((1, -3), (1, 0)), ((1, -2), (1, -1))),
+                (((1, -2), (1, 0)), ((1, -1), (1, -1))),
+            ],
+        ),
+    ],
+)
+def test_toric_moves(name, words):
+    """The minimal moves of the example monoids; each is a relation of
+    disjoint support between Hilbert generators with equal sums."""
+    pres = MONOIDS[name]()
+    assert _move_words(pres) == {frozenset(pair) for pair in words}
+    hb = pres._saturation_hilbert_basis
+    for u, v in pres._toric_moves:
+        assert not any(a and b for a, b in zip(u, v))
+        sums = [[sum(e * h[k] for e, h in zip(exps, hb)) for k in range(pres.ambient_rank)] for exps in (u, v)]
+        assert sums[0] == sums[1]
+
+
+def test_toric_moves_are_shared(nonsimplicial):
+    """Root extensions and the saturation share the moves by reference."""
+    moves = nonsimplicial._toric_moves
+    assert nonsimplicial.rebuilt(6)._toric_moves is moves
+    assert saturate(nonsimplicial)._toric_moves is moves
+
+
+@pytest.mark.parametrize("name", ["cubic", "quadrics", "N2", "cone", "index2", "hexagon"])
+def test_toric_moves_generate_the_elimination_ideal(name):
+    """sympy oracle: the ideal of the moves is I_H, computed as the
+    x-part of a lex Groebner basis of (x_j - t^(F h_j)) with F the facet
+    values (injective on the span of H, and >= 0 on it), and no move lies
+    in the ideal of the others."""
+    sympy = pytest.importorskip("sympy")
+    pres = saturate(validate(HEXAGON)) if name == "hexagon" else MONOIDS[name]()
+    hb = pres._saturation_hilbert_basis
+    facets = pres.cone.facets
+    ts = sympy.symbols(f"t0:{len(facets)}")
+    xs = sympy.symbols(f"x0:{len(hb)}")
+    elim = sympy.groebner(
+        [x - sympy.prod([t**c for t, c in zip(ts, facet_values(facets, h))]) for x, h in zip(xs, hb)],
+        *ts, *xs, order="lex",
+    )
+    toric = [g for g in elim.exprs if not g.free_symbols & set(ts)]
+
+    def monomial(exps):
+        return sympy.prod([x**e for x, e in zip(xs, exps)])
+
+    ours = [monomial(u) - monomial(v) for u, v in pres._toric_moves]
+    if not toric:
+        assert not ours
+        return
+    theirs = sympy.groebner(toric, *xs, order="grevlex")
+    assert all(theirs.contains(b) for b in ours)
+    mine = sympy.groebner(ours, *xs, order="grevlex")
+    assert all(mine.contains(g) for g in toric)
+    for k, b in enumerate(ours):
+        others = ours[:k] + ours[k + 1:]
+        assert not others or not sympy.groebner(others, *xs, order="grevlex").contains(b)
 
 
 def test_act_is_the_composite_along_decompose(nonsimplicial):
@@ -123,22 +228,37 @@ def test_commutator_family_is_needed(nat2):
     _assert_fails_only(module, "C")
 
 
-def test_zero_family_is_needed(nat):
+def test_power_family_is_needed(nat):
     """On N at level 2, x^(1/2) acts invertibly although x^(1/2) x^(1/2) = 0."""
     alg = graded_algebra(nat, 2)
     h = fr("1/2")
     module = _module(alg, {fr(0): 1, h: 1}, {(h, fr(0)): 1, (h, h): 1})
-    _assert_fails_only(module, "Z")
+    _assert_fails_only(module, "P")
+    with pytest.raises(ValueError, match=r"^module law fails: generator 1/2 to the power 2 acts nontrivially$"):
+        module.validate()
 
 
-def test_sum_family_is_needed(nonsimplicial):
+@pytest.mark.parametrize("level", range(2, 10))
+def test_power_family_by_squaring(nat, level):
+    """On N at level n, the n-cycle of ones has X^n = 1 and fails P; the chain
+    that ends one step earlier has X^n = 0 and is the algebra itself."""
+    alg = graded_algebra(nat, level)
+    h = fr(Fraction(1, level))
+    points = [fr(Fraction(k, level)) for k in range(level)]
+    cycle = _module(alg, {p: 1 for p in points}, {(h, p): 1 for p in points})
+    _assert_fails_only(cycle, "P")
+    chain = _module(alg, {p: 1 for p in points}, {(h, p): 1 for p in points[:-1]})
+    assert module_law_oracle(chain) and _accepts(chain) and not law_family_failures(chain)
+
+
+def test_move_family_is_needed(nonsimplicial):
     """Monomials in the delta generators with sum in Delta, multiplied without
     the toric relations: on the cone at level 2, a+b = c+m for a, b, c the
     halved unit vectors and m = (1/2, 1/2, -1/2), and the two monomials
     stay apart where the algebra has one basis element."""
     alg = graded_algebra(nonsimplicial, 2)
     gens = alg.delta_generators
-    sums = {(): fr(0, 0, 0)}
+    sums = {(): (0, 0, 0)}
     frontier = [()]
     while frontier:
         mono = frontier.pop()
@@ -162,7 +282,18 @@ def test_sum_family_is_needed(nonsimplicial):
                 )
     module = GradedModule(alg, {lab: len(m) for lab, m in by_label.items()}, action, check=False)
     assert module.total_dim > len(alg.basis)
-    _assert_fails_only(module, "S")
+    _assert_fails_only(module, "M")
+    with pytest.raises(ValueError, match=r"the products 0,0,1/2 \+ 1/2,1/2,-1/2 and 0,1/2,0 \+ 1/2,0,0 differ"):
+        module.validate()
+
+
+def test_label_of_takes_int_coordinates(nonsimplicial):
+    """The graded layer's points are int tuples: integral Fractions are refused."""
+    alg = graded_algebra(nonsimplicial, 2)
+    assert alg.label_of((0, 0, 0)) == alg.zero_label
+    with pytest.raises(TypeError, match="int coordinates"):
+        alg.label_of(fr(0, 0, 0))
+    assert alg.label_of(vadd((1, 0, 0), (0, 1, 0))) == label_add(alg.label_of((1, 0, 0)), alg.label_of((0, 1, 0)))
 
 
 # -- membership at a level ----------------------------------------------------
