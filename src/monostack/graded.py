@@ -412,7 +412,7 @@ class GradedModule:
         `delta_points(P, n)` iff y - n*h is in (1/n)P, that is in S, for
         some h in H.  `delta_points` keeps exactly the group points y of
         the cone for which every y - n*h leaves the cone (`infquot`: the
-        parallelepipeds hold every such point, and `_delta_test` drops the
+        parallelepipeds hold every such point, and the line solve drops the
         others).  y - n*h is a group point, as y and h are, and a group
         point of the cone is in S, as S is saturated; so y - n*h stays in
         the cone iff it is in S.  So the points of S outside Delta are E.

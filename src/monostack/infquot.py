@@ -15,6 +15,15 @@ for affine monoids and rational cones", J. Algebra 324, 2010).  Its
 candidates are counted before they are enumerated, and more than
 `ENUMERATION_BUDGET` raise `EnumerationBudget`.
 
+Most candidates get no test of their own.  The complement of Delta is
+closed under adding a cone point v, a ray generator say (down-set
+lemma): if x - h is in the cone for a Hilbert generator h, so is x + v -
+h, as every facet is >= 0 on v.  And on a line x + t*r the facet values
+are affine in t, so the least integer t at which x + t*r - h enters the
+cone is a maximum of one ceiling per facet (line solve).  `delta_points`
+proves both, and walks each parallelepiped's box as a down-set, solving
+one line per base.
+
 Delta0(P) keeps the points that are alone in their class modulo the
 group; at a fixed level this is decided exactly by the level-n
 enumeration, since congruent Delta points share denominators.
@@ -65,11 +74,13 @@ def positive_functional(pres):
     return pres.positive_functional
 
 
-def _delta_test(pres, k):
-    """Whether a cone point y is in Delta, from its facet values: y - k*h
-    leaves the cone for every integer Hilbert generator h of P."""
-    shifts = [facet_values(pres.cone.facets, vscale(k, h)) for h in pres._saturation_hilbert_basis]
-    return lambda fy: not any(all(map(ge, fy, fv)) for fv in shifts)
+def _thresholds(pres, k):
+    """The table k*f(h), one row per integer Hilbert generator h of P and one
+    entry per facet f: a cone point y is in Delta at scale k iff for every
+    row some facet value f(y) falls below its entry, that is iff y - k*h
+    leaves the cone for every h."""
+    facets = pres.cone.facets
+    return tuple(tuple(k * v for v in facet_values(facets, h)) for h in pres._saturation_hilbert_basis)
 
 
 def in_delta(pres, x):
@@ -79,7 +90,7 @@ def in_delta(pres, x):
     x = lattice.as_fractions(x)
     k = lcm(*(a.denominator for a in x))
     fy = facet_values(pres.cone.facets, pres._scaled(vscale(k, x)))
-    return min(fy) >= 0 and _delta_test(pres, k)(fy)
+    return min(fy) >= 0 and not any(all(map(ge, fy, row)) for row in _thresholds(pres, k))
 
 
 class DeltaSet:
@@ -142,20 +153,43 @@ def delta_points(pres, level):
 
     The candidates: for x in Delta, the group point y = level*s*x lies in
     the cone of a simplex of `_parallelepipeds`, y = sum u_j r_j over its
-    integer ray generators r_j.  As x is in Delta, u_j/level < 1 (module
-    docstring), so 0 <= u_j < level, and with k_j = floor(u_j) the group
-    point y - sum k_j r_j lies in the simplex's half-open parallelepiped.
-    So y is p + sum k_j r_j for a parallelepiped point p and 0 <= k_j <
-    level: level^d * sum |Pi| candidates over the simplices, d the rank.
-    Past `ENUMERATION_BUDGET` of them it raises `EnumerationBudget` before
-    enumerating.
+    integer ray generators r_1..r_d (d the rank).  As x is in Delta,
+    u_j/level < 1 (module docstring), so 0 <= u_j < level, and with k_j =
+    floor(u_j) the group point y - sum k_j r_j lies in the simplex's
+    half-open parallelepiped.  So y is p + sum k_j r_j for a parallelepiped
+    point p and 0 <= k_j < level: level^d * sum |Pi| candidates over the
+    simplices.  Past `ENUMERATION_BUDGET` of them it raises
+    `EnumerationBudget` before enumerating; the count is an upper bound on
+    the work, as most candidates get no test of their own (below).
 
-    The test: y = level*s*x is in Delta iff f(y) >= f(level*v) fails for
-    some facet f, for each integer Hilbert generator v of P.  Facet values
-    and coordinates in the group basis are linear, so each parallelepiped
-    point and ray is lifted once to (itself, its coordinates unless the
-    group is Z^d, its facet values) and the candidates are built on the
-    lifts; a survivor's label residues are its coordinates mod level.
+    The test: y is in Delta iff for each integer Hilbert generator h of P
+    some facet f has f(y) < level*f(h) (`_thresholds`), that is iff y -
+    level*h leaves the cone.
+
+    Down-set lemma: if y is not in Delta, neither is y + r for a ray
+    generator r.  Proof: y - level*h is in the cone for some h, and f(r) >=
+    0 for every facet f, so f(y + r - level*h) = f(y - level*h) + f(r) >= 0
+    and y + r - level*h is in the cone.  So within the box of one
+    parallelepiped point the k with p + sum k_j r_j in Delta form a
+    down-set.
+
+    Line solve: on the line b + k*r_d, h applies (b + k*r_d - level*h is
+    in the cone) iff f(b) + k*f(r_d) >= level*f(h) for every facet f.  A
+    facet with f(r_d) = 0 does not see k: if f(b) < level*f(h) there, h
+    never applies on the line.  Otherwise h applies exactly from k_h = max
+    over the facets with f(r_d) > 0 of ceil((level*f(h) - f(b))/f(r_d));
+    there is such a facet, as the cone is sharp and r_d != 0, and none has
+    f(r_d) < 0.  So the Delta points of the line are the k < min(level,
+    min_h k_h), and the line of b is empty iff b is not in Delta.
+
+    The walk: k_1..k_(d-1) depth first from each parallelepiped point, a
+    coordinate's loop stopped at the first base outside Delta (by the
+    lemma every later base and its lines are outside too), and each base's
+    line solved.  Facet values and coordinates in the group basis are
+    linear, so each parallelepiped point and ray is lifted once to (itself
+    with its coordinates unless the group is Z^d, its facet values) and the
+    bases are sums of lifts; a point on a face of two simplices is kept
+    once, and its label residues are its coordinates mod level.
     """
     pres.hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
     pieces = pres._parallelepipeds
@@ -167,25 +201,46 @@ def delta_points(pres, level):
     d, r = pres.ambient_rank, pres.group_rank
     ambient = pres._group_is_ambient
     facets = pres.cone.facets
-    nf = len(facets)
+    table = _thresholds(pres, level)
 
     def lift(v):
         coords = () if ambient else lattice.lattice_coords_int(pres.group_basis, v)
-        return v + coords + tuple(facet_values(facets, v))
+        return v + coords, tuple(facet_values(facets, v))
 
-    test = _delta_test(pres, level)
-    kept = {}  # lifted candidate -> in Delta
+    kept = set()
     for rays, points in pieces:
-        offsets = [lift((0,) * d)]
-        for ray in map(lift, rays):
-            steps = [vscale(k, ray) for k in range(level)]
-            offsets = [vadd(o, t) for o in offsets for t in steps]
-        for p in map(lift, points):
-            for o in offsets:
-                v = vadd(p, o)
-                if v not in kept:
-                    kept[v] = test(v[-nf:])
-    lifted = sorted(v for v, keep in kept.items() if keep)  # a lift starts with its y: sorted as the y are
+        *steps, (top, last) = map(lift, rays)
+        line = [vscale(k, top) for k in range(level)]
+
+        def walk(j, b, fb):
+            """Add to `kept` the Delta points b + sum k_i r_i over the rays from
+            steps[j] on and the line's (0 <= k_i < level), and say whether b
+            itself is in Delta."""
+            if j == len(steps):
+                length = level
+                for row in table:
+                    k_h = 0
+                    for a, t, c in zip(fb, row, last):
+                        if c:
+                            k_h = max(k_h, -((a - t) // c))  # ceil((t - a)/c)
+                        elif a < t:
+                            break  # h never applies on this line
+                    else:
+                        length = min(length, k_h)
+                        if not length:
+                            return False
+                kept.update(vadd(b, o) for o in line[:length])
+                return True
+            ray, fr = steps[j]
+            for k in range(level):
+                if not walk(j + 1, b, fb):
+                    return k > 0
+                b, fb = vadd(b, ray), vadd(fb, fr)
+            return True
+
+        for p in points:
+            walk(0, *lift(p))
+    lifted = sorted(kept)  # a lift starts with its y: sorted as the y are
     scaled = tuple(v[:d] for v in lifted)
     first = 0 if ambient else d
     residues = tuple(tuple(c % level for c in v[first:first + r]) for v in lifted)

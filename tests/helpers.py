@@ -535,3 +535,34 @@ def delta_points_oracle(pres, level):
         if pres._group_contains_int(y)
         and all(any(dot(f, y) < dot(f, h) for f in pres.cone.facets) for h in shifts)
     )
+
+
+def delta_points_candidates_oracle(pres, level):
+    """Delta(P) cap (1/level)P as (scaled, residues, delta0_mask), by testing
+    every candidate.
+
+    Each candidate p + sum k_j r_j of `delta_points` (a parallelepiped point p
+    of a simplex of `_parallelepipeds`, its ray generators r_j and every k in
+    [0, level)^d) is tested against all thresholds level*f(h) over the
+    integer Hilbert basis; a survivor's residues are its coordinates in the
+    group basis mod level, and it is a Delta0 point when no other survivor
+    has its residues.
+    """
+    from collections import Counter
+
+    from monostack.lattice import dot, lattice_coords_int
+
+    facets = pres.cone.facets
+    shifts = [[level * dot(f, h) for f in facets] for h in pres._saturation_hilbert_basis]
+    kept = set()
+    for rays, points in pres._parallelepipeds:
+        for p in points:
+            for ks in itertools.product(range(level), repeat=len(rays)):
+                y = tuple(a + sum(k * r[i] for k, r in zip(ks, rays)) for i, a in enumerate(p))
+                fy = [dot(f, y) for f in facets]
+                if all(any(a < t for a, t in zip(fy, row)) for row in shifts):
+                    kept.add(y)
+    scaled = tuple(sorted(kept))
+    residues = tuple(tuple(c % level for c in lattice_coords_int(pres.group_basis, y)) for y in scaled)
+    counts = Counter(residues)
+    return scaled, residues, tuple(counts[res] == 1 for res in residues)

@@ -7,16 +7,25 @@ region bounded through `MonoidPresentation.caratheodory_sum`.  Each is
 compared on random sharp monoids with the same answer over a larger
 region: the `delta_bound` region for Delta, the sum over all ray
 generators for the Hilbert basis, and three times the certified bound for
-minimal generators.
+minimal generators.  `delta_points` walks each parallelepiped point's box
+as a down-set and solves each ray line in closed form, so it is also
+compared with the candidate filter it replaced, which tests every
+candidate, and the down-set lemma it rests on is checked through
+`in_delta`.
 """
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import delta_points_oracle, ideal_min_generators_oracle, saturation_hilbert_basis_oracle
+from helpers import (
+    delta_points_candidates_oracle,
+    delta_points_oracle,
+    ideal_min_generators_oracle,
+    saturation_hilbert_basis_oracle,
+)
 from monostack.errors import EmptyGenerators, NotSharp
 from monostack.graded import MonoidIdeal, colon_degree_ideal, ideal_min_generators
-from monostack.infquot import delta_points
-from monostack.lattice import dot, lattice_basis
+from monostack.infquot import delta_points, in_delta
+from monostack.lattice import dot, enumerate_integer_points, lattice_basis, unscale, vadd
 from monostack.monoid import monoid_points, saturate, validate
 
 SETTINGS = settings(max_examples=12, deadline=None, database=None, derandomize=True)
@@ -76,6 +85,40 @@ def test_delta_points_match_delta_bound_region(gens_level, denominator):
     gens, level = gens_level
     pres = saturate(sharp(gens, denominator))
     assert delta_points(pres, level).points == delta_points_oracle(pres, level)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(sharp_generators(), st.integers(1, 6), st.integers(1, 2))
+@example(INDEX2, 12, 1)
+@example(PLANE, 12, 1)
+@example(CONE, 12, 1)
+def test_delta_walk_matches_every_candidate_tested(gens, level, denominator):
+    pres = saturate(sharp(gens, denominator))
+    ds = delta_points(pres, level)
+    assert (ds.scaled, ds.residues, ds.delta0_mask) == delta_points_candidates_oracle(pres, level)
+
+
+@SETTINGS
+@given(generators_and_level((1, 4, 4, 3, 2)), st.integers(1, 2))
+@example((INDEX2, 3), 1)
+@example((PLANE, 2), 2)
+@example((CONE, 3), 1)
+def test_delta_complement_is_closed_under_ray_steps(gens_level, denominator):
+    """Down-set lemma: for x in the cone and not in Delta at level n, and each
+    ray generator r, x + r/(n*s) is not in Delta either.  The x are the
+    points of (1/(n*s))Z^d in the cone, group points or not, with l(n*s*x) at
+    most (n + 1) times the largest l over the ray generators, so n*r is
+    among them and outside Delta for each ray generator r."""
+    gens, level = gens_level
+    pres = saturate(sharp(gens, denominator))
+    scale = level * pres.denominator
+    ell = pres.positive_functional
+    cap = (level + 1) * max(dot(ell, r) for r in pres.ray_generators)
+    outside = [y for y in enumerate_integer_points(pres.cone, ell, cap) if not in_delta(pres, unscale(y, scale))]
+    assert outside
+    for y in outside:
+        for r in pres.ray_generators:
+            assert not in_delta(pres, unscale(vadd(y, r), scale)), (y, r)
 
 
 @SETTINGS
