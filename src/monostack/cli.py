@@ -241,10 +241,8 @@ def cmd_parabolic(args):
         "dimension": dim,
         "basis": [
             {
-                jsonio.vec_to_key(lab.representative): jsonio.matrix_to_json(
-                    sheaf.field, m.block(lab)
-                )
-                for lab in sorted(sheaf.dims, key=lambda la: la.normal_form)
+                jsonio.label_key(lab): jsonio.matrix_to_json(sheaf.field, m.block(lab))
+                for lab in sorted(sheaf.dims, key=lambda la: la.residues)  # the order of the normal forms
                 if other.dim(lab) and sheaf.dim(lab)
             }
             for m in maps

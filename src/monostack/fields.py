@@ -120,24 +120,32 @@ def mat_eq_zero(a):
 
 def rref(field, m):
     """Reduced row echelon form.  Returns (rows, pivot column list); the
-    rows past the pivots are zero."""
+    rows past the pivots are zero.  The input is normalised once, on copy,
+    so a step need only update the columns where the pivot row is nonzero."""
     norm = field.norm
-    rows = [list(r) for r in m]
+    rows = [list(map(norm, r)) for r in m]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot_row is None:
+        for k in range(r, nrows):
+            if rows[k][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = norm(field.inv(rows[r][c]))  # an int when the pivot is 1 or -1
-        rows[r] = [norm(inv * x) for x in rows[r]]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [norm(x - f * y) for x, y in zip(rows[i], rows[r])]
+        prow = rows[k]
+        rows[r], rows[k] = prow, rows[r]
+        p = prow[c]
+        if p != 1:
+            inv = -1 if p == -1 else norm(field.inv(p))
+            prow = rows[r] = [norm(inv * x) for x in prow]
+        nonzero = [(j, y) for j, y in enumerate(prow) if y]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                for j, y in nonzero:
+                    row[j] = norm(row[j] - f * y)
         pivots.append(c)
         r += 1
         if r == nrows:

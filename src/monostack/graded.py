@@ -15,7 +15,9 @@ Here and in `parabolic` a point x of (1/n)P is the int tuple y = n*s*x
 generators are then the integer Hilbert basis of P at every level,
 membership is `MonoidPresentation._contains_int`, and level m maps into
 level N by y -> (N/m)*y.  `GradedAlgebra.point` and `coords` convert at
-the edges: JSON, error messages, `contains_at_level` and `MonoidIdeal`.
+the edges: error messages, the generators read from JSON,
+`contains_at_level` and `MonoidIdeal` (JSON keys are written from the
+int tuples, `lattice.scaled_key`).
 
 Construction paths that take untrusted data check the module law x^h
 x^gamma = x^(h+gamma), or 0 when h+gamma leaves Delta, on the defining
@@ -75,15 +77,10 @@ from .lattice import facet_values, unscale, vadd, vec_key, vscale, vsub
 from .monoid import monoid_points_scaled
 
 
-def _level_coords(pres, level, x):
-    """y = level*s*x for a rational vector x, or None when y is not integral."""
-    return pres._scaled(vscale(level, x))
-
-
 def contains_at_level(pres, level, x):
     """Membership of a rational vector in (1/level)*P (saturated P): y =
     level*s*x is integral and `pres._contains_int(y)`."""
-    y = _level_coords(pres, level, x)
+    y = pres._scaled(x, level)
     return y is not None and pres._contains_int(y)
 
 
@@ -131,7 +128,7 @@ class GradedAlgebra:
 
     def coords(self, x):
         """The integer coordinates scale*x of a rational vector x, or ValueError."""
-        y = _level_coords(self.monoid, self.level, x)
+        y = self.monoid._scaled(x, self.level)
         if y is None:
             raise ValueError(f"{vec_key(x)} is not a point of level {self.level}")
         return y
@@ -1008,7 +1005,7 @@ class MonoidIdeal:
         facets = monoid.cone.facets
         ys = []
         for x in points:
-            y = _level_coords(monoid, self.level, x)
+            y = monoid._scaled(x, self.level)
             if y is None or not monoid._contains_int(y):
                 raise ValueError(message.format(vec_key(x)))
             ys.append(y)
@@ -1026,7 +1023,7 @@ class MonoidIdeal:
 
     def contains(self, x):
         """Membership of a rational vector in the ideal."""
-        y = _level_coords(self.monoid, self.level, x)
+        y = self.monoid._scaled(x, self.level)
         if y is None or not self.monoid._group_contains_int(y):
             return False
         return _dominates(facet_values(self.monoid.cone.facets, y), self.thresholds)

@@ -89,7 +89,7 @@ def in_delta(pres, x):
     pres.hilbert_basis  # raises NotSaturated
     x = lattice.as_fractions(x)
     k = lcm(*(a.denominator for a in x))
-    fy = facet_values(pres.cone.facets, pres._scaled(vscale(k, x)))
+    fy = facet_values(pres.cone.facets, pres._scaled(x, k))
     return min(fy) >= 0 and not any(all(map(ge, fy, row)) for row in _thresholds(pres, k))
 
 

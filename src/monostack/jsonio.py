@@ -7,25 +7,34 @@ from payloads: monoids rebuild their cones, flags and Hilbert bases from
 the generators alone.  A parabolic sheaf is a `GradedModule`, so the
 parabolic and graded-module formats share one writer and one reader and
 differ only in the key of the matrix list, "maps" or "action".
-Generators travel as rational keys, converted by `GradedAlgebra.coords`
-and `GradedAlgebra.point`.  Every value the schemas type as integer, and
-every GF(p) matrix entry, goes through `int_from_json`, which rejects
-booleans, strings and non-integral numbers instead of truncating them.
+Generators and labels travel as rational keys, generators converted by
+`GradedAlgebra.coords`.  A label key of plain ASCII rationals is read
+straight to its int tuple y = n*s*x (`scaled_from_key`) and labelled by
+`scaled_label`; any other key goes through the `Fraction` parse, so the
+accepted keys and every error line are those of `coset_label`.  Keys are
+written from int tuples by `lattice.scaled_key`.  Every value the schemas
+type as integer, and every GF(p) matrix entry, goes through
+`int_from_json`, which rejects booleans, strings and non-integral numbers
+instead of truncating them.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from . import fields
 from .errors import MalformedInput
 from .fields import field_from_spec, field_spec
 from .graded import GradedModule, graded_algebra
-from .kummer import MonoidHom, coset_label
+from .kummer import MonoidHom, coset_label, scaled_label
+from .lattice import scaled_key
 from .lattice import vec_key as vec_to_key
 from .monoid import validate
 from .parabolic import ParabolicSheaf
+
+_PLAIN_KEY = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
 
 
 def frac_to_str(x):
@@ -71,6 +80,37 @@ def vec_from_json(data):
 
 def vec_from_key(s):
     return tuple(frac_from_str(part) for part in str(s).split(","))
+
+
+def scaled_from_key(s, m):
+    """m*x as an int tuple for a key x of plain ASCII rationals
+    (-?[0-9]+(/[0-9]+)?, nonzero denominators), read without `Fraction`;
+    None for any other key, or when m*x is not integral."""
+    if type(s) is not str or not _PLAIN_KEY.fullmatch(s):
+        return None
+    y = []
+    try:
+        for part in s.split(","):
+            num, _, den = part.partition("/")
+            q, r = divmod(int(num) * m, int(den or 1))
+            if r:
+                return None
+            y.append(q)
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or past int's digit limit
+        return None
+    return tuple(y)
+
+
+def label_from_key(pres, n, s):
+    """`coset_label(pres, n, vec_from_key(s))`, by `scaled_label` for a plain key."""
+    y = scaled_from_key(s, n * pres.denominator)
+    label = None if y is None else scaled_label(pres, n, y)
+    return coset_label(pres, n, vec_from_key(s)) if label is None else label
+
+
+def label_key(label):
+    """The key of a label's representative, written from its int form."""
+    return scaled_key(*label.scaled_representative)
 
 
 # -- monoid.json -------------------------------------------------------------
@@ -179,25 +219,22 @@ def matrix_from_json(field, data):
 
 def _module_to_json(module, key):
     field = module.field
-    labels = sorted(module.dims, key=lambda lab: lab.normal_form)
+    alg = module.algebra
+    # `alg.labels` run through the residues in lex order, that of the normal forms
+    reps = {alg.labels[i]: label_key(alg.labels[i]) for i in sorted(module.support)}
+    gens = {g: scaled_key(g, alg.scale) for g in alg.generators}
     entries = []
-    for lab in labels:
-        for g in module.algebra.generators:
+    for lab, rep in reps.items():
+        for g, gen in gens.items():
             mat = module.gen_matrix(g, lab)
             if fields.mat_eq_zero(mat):
                 continue
-            entries.append(
-                {
-                    "rep": vec_to_key(lab.representative),
-                    "gen": vec_to_key(module.algebra.point(g)),
-                    "matrix": matrix_to_json(field, mat),
-                }
-            )
+            entries.append({"rep": rep, "gen": gen, "matrix": matrix_to_json(field, mat)})
     return {
         "monoid": monoid_to_json(module.monoid),
         "level": module.level,
         "field": field_spec(field),
-        "components": {vec_to_key(lab.representative): module.dims[lab] for lab in labels},
+        "components": {rep: module.dims[lab] for lab, rep in reps.items()},
         key: entries,
     }
 
@@ -211,10 +248,10 @@ def _module_from_json(data, what, key, build):
         field = field_from_spec(data.get("field", "Q"))
         dims = {}
         for rep, d in data["components"].items():
-            dims[coset_label(pres, level, vec_from_key(rep))] = int_from_json(d, "component dimension", minimum=0)
+            dims[label_from_key(pres, level, rep)] = int_from_json(d, "component dimension", minimum=0)
         action = {}
         for entry in data.get(key, []):
-            lab = coset_label(pres, level, vec_from_key(entry["rep"]))
+            lab = label_from_key(pres, level, entry["rep"])
             action[(vec_from_key(entry["gen"]), lab)] = matrix_from_json(field, entry["matrix"])
     except MalformedInput:
         raise

@@ -12,9 +12,10 @@ the Picard groups (1/n)P^gp / P^gp, are integer Smith normal forms.
 A coset label is an element of (1/n)P^gp / P^gp = (Z/n)^r, stored as
 integer residues against the group basis and reduced to the smallest level
 (its order) it lives at, so labels computed at different levels compare
-and hash alike.  Adding, scaling and changing the level of labels is
-integer arithmetic; the Fraction normal form and representative are
-derived on demand, for sorting and for JSON.
+and hash alike; each label hashes once, at construction.  Adding,
+scaling and changing the level of labels is integer arithmetic; the
+Fraction normal form and representative are derived on demand, and JSON
+writes the representative from its int form (`scaled_representative`).
 
 `coset_label` takes a rational x, `scaled_label` the int tuple y = n*s*x
 (s the denominator) that the Delta slice and the graded layer store.  On
@@ -35,6 +36,7 @@ from .lattice import (
     facet_values,
     lattice_coords,
     lattice_coords_int,
+    scale_to_ints,
     smith_normal_form,
     unscale,
     vec_key,
@@ -203,7 +205,7 @@ class CosetLabel:
     `res` = order*c mod order, so gcd(order, *res) = 1.  Two labels are
     equal exactly when their representatives differ by a group element,
     whatever level they were computed at; the level is bookkeeping and
-    does not enter equality or hashing.
+    does not enter equality or the hash, which is computed once.
     """
 
     monoid: MonoidPresentation
@@ -216,6 +218,10 @@ class CosetLabel:
         if g != 1:
             object.__setattr__(self, "order", self.order // g)
             object.__setattr__(self, "res", tuple(r // g for r in self.res))
+        object.__setattr__(self, "_hash", hash((self.monoid, self.order, self.res)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def normal_form(self):
@@ -225,11 +231,17 @@ class CosetLabel:
     @property
     def representative(self):
         """The unique representative with all coordinates in [0, 1)."""
+        return unscale(*self.scaled_representative)
+
+    @property
+    def scaled_representative(self):
+        """(y, d) with y/d the representative: y the int tuple sum res_j*b_j
+        over the group basis, d = order*s."""
         rep = [0] * self.monoid.ambient_rank
         for r, row in zip(self.res, self.monoid.group_basis):
             for i, a in enumerate(row):
                 rep[i] += r * a
-        return unscale(rep, self.order * self.monoid.denominator)
+        return tuple(rep), self.order * self.monoid.denominator
 
     @property
     def residues(self):
@@ -258,13 +270,11 @@ def scaled_labels(pres, y, levels):
 
 def coset_label(pres, n, x):
     """Label of a rational vector x in (1/n)P^gp: `scaled_label` of n*s*x."""
-    ns = n * pres.denominator
-    scaled = [Fraction(a) * ns for a in x]
-    if all(c.denominator == 1 for c in scaled):
-        label = scaled_label(pres, n, tuple(c.numerator for c in scaled))
-        if label is not None:
-            return label
-    if lattice_coords(pres.group_basis, scaled) is None:
+    y = scale_to_ints(x, n * pres.denominator)
+    label = None if y is None else scaled_label(pres, n, y)
+    if label is not None:
+        return label
+    if lattice_coords(pres.group_basis, x) is None:  # x is in the span iff n*s*x is
         raise ValueError(f"{vec_key(x)} is not in the rational span of the group")
     raise ValueError(f"{vec_key(x)} is not in the level-{n} group lattice")
 

@@ -1,8 +1,9 @@
 """Exact integer and rational lattice geometry.
 
-A point x with denominator d travels as the int tuple d*x, and `unscale`
-gives x back; only `lattice_coords` solves over Q, and `cone_contains`
-also takes Fractions.  No floating point is used.  This module provides
+A point x with denominator d travels as the int tuple d*x: `unscale`
+gives x back, `scale_to_ints` goes the other way and `scaled_key` writes
+x in payload notation, with no `Fraction`.  Only `lattice_coords` solves
+over Q, and `cone_contains` also takes Fractions.  No floating point is used.  This module provides
 Smith normal forms with transform matrices, integer lattice bases and
 membership (`lattice_contains_int`), facets and extreme rays of rational
 polyhedral cones by integer elimination (Hermite bases and Smith
@@ -67,6 +68,16 @@ def vec_key(x):
     return ",".join(map(str, x))
 
 
+def scaled_key(y, d):
+    """`vec_key(unscale(y, d))` for an int vector y and d >= 1, one gcd per
+    entry and no `Fraction`."""
+    parts = []
+    for c in y:
+        g = gcd(c, d)
+        parts.append(str(c // g) if g == d else f"{c // g}/{d // g}")
+    return ",".join(parts)
+
+
 def as_fractions(u):
     return tuple(Fraction(a) for a in u)
 
@@ -74,6 +85,21 @@ def as_fractions(u):
 def unscale(y, d):
     """The rational vector y/d of an integer vector y."""
     return tuple(Fraction(c, d) for c in y)
+
+
+def scale_to_ints(x, m):
+    """m*x as an int tuple for a rational vector x, or None when it is not
+    integral.  Ints and Fractions take one divmod each; other entries go
+    through `Fraction` first, as in `as_fractions`."""
+    out = []
+    for a in x:
+        if type(a) is not int and type(a) is not Fraction:
+            a = Fraction(a)
+        q, r = divmod(a.numerator * m, a.denominator)
+        if r:
+            return None
+        out.append(q)
+    return tuple(out)
 
 
 def primitive(u):

@@ -38,6 +38,7 @@ from .lattice import (
     is_zero_vector,
     lattice_basis,
     primitive_directions,
+    scale_to_ints,
     unscale,
     vscale,
     vsub,
@@ -174,17 +175,14 @@ class MonoidPresentation:
         """y/s in P for an integer vector y, P saturated: cone and group tests."""
         return all(dot(f, y) >= 0 for f in self.cone.facets) and self._group_contains_int(y)
 
-    def _scaled(self, x):
-        """s*x as an int tuple (s the denominator), or None if not integral.
+    def _scaled(self, x, level=1):
+        """level*s*x as an int tuple (s the denominator), or None if not integral.
 
         A point of another dimension raises DimensionMismatch.
         """
         if len(x) != self.ambient_rank:
             raise DimensionMismatch(f"point of dim {len(x)} against cone of dim {self.ambient_rank}")
-        scaled = tuple(a * self.denominator for a in as_fractions(x))
-        if all(c.denominator == 1 for c in scaled):
-            return tuple(int(c) for c in scaled)
-        return None
+        return scale_to_ints(x, level * self.denominator)
 
     @cached_property
     def _in_generated_memo(self):

@@ -188,6 +188,65 @@ def test_qq_keeps_true_fractions_and_gf_p_stays_in_range():
             assert all(type(x) is int and 0 <= x < field.p for row in red for x in row)
 
 
+SPARSE_SHAPES = [(1, 8), (8, 1), (5, 9), (9, 5), (12, 12), (20, 14), (14, 20)]
+
+
+def _sparse_entry(rng, field):
+    """About 20% nonzero and mostly +-1, as in the relation rows of
+    induction.  Over QQ integral values come as Fractions half the time,
+    zeros included; over GF(p) every value is an unreduced int, zeros
+    included, so the kernels must normalise what they do not touch."""
+    if rng.random() < 0.8:
+        c = 0
+    elif rng.random() < 0.8:
+        c = rng.choice((1, -1))
+    else:
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if field.p:
+        return int(c) + field.p * rng.randint(-2, 2)
+    return Fraction(c) if rng.random() < 0.5 else c
+
+
+def _sparse_cases(field, seed):
+    rng = random.Random(seed)
+    return [
+        (shape, tuple(tuple(_sparse_entry(rng, field) for _ in range(shape[1])) for _ in range(shape[0])))
+        for shape in SPARSE_SHAPES
+        for _ in range(4)
+    ]
+
+
+def _in_field(field, values):
+    values = list(values)
+    if field.p:
+        return all(type(x) is int and 0 <= x < field.p for x in values)
+    return not _integral_fractions(values)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_sparse_kernels_match_sympy_and_normalise_their_input(field):
+    """`rref` updates only the pivot row's nonzero columns, so entries it
+    never touches reach the output as they were copied: the oracles agree
+    and every entry is a field element (no integral Fraction, no GF(p)
+    int outside [0, p)) only because the copy normalises them."""
+    rng = random.Random(4)
+    for (rows, cols), mat in _sparse_cases(field, 4):
+        red, pivots = fields.rref(field, mat)
+        assert ([tuple(r) for r in red], pivots) == _oracle_rref(field, mat, rows, cols), mat
+        assert _in_field(field, (x for row in red for x in row)), mat
+        basis = fields.nullspace(field, mat)
+        assert list(basis) == _oracle_nullspace(field, mat, rows, cols), mat
+        assert _in_field(field, (x for v in basis for x in v)), mat
+        b = tuple(_sparse_entry(rng, field) for _ in range(rows))
+        aug = tuple(row + (bi,) for row, bi in zip(mat, b))
+        consistent = len(_oracle_rref(field, mat, rows, cols)[1]) == len(_oracle_rref(field, aug, rows, cols + 1)[1])
+        x = fields.solve(field, mat, b)
+        assert (x is not None) == consistent, (mat, b)
+        if x is not None:
+            assert _in_field(field, x), (mat, b)
+            assert all(field.norm(sum((a * xi for a, xi in zip(row, x)), field.zero) - bi) == field.zero for row, bi in zip(mat, b))
+
+
 @pytest.mark.parametrize("text", [" 3", "+3", "-0", "007", "3.0", "1e2", "\u0663", "\u00b2", "1/0", "", "-", "12", "-45", "2/4"])
 def test_frac_from_str_matches_the_fraction_parse(text):
     """The int fast path gives every string the value and type, or the

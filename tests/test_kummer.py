@@ -323,6 +323,137 @@ def test_off_lattice_points_raise(label_monoids, nat):
     assert alg.label_of(alg.coords((Fraction(1, 2), Fraction(1, 2)))).residues == (1, 0)
 
 
+# -- labels hash once; payload keys are read and written on ints ---------------
+
+
+def test_label_hash_is_the_field_hash_and_survives_every_route(label_monoids):
+    """A label hashes (monoid, order, res) once, at construction, so labels
+    built by `label_at_level`, `label_add`, `label_scale`, `coset_label` or
+    `dataclasses.replace` hash alike whenever they are equal."""
+    from dataclasses import replace
+
+    for name, pres in label_monoids.items():
+        for lab in enumerate_labels(pres, 6):
+            assert hash(lab) == hash((lab.monoid, lab.order, lab.res)), name
+            routes = [
+                label_at_level(label_at_level(lab, 6), 12),
+                label_add(lab, zero_label(pres, 3)),
+                label_scale(7, lab),  # 7 = 1 mod 6
+                coset_label(pres, 2 * lab.order, lab.representative),
+                replace(lab, level=30),
+                replace(lab, order=2 * lab.order, res=tuple(2 * r for r in lab.res)),
+            ]
+            for other in routes:
+                assert other == lab and hash(other) == hash(lab), (name, lab, other)
+
+
+def test_level_2_labels_find_their_entries_in_a_level_6_algebra(label_monoids):
+    from monostack.graded import graded_algebra
+
+    for name in ("N", "N2", "cone", "index2"):
+        pres = label_monoids[name]
+        alg6 = graded_algebra(pres, 6)
+        for lab in enumerate_labels(pres, 2):
+            i = alg6.label_index[lab]
+            assert alg6.index(lab) == i and alg6.labels[i] == lab and alg6.labels[i].level == 6, name
+
+
+def test_labels_over_different_monoids_stay_unequal(nat2, label_monoids):
+    others = [label_monoids["index2"], root_extension(nat2, 2)]
+    for pres in others:
+        assert pres.group_rank == nat2.group_rank
+        for res in ((0, 0), (1, 0), (1, 1)):
+            a, b = CosetLabel(nat2, 2, 2, res), CosetLabel(pres, 2, 2, res)
+            assert a != b and len({a, b}) == 2
+
+
+EDGE_KEYS = [" 1/2", "+1/2", "1/-2", "2/4", "-0/3", "1/0", "3.5", "1e-1", "\u0663", "", "1/3", "007", "-4/6", "1/00"]
+
+
+def _outcome(read, *args):
+    """A label, or the type and message of the exception it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+def _keys(pres, n, rng):
+    """The representatives of the level-n labels, random rational points in
+    every spelling the payloads use, and the edge strings in each entry."""
+    from monostack.jsonio import label_key
+
+    r = pres.ambient_rank
+    keys = [label_key(lab) for lab in enumerate_labels(pres, n)]
+    for _ in range(12):
+        keys.append(",".join(str(Fraction(rng.randint(-9, 9), rng.randint(1, 12))) for _ in range(r)))
+        keys.append(",".join(f"{rng.randint(-9, 9)}/{rng.randint(1, 12)}" for _ in range(r)))
+    for edge in EDGE_KEYS:
+        for j in range(r):
+            keys.append(",".join(edge if i == j else "0" for i in range(r)))
+    return keys + ["1/2" + ",0" * r, "1,", ","]
+
+
+def test_key_reader_matches_the_fraction_route(label_monoids):
+    """`label_from_key` gives the label of `coset_label(pres, n,
+    vec_from_key(s))`, or the same exception type and message, at levels
+    1-6; plain keys are read by `scaled_from_key` to n*s*x."""
+    from monostack.jsonio import label_from_key, scaled_from_key, vec_from_key
+    from monostack.lattice import scale_to_ints
+
+    rng = random.Random(33)
+    monoids = dict(label_monoids, line=validate([(1, 0)]))
+    fast = 0
+    for name, pres in monoids.items():
+        for n in LEVELS:
+            m = n * pres.denominator
+            for s in _keys(pres, n, rng):
+                want = _outcome(lambda: coset_label(pres, n, vec_from_key(s)))
+                got = _outcome(label_from_key, pres, n, s)
+                assert got == want, (name, n, s)
+                y = scaled_from_key(s, m)
+                if y is not None:
+                    fast += 1
+                    assert y == scale_to_ints(vec_from_key(s), m), (name, n, s)
+    assert fast > 1000
+
+
+@pytest.mark.parametrize(
+    "pres, n, key, message",
+    [
+        (validate([(1,)]), 2, "1/3", "1/3 is not in the level-2 group lattice"),
+        (validate([(1,)]), 2, "1/0", "bad rational '1/0'"),
+        (validate([(1,)]), 1, "3.5", "7/2 is not in the level-1 group lattice"),
+        (validate([(1, 0)]), 2, "0,1/2", "0,1/2 is not in the rational span of the group"),
+        (validate([(2, 0), (1, 1), (0, 2)]), 2, "1/2,0", "1/2,0 is not in the level-2 group lattice"),
+    ],
+    ids=["third", "zero-denominator", "decimal", "span", "index2"],
+)
+def test_key_reader_error_lines(pres, n, key, message):
+    """In payload notation, never as a Fraction repr; a zero denominator is
+    malformed input, the rest ValueErrors that the reader reports."""
+    from monostack.errors import MalformedInput
+    from monostack.jsonio import label_from_key
+
+    with pytest.raises((ValueError, MalformedInput)) as info:
+        label_from_key(pres, n, key)
+    assert str(info.value) == message
+
+
+def test_scaled_key_writes_vec_key_of_unscale(label_monoids):
+    from monostack.jsonio import label_key
+    from monostack.lattice import scaled_key, unscale, vec_key
+
+    rng = random.Random(34)
+    for _ in range(2000):
+        y = tuple(rng.randint(-60, 60) for _ in range(rng.randint(0, 4)))
+        d = rng.randint(1, 36)
+        assert scaled_key(y, d) == vec_key(unscale(y, d)), (y, d)
+    for pres in label_monoids.values():
+        for n in LEVELS:
+            assert all(label_key(lab) == vec_key(lab.representative) for lab in enumerate_labels(pres, n))
+
+
 # -- the integer hom layer against the Fraction oracle --------------------------
 
 
