@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import graded, infquot, jsonio, kummer, monoid, parabolic
+from . import lattice, monoid
 from .errors import MalformedInput, MonostackError
 
 EXIT_OK = 0
@@ -70,17 +70,18 @@ def _pair(text, flag):
     parts = text.split(";")
     if len(parts) != 2:
         raise MalformedInput(f"{flag} takes two points a;b, got {text!r}")
-    return [jsonio.vec_from_key(part) for part in parts]
+    return [lattice.vec_from_key(part) for part in parts]
 
 
 # -- command handlers ---------------------------------------------------------
+# Each handler imports the modules it runs, so a process loads only those.
 
 
 def cmd_monoid(args):
-    pres = jsonio.monoid_from_json(_read_payload(args.input))
+    pres = monoid.monoid_from_json(_read_payload(args.input))
     if args.action == "info":
         payload = {
-            "monoid": jsonio.monoid_to_json(pres),
+            "monoid": monoid.monoid_to_json(pres),
             "group_rank": pres.group_rank,
             "facets": [list(f) for f in pres.cone.facets],
             "flags": {
@@ -96,33 +97,35 @@ def cmd_monoid(args):
     elif args.action == "hilbert":
         basis = pres.hilbert_basis
         payload = {
-            "monoid": jsonio.monoid_to_json(pres),
-            "hilbert_basis": [jsonio.vec_to_json(v) for v in basis],
+            "monoid": monoid.monoid_to_json(pres),
+            "hilbert_basis": [lattice.vec_to_json(v) for v in basis],
         }
         summary = f"Hilbert basis with {len(basis)} elements"
     else:  # saturate
         sat = monoid.saturate(pres)
-        payload = jsonio.monoid_to_json(sat)
+        payload = monoid.monoid_to_json(sat)
         summary = f"saturation has {len(sat.generators)} generators"
     return payload, summary, EXIT_OK
 
 
 def cmd_delta(args, delta0_only=False):
-    pres = jsonio.monoid_from_json(_read_payload(args.input))
+    from . import infquot
+
+    pres = monoid.monoid_from_json(_read_payload(args.input))
     ds = infquot.delta_points(pres, args.level)
     if delta0_only:
         pts = ds.delta0_points
         payload = {
-            "monoid": jsonio.monoid_to_json(pres),
+            "monoid": monoid.monoid_to_json(pres),
             "level": args.level,
-            "points": [jsonio.vec_to_json(p) for p in pts],
+            "points": [lattice.vec_to_json(p) for p in pts],
         }
         summary = f"{len(pts)} Delta0 points at level {args.level}"
     else:
         payload = {
-            "monoid": jsonio.monoid_to_json(pres),
+            "monoid": monoid.monoid_to_json(pres),
             "level": args.level,
-            "points": [jsonio.vec_to_json(p) for p in ds.points],
+            "points": [lattice.vec_to_json(p) for p in ds.points],
             "in_delta0": list(ds.delta0_mask),
         }
         summary = f"{len(ds.points)} Delta points at level {args.level}"
@@ -130,12 +133,14 @@ def cmd_delta(args, delta0_only=False):
 
 
 def cmd_infquot(args):
+    from . import infquot, jsonio
+
     element = jsonio.profinite_from_json(_read_payload(args.input))
     verdict = infquot.is_infinite_quotient(element, depth=args.depth)
     payload = {"verdict": verdict.kind}
     code = EXIT_OK
     if verdict.is_confirmed:
-        payload["element"] = jsonio.vec_to_json(verdict.element.vector)
+        payload["element"] = lattice.vec_to_json(verdict.element.vector)
     elif verdict.is_inconclusive:
         payload["level"] = verdict.level
         code = EXIT_INCONCLUSIVE
@@ -143,6 +148,8 @@ def cmd_infquot(args):
 
 
 def cmd_kummer(args):
+    from . import jsonio, kummer
+
     hom = jsonio.hom_from_json(_read_payload(args.input))
     flag = kummer.is_kummer(hom)
     payload = {"kummer": flag}
@@ -153,11 +160,13 @@ def cmd_kummer(args):
 
 
 def cmd_picard(args):
-    pres = jsonio.monoid_from_json(_read_payload(args.input))
+    from . import kummer
+
+    pres = monoid.monoid_from_json(_read_payload(args.input))
     group = kummer.picard_group(pres, args.level)
     labels = kummer.enumerate_labels(pres, args.level)
     payload = {
-        "monoid": jsonio.monoid_to_json(pres),
+        "monoid": monoid.monoid_to_json(pres),
         "level": args.level,
         "invariant_factors": list(group.invariant_factors),
         "order": group.order,
@@ -167,23 +176,25 @@ def cmd_picard(args):
 
 
 def cmd_ideal(args):
-    pres = jsonio.monoid_from_json(_read_payload(args.input))
-    bound = None if args.bound is None else jsonio.frac_from_str(args.bound)
+    from . import graded
+
+    pres = monoid.monoid_from_json(_read_payload(args.input))
+    bound = None if args.bound is None else lattice.frac_from_str(args.bound)
     if args.colon:
         a, b = _pair(args.colon, "--colon")
         ideal = graded.colon_degree_ideal(pres, args.level, a, b, bound=bound)
-        colon = [jsonio.vec_to_json(a), jsonio.vec_to_json(b)]
+        colon = [lattice.vec_to_json(a), lattice.vec_to_json(b)]
     elif args.generators:
-        gens = [jsonio.vec_from_key(part) for part in args.generators.split(";")]
+        gens = [lattice.vec_from_key(part) for part in args.generators.split(";")]
         ideal = graded.MonoidIdeal(pres, args.level, generators=gens, bound=bound)
         colon = None
     else:
         raise MalformedInput("ideal mingens needs --colon or --generators")
     mins = graded.ideal_min_generators(ideal)
     payload = {
-        "monoid": jsonio.monoid_to_json(pres),
+        "monoid": monoid.monoid_to_json(pres),
         "level": args.level,
-        "generators": [jsonio.vec_to_json(v) for v in mins],
+        "generators": [lattice.vec_to_json(v) for v in mins],
         "count": len(mins),
     }
     if colon:
@@ -192,17 +203,19 @@ def cmd_ideal(args):
 
 
 def cmd_probe(args):
-    pres = jsonio.monoid_from_json(_read_payload(args.input))
+    from . import graded
+
+    pres = monoid.monoid_from_json(_read_payload(args.input))
     a, b = _pair(args.pair, "--pair")
     rows = graded.coherence_probe(pres, a, b, _parse_levels(args.levels))
     payload = {
-        "monoid": jsonio.monoid_to_json(pres),
-        "pair": [jsonio.vec_to_json(a), jsonio.vec_to_json(b)],
+        "monoid": monoid.monoid_to_json(pres),
+        "pair": [lattice.vec_to_json(a), lattice.vec_to_json(b)],
         "rows": [
             {
                 "n": r["n"],
                 "min_gens": r["min_gens"],
-                "generators": [jsonio.vec_to_json(v) for v in r["generators"]],
+                "generators": [lattice.vec_to_json(v) for v in r["generators"]],
             }
             for r in rows
         ],
@@ -212,6 +225,8 @@ def cmd_probe(args):
 
 
 def cmd_parabolic(args):
+    from . import jsonio, parabolic
+
     if args.action == "from-graded":
         module = jsonio.graded_from_json(_read_payload(args.input))
         return jsonio.parabolic_to_json(module), "converted", EXIT_OK

@@ -47,7 +47,6 @@ the coherence probe that tabulates their growth across levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -73,7 +72,7 @@ from .kummer import (
     scaled_label,
     zero_label,
 )
-from .lattice import facet_values, unscale, vadd, vec_key, vscale, vsub
+from .lattice import Record, facet_values, unscale, vadd, vec_key, vscale, vsub
 from .monoid import monoid_points_scaled
 
 
@@ -729,10 +728,12 @@ def restrict_map(fmap, sublevel):
     return GradedMap(src, tgt, blocks, check=False)
 
 
-@dataclass(frozen=True)
-class ShortExactSequence:
-    inject: GradedMap
-    project: GradedMap
+class ShortExactSequence(Record):
+    def __init__(self, inject, project):
+        self.inject, self.project = inject, project
+
+    def _key(self):
+        return self.inject, self.project
 
 
 def is_exact_sequence(ses):

@@ -47,7 +47,6 @@ whose coordinates give the labels at every divisor n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import ge
@@ -56,7 +55,7 @@ from . import lattice
 from .errors import EnumerationBudget, IncompatibleFamily, NotSharp
 # coset_label and scaled_label stay bound for perfbench's tracer and for tests that patch them
 from .kummer import coset_label, label_scale, scaled_label, scaled_labels
-from .lattice import facet_values, unscale, vadd, vscale
+from .lattice import Record, facet_values, unscale, vadd, vscale
 from .monoid import MonoidElement
 
 # Most Delta candidates `delta_points` enumerates at one level.
@@ -290,11 +289,12 @@ class TruncatedProfiniteElement:
         return cls(monoid, level, labels)
 
 
-@dataclass(frozen=True)
-class InfquotVerdict:
-    kind: str
-    element: MonoidElement = None
-    level: int = None
+class InfquotVerdict(Record):
+    def __init__(self, kind, element=None, level=None):
+        self.kind, self.element, self.level = kind, element, level
+
+    def _key(self):
+        return self.kind, self.element, self.level
 
     @property
     def is_confirmed(self):

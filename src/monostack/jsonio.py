@@ -15,71 +15,27 @@ accepted keys and every error line are those of `coset_label`.  Keys are
 written from int tuples by `lattice.scaled_key`.  Every value the schemas
 type as integer, and every GF(p) matrix entry, goes through
 `int_from_json`, which rejects booleans, strings and non-integral numbers
-instead of truncating them.
+instead of truncating them.  The scalar and vector codec (`frac_to_str`,
+`frac_from_str`, `int_from_json`, `vec_*`) lives in `lattice` and the
+monoid codec in `monoid`, so a command that reads only monoids need not
+import this module; all eight are re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from fractions import Fraction
 
 from . import fields
 from .errors import MalformedInput
 from .fields import field_from_spec, field_spec
 from .graded import GradedModule, graded_algebra
 from .kummer import MonoidHom, coset_label, scaled_label
-from .lattice import scaled_key
+from .lattice import frac_from_str, frac_to_str, int_from_json, scaled_key, vec_from_json, vec_from_key, vec_to_json
 from .lattice import vec_key as vec_to_key
-from .monoid import validate
+from .monoid import monoid_from_json, monoid_to_json
 from .parabolic import ParabolicSheaf
 
 _PLAIN_KEY = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
-
-
-def frac_to_str(x):
-    return str(x) if type(x) is int else str(Fraction(x))
-
-
-def frac_from_str(s):
-    """A rational from its string; plain ASCII decimal integers (most
-    payload entries) skip the `Fraction` parse, which gives them the same
-    int."""
-    s = str(s)
-    if s.isascii() and (s.isdigit() or (s[:1] == "-" and s[1:].isdigit())):
-        return int(s)
-    try:
-        x = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInput(f"bad rational {s!r}") from exc
-    return x.numerator if x.denominator == 1 else x
-
-
-def int_from_json(value, what, minimum=None):
-    """A JSON integer; an integral float such as 2.0 counts, as in JSON Schema.
-
-    `minimum` is the schema minimum, 0 or 1, when there is one.
-    """
-    if not (type(value) is int or (type(value) is float and value.is_integer())):
-        raise MalformedInput(f"{what} must be an integer, got {json.dumps(value)}")
-    if minimum is not None and value < minimum:
-        kind = "positive" if minimum == 1 else "nonnegative"
-        raise MalformedInput(f"{what} must be a {kind} integer, got {int(value)}")
-    return int(value)
-
-
-def vec_to_json(v):
-    return [frac_to_str(a) for a in v]
-
-
-def vec_from_json(data):
-    if not isinstance(data, (list, tuple)):
-        raise MalformedInput("vector must be an array of rationals")
-    return tuple(frac_from_str(a) for a in data)
-
-
-def vec_from_key(s):
-    return tuple(frac_from_str(part) for part in str(s).split(","))
 
 
 def scaled_from_key(s, m):
@@ -111,31 +67,6 @@ def label_from_key(pres, n, s):
 def label_key(label):
     """The key of a label's representative, written from its int form."""
     return scaled_key(*label.scaled_representative)
-
-
-# -- monoid.json -------------------------------------------------------------
-
-
-def monoid_to_json(pres):
-    out = {
-        "ambient_rank": pres.ambient_rank,
-        "generators": [list(g) for g in pres.generators],
-    }
-    if pres.denominator != 1:
-        out["denominator"] = pres.denominator
-    return out
-
-
-def monoid_from_json(data):
-    if not isinstance(data, dict):
-        raise MalformedInput("monoid payload must be an object")
-    try:
-        rank = int_from_json(data["ambient_rank"], "ambient_rank", minimum=1)
-        gens = [tuple(int_from_json(a, "generator entry") for a in g) for g in data["generators"]]
-        denominator = int_from_json(data.get("denominator", 1), "denominator", minimum=1)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad monoid payload: {exc}") from exc
-    return validate(gens, ambient_rank=rank, denominator=denominator)
 
 
 # -- hom.json ----------------------------------------------------------------

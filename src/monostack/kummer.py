@@ -24,13 +24,13 @@ a group Z^d, y is its own coordinate vector (`group_coords`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
 from .errors import InfiniteCokernel, LevelMismatch, NotSaturated
 from .lattice import (
+    Record,
     as_fractions,
     dot,
     facet_values,
@@ -41,21 +41,20 @@ from .lattice import (
     unscale,
     vec_key,
 )
-from .monoid import MonoidPresentation
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Invariant factor form d_1 | d_2 | ... with trivial factors dropped."""
 
-    invariant_factors: tuple
-
-    def __post_init__(self):
-        facs = tuple(int(d) for d in self.invariant_factors if int(d) != 1)
+    def __init__(self, invariant_factors):
+        facs = tuple(int(d) for d in invariant_factors if int(d) != 1)
         for a, b in zip(facs, facs[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisor chain")
-        object.__setattr__(self, "invariant_factors", facs)
+        self.invariant_factors = facs
+
+    def _key(self):
+        return (self.invariant_factors,)
 
     @property
     def order(self):
@@ -67,28 +66,26 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-@dataclass(frozen=True)
-class MonoidHom:
+class MonoidHom(Record):
     """Lattice map between monoid presentations: an integer matrix M
     (target.ambient_rank x source.ambient_rank rows) that maps every source
     generator into the target monoid.  On the integer models (s, t the
     denominators) it sends y, for y/s, to M*y*t/s, for M*y/s: `image`."""
 
-    source: MonoidPresentation
-    target: MonoidPresentation
-    matrix: tuple
-
-    def __post_init__(self):
-        m = tuple(tuple(int(a) for a in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", m)
-        if len(m) != self.target.ambient_rank or any(
-            len(row) != self.source.ambient_rank for row in m
+    def __init__(self, source, target, matrix):
+        m = tuple(tuple(int(a) for a in row) for row in matrix)
+        self.source, self.target, self.matrix = source, target, m
+        if len(m) != target.ambient_rank or any(
+            len(row) != source.ambient_rank for row in m
         ):
             raise ValueError("matrix shape does not match ambient ranks")
         s, t = self.source.denominator, self.target.denominator
         for g in self.source.generators:
             if any(dot(row, g) * t % s for row in m) or not self.target._in_generated_int(self.image(g)):
                 raise ValueError(f"generator {vec_key(unscale(g, s))} does not map into the target monoid")
+
+    def _key(self):
+        return self.source, self.target, self.matrix
 
     def image(self, y):
         """M*y*t/s for y in the source group: integral, as the generators' images are."""
@@ -196,7 +193,6 @@ def picard_group(pres, n):
 # coset labels
 
 
-@dataclass(frozen=True)
 class CosetLabel:
     """A class in (1/n)P^gp / P^gp, stored as integer residues.
 
@@ -208,17 +204,19 @@ class CosetLabel:
     does not enter equality or the hash, which is computed once.
     """
 
-    monoid: MonoidPresentation
-    level: int = field(compare=False)
-    order: int
-    res: tuple
+    __slots__ = ("monoid", "level", "order", "res", "_hash")
 
-    def __post_init__(self):
-        g = gcd(self.order, *self.res)
+    def __init__(self, monoid, level, order, res):
+        g = gcd(order, *res)
         if g != 1:
-            object.__setattr__(self, "order", self.order // g)
-            object.__setattr__(self, "res", tuple(r // g for r in self.res))
-        object.__setattr__(self, "_hash", hash((self.monoid, self.order, self.res)))
+            order, res = order // g, tuple(r // g for r in res)
+        self.monoid, self.level, self.order, self.res = monoid, level, order, res
+        self._hash = hash((monoid, order, res))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.monoid, self.order, self.res) == (other.monoid, other.order, other.res)
 
     def __hash__(self):
         return self._hash

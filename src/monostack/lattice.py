@@ -2,8 +2,11 @@
 
 A point x with denominator d travels as the int tuple d*x: `unscale`
 gives x back, `scale_to_ints` goes the other way and `scaled_key` writes
-x in payload notation, with no `Fraction`.  Only `lattice_coords` solves
-over Q, and `cone_contains` also takes Fractions.  No floating point is used.  This module provides
+x in payload notation, with no `Fraction`; the rest of the scalar and
+vector payload codec (`frac_to_str`, `vec_from_key`, `int_from_json`, ...)
+lives here too, so reading a monoid needs no other module.  Only
+`lattice_coords` solves over Q, and `cone_contains` also takes Fractions.
+No floating point is used.  This module provides
 Smith normal forms with transform matrices, integer lattice bases and
 membership (`lattice_contains_int`), facets and extreme rays of rational
 polyhedral cones by integer elimination (Hermite bases and Smith
@@ -23,15 +26,32 @@ full dimensional).
 
 from __future__ import annotations
 
+import json
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, product
 from math import gcd
 from operator import add, le, mul, sub
 
-from .errors import DimensionMismatch, UnboundedRegion
+from .errors import DimensionMismatch, MalformedInput, UnboundedRegion
+
+
+class Record:
+    """Value semantics for a plain class, as a frozen dataclass has them
+    (`dataclasses` imports `inspect`, about 10 ms of every cold start):
+    objects of the same class are equal when their `_key()` tuples are,
+    and hash like that tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def vadd(u, v):
@@ -78,6 +98,52 @@ def scaled_key(y, d):
     return ",".join(parts)
 
 
+def frac_to_str(x):
+    """A rational in payload notation; ints and Fractions print as they are."""
+    return str(x) if type(x) is int or type(x) is Fraction else str(Fraction(x))
+
+
+def frac_from_str(s):
+    """A rational from its string; plain ASCII decimal integers (most
+    payload entries) skip the `Fraction` parse, which gives them the same
+    int."""
+    s = str(s)
+    if s.isascii() and (s.isdigit() or (s[:1] == "-" and s[1:].isdigit())):
+        return int(s)
+    try:
+        x = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInput(f"bad rational {s!r}") from exc
+    return x.numerator if x.denominator == 1 else x
+
+
+def int_from_json(value, what, minimum=None):
+    """A JSON integer; an integral float such as 2.0 counts, as in JSON Schema.
+
+    `minimum` is the schema minimum, 0 or 1, when there is one.
+    """
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
+        raise MalformedInput(f"{what} must be an integer, got {json.dumps(value)}")
+    if minimum is not None and value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise MalformedInput(f"{what} must be a {kind} integer, got {int(value)}")
+    return int(value)
+
+
+def vec_to_json(v):
+    return [frac_to_str(a) for a in v]
+
+
+def vec_from_json(data):
+    if not isinstance(data, (list, tuple)):
+        raise MalformedInput("vector must be an array of rationals")
+    return tuple(frac_from_str(a) for a in data)
+
+
+def vec_from_key(s):
+    return tuple(frac_from_str(part) for part in str(s).split(","))
+
+
 def as_fractions(u):
     return tuple(Fraction(a) for a in u)
 
@@ -116,14 +182,16 @@ def primitive(u):
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SNFDecomposition:
+class SNFDecomposition(Record):
     """U * A * V = D with U, V unimodular and D diagonal, d_i | d_{i+1}."""
 
-    u: tuple
-    d: tuple
-    v: tuple
-    divisors: tuple
+    __slots__ = ("u", "d", "v", "divisors")
+
+    def __init__(self, u, d, v, divisors):
+        self.u, self.d, self.v, self.divisors = u, d, v, divisors
+
+    def _key(self):
+        return self.u, self.d, self.v, self.divisors
 
 
 def smith_normal_form(a):
@@ -295,8 +363,7 @@ def lattice_contains_int(basis_rows, x):
 # rational polyhedral cones
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(Record):
     """Q>=0-span of finitely many rational generators.
 
     `facets` are primitive integer functionals with x in cone iff every
@@ -304,10 +371,13 @@ class RationalCone:
     the primitive extreme ray directions (meaningful for pointed cones).
     """
 
-    dim: int
-    generators: tuple
-    facets: tuple
-    rays: tuple
+    __slots__ = ("dim", "generators", "facets", "rays")
+
+    def __init__(self, dim, generators, facets, rays):
+        self.dim, self.generators, self.facets, self.rays = dim, generators, facets, rays
+
+    def _key(self):
+        return self.dim, self.generators, self.facets, self.rays
 
 
 def _kernel_line(rows, dim):

@@ -21,20 +21,21 @@ of each simplex's half-open parallelepiped, not off a walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm
 from operator import ge
 
 from . import lattice
-from .errors import DimensionMismatch, EmptyGenerators, NotSaturated, NotSharp
+from .errors import DimensionMismatch, EmptyGenerators, MalformedInput, NotSaturated, NotSharp
 from .lattice import (
     RationalCone,
+    Record,
     as_fractions,
     cone_from_generators,
     dot,
     facet_values,
+    int_from_json,
     is_zero_vector,
     lattice_basis,
     primitive_directions,
@@ -51,17 +52,18 @@ INTEGER_MODEL = ("cone", "group_basis", "positive_functional", "is_sharp", "is_s
                  "_parallelepipeds", "_saturation_hilbert_basis", "_toric_moves", "_in_generated_memo")
 
 
-@dataclass(frozen=True)
-class MonoidPresentation:
+class MonoidPresentation(Record):
     """A finitely generated submonoid of (1/denominator) * Z^d.
 
     Use `validate` to construct one; it normalizes the generator list and
-    rejects non-sharp input.
+    rejects non-sharp input.  Derived data is cached in `__dict__`.
     """
 
-    ambient_rank: int
-    generators: tuple
-    denominator: int = 1
+    def __init__(self, ambient_rank, generators, denominator=1):
+        self.ambient_rank, self.generators, self.denominator = ambient_rank, generators, denominator
+
+    def _key(self):
+        return self.ambient_rank, self.generators, self.denominator
 
     def rebuilt(self, denominator, generators=None):
         """These generators, or others with the same cone and group, over `denominator`.
@@ -76,17 +78,18 @@ class MonoidPresentation:
         if gens != self.generators:
             shared.pop("is_saturated", None)
             shared.pop("_in_generated_memo", None)
-            shared["cone"] = replace(self.cone, generators=tuple(sorted(primitive_directions(gens))))
+            cone = self.cone
+            shared["cone"] = RationalCone(cone.dim, tuple(sorted(primitive_directions(gens))), cone.facets, cone.rays)
         other.__dict__.update(shared)
         return other
 
     @cached_property
     def _hash(self):
-        return hash((self.ambient_rank, self.generators, self.denominator))
+        return hash(self._key())
 
     def __hash__(self):
-        """The dataclass field hash, computed once per object: every coset
-        label and memo key over the monoid hashes it."""
+        """The hash of (ambient_rank, generators, denominator), computed once
+        per object: every coset label and memo key over the monoid hashes it."""
         return self._hash
 
     # -- basic derived data -------------------------------------------------
@@ -328,15 +331,14 @@ class MonoidPresentation:
         return xi is not None and self._in_generated_int(xi)
 
 
-@dataclass(frozen=True)
-class MonoidElement:
-    owner: MonoidPresentation
-    vector: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", as_fractions(self.vector))
-        if not self.owner.contains(self.vector):
+class MonoidElement(Record):
+    def __init__(self, owner, vector):
+        self.owner, self.vector = owner, as_fractions(vector)
+        if not owner.contains(self.vector):
             raise ValueError(f"{self.vector} is not an element of the monoid")
+
+    def _key(self):
+        return self.owner, self.vector
 
 
 def validate(generators, ambient_rank=None, denominator=1):
@@ -366,6 +368,28 @@ def validate(generators, ambient_rank=None, denominator=1):
     if not pres.is_sharp:
         raise NotSharp("the generated cone contains a line")
     return pres
+
+
+def monoid_to_json(pres):
+    out = {
+        "ambient_rank": pres.ambient_rank,
+        "generators": [list(g) for g in pres.generators],
+    }
+    if pres.denominator != 1:
+        out["denominator"] = pres.denominator
+    return out
+
+
+def monoid_from_json(data):
+    if not isinstance(data, dict):
+        raise MalformedInput("monoid payload must be an object")
+    try:
+        rank = int_from_json(data["ambient_rank"], "ambient_rank", minimum=1)
+        gens = [tuple(int_from_json(a, "generator entry") for a in g) for g in data["generators"]]
+        denominator = int_from_json(data.get("denominator", 1), "denominator", minimum=1)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"bad monoid payload: {exc}") from exc
+    return validate(gens, ambient_rank=rank, denominator=denominator)
 
 
 def saturate(pres):

@@ -329,9 +329,8 @@ def test_off_lattice_points_raise(label_monoids, nat):
 def test_label_hash_is_the_field_hash_and_survives_every_route(label_monoids):
     """A label hashes (monoid, order, res) once, at construction, so labels
     built by `label_at_level`, `label_add`, `label_scale`, `coset_label` or
-    `dataclasses.replace` hash alike whenever they are equal."""
-    from dataclasses import replace
-
+    the constructor (another level, or an unreduced (order, res)) hash alike
+    whenever they are equal."""
     for name, pres in label_monoids.items():
         for lab in enumerate_labels(pres, 6):
             assert hash(lab) == hash((lab.monoid, lab.order, lab.res)), name
@@ -340,8 +339,8 @@ def test_label_hash_is_the_field_hash_and_survives_every_route(label_monoids):
                 label_add(lab, zero_label(pres, 3)),
                 label_scale(7, lab),  # 7 = 1 mod 6
                 coset_label(pres, 2 * lab.order, lab.representative),
-                replace(lab, level=30),
-                replace(lab, order=2 * lab.order, res=tuple(2 * r for r in lab.res)),
+                CosetLabel(lab.monoid, 30, lab.order, lab.res),
+                CosetLabel(lab.monoid, lab.level, 2 * lab.order, tuple(2 * r for r in lab.res)),
             ]
             for other in routes:
                 assert other == lab and hash(other) == hash(lab), (name, lab, other)
