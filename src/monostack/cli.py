@@ -133,9 +133,9 @@ def cmd_delta(args, delta0_only=False):
 
 
 def cmd_infquot(args):
-    from . import infquot, jsonio
+    from . import infquot
 
-    element = jsonio.profinite_from_json(_read_payload(args.input))
+    element = infquot.profinite_from_json(_read_payload(args.input))
     verdict = infquot.is_infinite_quotient(element, depth=args.depth)
     payload = {"verdict": verdict.kind}
     code = EXIT_OK
@@ -148,9 +148,9 @@ def cmd_infquot(args):
 
 
 def cmd_kummer(args):
-    from . import jsonio, kummer
+    from . import kummer
 
-    hom = jsonio.hom_from_json(_read_payload(args.input))
+    hom = kummer.hom_from_json(_read_payload(args.input))
     flag = kummer.is_kummer(hom)
     payload = {"kummer": flag}
     if flag:

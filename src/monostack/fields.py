@@ -1,12 +1,18 @@
-"""Exact field arithmetic and dense linear algebra.
+"""Exact field arithmetic, dense linear algebra and sparse elimination.
 
 The coefficient field is a prime field, `PrimeField(p)`: the rationals
 `QQ = PrimeField(0)` (elements are ints, or `fractions.Fraction`s once a
 division makes the value fractional) or `GF(p)` for a prime p <= 97
 (elements are plain ints in [0, p)).  The matrix routines compute with
-Python's operators and bring each result back into the field with `norm`,
-so graded/parabolic code runs one code path for both fields.  Matrices
-are tuples of row tuples; vectors are tuples.
+Python's operators and bring each result back into the field, so
+graded/parabolic code runs one code path for both fields.  Matrices are
+tuples of row tuples; vectors are tuples.
+
+`PresentedSpace`, the quotient of a free space by relation rows, takes
+sparse rows {column: coefficient} and eliminates them sparsely; the
+quotient constructions of `graded` and `parabolic` (induction, tensor
+products, cokernels, hom spaces) run on it, and the dense `rref` stays for
+small dense matrices and as its test oracle.
 """
 
 from __future__ import annotations
@@ -84,15 +90,18 @@ def mat_from_rows(rows):
     return tuple(tuple(row) for row in rows)
 
 
-def _dot(field, u, v):
-    return field.norm(sum(map(mul, u, v)))
-
-
 def mat_mul(field, a, b):
+    """The product A B, each entry brought into the field once: `% p` over
+    GF(p); over QQ an int sum is already normal, so only a `Fraction` sum
+    goes through `norm`."""
     if not a:
         return ()
     bt = tuple(zip(*b)) if b else ()
-    return tuple(tuple(_dot(field, row, col) for col in bt) for row in a)
+    p = field.p
+    if p:
+        return tuple(tuple(sum(map(mul, row, col)) % p for col in bt) for row in a)
+    norm = field.norm
+    return tuple(tuple(s if type(s := sum(map(mul, row, col))) is int else norm(s) for col in bt) for row in a)
 
 
 def mat_mul_dims(field, a, b, rows, mid, cols):
@@ -187,3 +196,130 @@ def nullspace(field, a):
             v[c] = field.norm(-red[i][f])
         basis.append(tuple(v))
     return tuple(basis)
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination
+
+
+class PresentedSpace:
+    """Quotient of a free space k^ngens by sparse relation rows.
+
+    `relations` is a sized sequence of rows {column: coefficient}; entries
+    are brought into the field on copy (`% p` over GF(p), integral
+    `Fraction`s to ints over QQ) and zeros are dropped.  Sparse
+    Gauss-Jordan elimination (T. A. Davis, *Direct Methods for Sparse
+    Linear Systems*, SIAM 2006) takes the columns left to right, with an
+    index from each column to the rows that use it.  The pivot of a column
+    is a row not yet pivoted that uses it, a +-1 entry first, then the
+    shortest row; the pivot row is scaled to 1 there and the column is
+    cleared from every other row that uses it, earlier pivot rows
+    included.  Int arithmetic over QQ is already normal, so only a
+    non-int result goes through `norm`.
+
+    The result is the reduced row echelon form of the row space: `pivots`
+    (its pivot columns, ascending), `rows` (the pivot rows, sparse, 1 at the
+    pivot) and `free`, the other columns, which index the quotient basis.
+    It does not depend on which rows the pivoting picks, because for a fixed
+    column order that form is unique.  Column c is a pivot exactly when
+    the row space projected onto the columns <= c is larger than projected
+    onto the columns < c, a property of the space alone; and the row with
+    pivot c is the only vector of the space with 1 at c and 0 at every
+    other pivot column, for the difference of two such vectors would be a
+    nonzero vector of the space that vanishes at its leading column, and
+    the leading column of a nonzero vector is always a pivot column.  So
+    `pivots`, `rows`, `free` and every coordinate `reduce` returns are
+    those of the dense `fields.rref` of the same rows.
+    """
+
+    def __init__(self, field, ngens, relations):
+        self.field = field
+        self.ngens = ngens
+        p = field.p
+        norm = field.norm
+        if p:
+            rows = [{j: c % p for j, c in r.items() if c % p} for r in relations]
+            units = (1, p - 1)
+        else:
+            rows = [{j: c if type(c) is int else norm(c) for j, c in r.items() if c} for r in relations]
+            units = (1, -1)
+        uses = {}
+        for r, row in enumerate(rows):
+            for j in row:
+                if j in uses:
+                    uses[j].add(r)
+                else:
+                    uses[j] = {r}
+        # fill-in only reaches columns the pivot row already uses, so no
+        # column outside `uses` ever becomes nonzero
+        pivots, chosen, done = [], [], set()
+        for c in sorted(uses):
+            holders = uses[c]
+            cands = [r for r in holders if r not in done]
+            if not cands:
+                continue
+            pr = cands[0] if len(cands) == 1 else min(cands, key=lambda r: (rows[r][c] not in units, len(rows[r])))
+            prow = rows[pr]
+            v = prow[c]
+            if v != 1:
+                if p:
+                    inv = pow(v, -1, p)
+                    prow = {j: x * inv % p for j, x in prow.items()}
+                elif v == -1:
+                    prow = {j: -x for j, x in prow.items()}
+                else:
+                    inv = field.inv(v)
+                    prow = {j: norm(x * inv) for j, x in prow.items()}
+                rows[pr] = prow
+            done.add(pr)
+            pivots.append(c)
+            chosen.append(pr)
+            tail = [(j, -y) for j, y in prow.items() if j != c]
+            for r in holders:
+                if r == pr:
+                    continue
+                row = rows[r]
+                f = row.pop(c)
+                for j, y in tail:
+                    old = row.get(j)
+                    x = f * y if old is None else old + f * y
+                    if p:
+                        x %= p
+                    elif type(x) is not int:
+                        x = norm(x)
+                    if x:
+                        row[j] = x
+                        if old is None:
+                            uses[j].add(r)
+                    else:
+                        del row[j]
+                        uses[j].discard(r)
+            uses[c] = {pr}
+        self.pivots = pivots
+        self.rows = [rows[r] for r in chosen]
+        self._row_at = dict(zip(pivots, self.rows))
+        self.free = [j for j in range(ngens) if j not in self._row_at]
+        self.dim = len(self.free)
+
+    def reduce(self, vec):
+        """Quotient coordinates of a sparse generator vector {column: coefficient}.
+
+        The pivot rows vanish at every other pivot column, so subtracting
+        vec[c] times the row of each pivot c in one pass clears them all."""
+        row_at = self._row_at
+        out = {}
+        for j, c in vec.items():
+            row = row_at.get(j)
+            if row is None:
+                out[j] = out.get(j, 0) + c
+            else:
+                for k, y in row.items():
+                    out[k] = out.get(k, 0) - c * y
+        p = self.field.p
+        if p:
+            return tuple(out.get(j, 0) % p for j in self.free)
+        norm = self.field.norm
+        return tuple(x if type(x := out.get(j, 0)) is int else norm(x) for j in self.free)
+
+    def unit(self, k):
+        return self.reduce({k: self.field.one})

@@ -35,10 +35,13 @@ carry its `monoid`, `level` and `field` and compare by value.
 
 Every quotient construction (tensor products and cokernels here,
 induction in `parabolic`) goes through one class, `Presentation`: an
-ordered free span per label, relation rows filed by label in one pass,
-one `PresentedSpace` per label, and the generator action moved across to
-the quotient bases.  Kernels and images share `_submodule`, which moves
-the action onto a sub-basis.
+ordered free span per label, sparse relation rows filed by label in one
+pass, one `PresentedSpace` per label, and the generator action moved
+across to the quotient bases.  `PresentedSpace` (defined in `fields`,
+bound here) is a sparse Gauss-Jordan eliminator: relation rows are never
+densified, and since the reduced row echelon form is unique, its quotient
+bases are those of the dense `fields.rref`.  Kernels and images share
+`_submodule`, which moves the action onto a sub-basis.
 
 This module also hosts the monomial-ideal side: colon ideals of pairs of
 monoid elements, their minimal generators inside a certified region, and
@@ -60,7 +63,7 @@ from .errors import (
     NotExactInput,
     RegionTooSmall,
 )
-from .fields import QQ
+from .fields import QQ, PresentedSpace
 # coset_label and in_delta are bound only for perfbench's tracer
 from .infquot import delta_points, in_delta
 from .kummer import (
@@ -265,6 +268,7 @@ class GradedModule:
             if self.sizes[i] and self.sizes[algebra.shift[g][i]]:
                 self.action[(g, i)] = mat
         self._act_memo = {}
+        self._zeros = {}  # one shared zero matrix per shape, for absent actions
         if check:
             self.validate()
 
@@ -320,7 +324,10 @@ class GradedModule:
         shape = (self.sizes[self.algebra.shift[g][i]], self.sizes[i])
         mat = self.action.get((g, i))
         if mat is None:
-            return fields.zero_matrix(self.algebra.field, *shape)
+            mat = self._zeros.get(shape)
+            if mat is None:
+                mat = self._zeros[shape] = fields.zero_matrix(self.algebra.field, *shape)
+            return mat
         if (len(mat), len(mat[0]) if mat else 0) != shape:
             where = f"gen {vec_key(self.algebra.point(g))} at rep {vec_key(self.algebra.labels[i].representative)}"
             raise ValueError(f"action matrix for {where} has a wrong shape")
@@ -781,38 +788,6 @@ def check_exactness(ses, sublevel):
 # tensor products and the projection formula
 
 
-class PresentedSpace:
-    """Quotient of a free space k^ngens by explicit relation rows."""
-
-    def __init__(self, field, ngens, relations):
-        self.field = field
-        self.ngens = ngens
-        if relations:
-            red, pivots = fields.rref(field, tuple(relations))
-            self.rows = [red[i] for i in range(len(pivots))]
-            self.pivots = pivots
-        else:
-            self.rows = []
-            self.pivots = []
-        self.free = [j for j in range(ngens) if j not in self.pivots]
-        self.dim = len(self.free)
-
-    def reduce(self, vec):
-        """Coordinates of a generator-space vector in the quotient basis."""
-        norm = self.field.norm
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                v = [norm(a - c * b) for a, b in zip(v, row)]
-        return tuple(v[j] for j in self.free)
-
-    def unit(self, k):
-        vec = [self.field.zero] * self.ngens
-        vec[k] = self.field.one
-        return self.reduce(vec)
-
-
 class Presentation:
     """A graded module presented as a free span per label modulo relations.
 
@@ -822,33 +797,30 @@ class Presentation:
     name zero generators and are dropped.  `move(h, key)` is the sparse
     image of a generator under x^h, for h in `algebra.delta_generators`.
 
-    Each relation row is filed under the label of its first key in one
-    pass, each label gets one PresentedSpace, and the action is moved
-    across to the quotient bases.  `index` maps a key to its (label,
-    position); `module` is the presented module.
+    Each relation row is filed, as a sparse row {position: coeff}, under
+    the label of its keys in one pass; each label gets one PresentedSpace,
+    and the action is moved across to the quotient bases.  `index` maps a
+    key to its (label, position); `module` is the presented module.
     """
 
     def __init__(self, algebra, gens, relations, move):
         field = algebra.field
         self.gens_per_label = {}
-        self.index = {}
+        self.index = index = {}
         for lab, key in gens:
             keys = self.gens_per_label.setdefault(lab, [])
-            self.index[key] = (lab, len(keys))
+            index[key] = (lab, len(keys))
             keys.append(key)
         rows = {lab: [] for lab in self.gens_per_label}
         for terms in relations:
-            row = None
+            row = {}
             for key, c in terms:
-                hit = self.index.get(key)
-                if hit is None:
-                    continue
-                if row is None:
-                    lab = hit[0]
-                    row = [field.zero] * len(self.gens_per_label[lab])
-                row[hit[1]] = field.norm(row[hit[1]] + c)
-            if row is not None and any(row):
-                rows[lab].append(tuple(row))
+                hit = index.get(key) if c else None
+                if hit is not None:
+                    lab, j = hit
+                    row[j] = row.get(j, 0) + c
+            if row:
+                rows[lab].append(row)
         self.spaces = {
             lab: PresentedSpace(field, len(keys), rows[lab])
             for lab, keys in self.gens_per_label.items()
@@ -871,13 +843,13 @@ class Presentation:
 
     def coords(self, label, terms):
         """Quotient coordinates at `label` of a sparse generator vector."""
-        sp = self.spaces[label]
-        vec = [sp.field.zero] * sp.ngens
+        index = self.index
+        vec = {}
         for key, c in terms:
-            hit = self.index.get(key)
+            hit = index.get(key)
             if hit is not None:
-                vec[hit[1]] = sp.field.norm(vec[hit[1]] + c)
-        return sp.reduce(vec)
+                vec[hit[1]] = vec.get(hit[1], 0) + c
+        return self.spaces[label].reduce(vec)
 
 
 def tensor(m, n):

@@ -52,11 +52,11 @@ from math import lcm
 from operator import ge
 
 from . import lattice
-from .errors import EnumerationBudget, IncompatibleFamily, NotSharp
+from .errors import EnumerationBudget, IncompatibleFamily, MalformedInput, NotSharp
 # coset_label and scaled_label stay bound for perfbench's tracer and for tests that patch them
 from .kummer import coset_label, label_scale, scaled_label, scaled_labels
-from .lattice import Record, facet_values, unscale, vadd, vscale
-from .monoid import MonoidElement
+from .lattice import Record, facet_values, int_from_json, unscale, vadd, vec_from_json, vscale
+from .monoid import MonoidElement, monoid_from_json
 
 # Most Delta candidates `delta_points` enumerates at one level.
 ENUMERATION_BUDGET = 2 * 10**6
@@ -287,6 +287,23 @@ class TruncatedProfiniteElement:
         if labels is None:
             raise ValueError(f"{lattice.vec_key(p)} is not in the group of the monoid")
         return cls(monoid, level, labels)
+
+
+def profinite_from_json(data):
+    """The profinite-element reader (re-exported by `jsonio`)."""
+    if not isinstance(data, dict):
+        raise MalformedInput("profinite payload must be an object")
+    try:
+        pres = monoid_from_json(data["monoid"])
+        level = int_from_json(data["level"], "level", minimum=1)
+        raw = data["labels"]
+        labels = {}
+        for key, vec in raw.items():
+            n = int_from_json(int(key), "label level", minimum=1)
+            labels[n] = coset_label(pres, n, vec_from_json(vec))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"bad profinite payload: {exc}") from exc
+    return TruncatedProfiniteElement(pres, level, labels)
 
 
 class InfquotVerdict(Record):

@@ -16,9 +16,11 @@ written from int tuples by `lattice.scaled_key`.  Every value the schemas
 type as integer, and every GF(p) matrix entry, goes through
 `int_from_json`, which rejects booleans, strings and non-integral numbers
 instead of truncating them.  The scalar and vector codec (`frac_to_str`,
-`frac_from_str`, `int_from_json`, `vec_*`) lives in `lattice` and the
-monoid codec in `monoid`, so a command that reads only monoids need not
-import this module; all eight are re-exported here.
+`frac_from_str`, `int_from_json`, `vec_*`) lives in `lattice`, the
+monoid codec in `monoid`, the hom.json reader `hom_from_json` in `kummer`
+and the profinite reader `profinite_from_json` in `infquot`, so a command
+that reads only those payloads need not import this module; all of them
+are re-exported here.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from . import fields
 from .errors import MalformedInput
 from .fields import field_from_spec, field_spec
 from .graded import GradedModule, graded_algebra
-from .kummer import MonoidHom, coset_label, scaled_label
+from .infquot import profinite_from_json
+from .kummer import coset_label, hom_from_json, scaled_label
 from .lattice import frac_from_str, frac_to_str, int_from_json, scaled_key, vec_from_json, vec_from_key, vec_to_json
 from .lattice import vec_key as vec_to_key
 from .monoid import monoid_from_json, monoid_to_json
@@ -80,21 +83,6 @@ def hom_to_json(hom):
     }
 
 
-def hom_from_json(data):
-    if not isinstance(data, dict):
-        raise MalformedInput("hom payload must be an object")
-    try:
-        source = monoid_from_json(data["source"])
-        target = monoid_from_json(data["target"])
-        matrix = tuple(tuple(int_from_json(a, "matrix entry") for a in row) for row in data["matrix"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad hom payload: {exc}") from exc
-    try:
-        return MonoidHom(source, target, matrix)
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
-
-
 # -- profinite element -------------------------------------------------------
 
 
@@ -107,24 +95,6 @@ def profinite_to_json(element):
             for n, lab in sorted(element.labels.items())
         },
     }
-
-
-def profinite_from_json(data):
-    from .infquot import TruncatedProfiniteElement
-
-    if not isinstance(data, dict):
-        raise MalformedInput("profinite payload must be an object")
-    try:
-        pres = monoid_from_json(data["monoid"])
-        level = int_from_json(data["level"], "level", minimum=1)
-        raw = data["labels"]
-        labels = {}
-        for key, vec in raw.items():
-            n = int_from_json(int(key), "label level", minimum=1)
-            labels[n] = coset_label(pres, n, vec_from_json(vec))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad profinite payload: {exc}") from exc
-    return TruncatedProfiniteElement(pres, level, labels)
 
 
 # -- parabolic.json ----------------------------------------------------------

@@ -28,12 +28,13 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from .errors import InfiniteCokernel, LevelMismatch, NotSaturated
+from .errors import InfiniteCokernel, LevelMismatch, MalformedInput, NotSaturated
 from .lattice import (
     Record,
     as_fractions,
     dot,
     facet_values,
+    int_from_json,
     lattice_coords,
     lattice_coords_int,
     scale_to_ints,
@@ -41,6 +42,7 @@ from .lattice import (
     unscale,
     vec_key,
 )
+from .monoid import monoid_from_json
 
 
 class FiniteAbelianGroup(Record):
@@ -95,6 +97,22 @@ class MonoidHom(Record):
     def apply(self, x):
         x = as_fractions(x)
         return tuple(dot(row, x) for row in self.matrix)
+
+
+def hom_from_json(data):
+    """The hom.json reader (re-exported by `jsonio`)."""
+    if not isinstance(data, dict):
+        raise MalformedInput("hom payload must be an object")
+    try:
+        source = monoid_from_json(data["source"])
+        target = monoid_from_json(data["target"])
+        matrix = tuple(tuple(int_from_json(a, "matrix entry") for a in row) for row in data["matrix"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"bad hom payload: {exc}") from exc
+    try:
+        return MonoidHom(source, target, matrix)
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from exc
 
 
 def compose(g, f):

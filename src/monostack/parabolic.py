@@ -94,42 +94,42 @@ def _induce_with_data(sheaf, level):
     """Colimit-of-weights construction of the induced sheaf, with its
     presentation kept for building the adjunction maps.
 
-    The generators are (nu, gamma, i): basis vector i of the source
-    component nu moved to the level-N Delta monomial gamma.  Each
-    generator w of the source algebra identifies x^w e_i at gamma with
-    e_i at w + gamma.
+    The generators are (j, gamma, i): basis vector i of the source
+    component at label index j (of the source algebra) moved to the
+    level-N Delta monomial gamma; the keys are ints and int tuples, so
+    filing them hashes no `CosetLabel`.  Each generator w of the source
+    algebra identifies x^w e_i at gamma with e_i at w + gamma.
     """
     if level % sheaf.level != 0:
         raise NotAMultiple(f"{level} is not a multiple of level {sheaf.level}")
     field = sheaf.field
+    alg = sheaf.algebra
     alg_n = graded_algebra(sheaf.monoid, level, field)
+    sizes = sheaf.sizes
     gens = []
-    for nu, dm in sheaf.dims.items():
-        start = alg_n.index(nu)  # labels compare across levels
+    for j in sheaf.support:
+        start = alg_n.index(alg.labels[j])  # labels compare across levels
         for gamma in alg_n.basis:
             lab = alg_n.labels[alg_n.target(gamma, start)]
-            gens.extend((lab, (nu, gamma, i)) for i in range(dm))
+            gens.extend((lab, (j, gamma, i)) for i in range(sizes[j]))
 
     def relations():
         minus_one = field.of_int(-1)
-        alg = sheaf.algebra
         for w in alg.delta_generators:
             big_w = vscale(level // sheaf.level, w)
-            for nu, dm in sheaf.dims.items():
-                j = alg.index(nu)
+            for j in sheaf.support:
                 act = sheaf.act(w, j)
                 t = alg.shift[w][j]
-                tnu = alg.labels[t]
                 for gamma in alg_n.basis:
                     shifted = vadd(big_w, gamma)
-                    for i in range(dm):
-                        row = [((tnu, gamma, k), act[k][i]) for k in range(sheaf.sizes[t])]
-                        row.append(((nu, shifted, i), minus_one))
+                    for i in range(sizes[j]):
+                        row = [((t, gamma, k), act[k][i]) for k in range(sizes[t])]
+                        row.append(((j, shifted, i), minus_one))
                         yield row
 
     def move(h, key):
-        nu, gamma, i = key
-        return [((nu, vadd(gamma, h), i), field.one)]
+        j, gamma, i = key
+        return [((j, vadd(gamma, h), i), field.one)]
 
     pres = graded.Presentation(alg_n, gens, relations(), move)
     return pres.module, pres
@@ -148,6 +148,7 @@ def induce_parabolic_map(pmap, level, src_ind=None, tgt_ind=None):
         tgt_ind = _induce_with_data(pmap.target, level)
     s_sheaf, s_pres = src_ind
     t_sheaf, t_pres = tgt_ind
+    labels = pmap.source.algebra.labels
     blocks = {}
     for lab in s_sheaf.dims:
         if not t_sheaf.dim(lab):
@@ -155,9 +156,9 @@ def induce_parabolic_map(pmap, level, src_ind=None, tgt_ind=None):
         sp = s_pres.spaces[lab]
         cols = []
         for k in sp.free:
-            nu, gamma, i = s_pres.gens_per_label[lab][k]
-            fb = pmap.block(nu)
-            terms = [((nu, gamma, k2), fb[k2][i]) for k2 in range(pmap.target.dim(nu))]
+            j, gamma, i = s_pres.gens_per_label[lab][k]
+            fb = pmap.block(labels[j])
+            terms = [((j, gamma, k2), fb[k2][i]) for k2 in range(pmap.target.sizes[j])]
             cols.append(t_pres.coords(lab, terms))
         blocks[lab] = tuple(zip(*cols))
     return GradedMap(s_sheaf, t_sheaf, blocks, check=False)
@@ -172,10 +173,11 @@ def unit_map(sheaf, level, ind=None):
     field = sheaf.field
     zero = (0,) * sheaf.monoid.ambient_rank
     blocks = {}
-    for nu, d in sheaf.dims.items():
+    for j in sheaf.support:
+        nu = sheaf.algebra.labels[j]
         if not ind_sheaf.dim(nu):  # labels compare across levels
             continue
-        cols = [pres.coords(nu, [((nu, zero, i), field.one)]) for i in range(d)]
+        cols = [pres.coords(nu, [((j, zero, i), field.one)]) for i in range(sheaf.sizes[j])]
         blocks[nu] = tuple(zip(*cols))
     return GradedMap(sheaf, res, blocks, check=False)
 
@@ -188,6 +190,8 @@ def counit_map(sheaf, sublevel, ind=None):
     if ind is None:
         ind = _induce_with_data(res, sheaf.level)
     ind_sheaf, pres = ind
+    # the level-N index of each source label index of the restriction
+    up = {j: sheaf.algebra.index(res.algebra.labels[j]) for j in res.support}
     blocks = {}
     for lab in ind_sheaf.dims:
         tdim = sheaf.dim(lab)
@@ -195,8 +199,8 @@ def counit_map(sheaf, sublevel, ind=None):
             continue
         cols = []
         for k in pres.spaces[lab].free:
-            nu, gamma, i = pres.gens_per_label[lab][k]
-            act = sheaf.act(gamma, sheaf.algebra.index(nu))
+            j, gamma, i = pres.gens_per_label[lab][k]
+            act = sheaf.act(gamma, up[j])
             cols.append(tuple(act[t][i] for t in range(tdim)))
         blocks[lab] = tuple(zip(*cols))
     return GradedMap(ind_sheaf, sheaf, blocks, check=False)
@@ -230,49 +234,59 @@ def minimal_inducing_level(sheaf):
 
 
 def hom_space(source, target):
-    """Dimension and basis of the space of parabolic maps source -> target."""
+    """Dimension and basis of the space of parabolic maps source -> target.
+
+    The unknowns are the entries of the blocks f_i (target.sizes[i] x
+    source.sizes[i]) for i in the source support, numbered block by block
+    and row by row.  Each delta generator g out of label i, with t its
+    target label, gives the sparse equations f_t A1 = A2 f_i, A1 and A2
+    the actions of g on source and target.  One `fields.PresentedSpace`
+    eliminates them; its reduced rows give one null vector per free
+    column f: 1 at f, and -row[f] at the pivot of each row.
+    """
     if source.algebra != target.algebra:
         raise LevelMismatch("hom between different levels or fields")
     field = source.field
-    var_index = {}
-    for lab, d in source.dims.items():
-        td = target.dim(lab)
-        for r in range(td):
-            for c in range(d):
-                var_index[(lab, r, c)] = len(var_index)
-    nvars = len(var_index)
     alg = source.algebra
-    rows = []
-    for g in alg.delta_generators:
-        for lab, d in source.dims.items():
-            tgt = alg.labels[alg.shift[g][alg.index(lab)]]
-            a1 = source.gen_matrix(g, lab)  # dim(tgt_src) x d
-            a2 = target.gen_matrix(g, lab)
-            rows_out = target.dim(tgt)
-            for r in range(rows_out):
-                for c in range(d):
-                    row = [field.zero] * nvars
-                    # (f_{tgt} . a1)[r][c]
-                    for k in range(source.dim(tgt)):
-                        key = var_index.get((tgt, r, k))
-                        if key is not None:
-                            row[key] += a1[k][c]
-                    # (a2 . f_lab)[r][c]
-                    for k in range(target.dim(lab)):
-                        key = var_index.get((lab, k, c))
-                        if key is not None:
-                            row[key] -= a2[r][k]
-                    row = tuple(map(field.norm, row))
-                    if any(row):
-                        rows.append(row)
+    base = {}
+    nvars = 0
+    for i in source.support:
+        base[i] = nvars
+        nvars += target.sizes[i] * source.sizes[i]
     if nvars == 0:
         return 0, []
-    basis = fields.nullspace(field, tuple(rows)) if rows else fields.identity_matrix(field, nvars)
+    rows = []
+    for g in alg.delta_generators:
+        for i in source.support:
+            d, t = source.sizes[i], alg.shift[g][i]
+            a1, a2 = source._gen(g, i), target._gen(g, i)
+            bi, bt, dt = base[i], base.get(t), source.sizes[t]
+            for r in range(target.sizes[t]):
+                a2r = a2[r]
+                for c in range(d):
+                    # (f_t A1)[r][c] - (A2 f_i)[r][c]
+                    row = {} if bt is None else {bt + r * dt + k: a1[k][c] for k in range(dt) if a1[k][c]}
+                    for k, x in enumerate(a2r):
+                        if x:
+                            col = bi + k * d + c
+                            row[col] = row.get(col, 0) - x
+                    if row:
+                        rows.append(row)
+    space = fields.PresentedSpace(field, nvars, rows)
+    p = field.p
+    basis = {}
+    for f in space.free:
+        vec = basis[f] = [field.zero] * nvars
+        vec[f] = field.one
+    for c, row in zip(space.pivots, space.rows):
+        for f, y in row.items():
+            if f != c:
+                basis[f][c] = -y % p if p else -y
     maps = []
-    for vec in basis:
+    for vec in basis.values():
         blocks = {}
-        for lab, d in source.dims.items():
-            rows_out = range(target.dim(lab))
-            blocks[lab] = tuple(tuple(vec[var_index[(lab, r, c)]] for c in range(d)) for r in rows_out)
+        for i in source.support:
+            d, b = source.sizes[i], base[i]
+            blocks[alg.labels[i]] = tuple(tuple(vec[b + r * d : b + r * d + d]) for r in range(target.sizes[i]))
         maps.append(GradedMap(source, target, blocks, check=False))
     return len(maps), maps

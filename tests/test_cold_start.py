@@ -27,6 +27,12 @@ SHEAF = {"monoid": N1, "level": 2, "field": "Q", "components": {"0": 1, "1/2": 1
 MODULE = dict({k: v for k, v in SHEAF.items() if k != "maps"}, action=SHEAF["maps"])
 
 MONOID_ONLY = {"monostack", "monostack.cli", "monostack.errors", "monostack.lattice", "monostack.monoid"}
+# the hom.json and profinite readers live in `kummer` and `infquot`, so
+# these two commands load neither `jsonio` nor the module layers behind it
+READER_ONLY = {
+    "kummer": MONOID_ONLY | {"monostack.kummer"},
+    "infquot": MONOID_ONLY | {"monostack.kummer", "monostack.infquot"},
+}
 
 CASES = [
     (["monoid", "info"], CONE),
@@ -74,6 +80,8 @@ def test_each_command_imports_only_what_it_runs(argv, payload, tmp_path):
     assert not added & {"dataclasses", "inspect"}, argv
     if argv[0] == "monoid":
         assert {m for m in added if m.startswith("monostack")} == MONOID_ONLY, argv
+    if argv[0] in READER_ONLY:
+        assert {m for m in added if m.startswith("monostack")} == READER_ONLY[argv[0]], argv
     if argv[0] in ("delta", "delta0"):
         heavy = {f"monostack.{m}" for m in ("graded", "parabolic", "jsonio", "fields")}
         assert not added & heavy, argv

@@ -12,6 +12,7 @@ from monostack.graded import (
     algebra_as_module,
     cokernel,
     degree_zero_part,
+    direct_sum,
     graded_algebra,
     is_exact_sequence,
     kernel,
@@ -268,6 +269,21 @@ def test_adjunction_dimension_identity(nat, nat2):
         rhs, _ = hom_space(small, restrict(big, m))
         assert lhs == rhs, (pres.generators, m, n, lhs, rhs)
         done += 1
+
+
+def test_adjunction_at_level_six_on_the_cone(nonsimplicial):
+    """dim Hom(ind E, F) = dim Hom(E, res F) for E the cone's three-twist
+    module at level 2 (labels 1, 3 and 5) and F = ind E at level 6; both
+    are 9.  The left side is a hom space between two 858-dimensional
+    modules, which only sparse elimination makes affordable here."""
+    alg = graded_algebra(nonsimplicial, 2)
+    small = from_graded(direct_sum([twist(alg, alg.labels[i]) for i in (1, 3, 5)]))
+    big = induce(small, 6)
+    assert big.total_dim == 858
+    lhs, maps = hom_space(big, big)
+    rhs, _ = hom_space(small, restrict(big, 2))
+    assert lhs == rhs == 9
+    assert all(f.commutes() for f in maps)
 
 
 def test_triangle_identities_random(nat, nat2):
