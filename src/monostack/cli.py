@@ -269,14 +269,7 @@ def cmd_parabolic(args):
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="monostack",
-        description="Exact monoid/root-stack combinatorics with JSON I/O.",
-    )
-    parser.add_argument("--pretty", action="store_true", help="indent output, add a summary on stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_monoid(sub):
     p = sub.add_parser("monoid", help="inspect, saturate, or generate Hilbert bases")
     psub = p.add_subparsers(dest="action", required=True)
     for action in ("info", "hilbert", "saturate"):
@@ -284,16 +277,15 @@ def build_parser():
         q.add_argument("input", nargs="?", help="monoid.json file, or - for stdin")
         q.set_defaults(func=cmd_monoid, action=action)
 
-    p = sub.add_parser("delta", help="Delta points at a root level")
+
+def _add_delta(sub, name="delta"):
+    p = sub.add_parser(name, help=f"{name.capitalize()} points at a root level")
     p.add_argument("input", nargs="?")
     p.add_argument("--level", type=int, default=1)
-    p.set_defaults(func=lambda a: cmd_delta(a, delta0_only=False))
+    p.set_defaults(func=lambda a: cmd_delta(a, delta0_only=name == "delta0"))
 
-    p = sub.add_parser("delta0", help="Delta0 points at a root level")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--level", type=int, default=1)
-    p.set_defaults(func=lambda a: cmd_delta(a, delta0_only=True))
 
+def _add_infquot(sub):
     p = sub.add_parser("infquot", help="infinite-quotient check")
     psub = p.add_subparsers(dest="action", required=True)
     q = psub.add_parser("check")
@@ -301,17 +293,23 @@ def build_parser():
     q.add_argument("--depth", type=int, default=4, help="accepted; has no effect")
     q.set_defaults(func=cmd_infquot)
 
+
+def _add_kummer(sub):
     p = sub.add_parser("kummer", help="Kummer test for a monoid homomorphism")
     psub = p.add_subparsers(dest="action", required=True)
     q = psub.add_parser("check")
     q.add_argument("input", nargs="?")
     q.set_defaults(func=cmd_kummer)
 
+
+def _add_picard(sub):
     p = sub.add_parser("picard", help="level-n class group and coset labels")
     p.add_argument("input", nargs="?")
     p.add_argument("--level", type=int, default=1)
     p.set_defaults(func=cmd_picard)
 
+
+def _add_ideal(sub):
     p = sub.add_parser("ideal", help="minimal generators of monomial ideals")
     psub = p.add_subparsers(dest="action", required=True)
     q = psub.add_parser("mingens")
@@ -322,6 +320,8 @@ def build_parser():
     q.add_argument("--bound", help="bound on l(x) for the region; below the certified bound (the default) exits 2")
     q.set_defaults(func=cmd_ideal)
 
+
+def _add_probe(sub):
     p = sub.add_parser("probe", help="coherence probe across levels")
     psub = p.add_subparsers(dest="action", required=True)
     q = psub.add_parser("coherence")
@@ -330,6 +330,8 @@ def build_parser():
     q.add_argument("--levels", default="1,2,3,4")
     q.set_defaults(func=cmd_probe)
 
+
+def _add_parabolic(sub):
     p = sub.add_parser("parabolic", help="parabolic sheaf functors")
     psub = p.add_subparsers(dest="action", required=True)
     for action in ("to-graded", "from-graded", "restrict", "induce", "check-induced", "hom"):
@@ -340,12 +342,53 @@ def build_parser():
         q.add_argument("--with", dest="with_sheaf", help="second sheaf for hom")
         q.set_defaults(func=cmd_parabolic, action=action)
 
+
+# each command's argument subtree, in the order the top-level help lists them
+COMMANDS = {
+    "monoid": _add_monoid,
+    "delta": _add_delta,
+    "delta0": lambda sub: _add_delta(sub, "delta0"),
+    "infquot": _add_infquot,
+    "kummer": _add_kummer,
+    "picard": _add_picard,
+    "ideal": _add_ideal,
+    "probe": _add_probe,
+    "parabolic": _add_parabolic,
+}
+
+
+def build_parser(argv=None):
+    """The argument parser; given `argv`, only the subtree of its command.
+
+    A process runs one command, so building the other subtrees is wasted
+    start-up.  When `argv` starts with a known command, after any number of
+    --pretty, only that command's subtree is added, and the top-level
+    usage line still lists every command (`metavar`), so every message
+    reads as it does from the full tree.  Anything else (no command, an
+    unknown one, or another option first, a top-level --help among them)
+    gets the full tree, whose messages list the commands.
+    """
+    parser = argparse.ArgumentParser(
+        prog="monostack",
+        description="Exact monoid/root-stack combinatorics with JSON I/O.",
+    )
+    parser.add_argument("--pretty", action="store_true", help="indent output, add a summary on stderr")
+    command = next((arg for arg in argv or () if arg != "--pretty"), None)
+    if command in COMMANDS:
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
+        COMMANDS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in COMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None):
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_MALFORMED if exc.code == 2 else exc.code
     try:

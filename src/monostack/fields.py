@@ -109,8 +109,9 @@ def mat_mul_dims(field, a, b, rows, mid, cols):
 
     Tuples-of-tuples cannot carry the column count of an empty matrix, so
     compositions through a 0-dimensional space need the shape spelled out.
+    A zero factor gives the zero matrix without multiplying.
     """
-    if rows == 0 or cols == 0 or mid == 0:
+    if rows == 0 or cols == 0 or mid == 0 or mat_eq_zero(a) or mat_eq_zero(b):
         return zero_matrix(field, rows, cols)
     return mat_mul(field, a, b)
 

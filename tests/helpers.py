@@ -566,3 +566,44 @@ def delta_points_candidates_oracle(pres, level):
     residues = tuple(tuple(c % level for c in lattice_coords_int(pres.group_basis, y)) for y in scaled)
     counts = Counter(residues)
     return scaled, residues, tuple(counts[res] == 1 for res in residues)
+
+
+def induction_presentation_oracle(sheaf, level):
+    """The presentation of induction to `level` with every relation block filed.
+
+    The generators are those of `parabolic._induce_with_data`, (j, gamma, i)
+    in the same order; the relations are all of x^(qw+gamma) (x) e_i =
+    x^gamma (x) X_w e_i, q = level / sheaf.level, for every delta generator w
+    of the source, every label index j of its support, every level-N Delta
+    point gamma and every i, the left side dropped when qw+gamma leaves
+    Delta.  Returns the `graded.Presentation`.
+    """
+    from monostack import graded
+    from monostack.lattice import vadd, vscale
+
+    field, alg = sheaf.field, sheaf.algebra
+    alg_n = graded.graded_algebra(sheaf.monoid, level, field)
+    sizes = sheaf.sizes
+    gens = []
+    for j in sheaf.support:
+        start = alg_n.index(alg.labels[j])
+        for gamma in alg_n.basis:
+            lab = alg_n.labels[alg_n.target(gamma, start)]
+            gens.extend((lab, (j, gamma, i)) for i in range(sizes[j]))
+
+    def relations():
+        for w in alg.delta_generators:
+            qw = vscale(level // sheaf.level, w)
+            for j in sheaf.support:
+                act, t = sheaf.act(w, j), alg.shift[w][j]
+                for gamma in alg_n.basis:
+                    for i in range(sizes[j]):
+                        row = [((t, gamma, k), act[k][i]) for k in range(sizes[t])]
+                        row.append(((j, vadd(qw, gamma), i), field.of_int(-1)))
+                        yield row
+
+    def move(h, key):
+        j, gamma, i = key
+        return [((j, vadd(gamma, h), i), field.one)]
+
+    return graded.Presentation(alg_n, gens, relations(), move)

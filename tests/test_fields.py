@@ -10,6 +10,7 @@ Over QQ the kernels return an int wherever a value is integral, and
 `jsonio` reads integral payload rationals as ints.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -186,6 +187,38 @@ def test_qq_keeps_true_fractions_and_gf_p_stays_in_range():
         for (rows, cols), mat in _cases(field, 1):
             red, _ = fields.rref(field, mat)
             assert all(type(x) is int and 0 <= x < field.p for row in red for x in row)
+
+
+def _zero_factor(rng, field, rows, cols):
+    """An all-zero matrix: ints, or over QQ `Fraction(0)` entries half the
+    time; over GF(p) multiples of p half the time, which are not reduced."""
+    if field.p:
+        k = field.p if rng.random() < 0.5 else 0
+        return tuple(tuple(k * rng.randint(0, 2) for _ in range(cols)) for _ in range(rows))
+    zero = Fraction(0) if rng.random() < 0.5 else 0
+    return tuple(tuple(zero for _ in range(cols)) for _ in range(rows))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_mat_mul_dims_through_zero_factors_and_empty_middles(field):
+    """`mat_mul_dims` against a triple-loop product, for random and zero
+    factors on either side and every zero-dimensional rows, middle or
+    columns: the shape is the declared one and each entry a field element
+    (an int for a zero result)."""
+    rng = random.Random(6)
+    for rows, mid, cols in itertools.product((0, 1, 3), (0, 1, 2, 4), (0, 1, 3)):
+        for zero_a, zero_b in itertools.product((False, True), repeat=2):
+            a = _zero_factor(rng, field, rows, mid) if zero_a else _random_matrix(rng, field, rows, mid)
+            b = _zero_factor(rng, field, mid, cols) if zero_b else _random_matrix(rng, field, mid, cols)
+            want = tuple(
+                tuple(field.norm(sum((a[r][k] * b[k][c] for k in range(mid)), field.zero)) for c in range(cols))
+                for r in range(rows)
+            )
+            got = fields.mat_mul_dims(field, a, b, rows, mid, cols)
+            assert got == want, (a, b)
+            assert _in_field(field, (x for row in got for x in row)), (a, b)
+            if zero_a or zero_b:
+                assert got == fields.zero_matrix(field, rows, cols)
 
 
 SPARSE_SHAPES = [(1, 8), (8, 1), (5, 9), (9, 5), (12, 12), (20, 14), (14, 20)]
