@@ -1,4 +1,4 @@
-"""Exact field arithmetic, dense linear algebra and sparse elimination.
+"""Exact field arithmetic, dense matrices and one sparse elimination.
 
 The coefficient field is a prime field, `PrimeField(p)`: the rationals
 `QQ = PrimeField(0)` (elements are ints, or `fractions.Fraction`s once a
@@ -9,10 +9,11 @@ graded/parabolic code runs one code path for both fields.  Matrices are
 tuples of row tuples; vectors are tuples.
 
 `PresentedSpace`, the quotient of a free space by relation rows, takes
-sparse rows {column: coefficient} and eliminates them sparsely; the
-quotient constructions of `graded` and `parabolic` (induction, tensor
-products, cokernels, hom spaces) run on it, and the dense `rref` stays for
-small dense matrices and as its test oracle.
+sparse rows {column: coefficient} and eliminates them sparsely.  It is the
+only Gauss-Jordan elimination here: the quotient constructions of `graded`
+and `parabolic` (induction, tensor products, cokernels, hom spaces) run on
+it, and `rref`, `rank`, `solve` and `nullspace` file the nonzero entries
+of their dense rows into it.
 """
 
 from __future__ import annotations
@@ -128,75 +129,39 @@ def mat_eq_zero(a):
     return not any(map(any, a))
 
 
+def _eliminate(field, m):
+    """The `PresentedSpace` of the rows of a dense matrix, columns as generators."""
+    return PresentedSpace(field, len(m[0]) if m else 0, [{j: x for j, x in enumerate(row) if x} for row in m])
+
+
 def rref(field, m):
     """Reduced row echelon form.  Returns (rows, pivot column list); the
-    rows past the pivots are zero.  The input is normalised once, on copy,
-    so a step need only update the columns where the pivot row is nonzero."""
-    norm = field.norm
-    rows = [list(map(norm, r)) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        for k in range(r, nrows):
-            if rows[k][c]:
-                break
-        else:
-            continue
-        prow = rows[k]
-        rows[r], rows[k] = prow, rows[r]
-        p = prow[c]
-        if p != 1:
-            inv = -1 if p == -1 else norm(field.inv(p))
-            prow = rows[r] = [norm(inv * x) for x in prow]
-        nonzero = [(j, y) for j, y in enumerate(prow) if y]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                for j, y in nonzero:
-                    row[j] = norm(row[j] - f * y)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows[:r]) + ((field.zero,) * ncols,) * (nrows - r), pivots
+    rows past the pivots are zero."""
+    space = _eliminate(field, m)
+    zero, ncols = field.zero, space.ngens
+    red = tuple(tuple(row.get(j, zero) for j in range(ncols)) for row in space.rows)
+    return red + ((zero,) * ncols,) * (len(m) - len(red)), space.pivots
 
 
 def rank(field, m):
-    if not m or not m[0]:
-        return 0
-    return len(rref(field, m)[1])
+    return len(_eliminate(field, m).pivots)
 
 
 def solve(field, a, b):
     """One solution x of A x = b, or None.  A is given by rows."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    red, pivots = rref(field, [list(a[i]) + [b[i]] for i in range(nrows)])
-    if pivots and pivots[-1] == ncols:  # a row 0 = nonzero
+    ncols = len(a[0]) if a else 0
+    space = _eliminate(field, [(*row, y) for row, y in zip(a, b)])
+    if space.pivots and space.pivots[-1] == ncols:  # a row 0 = nonzero
         return None
     x = [field.zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][-1]
+    for c, row in zip(space.pivots, space.rows):
+        x[c] = row.get(ncols, field.zero)
     return tuple(x)
 
 
 def nullspace(field, a):
     """Basis of the right null space of A (rows)."""
-    if not a:
-        return ()
-    ncols = len(a[0])
-    red, pivots = rref(field, a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for i, c in enumerate(pivots):
-            v[c] = field.norm(-red[i][f])
-        basis.append(tuple(v))
-    return tuple(basis)
+    return _eliminate(field, a).nullspace()
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +195,8 @@ class PresentedSpace:
     nonzero vector of the space that vanishes at its leading column, and
     the leading column of a nonzero vector is always a pivot column.  So
     `pivots`, `rows`, `free` and every coordinate `reduce` returns are
-    those of the dense `fields.rref` of the same rows.
+    fixed by the row space alone, and the dense `rref` is these rows
+    written out.
     """
 
     def __init__(self, field, ngens, relations):
@@ -324,3 +290,16 @@ class PresentedSpace:
 
     def unit(self, k):
         return self.reduce({k: self.field.one})
+
+    def nullspace(self):
+        """Basis of the vectors the relation rows annihilate: one per free
+        column f, with 1 at f and -row[f] at the pivot of each row."""
+        field, p = self.field, self.field.p
+        basis = {f: [field.zero] * self.ngens for f in self.free}
+        for f, vec in basis.items():
+            vec[f] = field.one
+        for c, row in zip(self.pivots, self.rows):
+            for f, y in row.items():
+                if f != c:
+                    basis[f][c] = -y % p if p else -y
+        return tuple(map(tuple, basis.values()))

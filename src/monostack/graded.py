@@ -38,10 +38,10 @@ induction in `parabolic`) goes through one class, `Presentation`: an
 ordered free span per label, sparse relation rows filed by label in one
 pass, one `PresentedSpace` per label, and the generator action moved
 across to the quotient bases.  `PresentedSpace` (defined in `fields`,
-bound here) is a sparse Gauss-Jordan eliminator: relation rows are never
-densified, and since the reduced row echelon form is unique, its quotient
-bases are those of the dense `fields.rref`.  Kernels and images share
-`_submodule`, which moves the action onto a sub-basis.
+bound here) is the library's one Gauss-Jordan eliminator: relation rows
+are never densified, and the dense `fields.rref`, `rank`, `solve` and
+`nullspace` behind kernels and images run on it too.  Kernels and images
+share `_submodule`, which moves the action onto a sub-basis.
 
 This module also hosts the monomial-ideal side: colon ideals of pairs of
 monoid elements, their minimal generators inside a certified region, and
@@ -645,10 +645,8 @@ def image(f):
     bases = {}
     for lab in f.source.dims:
         mat = f.block(lab)
-        if not mat or not mat[0]:
-            continue
         cols = tuple(zip(*mat))
-        chosen = [cols[j] for j in fields.rref(field, mat)[1]]
+        chosen = [cols[j] for j in fields._eliminate(field, mat).pivots]
         if chosen:
             bases[lab] = chosen
     return _submodule(f.target, bases, "image")

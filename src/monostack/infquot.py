@@ -297,6 +297,8 @@ def profinite_from_json(data):
         pres = monoid_from_json(data["monoid"])
         level = int_from_json(data["level"], "level", minimum=1)
         raw = data["labels"]
+        if not isinstance(raw, dict):
+            raise TypeError("labels must be an object")
         labels = {}
         for key, vec in raw.items():
             n = int_from_json(int(key), "label level", minimum=1)

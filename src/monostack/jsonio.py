@@ -148,6 +148,8 @@ def _module_from_json(data, what, key, build):
         level = int_from_json(data["level"], "level", minimum=1)
         field = field_from_spec(data.get("field", "Q"))
         dims = {}
+        if not isinstance(data["components"], dict):
+            raise TypeError("components must be an object")
         for rep, d in data["components"].items():
             dims[label_from_key(pres, level, rep)] = int_from_json(d, "component dimension", minimum=0)
         action = {}

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from .errors import InfiniteCokernel, LevelMismatch, MalformedInput, NotSaturated
+from .errors import DimensionMismatch, InfiniteCokernel, LevelMismatch, MalformedInput, NotSaturated
 from .lattice import (
     Record,
     as_fractions,
@@ -37,7 +37,6 @@ from .lattice import (
     int_from_json,
     lattice_coords,
     lattice_coords_int,
-    scale_to_ints,
     smith_normal_form,
     unscale,
     vec_key,
@@ -148,7 +147,9 @@ def root_inclusion(pres, n):
 def group_coords(pres, y):
     """Coordinates of an int tuple y against the group basis, or None off
     the group lattice.  When the group is Z^d, y is its own coordinate
-    vector."""
+    vector.  A point of another dimension raises DimensionMismatch."""
+    if len(y) != pres.ambient_rank:
+        raise DimensionMismatch(f"point of dim {len(y)} against cone of dim {pres.ambient_rank}")
     if pres._group_is_ambient:
         return y
     return lattice_coords_int(pres.group_basis, y)
@@ -286,7 +287,7 @@ def scaled_labels(pres, y, levels):
 
 def coset_label(pres, n, x):
     """Label of a rational vector x in (1/n)P^gp: `scaled_label` of n*s*x."""
-    y = scale_to_ints(x, n * pres.denominator)
+    y = pres._scaled(x, n)
     label = None if y is None else scaled_label(pres, n, y)
     if label is not None:
         return label

@@ -296,8 +296,7 @@ def hom_space(source, target):
     and row by row.  Each delta generator g out of label i, with t its
     target label, gives the sparse equations f_t A1 = A2 f_i, A1 and A2
     the actions of g on source and target.  One `fields.PresentedSpace`
-    eliminates them; its reduced rows give one null vector per free
-    column f: 1 at f, and -row[f] at the pivot of each row.
+    eliminates them, and its `nullspace` is the basis.
     """
     if source.algebra != target.algebra:
         raise LevelMismatch("hom between different levels or fields")
@@ -327,18 +326,8 @@ def hom_space(source, target):
                             row[col] = row.get(col, 0) - x
                     if row:
                         rows.append(row)
-    space = fields.PresentedSpace(field, nvars, rows)
-    p = field.p
-    basis = {}
-    for f in space.free:
-        vec = basis[f] = [field.zero] * nvars
-        vec[f] = field.one
-    for c, row in zip(space.pivots, space.rows):
-        for f, y in row.items():
-            if f != c:
-                basis[f][c] = -y % p if p else -y
     maps = []
-    for vec in basis.values():
+    for vec in fields.PresentedSpace(field, nvars, rows).nullspace():
         blocks = {}
         for i in source.support:
             d, b = source.sizes[i], base[i]

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own geometry paths:
 cone membership is decided by Fourier-Motzkin feasibility of the
 nonnegative-combination system, monoid membership by bounded brute-force
-coefficient search, determinants by fraction Gaussian elimination.
+coefficient search, determinants by fraction Gaussian elimination, and
+reduced row echelon forms by sympy's `DomainMatrix`.
 """
 
 import itertools
@@ -103,6 +104,32 @@ def cone_oracle(generators):
         if matrix([f for f in facets if sum(a * b for a, b in zip(f, g)) == 0]).rank() == dim - 1
     ]
     return tuple(sorted(facets)), tuple(sorted(rays))
+
+
+def to_sympy(field, mat, rows, cols):
+    """A dense matrix as a sympy `DomainMatrix` over QQ or GF(p)."""
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    if field.p:
+        k = sympy.GF(field.p)
+        return DomainMatrix([[k(int(x)) for x in row] for row in mat], (rows, cols), k)
+    k = sympy.QQ
+    return DomainMatrix([[k(x.numerator, x.denominator) for x in row] for row in mat], (rows, cols), k)
+
+
+def from_sympy(field, rows):
+    """Lists of `DomainMatrix` entries as tuples of field elements (ints
+    over QQ where integral)."""
+    if field.p:
+        return [tuple(int(x) % field.p for x in row) for row in rows]
+    return [tuple(field.norm(Fraction(int(x.numerator), int(x.denominator))) for x in row) for row in rows]
+
+
+def oracle_rref(field, mat, rows, cols):
+    """sympy's reduced row echelon form of a dense matrix: (rows, pivot list)."""
+    red, pivots = to_sympy(field, mat, rows, cols).rref()
+    return from_sympy(field, red.to_list()), list(pivots)
 
 
 def nat_combination_oracle(generators, x, coeff_bound=10):

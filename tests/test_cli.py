@@ -685,3 +685,41 @@ def test_integral_floats_read_as_integers(tmp_path, capsys):
         assert main(["monoid", "info", str(src)]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+# Each payload holds a list where its schema has an object.
+NON_OBJECTS = {
+    "components": (["parabolic", "induce", "--to", "4"],
+                   {"monoid": N2, "level": 2, "field": "Q", "components": [], "maps": []},
+                   "bad parabolic payload: components must be an object"),
+    "labels": (["infquot", "check"], {"monoid": N2, "level": 2, "labels": []},
+               "bad profinite payload: labels must be an object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_OBJECTS))
+def test_non_object_payload_members_are_malformed(name, tmp_path, capsys):
+    argv, payload, message = NON_OBJECTS[name]
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps(payload))
+    code = main(argv + [str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "monoid",
+    [N2, {"ambient_rank": 2, "generators": [[1, 1], [1, -1]]}],
+    ids=["n2", "index2"],
+)
+@pytest.mark.parametrize("labels", [{"1": ["0"], "2": ["1/2"]}, {"2": ["1/3"]}], ids=["integral", "fractional"])
+def test_label_vectors_of_the_wrong_length_are_refused(monoid, labels, tmp_path, capsys):
+    """A one-entry label on a rank-2 monoid is a dimension mismatch (exit
+    2), as a generator key of the wrong length is: N^2 does not read it as
+    a label of residues (0,) and answer inconclusive, and the group of
+    index 2 in Z^2 does not fail on it with a traceback."""
+    src = tmp_path / "profinite.json"
+    src.write_text(json.dumps({"monoid": monoid, "level": 2, "labels": labels}))
+    code = main(["infquot", "check", str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: point of dim 1 against cone of dim 2\n")

@@ -1,7 +1,7 @@
 """The dense kernels of `monostack.fields` against sympy.
 
-`rref`, `rank`, `nullspace` and `solve` over QQ (oracle: `sympy.Matrix`)
-and over GF(2), GF(3) and GF(97) (oracle: `DomainMatrix` over `GF(p)`), on
+`rref`, `rank`, `nullspace` and `solve` over QQ, GF(2), GF(3) and GF(97)
+(oracle: sympy's `DomainMatrix` over `QQ` or `GF(p)`, `helpers.to_sympy`), on
 seeded random matrices with zero rows, zero columns and empty shapes.  The
 rref of a row space is unique, and a null space basis vector is fixed by
 the free column it is 1 at (0 at the others), so the results must agree
@@ -15,13 +15,13 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
-from sympy.polys.matrices import DomainMatrix
 
 from monostack import fields
 from monostack.errors import MalformedInput
 from monostack.fields import QQ, PrimeField, field_from_spec, field_spec
 from monostack.jsonio import frac_from_str, frac_to_str
+
+from helpers import from_sympy, oracle_rref, to_sympy
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(97)]
 FIELD_IDS = ["Q", "F2", "F3", "F97"]
@@ -56,34 +56,11 @@ def _cases(field, seed):
     return [(shape, _random_matrix(rng, field, *shape)) for shape in SHAPES for _ in range(3)]
 
 
-def _to_sympy(field, mat, rows, cols):
-    if field.p:
-        k = sympy.GF(field.p)
-        return DomainMatrix([[k(int(x)) for x in row] for row in mat], (rows, cols), k)
-    return sympy.Matrix(rows, cols, [sympy.Rational(x.numerator, x.denominator) for row in mat for x in row])
-
-
-def _from_sympy(field, rows):
-    if field.p:
-        return [tuple(int(x) % field.p for x in row) for row in rows]
-    return [tuple(Fraction(int(x.p), int(x.q)) for x in row) for row in rows]
-
-
-def _oracle_rref(field, mat, rows, cols):
-    red, pivots = _to_sympy(field, mat, rows, cols).rref()
-    red_rows = red.to_list() if field.p else red.tolist()
-    return _from_sympy(field, red_rows), list(pivots)
-
-
 def _oracle_nullspace(field, mat, rows, cols):
     """sympy's null space basis, each vector scaled to end in 1: the vector
     of free column f is 1 at f and 0 at the other free columns, so its last
     nonzero entry is at f, and `DomainMatrix` gives a multiple of it."""
-    sm = _to_sympy(field, mat, rows, cols)
-    if field.p:
-        basis = _from_sympy(field, sm.nullspace().to_list()) if cols else []
-    else:
-        basis = _from_sympy(field, [list(v) for v in sm.nullspace()])
+    basis = from_sympy(field, to_sympy(field, mat, rows, cols).nullspace().to_list()) if cols else []
     scaled = []
     for v in basis:
         c = field.inv([x for x in v if x][-1])
@@ -95,7 +72,7 @@ def _oracle_nullspace(field, mat, rows, cols):
 def test_rref_and_rank_match_sympy(field):
     for (rows, cols), mat in _cases(field, 1):
         red, pivots = fields.rref(field, mat)
-        assert ([tuple(r) for r in red], pivots) == _oracle_rref(field, mat, rows, cols), mat
+        assert ([tuple(r) for r in red], pivots) == oracle_rref(field, mat, rows, cols), mat
         assert fields.rank(field, mat) == len(pivots)
 
 
@@ -123,7 +100,7 @@ def test_solve_finds_a_solution_exactly_when_one_exists(field):
         else:
             b = tuple(_entry(rng, field) for _ in range(rows))
         aug = tuple(row + (bi,) for row, bi in zip(mat, b))
-        consistent = len(_oracle_rref(field, mat, rows, cols)[1]) == len(_oracle_rref(field, aug, rows, cols + 1)[1])
+        consistent = len(oracle_rref(field, mat, rows, cols)[1]) == len(oracle_rref(field, aug, rows, cols + 1)[1])
         x = fields.solve(field, mat, b)
         verdicts.add(consistent)
         assert (x is not None) == consistent, (mat, b)
@@ -258,21 +235,21 @@ def _in_field(field, values):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_sparse_kernels_match_sympy_and_normalise_their_input(field):
-    """`rref` updates only the pivot row's nonzero columns, so entries it
-    never touches reach the output as they were copied: the oracles agree
-    and every entry is a field element (no integral Fraction, no GF(p)
-    int outside [0, p)) only because the copy normalises them."""
+    """The kernels file only the nonzero entries of each row, unreduced, so
+    the oracles agree and every entry is a field element (no integral
+    Fraction, no GF(p) int outside [0, p)) only because the elimination
+    normalises its input on copy."""
     rng = random.Random(4)
     for (rows, cols), mat in _sparse_cases(field, 4):
         red, pivots = fields.rref(field, mat)
-        assert ([tuple(r) for r in red], pivots) == _oracle_rref(field, mat, rows, cols), mat
+        assert ([tuple(r) for r in red], pivots) == oracle_rref(field, mat, rows, cols), mat
         assert _in_field(field, (x for row in red for x in row)), mat
         basis = fields.nullspace(field, mat)
         assert list(basis) == _oracle_nullspace(field, mat, rows, cols), mat
         assert _in_field(field, (x for v in basis for x in v)), mat
         b = tuple(_sparse_entry(rng, field) for _ in range(rows))
         aug = tuple(row + (bi,) for row, bi in zip(mat, b))
-        consistent = len(_oracle_rref(field, mat, rows, cols)[1]) == len(_oracle_rref(field, aug, rows, cols + 1)[1])
+        consistent = len(oracle_rref(field, mat, rows, cols)[1]) == len(oracle_rref(field, aug, rows, cols + 1)[1])
         x = fields.solve(field, mat, b)
         assert (x is not None) == consistent, (mat, b)
         if x is not None:
