@@ -303,3 +303,26 @@ class PresentedSpace:
                 if f != c:
                     basis[f][c] = -y % p if p else -y
         return tuple(map(tuple, basis.values()))
+
+
+def sparse_compose(field, a, b):
+    """The composite A B of sparse operators {column: {row: entry}}.
+
+    Each column of B is a combination of columns of A; each entry is
+    brought into the field once, as in `PresentedSpace`, and zero entries
+    and zero columns are dropped, so a zero operator is {} and two
+    operators are equal exactly when their dicts are."""
+    p, norm = field.p, field.norm
+    out = {}
+    for c, col in b.items():
+        acc = {}
+        for k, x in col.items():
+            for r, y in a.get(k, {}).items():
+                acc[r] = acc.get(r, 0) + x * y
+        if p:
+            acc = {r: s % p for r, s in acc.items() if s % p}
+        else:
+            acc = {r: s if type(s) is int else norm(s) for r, s in acc.items() if s}
+        if acc:
+            out[c] = acc
+    return out

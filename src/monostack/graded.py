@@ -51,8 +51,8 @@ the coherence probe that tabulates their growth across levels.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache, partial, reduce
+from itertools import accumulate, combinations
 from math import ceil, floor
 from operator import add, ge
 
@@ -246,7 +246,8 @@ class GradedModule:
     label-keyed views back.  A label over another monoid or level raises
     LevelMismatch, an action key that is not one of `algebra.generators`
     ValueError.  Matrices for zero-dimensional source or target components
-    may be omitted.
+    may be omitted; one that is given is dropped, after its shape is
+    checked like any other.
     """
 
     def __init__(self, algebra, dims, gen_action, check=True):
@@ -267,6 +268,8 @@ class GradedModule:
             mat = fields.mat_from_rows(mat)
             if self.sizes[i] and self.sizes[algebra.shift[g][i]]:
                 self.action[(g, i)] = mat
+            else:
+                self._shaped(g, i, mat)
         self._act_memo = {}
         self._zeros = {}  # one shared zero matrix per shape, for absent actions
         if check:
@@ -321,14 +324,18 @@ class GradedModule:
 
     def _gen(self, g, i):
         """Action matrix of a Hilbert generator out of label i."""
-        shape = (self.sizes[self.algebra.shift[g][i]], self.sizes[i])
         mat = self.action.get((g, i))
         if mat is None:
+            shape = (self.sizes[self.algebra.shift[g][i]], self.sizes[i])
             mat = self._zeros.get(shape)
             if mat is None:
                 mat = self._zeros[shape] = fields.zero_matrix(self.algebra.field, *shape)
             return mat
-        if (len(mat), len(mat[0]) if mat else 0) != shape:
+        return self._shaped(g, i, mat)
+
+    def _shaped(self, g, i, mat):
+        """`mat`, if every row fits x^g out of label i, or ValueError."""
+        if len(mat) != self.sizes[self.algebra.shift[g][i]] or {*map(len, mat)} - {self.sizes[i]}:
             where = f"gen {vec_key(self.algebra.point(g))} at rep {vec_key(self.algebra.labels[i].representative)}"
             raise ValueError(f"action matrix for {where} has a wrong shape")
         return mat
@@ -373,33 +380,6 @@ class GradedModule:
             self.algebra.field, self._gen(g, mid), mat, sizes[self.algebra.shift[g][mid]], sizes[mid], sizes[i]
         )
 
-    def _word(self, word, i):
-        """The generators of `word` applied in order out of label i:
-        X_(word[-1]) ... X_(word[0])."""
-        shift = self.algebra.shift
-        mat, mid = self._gen(word[0], i), shift[word[0]][i]
-        for g in word[1:]:
-            mat = self._gen_times(g, mid, mat, i)
-            mid = shift[g][mid]
-        return mat
-
-    def _power(self, h, e, i, memo):
-        """(X_h^e out of label i, its target label) for e >= 1, by repeated
-        squaring along shift[h]: X_h^e = X_h^(e - e//2) X_h^(e//2), with
-        every (exponent, label) memoized, so O(log e) products per label."""
-        if e == 1:
-            return self._gen(h, i), self.algebra.shift[h][i]
-        hit = memo.get((e, i))
-        if hit is None:
-            low, mid = self._power(h, e // 2, i, memo)
-            high, end = self._power(h, e - e // 2, mid, memo)
-            sizes = self.sizes
-            hit = memo[(e, i)] = (
-                fields.mat_mul_dims(self.algebra.field, high, low, sizes[end], sizes[mid], sizes[i]),
-                end,
-            )
-        return hit
-
     # -- laws ----------------------------------------------------------------
 
     def validate(self):
@@ -429,14 +409,14 @@ class GradedModule:
         is in Delta: h - n*h' in S would write h as h' + ((n-1)*h' + (h -
         n*h')), a sum of two nonzero points of S, but h is indecomposable.
 
-        So, at every label and after the matrix shapes, with X_h the
-        action of h:
+        So, after the matrix shapes, with X_h the action of h:
           N  generators outside Delta act as zero (all of them at level 1,
              where A = k and nothing else is asked, none at n >= 2);
           C  X_g X_h = X_h X_g for each pair of delta generators;
           M  X^u = X^v for each move (u, v) of `GradedAlgebra.moves`, a
              generating set of I_H (`MonoidPresentation._toric_moves`);
-          P  X_h^n = 0 for each delta generator h (`_power`).
+          P  X_h^n = 0 for each delta generator h, by repeated squaring,
+             which stops at the first zero square.
         These say that h -> X_h makes the module a module over k[x_h]/(I_H
         + (x_h^n)) = A: with C every polynomial acts through its value on
         commuting matrices, and each element of the ideal, a sum of
@@ -452,6 +432,16 @@ class GradedModule:
         of equal sums (n*h is in E), so no module satisfying the law is
         rejected.  The relations do not grow with n: |H| choose 2
         commutators, the moves, and |H| powers of O(log n) products each.
+
+        C, M and P are checked on the direct sum of the components, where
+        X_h is one sparse operator {column: {row: entry}} (columns and rows
+        numbered by running offsets over the labels) and products are
+        `fields.sparse_compose`.  X_h maps label i into shift[h][i], so a
+        product of generators maps each label into a single label, and a
+        relation holds on the sum exactly when it holds out of every label.
+        No error line names a label, so each is the line a label-by-label
+        check raises.  A move's words are multiplied in any order, as C
+        holds by then.
         """
         alg = self.algebra
         support = self.support
@@ -461,22 +451,31 @@ class GradedModule:
             for i in support:
                 if not fields.mat_eq_zero(self._gen(h, i)):
                     raise ValueError(f"generator {vec_key(alg.point(h))} leaves Delta but acts nontrivially")
+        offset, ops = list(accumulate(self.sizes, initial=0)), {}
         for h in alg.delta_generators:
+            op = ops[h] = {}
             for i in support:
-                self._gen(h, i)
+                for r, row in enumerate(self._gen(h, i), offset[alg.shift[h][i]]):
+                    for c, x in enumerate(row, offset[i]):
+                        if x:
+                            op.setdefault(c, {})[r] = x
+        product = partial(reduce, partial(fields.sparse_compose, alg.field))
         for g, h in combinations(alg.delta_generators, 2):
-            for i in support:
-                if self._word((h, g), i) != self._word((g, h), i):
-                    raise ValueError(f"module law fails: generators {vec_key(alg.point(g))} and {vec_key(alg.point(h))} do not commute")
+            if product((ops[g], ops[h])) != product((ops[h], ops[g])):
+                raise ValueError(f"module law fails: generators {vec_key(alg.point(g))} and {vec_key(alg.point(h))} do not commute")
         for u, v in alg.moves:
-            for i in support:
-                if self._word(u, i) != self._word(v, i):
-                    raise ValueError(f"module law fails: the products {_word_key(alg, u)} and {_word_key(alg, v)} differ")
+            if product(map(ops.get, u)) != product(map(ops.get, v)):
+                raise ValueError(f"module law fails: the products {_word_key(alg, u)} and {_word_key(alg, v)} differ")
         for h in alg.delta_generators:
-            memo = {}
-            for i in support:
-                if not fields.mat_eq_zero(self._power(h, alg.level, i, memo)[0]):
-                    raise ValueError(f"module law fails: generator {vec_key(alg.point(h))} to the power {alg.level} acts nontrivially")
+            # X_h^n = power x^e throughout (power None is 1), so a zero x makes it 0
+            power, x, e = None, ops[h], alg.level
+            while e and x:
+                if e % 2:
+                    power, e = x if power is None else product((x, power)), e - 1
+                else:
+                    x, e = product((x, x)), e // 2
+            if power and not e:
+                raise ValueError(f"module law fails: generator {vec_key(alg.point(h))} to the power {alg.level} acts nontrivially")
 
 
 def _word_key(alg, word):

@@ -12,15 +12,18 @@ Generators and labels travel as rational keys, generators converted by
 straight to its int tuple y = n*s*x (`scaled_from_key`) and labelled by
 `scaled_label`; any other key goes through the `Fraction` parse, so the
 accepted keys and every error line are those of `coset_label`.  Keys are
-written from int tuples by `lattice.scaled_key`.  Every value the schemas
-type as integer, and every GF(p) matrix entry, goes through
-`int_from_json`, which rejects booleans, strings and non-integral numbers
-instead of truncating them.  The scalar and vector codec (`frac_to_str`,
-`frac_from_str`, `int_from_json`, `vec_*`) lives in `lattice`, the
-monoid codec in `monoid`, the hom.json reader `hom_from_json` in `kummer`
-and the profinite reader `profinite_from_json` in `infquot`, so a command
-that reads only those payloads need not import this module; all of them
-are re-exported here.
+written from int tuples by `lattice.scaled_key`.  A module payload
+parses each distinct key once (`_once`): the component keys and the "rep"
+keys share one cache of labels, the "gen" keys have one of vectors, and
+only successes are cached, so a bad key raises where it first occurs.
+Every value the schemas type as integer, and every GF(p) matrix entry,
+goes through `int_from_json`, which rejects booleans, strings and
+non-integral numbers instead of truncating them.  The scalar and vector
+codec (`frac_to_str`, `frac_from_str`, `int_from_json`, `vec_*`) lives in
+`lattice`, the monoid codec in `monoid`, the hom.json reader
+`hom_from_json` in `kummer` and the profinite reader `profinite_from_json`
+in `infquot`, so a command that reads only those payloads need not import
+this module; all of them are re-exported here.
 """
 
 from __future__ import annotations
@@ -140,6 +143,18 @@ def _module_to_json(module, key):
     }
 
 
+def _once(cache, key, parse, *args):
+    """parse(*args, key), memoized in `cache` per str key.  A key that fails
+    is not cached, so it raises again wherever it occurs; a key that is not
+    a str (malformed JSON) is parsed, and fails, every time."""
+    if type(key) is not str:
+        return parse(*args, key)
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = parse(*args, key)
+    return hit
+
+
 def _module_from_json(data, what, key, build):
     if not isinstance(data, dict):
         raise MalformedInput(f"{what} payload must be an object")
@@ -147,15 +162,15 @@ def _module_from_json(data, what, key, build):
         pres = monoid_from_json(data["monoid"])
         level = int_from_json(data["level"], "level", minimum=1)
         field = field_from_spec(data.get("field", "Q"))
-        dims = {}
+        dims, labels, gens = {}, {}, {}
         if not isinstance(data["components"], dict):
             raise TypeError("components must be an object")
         for rep, d in data["components"].items():
-            dims[label_from_key(pres, level, rep)] = int_from_json(d, "component dimension", minimum=0)
+            dims[_once(labels, rep, label_from_key, pres, level)] = int_from_json(d, "component dimension", minimum=0)
         action = {}
         for entry in data.get(key, []):
-            lab = label_from_key(pres, level, entry["rep"])
-            action[(vec_from_key(entry["gen"]), lab)] = matrix_from_json(field, entry["matrix"])
+            lab = _once(labels, entry["rep"], label_from_key, pres, level)
+            action[(_once(gens, entry["gen"], vec_from_key), lab)] = matrix_from_json(field, entry["matrix"])
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError) as exc:

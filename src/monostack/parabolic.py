@@ -48,7 +48,12 @@ def ParabolicSheaf(monoid, level, field, components, structure, check=True):
     Matrices for generators outside Delta must vanish (the zero law).
     """
     alg = graded_algebra(monoid, level, field)
-    action = {(alg.coords(u), label): mat for (u, label), mat in structure.items()}
+    coords, action = {}, {}
+    for (u, label), mat in structure.items():
+        g = coords.get(u)
+        if g is None:  # each generator once, so the first bad one raises where it is first used
+            g = coords[u] = alg.coords(u)
+        action[(g, label)] = mat
     module = GradedModule(alg, components, action, check=False)
     if check:
         for (g, _), mat in action.items():

@@ -506,14 +506,17 @@ def corrupt_entry(module, rng):
 
 def random_scalar_module(algebra, rng):
     """One-dimensional components at random labels, each generator acting by
-    random scalars 0, 1 or 2 (mostly 0 off Delta); no law check is made."""
+    random scalars 0, 1 or 2 (mostly 0 off Delta); no law check is made.
+    A matrix into a label outside the support has no rows."""
     field = algebra.field
     dims = {lab: 1 for lab in algebra.labels if rng.random() < 0.8}
     action = {}
     for g in algebra.generators:
         scalars = (0, 0, 1, 2) if g in algebra.delta_generators or rng.random() < 0.1 else (0,)
         for lab in dims:
-            action[(g, lab)] = ((field.of_int(rng.choice(scalars)),),)
+            x = field.of_int(rng.choice(scalars))
+            target = algebra.labels[algebra.shift[g][algebra.index(lab)]]
+            action[(g, lab)] = ((x,),) if target in dims else ()
     return GradedModule(algebra, dims, action, check=False)
 
 

@@ -723,3 +723,27 @@ def test_label_vectors_of_the_wrong_length_are_refused(monoid, labels, tmp_path,
     code = main(["infquot", "check", str(src)])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", "error: point of dim 1 against cone of dim 2\n")
+
+
+# Each matrix is x^(1/2,0) out of 0,0 on N^2 at level 2, of the wrong shape:
+# a short or a long row, or rows into a component of dimension 0.
+MISSHAPEN = {
+    "short_row": ({"0,0": 2, "1/2,0": 2}, [[1, 0], [0]]),
+    "long_row": ({"0,0": 2, "1/2,0": 2}, [[1, 0], [0, 1, 5]]),
+    "into_zero_row": ({"0,0": 1}, [[1, 2]]),
+    "into_zero_column": ({"0,0": 1}, [["1"], ["2"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSHAPEN))
+def test_misshapen_action_matrices_are_malformed(name, tmp_path, capsys):
+    """Every row is checked, and a matrix into a zero component, which the
+    module drops, is checked too: exit 1 with one error line."""
+    components, matrix = MISSHAPEN[name]
+    payload = {"monoid": N2, "level": 2, "field": "Q", "components": components,
+               "maps": [{"rep": "0,0", "gen": "1/2,0", "matrix": matrix}]}
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps(payload))
+    code = main(["parabolic", "to-graded", str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: action matrix for gen 1/2,0 at rep 0,0 has a wrong shape\n")

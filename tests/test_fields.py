@@ -257,6 +257,46 @@ def test_sparse_kernels_match_sympy_and_normalise_their_input(field):
             assert all(field.norm(sum((a * xi for a, xi in zip(row, x)), field.zero) - bi) == field.zero for row, bi in zip(mat, b))
 
 
+def _operator(mat):
+    """A dense matrix as a sparse operator {column: {row: entry}}, with every
+    truthy entry kept as it is (unreduced over GF(p), integral Fractions
+    over QQ)."""
+    op = {}
+    for r, row in enumerate(mat):
+        for c, x in enumerate(row):
+            if x:
+                op.setdefault(c, {})[r] = x
+    return op
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_sparse_compose_is_the_normalised_product(field):
+    """`sparse_compose(A, B)` is the operator of the dense product A B: each
+    entry a field element, no zero entry and no empty column, so operators
+    compare equal exactly when their products do."""
+    rng = random.Random(7)
+    for _ in range(40):
+        rows, mid, cols = (rng.randint(1, 9) for _ in range(3))
+        a = tuple(tuple(_sparse_entry(rng, field) for _ in range(mid)) for _ in range(rows))
+        b = tuple(tuple(_sparse_entry(rng, field) for _ in range(cols)) for _ in range(mid))
+        want = tuple(
+            tuple(field.norm(sum((a[r][k] * b[k][c] for k in range(mid)), field.zero)) for c in range(cols))
+            for r in range(rows)
+        )
+        got = fields.sparse_compose(field, _operator(a), _operator(b))
+        assert got == _operator(want), (a, b)
+        assert all(col for col in got.values()) and all(x for col in got.values() for x in col.values())
+        assert _in_field(field, (x for col in got.values() for x in col.values())), (a, b)
+
+
+def test_sparse_compose_brings_fraction_sums_into_qq():
+    """An integral Fraction sum comes back as an int, one that cancels is dropped."""
+    half = {0: {0: Fraction(1, 2), 1: Fraction(1, 3)}}
+    assert fields.sparse_compose(QQ, half, {0: {0: 2}, 1: {0: 3}}) == {0: {0: 1, 1: Fraction(2, 3)}, 1: {0: Fraction(3, 2), 1: 1}}
+    assert type(fields.sparse_compose(QQ, half, {0: {0: 2}})[0][0]) is int
+    assert fields.sparse_compose(QQ, {0: {0: Fraction(1, 2)}, 1: {0: -1}}, {0: {0: 2, 1: 1}}) == {}
+
+
 @pytest.mark.parametrize("text", [" 3", "+3", "-0", "007", "3.0", "1e2", "\u0663", "\u00b2", "1/0", "", "-", "12", "-45", "2/4"])
 def test_frac_from_str_matches_the_fraction_parse(text):
     """The int fast path gives every string the value and type, or the

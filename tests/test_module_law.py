@@ -320,3 +320,62 @@ def test_wrongly_shaped_matrix_is_rejected(nat2):
     assert not module_law_oracle(bad)
     with pytest.raises(ValueError, match="wrong shape"):
         bad.validate()
+
+
+def test_ragged_and_dropped_matrices_are_rejected(nat2):
+    """Every row of a stored matrix is checked, and a matrix into or out of a
+    zero component, which the module drops, must still have its shape:
+    dim(target) rows of dim(source) entries."""
+    alg = graded_algebra(nat2, 2)
+    a, zero = alg.coords(fr("1/2", 0)), alg.label_of((0, 0))
+    full = {zero: 2, alg.label_of(a): 2}
+    for dims, mat in [
+        (full, ((1, 0), (0,))),
+        (full, ((1, 0), (0, 1, 5))),
+        ({zero: 1}, ((1, 2),)),
+        ({zero: 1}, ((1,), (2,))),
+        ({alg.label_of(a): 1}, ()),
+    ]:
+        with pytest.raises(ValueError, match=r"^action matrix for gen 1/2,0 at rep 0,0 has a wrong shape$"):
+            GradedModule(alg, dims, {(a, zero): mat})
+    assert GradedModule(alg, {zero: 1}, {(a, zero): ()}).action == {}
+    assert GradedModule(alg, {alg.label_of(a): 2}, {(a, zero): ((), ())}).action == {}
+
+
+def test_commutator_failure_is_reported_before_the_power_failure(nat2):
+    """X_a cycles 0 -> a -> 0, so X_a^2 is not 0, and x^a x^b differs from
+    x^b x^a out of 0: the module fails C and P, and the C line is raised."""
+    alg = graded_algebra(nat2, 2)
+    a, b, ab = fr("1/2", 0), fr(0, "1/2"), fr("1/2", "1/2")
+    dims = {fr(0, 0): 1, a: 1, b: 1, ab: 1}
+    module = _module(alg, dims, {(a, fr(0, 0)): 1, (a, a): 1, (b, fr(0, 0)): 1, (a, b): 1})
+    assert law_family_failures(module) == {"C", "P"}
+    assert not module_law_oracle(module)
+    with pytest.raises(ValueError, match=r"^module law fails: generators 0,1/2 and 1/2,0 do not commute$"):
+        module.validate()
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_power_family_stops_at_a_zero_square(nat, level):
+    """Chains of m ones on N at level n, 2 <= m <= n: X^(m-1) is not 0 and
+    X^m = 0, so every such module is accepted; m = 2 has X != 0 and X^2 = 0,
+    where the squaring stops at its first square."""
+    alg = graded_algebra(nat, level)
+    h = fr(Fraction(1, level))
+    for m in range(2, level + 1):
+        points = [fr(Fraction(k, level)) for k in range(m)]
+        chain = _module(alg, {p: 1 for p in points}, {(h, p): 1 for p in points[:-1]})
+        assert chain.action and module_law_oracle(chain) and not law_family_failures(chain)
+        chain.validate()
+
+
+def test_fraction_entries_go_through_the_field(nat2):
+    """Over QQ, x^a x^b and x^b x^a out of 0 are 1/2 * 2 and 1/3 * 3: equal
+    once each Fraction product is brought into the field; with 2/3 * 3
+    instead they differ."""
+    alg = graded_algebra(nat2, 2)
+    a, b, ab = fr("1/2", 0), fr(0, "1/2"), fr("1/2", "1/2")
+    dims = {fr(0, 0): 1, a: 1, b: 1, ab: 1}
+    for scale, ok in ((Fraction(1, 3), True), (Fraction(2, 3), False)):
+        module = _module(alg, dims, {(a, fr(0, 0)): Fraction(1, 2), (b, a): 2, (b, fr(0, 0)): scale, (a, b): 3})
+        assert _accepts(module) == module_law_oracle(module) == ok
