@@ -99,28 +99,92 @@ def test_filtered_relations_on_kernels_and_images(nat2, nonsimplicial, field):
                     done += 1
 
 
-def _filed_rows(monkeypatch, build):
-    """What `build` returns, and the number of relation rows that
-    `Presentation` hands to `PresentedSpace` while it runs."""
-    count = []
+def _filed(monkeypatch, build, where=graded):
+    """What `build` returns, and the (columns, relation rows) of each
+    `PresentedSpace` that `where` builds while it runs."""
+    spaces = []
 
     class Counting(PresentedSpace):
         def __init__(self, field, ngens, relations):
-            count.append(len(relations))
+            spaces.append((ngens, len(relations)))
             super().__init__(field, ngens, relations)
 
-    monkeypatch.setattr(graded, "PresentedSpace", Counting)
-    return build(), sum(count)
+    monkeypatch.setattr(where, "PresentedSpace", Counting)
+    return build(), spaces
+
+
+def _three_twists(nonsimplicial, level):
+    """The cone's three-twist module (ROADMAP "State" table) induced to `level`."""
+    alg = graded.graded_algebra(nonsimplicial, 2)
+    return parabolic.induce(graded.direct_sum([graded.twist(alg, alg.labels[i]) for i in (1, 3, 5)]), level)
 
 
 def test_counit_path_files_at_most_half_the_rows(nonsimplicial, monkeypatch):
     """The cone's three-twist module at level 6, restricted to 3 and induced
     back (the counit of `is_induced_from(ind, 3)`): the filter files at most
     half the rows of the full generator for the same spaces."""
-    alg = graded.graded_algebra(nonsimplicial, 2)
-    ind = parabolic.induce(graded.direct_sum([graded.twist(alg, alg.labels[i]) for i in (1, 3, 5)]), 6)
-    res = parabolic.restrict(ind, 3)
-    (_, pres), kept = _filed_rows(monkeypatch, lambda: parabolic._induce_with_data(res, 6))
-    want, full = _filed_rows(monkeypatch, lambda: induction_presentation_oracle(res, 6))
+    res = parabolic.restrict(_three_twists(nonsimplicial, 6), 3)
+    (_, pres), kept = _filed(monkeypatch, lambda: parabolic._induce_with_data(res, 6))
+    want, full = _filed(monkeypatch, lambda: induction_presentation_oracle(res, 6))
+    kept, full = sum(rows for _, rows in kept), sum(rows for _, rows in full)
     assert 2 * kept <= full, (kept, full)
     _assert_same_spaces(pres, want)
+
+
+def test_verdict_eliminates_only_own_end_columns(nonsimplicial, monkeypatch):
+    """`is_induced_from(ind, 3)` on the cone's three-twist module at level 6
+    builds no `graded.Presentation`, so it moves no induced action, and its
+    spaces take the 1,110 own-end columns, where the presentation of the
+    counit path takes all 31,746 generators."""
+    ind = _three_twists(nonsimplicial, 6)
+    _, spaces = _filed(monkeypatch, lambda: parabolic._induce_with_data(parabolic.restrict(ind, 3), 6))
+    assert sum(cols for cols, _ in spaces) == 31746
+
+    def refuse(*args):
+        raise AssertionError("is_induced_from built a Presentation")
+
+    monkeypatch.setattr(graded, "Presentation", refuse)
+    verdict, spaces = _filed(monkeypatch, lambda: parabolic.is_induced_from(ind, 3), where=fields)
+    assert verdict is False
+    assert sum(cols for cols, _ in spaces) == 1110
+
+
+def _verdict_modules(monoid, m, level, field, rng):
+    """Modules at level `level` and below for the verdict test: a random
+    module, an induced module and its restrictions, the kernel, image and
+    cokernel of a seeded map, and the zero module."""
+    big = graded.graded_algebra(monoid, level, field)
+    yield random_module(big, rng)
+    induced = parabolic.induce(random_module(graded.graded_algebra(monoid, m, field), rng), level)
+    yield induced
+    for d in divisors(level)[:-1]:
+        yield parabolic.restrict(induced, d)
+    f = random_graded_map(random_twist_sum(big, rng, 3), random_twist_sum(big, rng, 3), rng)
+    for module, _ in (graded.kernel(f), graded.image(f), graded.cokernel(f)):
+        yield module
+    yield graded.GradedModule(big, {}, {})
+
+
+def test_verdict_agrees_with_the_counit_map(nat, nat2, nonsimplicial):
+    """`is_induced_from` decides on the own-end generators what `counit_map`
+    builds in full: the two agree at every divisor, over QQ, GF(2) and
+    GF(3), on N, N^2, the index-3 cone, the A1 cone and the non-simplicial
+    cone, and over QQ on the cone's three-twist module at level 6."""
+    a1 = validate([(0, 1), (1, 1), (2, 1)])
+    cases = [(nat, 2, 6), (nat, 3, 6), (nat2, 2, 4), (nat2, 2, 6), (nat2, 3, 6), (_index_three(), 2, 4), (a1, 2, 4), (nonsimplicial, 2, 4)]
+    modules = []
+    for field in FIELDS:
+        rng = random.Random(13 + field.p)
+        modules += [module for case in cases for module in _verdict_modules(*case, field, rng)]
+    cases = [(module, divisors(module.level)) for module in modules]
+    # at its own level the counit map of the three-twist module presents
+    # its 858 dimensions over all of Delta_6 and takes seconds; the smaller
+    # modules cover that divisor
+    cases.append((_three_twists(nonsimplicial, 6), (1, 2, 3)))
+    verdicts = {True: 0, False: 0}
+    for module, ds in cases:
+        for d in ds:
+            flag = parabolic.is_induced_from(module, d)
+            assert flag == parabolic.counit_map(module, d).is_isomorphism(), (module.field, module.monoid.generators, module.sizes, d)
+            verdicts[flag] += 1
+    assert min(verdicts.values()) >= 100, verdicts
