@@ -1,28 +1,19 @@
 """Delta geometry and the infinite-quotient decision procedure.
 
 Delta(P) is the set of rational cone points that are not (nonzero monoid
-element) + (cone point).  Its level-n slice is finite: a cone point x lies
-in the cone of a simplex of a triangulation of the extreme rays, so x is
-sum t_j r_j with t_j >= 0 over d = rank P linearly independent r_j, each
-the least element of P on an extreme ray.  If x is in Delta, then x - r_j
-is not in the cone, so every t_j < 1: x lies in the half-open
-parallelepiped of the simplex.  In the integer model (s the denominator)
-the s*r_j are `MonoidPresentation.ray_generators`, and
-`MonoidPresentation._parallelepipeds` holds a pulling triangulation with
-the group points of each parallelepiped; the level-n slice is read off
-them (the Normaliz primal algorithm: Bruns-Ichim, "Normaliz: algorithms
-for affine monoids and rational cones", J. Algebra 324, 2010).  Its
-candidates are counted before they are enumerated, and more than
-`ENUMERATION_BUDGET` raise `EnumerationBudget`.
+element) + (cone point).  Its level-n slice is finite.  A cone point x is
+sum t_j r_j, t_j >= 0, in exactly one half-open simplicial cone of a
+triangulation of the extreme rays (over d = rank P independent r_j, each
+the least element of P on its ray, t_j > 0 on the open j); if x is in
+Delta, x - r_j leaves the cone, so every t_j < 1 and x lies in the
+simplex's half-open parallelepiped.  These are, in the integer model,
+`MonoidPresentation._parallelepipeds`; the slice is read off them, each
+point once (Normaliz's primal algorithm, Bruns-Ichim, J. Algebra 324,
+2010, made disjoint by Koppe-Verdoolaege, Electron. J. Combin. 15, 2008),
+its candidates counted against `ENUMERATION_BUDGET`.
 
-Most candidates get no test of their own.  The complement of Delta is
-closed under adding a cone point v, a ray generator say (down-set
-lemma): if x - h is in the cone for a Hilbert generator h, so is x + v -
-h, as every facet is >= 0 on v.  And on a line x + t*r the facet values
-are affine in t, so the least integer t at which x + t*r - h enters the
-cone is a maximum of one ceiling per facet (line solve).  `delta_points`
-proves both, and walks each parallelepiped's box as a down-set, solving
-one line per base.
+Most candidates are never tested: `delta_points` walks boxes as
+down-sets and solves ray lines in closed form (proofs there).
 
 Delta0(P) keeps the points that are alone in their class modulo the
 group; at a fixed level this is decided exactly by the level-n
@@ -49,7 +40,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import ge
+from operator import add, ge
 
 from . import lattice
 from .errors import EnumerationBudget, IncompatibleFamily, MalformedInput, NotSharp
@@ -100,14 +91,11 @@ class DeltaSet:
     """
 
     def __init__(self, monoid, level, scaled, residues):
-        self.monoid = monoid
-        self.level = level
-        self.scaled = scaled
-        self.residues = residues
-        self._by_class = {}
+        self.monoid, self.level, self.scaled, self.residues = monoid, level, scaled, residues
+        self._by_class = by_class = {}
         for y, res in zip(scaled, residues):
-            self._by_class.setdefault(res, []).append(y)
-        self.delta0_mask = tuple(len(self._by_class[res]) == 1 for res in residues)
+            by_class.setdefault(res, []).append(y)
+        self.delta0_mask = tuple(map((1).__eq__, map(len, map(by_class.__getitem__, residues))))
 
     def _class(self, label):
         """The scaled points of a label's class; none when its order does not divide n."""
@@ -150,16 +138,15 @@ class DeltaSet:
 def delta_points(pres, level):
     """Delta(P) cap (1/level)P, lex-sorted, with Delta0 flags.
 
-    The candidates: for x in Delta, the group point y = level*s*x lies in
-    the cone of a simplex of `_parallelepipeds`, y = sum u_j r_j over its
-    integer ray generators r_1..r_d (d the rank).  As x is in Delta,
-    u_j/level < 1 (module docstring), so 0 <= u_j < level, and with k_j =
-    floor(u_j) the group point y - sum k_j r_j lies in the simplex's
-    half-open parallelepiped.  So y is p + sum k_j r_j for a parallelepiped
-    point p and 0 <= k_j < level: level^d * sum |Pi| candidates over the
-    simplices.  Past `ENUMERATION_BUDGET` of them it raises
-    `EnumerationBudget` before enumerating; the count is an upper bound on
-    the work, as most candidates get no test of their own (below).
+    The candidates: for x in Delta, y = level*s*x is sum u_j r_j in one
+    half-open cone of `_parallelepipeds`, over its integer ray generators
+    r_1..r_d (d the rank), and u_j < level (module docstring).  With k_j =
+    floor(u_j), or ceil(u_j) - 1 on an open j, y = p + sum k_j r_j for one
+    point p of the simplex's half-open parallelepiped and 0 <= k_j < level:
+    level^d * sum |Pi| candidates, each Delta point once.  Past
+    `ENUMERATION_BUDGET` of them it raises `EnumerationBudget` before
+    enumerating; the count is an upper bound on the work, as most
+    candidates get no test of their own (below).
 
     The test: y is in Delta iff for each integer Hilbert generator h of P
     some facet f has f(y) < level*f(h) (`_thresholds`), that is iff y -
@@ -186,9 +173,9 @@ def delta_points(pres, level):
     lemma every later base and its lines are outside too), and each base's
     line solved.  Facet values and coordinates in the group basis are
     linear, so each parallelepiped point and ray is lifted once to (itself
-    with its coordinates unless the group is Z^d, its facet values) and the
-    bases are sums of lifts; a point on a face of two simplices is kept
-    once, and its label residues are its coordinates mod level.
+    with its coordinates unless the group is Z^d, its facet values), the
+    bases are sums of lifts, kept in one list and sorted once, and a
+    point's label residues are its coordinates mod level.
     """
     pres.hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
     pieces = pres._parallelepipeds
@@ -197,22 +184,21 @@ def delta_points(pres, level):
         raise EnumerationBudget(
             f"level {level} has {count} Delta candidates, past the budget of {ENUMERATION_BUDGET}"
         )
-    d, r = pres.ambient_rank, pres.group_rank
-    ambient = pres._group_is_ambient
+    d = pres.ambient_rank
+    first = 0 if pres._group_is_ambient else d
     facets = pres.cone.facets
     table = _thresholds(pres, level)
 
     def lift(v):
-        coords = () if ambient else lattice.lattice_coords_int(pres.group_basis, v)
-        return v + coords, tuple(facet_values(facets, v))
+        return v + (lattice.lattice_coords_int(pres.group_basis, v) if first else ()), tuple(facet_values(facets, v))
 
-    kept = set()
+    lifted = []
     for rays, points in pieces:
         *steps, (top, last) = map(lift, rays)
         line = [vscale(k, top) for k in range(level)]
 
         def walk(j, b, fb):
-            """Add to `kept` the Delta points b + sum k_i r_i over the rays from
+            """Add to `lifted` the Delta points b + sum k_i r_i over the rays from
             steps[j] on and the line's (0 <= k_i < level), and say whether b
             itself is in Delta."""
             if j == len(steps):
@@ -228,7 +214,7 @@ def delta_points(pres, level):
                         length = min(length, k_h)
                         if not length:
                             return False
-                kept.update(vadd(b, o) for o in line[:length])
+                lifted.extend([tuple(map(add, b, o)) for o in line[:length]])
                 return True
             ray, fr = steps[j]
             for k in range(level):
@@ -239,11 +225,10 @@ def delta_points(pres, level):
 
         for p in points:
             walk(0, *lift(p))
-    lifted = sorted(kept)  # a lift starts with its y: sorted as the y are
-    scaled = tuple(v[:d] for v in lifted)
-    first = 0 if ambient else d
-    residues = tuple(tuple(c % level for c in v[first:first + r]) for v in lifted)
-    return DeltaSet(pres, level, scaled, residues)
+    lifted.sort()  # a lift starts with its y: sorted as the y are
+    rmod = level.__rmod__
+    residues = tuple(tuple(map(rmod, v[first:])) for v in lifted)
+    return DeltaSet(pres, level, tuple([v[:d] for v in lifted] if first else lifted), residues)
 
 
 def delta0_points(pres, level):

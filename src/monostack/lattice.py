@@ -9,7 +9,7 @@ lives here too, so reading a monoid needs no other module.  Only
 No floating point is used.  This module provides
 Smith normal forms with transform matrices, integer lattice bases and
 membership (`lattice_contains_int`), facets and extreme rays of rational
-polyhedral cones by integer elimination (Hermite bases and Smith
+polyhedral cones by integer elimination (Hermite bases and cofactor
 kernels), pulling triangulations of a cone's rays with the lattice points
 of each simplex's half-open parallelepiped, cone membership, and bounded
 enumeration of integer points, and minimal generating sets of toric
@@ -380,17 +380,29 @@ class RationalCone(Record):
         return self.dim, self.generators, self.facets, self.rays
 
 
-def _kernel_line(rows, dim):
-    """Primitive integer generator of the kernel of `rows`, or None unless it is a line.
+def _det(rows):
+    """Determinant of a square int matrix (Bareiss, fraction-free)."""
+    m, sign, prev = [list(r) for r in rows], 1, 1
+    for k in range(len(m)):
+        for i in range(k, len(m)):
+            if m[i][k]:
+                break
+        else:
+            return 0
+        m[k], m[i], sign = m[i], m[k], sign if i == k else -sign
+        p = m[k]
+        for i in range(k + 1, len(m)):
+            m[i] = [(a * p[k] - m[i][k] * b) // prev for a, b in zip(m[i], p)]
+        prev = p[k]
+    return sign * prev
 
-    With U*A*V = D the columns of V past the rank span the kernel, so at
-    rank dim - 1 it is the last column of V, primitive as V is unimodular.
-    A matrix with no rows is read as one zero row.
-    """
-    snf = smith_normal_form(rows or [(0,) * dim])
-    if sum(1 for d in snf.divisors if d) != dim - 1:
-        return None
-    return tuple(row[-1] for row in snf.v)
+
+def _kernel_line(rows, dim):
+    """The primitive cofactors c_j = (-1)^j det(rows without column j) of dim - 1
+    `rows`: they span the kernel at rank dim - 1 (row i against c has row i
+    twice), else all vanish (None); at dim 1, det() = 1 gives (1,)."""
+    line = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(dim)]
+    return primitive(line) if any(line) else None
 
 
 def facet_inequalities(generators):
@@ -490,23 +502,26 @@ def pulling_triangulation(rays, facets):
     return [tuple(sorted(s)) for s in triangulate(whole, rank(whole))]
 
 
-def parallelepiped_points(rays, coords):
-    """The points of L in the half-open parallelepiped {sum u_j r_j : 0 <= u_j < 1}.
+def parallelepiped_points(rays, coords, interior):
+    """The |det C| points of L in {sum u_j r_j : 0 <= u_j < 1, 0 < u_j <= 1 if j is open}.
 
-    `rays` are linearly independent integer vectors of a lattice L and
-    `coords` (a square matrix, rows) their coordinates in a basis of L.
-    With the Smith form U*R*V = D of R = `coords`, R^-1 = V*D^-1*U, and
-    the coordinate vectors a*V^-1, 0 <= a_i < d_i, run once over L/(sum Z r_j).
-    Such a w has u = w*R^-1 = a*D^-1*U, so with e the last divisor the point
-    of its class in the parallelepiped is sum c_j r_j / e, c_j = e*u_j mod e.
-    There are |det R| points, the first 0.
+    `rays` are independent vectors of a lattice L, C (`coords`, rows) their
+    coordinates in a basis of L, q0 (`interior`) those of an interior point.
+    With U*C*V = D in Smith form, e the last divisor and e*C^-1 =
+    V*diag(e/d)*U, a*V^-1 (0 <= a_i < d_i) runs once over L/(sum Z r_j);
+    its point is sum c_j r_j / e, c_j = (a*diag(e/d)*U)_j mod e, or e for 0
+    if j is open: if the first nonzero of (phi*q0, phi_0, ...), phi column
+    j of e*C^-1, is < 0: q0 perturbed by the basis lies beyond u_j = 0.
+    A cone point keeps the simplex q0 points into from it (Koppe-Verdoolaege).
     """
     snf = smith_normal_form(coords)
     e = snf.divisors[-1]
     rows = [[(e // d) * x for x in row] for d, row in zip(snf.divisors, snf.u)]
+    inverse = [[sum(map(mul, v, col)) for col in zip(*rows)] for v in snf.v]
+    opened = [next(x for x in (dot(interior, phi), *phi) if x) < 0 for phi in zip(*inverse)]
     points = []
     for a in product(*(range(d) for d in snf.divisors)):
-        c = [sum(ai * row[j] for ai, row in zip(a, rows)) % e for j in range(len(rays))]
+        c = [sum(ai * row[j] for ai, row in zip(a, rows)) % e or e * o for j, o in enumerate(opened)]
         points.append(tuple(sum(map(mul, c, col)) // e for col in zip(*rays)))
     return points
 

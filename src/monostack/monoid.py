@@ -251,24 +251,22 @@ class MonoidPresentation(Record):
 
     @cached_property
     def _parallelepipeds(self):
-        """A pulling triangulation of `ray_generators`, each simplex with its
-        half-open parallelepiped, in the integer model.
-
-        A tuple of pairs (rays r_1..r_d of the simplex, the points of the
-        group lattice L in {sum u_j r_j : 0 <= u_j < 1}), see
-        `lattice.pulling_triangulation` and `lattice.parallelepiped_points`.
-        The parallelepiped holds [L : sum Z r_j] = |det| points (the ray
-        coordinates in the group basis); when the group is Z^d those
-        coordinates are the rays themselves.
+        """A pulling triangulation of `ray_generators`: pairs (rays r_1..r_d of a
+        simplex, the [L : sum Z r_j] = |det| points of the group lattice L in
+        its half-open parallelepiped), in the integer model
+        (`lattice.pulling_triangulation`, `lattice.parallelepiped_points`).
+        Coordinates open against q0, the sum of the ray coordinates in the
+        group basis, so the half-open cones partition the cone.
         """
         rays = self.ray_generators
         if self._group_is_ambient:
             coords = rays
         else:
             coords = tuple(lattice.lattice_coords_int(self.group_basis, r) for r in rays)
+        interior = tuple(map(sum, zip(*coords)))
         return tuple(
             (tuple(rays[i] for i in simplex),
-             tuple(lattice.parallelepiped_points([rays[i] for i in simplex], [coords[i] for i in simplex])))
+             tuple(lattice.parallelepiped_points([rays[i] for i in simplex], [coords[i] for i in simplex], interior)))
             for simplex in lattice.pulling_triangulation(rays, self.cone.facets)
         )
 
@@ -276,11 +274,11 @@ class MonoidPresentation(Record):
     def _saturation_hilbert_basis(self):
         """Hilbert basis of group lattice and cone, in the integer model, lex-sorted.
 
-        An indecomposable x of L cap cone lies in some simplex of
-        `_parallelepipeds`: x = sum t_j r_j with t_j >= 0.  If some t_j >= 1,
-        then x - r_j is in L cap cone and x = r_j + (x - r_j) decomposes,
-        unless x = r_j.  So x is a ray generator or every t_j < 1, and then
-        x is a nonzero point of that simplex's parallelepiped: a candidate.
+        An indecomposable x of L cap cone is sum t_j r_j, t_j >= 0 (> 0 on the
+        open j), in a half-open cone of `_parallelepipeds`.  If some t_j >= 1,
+        x - r_j is in L cap cone and x decomposes unless x = r_j.  So x is a
+        ray generator or a nonzero point of that half-open parallelepiped: a
+        candidate (one with u_j = 1 is p + r_j, decomposable unless it is r_j).
         A candidate x is dropped when x - y is in the cone (so in L cap cone,
         and nonzero) for another candidate y, which decomposes x.  A
         decomposable x = a + b has a Hilbert generator h with a - h in L cap

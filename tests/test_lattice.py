@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix
 
 from helpers import cone_oracle, det_frac, in_cone_oracle, random_int_matrix
 from monostack.errors import DimensionMismatch, EmptyGenerators, UnboundedRegion
 from monostack.lattice import (
+    _kernel_line,
     cone_contains,
     cone_from_generators,
     enumerate_integer_points,
@@ -112,6 +115,34 @@ def sublattice_generators(draw):
 def test_facets_and_rays_match_rational_oracle(gens):
     cone = cone_from_generators(gens)
     assert (cone.facets, cone.rays) == cone_oracle(gens)
+
+
+@st.composite
+def kernel_rows(draw):
+    """A (dim - 1) x dim integer matrix, dim = 1..5; about half the time its
+    last row is a combination of the others (often zero), so its rank drops."""
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), min_size=dim - 1, max_size=dim - 1))
+    if rows and draw(st.booleans()):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=len(rows) - 1, max_size=len(rows) - 1))
+        rows[-1] = [sum(c * r[i] for c, r in zip(cs, rows)) for i in range(dim)]
+    return rows, dim
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(kernel_rows())
+def test_kernel_line_matches_sympy_nullspace(case):
+    """The cofactor line is the primitive generator of a one-dimensional
+    kernel, up to sign, and None when the kernel is larger."""
+    rows, dim = case
+    null = Matrix(len(rows), dim, [a for row in rows for a in row]).nullspace()
+    got = _kernel_line(rows, dim)
+    if len(null) != 1:
+        assert got is None
+        return
+    v = null[0] * lcm(*(int(a.q) for a in null[0]))
+    v = [int(a) // gcd(*(int(b) for b in v)) for a in v]
+    assert got in (tuple(v), tuple(-a for a in v))
 
 
 def test_lattice_imports_no_field_arithmetic():

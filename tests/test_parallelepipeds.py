@@ -2,10 +2,13 @@
 
 On random sharp cones in Z^2-Z^4, including groups of index > 1 and cones
 that are not full-dimensional: each simplex is rank-many independent ray
-generators, the simplices cover the cone's lattice points with disjoint
-interiors, and each parallelepiped holds |det| points of the group lattice
-(the ray coordinates in the group basis, against a sympy oracle), each
-with coefficients in [0, 1).
+generators, exactly one half-open simplicial cone holds each group point of
+the cone, and each parallelepiped holds |det| points of the group lattice
+(the ray coordinates in the group basis, against a sympy oracle), each with
+coefficients in [0, 1) on the closed coordinates and (0, 1] on the open ones.
+Coordinate j of a simplex is open when a generic interior point, the sum q0
+of all ray coordinates perturbed lexicographically by the group basis
+vectors, has a negative j-th coefficient in that simplex.
 """
 
 from fractions import Fraction
@@ -14,7 +17,7 @@ from hypothesis import example, given
 from sympy import Matrix
 
 from monostack.lattice import enumerate_integer_points
-from test_walk_bounds import CONE, INDEX2, PLANE, SETTINGS, sharp, sharp_generators
+from test_walk_bounds import CONE, HEXAGON, INDEX2, PLANE, SETTINGS, sharp, sharp_generators
 
 # Rays whose span has index 8 in Z^3 with quotient Z/2 x Z/4 (Smith divisors
 # 1, 2, 4), with the nonzero points of their parallelepiped, so the group is Z^3.
@@ -37,6 +40,16 @@ def _group_coordinates(pres, v):
     return list(solution)
 
 
+def _opened(pres, rays):
+    """The open coordinates of a simplex, by sympy: j is open when the first
+    nonzero of (phi*q0, phi_0, phi_1, ...) is negative, phi the j-th column
+    of C^-1 (C the ray coordinates in the group basis, rows) and q0 the sum
+    of the coordinates of all ray generators."""
+    inverse = Matrix([_group_coordinates(pres, r) for r in rays]).inv()
+    q0 = Matrix([[sum(c) for c in zip(*(_group_coordinates(pres, r) for r in pres.ray_generators))]])
+    return [next(x for x in [(q0 * inverse[:, j])[0], *inverse[:, j]] if x) < 0 for j in range(len(rays))]
+
+
 @SETTINGS
 @given(sharp_generators())
 @example(INDEX2)
@@ -55,18 +68,18 @@ def test_each_simplex_is_rank_many_independent_ray_generators(gens):
 @example(INDEX2)
 @example(PLANE)
 @example(CONE)
+@example(HEXAGON)
 def test_simplices_cover_the_cone_with_disjoint_interiors(gens):
-    """Every group point of the cone with l(x) <= C lies in some simplex's
-    closed cone and in the interior (all t_j > 0) of at most one."""
+    """Exactly one half-open simplicial cone holds each group point of the
+    cone with l(x) <= C.  On CONE, q0 = (2, 2, 0) lies on the wall x = y of
+    its two simplices, so the tie-break decides the points of that wall."""
     pres = sharp(gens)
-    simplices = [rays for rays, _ in pres._parallelepipeds]
+    simplices = [(rays, _opened(pres, rays)) for rays, _ in pres._parallelepipeds]
     region = enumerate_integer_points(pres.cone, pres.positive_functional, pres.caratheodory_sum)
     for x in region:
-        if not pres._group_contains_int(x):
-            continue
-        coefficients = [_coefficients(rays, x) for rays in simplices]
-        assert any(all(t >= 0 for t in ts) for ts in coefficients), x
-        assert sum(all(t > 0 for t in ts) for ts in coefficients) <= 1, x
+        if pres._group_contains_int(x):
+            holds = [all(t > 0 if o else t >= 0 for t, o in zip(_coefficients(rays, x), opened)) for rays, opened in simplices]
+            assert sum(holds) == 1, x
 
 
 @SETTINGS
@@ -81,10 +94,11 @@ def test_parallelepiped_holds_the_determinant_many_group_points(gens):
         det = Matrix([_group_coordinates(pres, r) for r in rays]).det()
         assert len(points) == abs(det)
         assert len(set(points)) == len(points)
-        assert points[0] == (0,) * pres.ambient_rank
+        opened = _opened(pres, rays)
+        assert points[0] == tuple(map(sum, zip((0,) * pres.ambient_rank, *(r for r, o in zip(rays, opened) if o))))
         for p in points:
             assert pres._group_contains_int(p)
-            assert all(0 <= t < 1 for t in _coefficients(rays, p))
+            assert all(0 < t <= 1 if o else 0 <= t < 1 for t, o in zip(_coefficients(rays, p), opened))
 
 
 def test_known_cones():
@@ -93,8 +107,10 @@ def test_known_cones():
     PLANE's generators are a basis of its group; with (1,1) beside them the
     group is Z^2 and the simplex over (1,0), (1,3) has index 3; the
     parallelepiped of NONCYCLIC_RAYS, found by brute force over a box, is
-    read off Smith divisors 1, 2, 4."""
-    assert [len(points) for _, points in sharp(CONE)._parallelepipeds] == [1, 1]
+    read off Smith divisors 1, 2, 4.  On the cone the perturbed q0 lies on
+    the x > y side of the wall x = y, so the simplex over (0, 1, 0) opens it
+    and its one point is (0, 1, 0)."""
+    assert [points for _, points in sharp(CONE)._parallelepipeds] == [((0, 0, 0),), ((0, 1, 0),)]
     assert sharp(INDEX2)._parallelepipeds == ((((0, 2), (2, 0)), ((0, 0), (1, 1))),)
     assert sharp(PLANE)._parallelepipeds == ((((2, 0, 2), (1, 3, 1)), ((0, 0, 0),)),)
     [(rays, points)] = sharp([(1, 0), (1, 1), (1, 3)])._parallelepipeds

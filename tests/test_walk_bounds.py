@@ -33,6 +33,8 @@ SETTINGS = settings(max_examples=12, deadline=None, database=None, derandomize=T
 INDEX2 = [(2, 0), (1, 1), (0, 2)]  # the group x + y even has index 2 in Z^2
 PLANE = [(2, 0, 2), (1, 3, 1)]  # index 6 in the plane x = z of Z^3
 CONE = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]  # four rays, rank three
+# six rays, four simplices; q0 = (0, 0, 6) lies on their wall through (-1, -1, 1) and (1, 1, 1)
+HEXAGON = [(1, 0, 1), (1, 1, 1), (0, 1, 1), (-1, 0, 1), (-1, -1, 1), (0, -1, 1)]
 
 
 @st.composite
@@ -92,7 +94,12 @@ def test_delta_points_match_delta_bound_region(gens_level, denominator):
 @example(INDEX2, 12, 1)
 @example(PLANE, 12, 1)
 @example(CONE, 12, 1)
+@example(CONE, 24, 1)
+@example(HEXAGON, 6, 1)
+@example(HEXAGON, 4, 2)
 def test_delta_walk_matches_every_candidate_tested(gens, level, denominator):
+    """Each Delta point lies in exactly one half-open cone, so a duplicate or
+    a missing point (a wrong open coordinate) changes the tuples."""
     pres = saturate(sharp(gens, denominator))
     ds = delta_points(pres, level)
     assert (ds.scaled, ds.residues, ds.delta0_mask) == delta_points_candidates_oracle(pres, level)
