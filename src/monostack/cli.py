@@ -6,7 +6,8 @@ byte-identical output.  Exit codes: 0 success, 1 malformed input, 2 a
 semantic precondition was violated (non-sharp monoid, level mismatch and
 friends, any `ideal mingens --bound` below the certified bound, where a
 larger --bound changes nothing, and a `delta`/`delta0` level past the
-enumeration budget of `infquot.delta_points`), 3 the infinite-quotient check came back
+enumeration budget of `infquot.delta_points`; `infquot check` builds no
+slice and answers at any level), 3 the infinite-quotient check came back
 inconclusive.  Every --level, --levels, --to and --divisor
 value must be a positive integer; anything else is malformed input, and so
 is every other usage error argparse reports.

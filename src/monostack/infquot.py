@@ -7,7 +7,7 @@ triangulation of the extreme rays (over d = rank P independent r_j, each
 the least element of P on its ray, t_j > 0 on the open j); if x is in
 Delta, x - r_j leaves the cone, so every t_j < 1 and x lies in the
 simplex's half-open parallelepiped.  These are, in the integer model,
-`MonoidPresentation._parallelepipeds`; the slice is read off them, each
+`MonoidPresentation._simplices`; the slice is read off them, each
 point once (Normaliz's primal algorithm, Bruns-Ichim, J. Algebra 324,
 2010, made disjoint by Koppe-Verdoolaege, Electron. J. Combin. 15, 2008),
 its candidates counted against `ENUMERATION_BUDGET`.
@@ -17,7 +17,9 @@ down-sets and solves ray lines in closed form (proofs there).
 
 Delta0(P) keeps the points that are alone in their class modulo the
 group; at a fixed level this is decided exactly by the level-n
-enumeration, since congruent Delta points share denominators.
+enumeration, since congruent Delta points share denominators.  One
+class needs no slice: `delta_class` finds its Delta points among one
+candidate per parallelepiped point, sum |Pi| of them at any level.
 
 A truncated profinite element is a compatible family of coset labels over
 the divisors of a level N.  The family is fixed by its level-N label [x],
@@ -29,7 +31,10 @@ non-simplicial cone 12*e3 and 0 share every label at level 12, because
 12*e3/m lies in P^gp for each m | 12).  Because every compatible family
 is realised in P, a valid family can never be refuted, so no refutation
 is searched for: `InconclusiveAtLevel` is the answer when recognition
-finds no Delta0 representative.
+finds no Delta0 representative.  Recognition reads one class per
+divisor (`delta_class`) and builds no slice, so it answers at any level:
+no `ENUMERATION_BUDGET` applies, and the divisors come from a
+factorisation by trial division.
 
 All of it runs on int tuples: y = n*s*x for the level-n slice (s the
 denominator), and for the family of p the one vector s*p = n*s*(p/n),
@@ -40,13 +45,13 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import add, ge
+from operator import add, ge, mul
 
 from . import lattice
 from .errors import EnumerationBudget, IncompatibleFamily, MalformedInput, NotSharp
 # coset_label and scaled_label stay bound for perfbench's tracer and for tests that patch them
 from .kummer import coset_label, label_scale, scaled_label, scaled_labels
-from .lattice import Record, facet_values, int_from_json, unscale, vadd, vec_from_json, vscale
+from .lattice import Record, dot, facet_values, int_from_json, unscale, vadd, vec_from_json, vscale
 from .monoid import MonoidElement, monoid_from_json
 
 # Most Delta candidates `delta_points` enumerates at one level.
@@ -54,7 +59,19 @@ ENUMERATION_BUDGET = 2 * 10**6
 
 
 def divisors(n):
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    """The divisors of n >= 1, ascending, from n's factorisation by trial
+    division: a factor p is tried while p^2 is at most the cofactor left."""
+    divs, m, p = [1], n, 2
+    while p * p <= m:
+        k = 0
+        while m % p == 0:
+            m, k = m // p, k + 1
+        if k:
+            divs = [d * p**i for d in divs for i in range(k + 1)]
+        p += 1
+    if m > 1:
+        divs += [d * m for d in divs]
+    return tuple(sorted(divs))
 
 
 def positive_functional(pres):
@@ -73,14 +90,18 @@ def _thresholds(pres, k):
     return tuple(tuple(k * v for v in facet_values(facets, h)) for h in pres._saturation_hilbert_basis)
 
 
+def _in_delta_values(fy, table):
+    """y is in Delta at the scale of `table` (`_thresholds`), from its facet values fy."""
+    return min(fy) >= 0 and not any(all(map(ge, fy, row)) for row in table)
+
+
 def in_delta(pres, x):
     """Exact membership of a rational vector in Delta(P): the `delta_points`
     test on y = k*s*x, k the least common denominator of x."""
     pres.hilbert_basis  # raises NotSaturated
     x = lattice.as_fractions(x)
     k = lcm(*(a.denominator for a in x))
-    fy = facet_values(pres.cone.facets, pres._scaled(x, k))
-    return min(fy) >= 0 and not any(all(map(ge, fy, row)) for row in _thresholds(pres, k))
+    return _in_delta_values(facet_values(pres.cone.facets, pres._scaled(x, k)), _thresholds(pres, k))
 
 
 class DeltaSet:
@@ -118,11 +139,6 @@ class DeltaSet:
     def points_in_class(self, label):
         return self._unscale(self._class(label))
 
-    def delta0_scaled_in_class(self, label):
-        """The scaled point y = n*s*x of the class when it is alone there, else None."""
-        ys = self._class(label)
-        return ys[0] if len(ys) == 1 else None
-
     def delta0_point_in_class(self, label):
         pts = self.points_in_class(label)
         return pts[0] if len(pts) == 1 else None
@@ -139,7 +155,7 @@ def delta_points(pres, level):
     """Delta(P) cap (1/level)P, lex-sorted, with Delta0 flags.
 
     The candidates: for x in Delta, y = level*s*x is sum u_j r_j in one
-    half-open cone of `_parallelepipeds`, over its integer ray generators
+    half-open cone of `_simplices`, over its integer ray generators
     r_1..r_d (d the rank), and u_j < level (module docstring).  With k_j =
     floor(u_j), or ceil(u_j) - 1 on an open j, y = p + sum k_j r_j for one
     point p of the simplex's half-open parallelepiped and 0 <= k_j < level:
@@ -178,8 +194,8 @@ def delta_points(pres, level):
     point's label residues are its coordinates mod level.
     """
     pres.hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
-    pieces = pres._parallelepipeds
-    count = level ** pres.group_rank * sum(len(points) for _, points in pieces)
+    pieces = pres._simplices
+    count = level ** pres.group_rank * sum(len(simplex.points) for simplex in pieces)
     if count > ENUMERATION_BUDGET:
         raise EnumerationBudget(
             f"level {level} has {count} Delta candidates, past the budget of {ENUMERATION_BUDGET}"
@@ -193,8 +209,8 @@ def delta_points(pres, level):
         return v + (lattice.lattice_coords_int(pres.group_basis, v) if first else ()), tuple(facet_values(facets, v))
 
     lifted = []
-    for rays, points in pieces:
-        *steps, (top, last) = map(lift, rays)
+    for simplex in pieces:
+        *steps, (top, last) = map(lift, simplex.rays)
         line = [vscale(k, top) for k in range(level)]
 
         def walk(j, b, fb):
@@ -223,7 +239,7 @@ def delta_points(pres, level):
                 b, fb = vadd(b, ray), vadd(fb, fr)
             return True
 
-        for p in points:
+        for p in simplex.points:
             walk(0, *lift(p))
     lifted.sort()  # a lift starts with its y: sorted as the y are
     rmod = level.__rmod__
@@ -233,6 +249,49 @@ def delta_points(pres, level):
 
 def delta0_points(pres, level):
     return delta_points(pres, level).delta0_points
+
+
+def delta_class(pres, level, label):
+    """The Delta points of one label's class at level n, as lex-sorted int
+    tuples y = n*s*x: the class of `delta_points(pres, n)`, from sum |Pi|
+    candidates whatever n is; none when the label's order does not divide n.
+
+    Proof.  Let L be the group lattice, y0 the class representative with
+    group coordinates k*res (k = n/order), so the class is y0 + n*L, and
+    R the lattice of the rays r_j of a simplex of `_simplices`.  A Delta
+    point of the class lies in exactly one half-open cone, and there it is
+    sum u_j r_j with u_j < n (module docstring): it lies in n*B, B the
+    half-open unit box of the rays (0 <= u_j < 1, 0 < u_j <= 1 on an open
+    j).  B is a fundamental domain of R, and y0/n + L is the union of the
+    cosets y0/n + p + R over the parallelepiped points p, so each p gives
+    exactly one point z_p of (y0 + n*L) cap n*B: z_p = y0 + n*p - n*sum
+    m_j r_j, with m_j = floor(phi_j*w/(e*n)) on a closed j and
+    ceil(phi_j*w/(e*n)) - 1 on an open j, where w = k*res + n*coords(p) are
+    the group coordinates of y0 + n*p and phi_j is column j of e*C^-1, so
+    phi_j*w = k*(phi_j*res) + n*c_j for the numerators c of p.  That is,
+    z_p = sum v_j r_j / e with v_j = phi_j*w mod e*n, or e*n for 0 on an
+    open j.  The `_thresholds` test keeps z_p iff it is in Delta.  Every
+    Delta point of the class is the z_p of its simplex and its p, and the
+    half-open cones are disjoint, so the kept points are the class, each
+    once, and a class is a singleton exactly when one is kept.
+    """
+    pres.hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
+    k, rem = divmod(level, label.order)
+    if rem:
+        return []
+    res = [k * c for c in label.res]
+    facets = pres.cone.facets
+    table = _thresholds(pres, level)
+    out = []
+    for simplex in pres._simplices:
+        e, en = simplex.e, simplex.e * level
+        shift = [dot(phi, res) for phi in simplex.phi]
+        for c in simplex.numerators:
+            v = [(a + level * cj) % en or en * o for a, cj, o in zip(shift, c, simplex.opened)]
+            z = tuple(sum(map(mul, v, col)) // e for col in zip(*simplex.rays))
+            if _in_delta_values(facet_values(facets, z), table):
+                out.append(z)
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +393,10 @@ def is_infinite_quotient(element, depth=4):
     a + (N-1)*b realises the family of [x].  `depth` is accepted for the
     CLI's `--depth` and has no effect.
     """
-    pres = element.monoid
-    divs = divisors(element.level)
-    for n in divs:
+    pres, labels = element.monoid, element.labels
+    for n, label in labels.items():  # the divisors, ascending
+        ys = delta_class(pres, n, label)
         # y = n*s*gamma = s*p for p = n*gamma
-        y = delta_points(pres, n).delta0_scaled_in_class(element.labels[n])
-        if y is not None and scaled_labels(pres, y, divs) == element.labels:
-            return InfquotVerdict("confirmed", element=MonoidElement(pres, unscale(y, pres.denominator)))
+        if len(ys) == 1 and scaled_labels(pres, ys[0], labels) == labels:
+            return InfquotVerdict("confirmed", element=MonoidElement(pres, unscale(ys[0], pres.denominator)))
     return InfquotVerdict("inconclusive", level=element.level)

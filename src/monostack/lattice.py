@@ -502,8 +502,27 @@ def pulling_triangulation(rays, facets):
     return [tuple(sorted(s)) for s in triangulate(whole, rank(whole))]
 
 
-def parallelepiped_points(rays, coords, interior):
-    """The |det C| points of L in {sum u_j r_j : 0 <= u_j < 1, 0 < u_j <= 1 if j is open}.
+class HalfOpenSimplex(Record):
+    """Independent rays r_1..r_d of a lattice L with their half-open
+    parallelepiped: `phi` the columns phi_j of e*C^-1 (C the ray coordinates
+    in a basis of L, rows; e its last Smith divisor), so a vector with
+    coordinates w is sum (phi_j*w/e) r_j; the `opened` flags; and the
+    `points` p = sum c_j r_j / e of L in the parallelepiped, with their
+    `numerators` c (c_j = phi_j*(coordinates of p), in [0, e), or (0, e] on
+    an open j)."""
+
+    __slots__ = ("rays", "e", "phi", "opened", "numerators", "points")
+
+    def __init__(self, rays, e, phi, opened, numerators, points):
+        self.rays, self.e, self.phi, self.opened, self.numerators, self.points = rays, e, phi, opened, numerators, points
+
+    def _key(self):
+        return self.rays, self.e, self.phi, self.opened, self.numerators, self.points
+
+
+def half_open_simplex(rays, coords, interior):
+    """The `HalfOpenSimplex` of `rays`, with the |det C| points of L in
+    {sum u_j r_j : 0 <= u_j < 1, 0 < u_j <= 1 if j is open}.
 
     `rays` are independent vectors of a lattice L, C (`coords`, rows) their
     coordinates in a basis of L, q0 (`interior`) those of an interior point.
@@ -517,13 +536,14 @@ def parallelepiped_points(rays, coords, interior):
     snf = smith_normal_form(coords)
     e = snf.divisors[-1]
     rows = [[(e // d) * x for x in row] for d, row in zip(snf.divisors, snf.u)]
-    inverse = [[sum(map(mul, v, col)) for col in zip(*rows)] for v in snf.v]
-    opened = [next(x for x in (dot(interior, phi), *phi) if x) < 0 for phi in zip(*inverse)]
-    points = []
-    for a in product(*(range(d) for d in snf.divisors)):
-        c = [sum(ai * row[j] for ai, row in zip(a, rows)) % e or e * o for j, o in enumerate(opened)]
-        points.append(tuple(sum(map(mul, c, col)) // e for col in zip(*rays)))
-    return points
+    phi = tuple(zip(*([sum(map(mul, v, col)) for col in zip(*rows)] for v in snf.v)))
+    opened = tuple(next(x for x in (dot(interior, p), *p) if x) < 0 for p in phi)
+    numerators = tuple(
+        tuple(sum(ai * row[j] for ai, row in zip(a, rows)) % e or e * o for j, o in enumerate(opened))
+        for a in product(*(range(d) for d in snf.divisors))
+    )
+    points = tuple(tuple(sum(map(mul, c, col)) // e for col in zip(*rays)) for c in numerators)
+    return HalfOpenSimplex(tuple(rays), e, phi, opened, numerators, points)
 
 
 def cone_contains(cone, x):

@@ -14,8 +14,9 @@ Membership in the group P^gp is one integer predicate per monoid: nothing
 to test when the group is Z^d, else one residue test per Smith invariant
 factor of the group basis (the proof is at `_group_tests`).
 `_contains_int(y)` tests y/s in P, so y = n*s*x tests x in (1/n)P.
-The Hilbert basis and the Delta slices (`infquot.delta_points`) are read
-off `_parallelepipeds`, a triangulation of the cone with the group points
+The Hilbert basis, the Delta slices (`infquot.delta_points`) and the
+Delta points of one class (`infquot.delta_class`) are read off
+`_simplices`, a triangulation of the cone with the group points
 of each simplex's half-open parallelepiped, not off a walk.
 """
 
@@ -49,7 +50,7 @@ from .lattice import (
 # Derived data fixed by (ambient_rank, generators), never by the denominator.
 INTEGER_MODEL = ("cone", "group_basis", "positive_functional", "is_sharp", "is_saturated", "is_simplicial",
                  "_group_is_ambient", "_group_tests", "_group_contains_int", "ray_generators", "caratheodory_sum",
-                 "_parallelepipeds", "_saturation_hilbert_basis", "_toric_moves", "_in_generated_memo")
+                 "_simplices", "_saturation_hilbert_basis", "_toric_moves", "_in_generated_memo")
 
 
 class MonoidPresentation(Record):
@@ -250,13 +251,15 @@ class MonoidPresentation(Record):
         return sum(sorted(dot(ell, r) for r in self.ray_generators)[-self.group_rank:])
 
     @cached_property
-    def _parallelepipeds(self):
-        """A pulling triangulation of `ray_generators`: pairs (rays r_1..r_d of a
-        simplex, the [L : sum Z r_j] = |det| points of the group lattice L in
-        its half-open parallelepiped), in the integer model
-        (`lattice.pulling_triangulation`, `lattice.parallelepiped_points`).
-        Coordinates open against q0, the sum of the ray coordinates in the
-        group basis, so the half-open cones partition the cone.
+    def _simplices(self):
+        """A pulling triangulation of `ray_generators`, one `lattice.HalfOpenSimplex`
+        per simplex: its rays r_1..r_d, e*C^-1 (C their coordinates in the
+        group basis), the open coordinates and the [L : sum Z r_j] = |det C|
+        points of the group lattice L in its half-open parallelepiped, in the
+        integer model (`lattice.pulling_triangulation`,
+        `lattice.half_open_simplex`).  Coordinates open against q0, the sum
+        of the ray coordinates in the group basis, so the half-open cones
+        partition the cone.
         """
         rays = self.ray_generators
         if self._group_is_ambient:
@@ -265,17 +268,21 @@ class MonoidPresentation(Record):
             coords = tuple(lattice.lattice_coords_int(self.group_basis, r) for r in rays)
         interior = tuple(map(sum, zip(*coords)))
         return tuple(
-            (tuple(rays[i] for i in simplex),
-             tuple(lattice.parallelepiped_points([rays[i] for i in simplex], [coords[i] for i in simplex], interior)))
+            lattice.half_open_simplex([rays[i] for i in simplex], [coords[i] for i in simplex], interior)
             for simplex in lattice.pulling_triangulation(rays, self.cone.facets)
         )
+
+    @property
+    def _parallelepipeds(self):
+        """Pairs (rays, parallelepiped points) of `_simplices`."""
+        return tuple((s.rays, s.points) for s in self._simplices)
 
     @cached_property
     def _saturation_hilbert_basis(self):
         """Hilbert basis of group lattice and cone, in the integer model, lex-sorted.
 
         An indecomposable x of L cap cone is sum t_j r_j, t_j >= 0 (> 0 on the
-        open j), in a half-open cone of `_parallelepipeds`.  If some t_j >= 1,
+        open j), in a half-open cone of `_simplices`.  If some t_j >= 1,
         x - r_j is in L cap cone and x decomposes unless x = r_j.  So x is a
         ray generator or a nonzero point of that half-open parallelepiped: a
         candidate (one with u_j = 1 is p + r_j, decomposable unless it is r_j).
@@ -287,7 +294,7 @@ class MonoidPresentation(Record):
         """
         facets = self.cone.facets
         candidates = set(self.ray_generators)
-        candidates.update(p for _, points in self._parallelepipeds for p in points if any(p))
+        candidates.update(p for s in self._simplices for p in s.points if any(p))
         values = [(x, facet_values(facets, x)) for x in sorted(candidates)]
         return tuple(
             x

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import delta_bound
 from monostack import infquot
 from monostack.errors import EnumerationBudget, IncompatibleFamily, NotSharp
 from monostack.infquot import (
     TruncatedProfiniteElement,
+    delta_class,
     delta_points,
     delta0_points,
     divisors,
@@ -15,9 +17,10 @@ from monostack.infquot import (
     is_infinite_quotient,
     positive_functional,
 )
-from monostack.kummer import coset_label
+from monostack.kummer import coset_label, enumerate_labels
 from monostack.lattice import cone_contains, dot, vadd, vsub
-from monostack.monoid import MonoidPresentation, monoid_points, validate
+from monostack.monoid import MonoidPresentation, monoid_points, saturate, validate
+from test_walk_bounds import CONE, HEXAGON, INDEX2, PLANE, SETTINGS, sharp, sharp_generators
 
 
 def fr(*vals):
@@ -312,7 +315,15 @@ def _recognized_by_coset_labels(element):
     return None
 
 
-def test_profinite_labels_match_the_coset_label_route(nat2, nonsimplicial, sublattice_monoids):
+def test_profinite_labels_match_the_coset_label_route(nat2, nonsimplicial, sublattice_monoids, monkeypatch):
+    """The verdicts of the slice route (`_recognized_by_coset_labels`, on this
+    module's own `delta_points`), with the library's `delta_points` refused:
+    recognition builds no slice."""
+
+    def refuse(pres, level):
+        raise AssertionError(f"a Delta slice was built at level {level}")
+
+    monkeypatch.setattr(infquot, "delta_points", refuse)
     monoids = dict(sublattice_monoids, N2=nat2, cone=nonsimplicial)
     for name, pres in monoids.items():
         for p in monoid_points(pres, 1, 2 * delta_bound(pres)):
@@ -347,3 +358,52 @@ def test_in_delta_matches_the_cone_oracle(nat2, nonsimplicial, sublattice_monoid
                 in_cone_oracle(pres.generators, vsub(x, h)) for h in hilbert
             )
             assert in_delta(pres, x) == want, (name, x)
+
+
+# -- one class without the slice ----------------------------------------------
+
+INDEX5 = [(5, 0), (1, 2), (0, 5)]  # the group has index 5 in Z^2
+CLASS_LEVELS = {1: 6, 2: 6, 3: 4, 4: 3}  # the top level tried, by group rank
+
+
+@SETTINGS
+@given(sharp_generators(), st.integers(1, 2))
+@example([(1,)], 1)
+@example([(1, 0), (0, 1)], 1)
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 1)
+@example(INDEX2, 1)
+@example(INDEX2, 3)
+@example(PLANE, 1)
+@example(INDEX5, 1)
+@example(HEXAGON, 1)
+@example(CONE, 1)
+def test_delta_class_is_the_class_of_the_slice(gens, denominator):
+    """Every label's class at levels 1..6 (1..4 at rank 3, 1..3 at rank 4),
+    on saturations, so groups of index > 1 come with their own rays."""
+    pres = saturate(sharp(gens, denominator))
+    for n in range(1, CLASS_LEVELS[pres.group_rank] + 1):
+        ds = delta_points(pres, n)
+        for label in enumerate_labels(pres, n):
+            assert delta_class(pres, n, label) == sorted(ds._class(label)), (n, label.res)
+
+
+def test_delta_class_is_empty_off_the_level(nat):
+    assert delta_class(nat, 3, coset_label(nat, 2, (Fraction(1, 2),))) == []
+
+
+@pytest.mark.parametrize("level", [720, 10**9])
+def test_recognition_answers_past_the_enumeration_budget(nonsimplicial, level):
+    """The level-720 slice of the cone has 2 * 720^3 candidates, past
+    `ENUMERATION_BUDGET`; one class has two, at level 10^9 too."""
+    fam = TruncatedProfiniteElement.from_element(nonsimplicial, (0, 1, level - 1), level)
+    assert str(is_infinite_quotient(fam)) == f"InconclusiveAtLevel({level})"
+    fam = TruncatedProfiniteElement.from_element(nonsimplicial, (2, 3, 5), level)
+    assert is_infinite_quotient(fam).element.vector == fr(2, 3, 5)
+
+
+def test_divisors_by_trial_division():
+    for n in range(1, 500):
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+    assert divisors(10**9) == tuple(sorted(2**i * 5**j for i in range(10) for j in range(10)))
+    assert divisors(10**9 + 7) == (1, 10**9 + 7)  # a prime
+    assert divisors(2 * 999983**2) == (1, 2, 999983, 2 * 999983, 999983**2, 2 * 999983**2)
