@@ -6,11 +6,12 @@ byte-identical output.  Exit codes: 0 success, 1 malformed input, 2 a
 semantic precondition was violated (non-sharp monoid, level mismatch and
 friends, any `ideal mingens --bound` below the certified bound, where a
 larger --bound changes nothing, and a `delta`/`delta0` level past the
-enumeration budget of `infquot.delta_points`; `infquot check` builds no
-slice and answers at any level), 3 the infinite-quotient check came back
-inconclusive.  Every --level, --levels, --to and --divisor
-value must be a positive integer; anything else is malformed input, and so
-is every other usage error argparse reports.
+enumeration budget of `infquot.delta_points`, or a `picard` level with more
+than that many labels; `infquot check` builds no slice and answers at any
+level), 3 the infinite-quotient check came back inconclusive.  Every
+--level, --levels, --to and --divisor value must be a positive integer;
+anything else is malformed input, and so is every other usage error
+argparse reports.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import sys
 
 from . import lattice, monoid
-from .errors import MalformedInput, MonostackError
+from .errors import EnumerationBudget, MalformedInput, MonostackError
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -161,10 +162,14 @@ def cmd_kummer(args):
 
 
 def cmd_picard(args):
-    from . import kummer
+    from . import infquot, kummer
 
     pres = monoid.monoid_from_json(_read_payload(args.input))
     group = kummer.picard_group(pres, args.level)
+    if group.order > infquot.ENUMERATION_BUDGET:
+        raise EnumerationBudget(
+            f"level {args.level} has {group.order} labels, past the budget of {infquot.ENUMERATION_BUDGET}"
+        )
     labels = kummer.enumerate_labels(pres, args.level)
     payload = {
         "monoid": monoid.monoid_to_json(pres),

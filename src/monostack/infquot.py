@@ -34,7 +34,7 @@ is searched for: `InconclusiveAtLevel` is the answer when recognition
 finds no Delta0 representative.  Recognition reads one class per
 divisor (`delta_class`) and builds no slice, so it answers at any level:
 no `ENUMERATION_BUDGET` applies, and the divisors come from a
-factorisation by trial division.
+factorisation by trial division that stops at a prime cofactor.
 
 All of it runs on int tuples: y = n*s*x for the level-n slice (s the
 denominator), and for the family of p the one vector s*p = n*s*(p/n),
@@ -54,20 +54,55 @@ from .kummer import coset_label, label_scale, scaled_label, scaled_labels
 from .lattice import Record, dot, facet_values, int_from_json, unscale, vadd, vec_from_json, vscale
 from .monoid import MonoidElement, monoid_from_json
 
-# Most Delta candidates `delta_points` enumerates at one level.
+# Most Delta candidates `delta_points` enumerates at one level, and most
+# labels `monostack picard` lists.
 ENUMERATION_BUDGET = 2 * 10**6
+
+
+# Miller-Rabin with these bases decides primality exactly below
+# MILLER_RABIN_EXACT (Sorenson-Webster, Math. Comp. 86, 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT = 3317044064679887385961981
+
+
+def certified_prime(m):
+    """m is prime and below `MILLER_RABIN_EXACT`, where a strong probable
+    prime to every base of `MILLER_RABIN_BASES` is prime.  From that bound
+    on the answer is False (not certified), and `divisors` divides on."""
+    if m >= MILLER_RABIN_EXACT or m < 2:
+        return False
+    for a in MILLER_RABIN_BASES:
+        if m % a == 0:
+            return m == a
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def divisors(n):
     """The divisors of n >= 1, ascending, from n's factorisation by trial
-    division: a factor p is tried while p^2 is at most the cofactor left."""
+    division: a factor p is tried while p^2 is at most the cofactor left,
+    and not at all once that cofactor is prime (`certified_prime`)."""
     divs, m, p = [1], n, 2
-    while p * p <= m:
+    prime = certified_prime(m)
+    while not prime and p * p <= m:
         k = 0
         while m % p == 0:
             m, k = m // p, k + 1
         if k:
             divs = [d * p**i for d in divs for i in range(k + 1)]
+            prime = certified_prime(m)
         p += 1
     if m > 1:
         divs += [d * m for d in divs]
@@ -317,12 +352,17 @@ class TruncatedProfiniteElement:
                 raise IncompatibleFamily(f"label at level {n} has a finer denominator")
         if not self.labels[1].is_zero():
             raise IncompatibleFamily("the level-1 label must vanish")
-        for m in divs:
-            for n in divs:
-                if n % m == 0 and label_scale(n // m, self.labels[n]) != self.labels[m]:
-                    raise IncompatibleFamily(
-                        f"labels at levels {n} and {m} are incompatible"
-                    )
+        # labels[m] = (N/m)*labels[N] for every m implies labels[m] =
+        # (n/m)*labels[n] for every m | n; only a failure scans the pairs,
+        # so the message names the first failing pair in (m, n) order
+        top = self.labels[self.level]
+        if any(label_scale(self.level // m, top) != lab for m, lab in self.labels.items()):
+            for m in divs:
+                for n in divs:
+                    if n % m == 0 and label_scale(n // m, self.labels[n]) != self.labels[m]:
+                        raise IncompatibleFamily(
+                            f"labels at levels {n} and {m} are incompatible"
+                        )
 
     @classmethod
     def from_element(cls, monoid, p, level):

@@ -6,8 +6,9 @@ group lattice, Hilbert basis of the saturation, flags, membership memo)
 depends on the denominator, so `root_extension` passes all of it by
 reference and P and all its root extensions share one cone and one integer
 lattice, each computed once.  Homomorphisms act on the integer models
-too (`MonoidHom.image`), so the Kummer test and cokernels, and with them
-the Picard groups (1/n)P^gp / P^gp, are integer Smith normal forms.
+too (`MonoidHom.image`), so the Kummer test and cokernels are integer
+Smith normal forms.  The Picard group (1/n)P^gp / P^gp of a root level
+needs neither: it is (Z/n)^r, r the group rank (`picard_group`).
 
 A coset label is an element of (1/n)P^gp / P^gp = (Z/n)^r, stored as
 integer residues against the group basis and reduced to the smallest level
@@ -71,7 +72,12 @@ class MonoidHom(Record):
     """Lattice map between monoid presentations: an integer matrix M
     (target.ambient_rank x source.ambient_rank rows) that maps every source
     generator into the target monoid.  On the integer models (s, t the
-    denominators) it sends y, for y/s, to M*y*t/s, for M*y/s: `image`."""
+    denominators) it sends y, for y/s, to M*y*t/s, for M*y/s: `image`.
+
+    A saturated target Q is its cone cap Q^gp, so there an image is tested
+    with the cone and group predicate (`_contains_int`) and no N-span
+    search; any other target takes the search (`_in_generated_int`).
+    """
 
     def __init__(self, source, target, matrix):
         m = tuple(tuple(int(a) for a in row) for row in matrix)
@@ -81,8 +87,9 @@ class MonoidHom(Record):
         ):
             raise ValueError("matrix shape does not match ambient ranks")
         s, t = self.source.denominator, self.target.denominator
+        inside = target._contains_int if target.is_saturated else target._in_generated_int
         for g in self.source.generators:
-            if any(dot(row, g) * t % s for row in m) or not self.target._in_generated_int(self.image(g)):
+            if any(dot(row, g) * t % s for row in m) or not inside(self.image(g)):
                 raise ValueError(f"generator {vec_key(unscale(g, s))} does not map into the target monoid")
 
     def _key(self):
@@ -204,8 +211,15 @@ def cokernel(hom):
 
 
 def picard_group(pres, n):
-    """(1/n)P^gp / P^gp, the character group of the level-n quotient."""
-    return cokernel(root_inclusion(pres, n))
+    """(1/n)P^gp / P^gp, the character group of the level-n quotient: (Z/n)^r.
+
+    P^gp = L is free of rank r (the group rank), and multiplication by n
+    maps (1/n)L onto L and L onto nL, so (1/n)L/L is L/nL = (Z/n)^r.  This
+    is the cokernel of `root_inclusion(pres, n)`, read off without it.
+    """
+    if n < 1:
+        raise ValueError("root level must be a positive integer")
+    return FiniteAbelianGroup((n,) * pres.group_rank)
 
 
 # ---------------------------------------------------------------------------

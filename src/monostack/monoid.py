@@ -9,7 +9,8 @@ Derived data is computed from the generators and never read from input.
 The integer model does not depend on the denominator (y/s is in the cone,
 group or N-span of the g/s iff y is in that of the g), so root extensions
 share P's `INTEGER_MODEL` values by reference; so does the saturation, which
-has the same cone and group, except the two that read the generator list.
+has the same cone and group, except the two that read the generator list:
+its membership memo starts empty and its `is_saturated` is True by proof.
 Membership in the group P^gp is one integer predicate per monoid: nothing
 to test when the group is Z^d, else one residue test per Smith invariant
 factor of the group basis (the proof is at `_group_tests`).
@@ -398,10 +399,16 @@ def monoid_from_json(data):
 
 
 def saturate(pres):
-    """Saturation P^gp cap P_Q, presented by its Hilbert basis."""
+    """Saturation P^gp cap P_Q, presented by its Hilbert basis.
+
+    That basis generates L cap cone (`_saturation_hilbert_basis`), so the
+    result is saturated and records it: its flag needs no N-span search.
+    """
     if not pres.is_sharp:
         raise NotSharp("saturation is implemented for sharp monoids")
-    return pres.rebuilt(pres.denominator, pres._saturation_hilbert_basis)
+    sat = pres.rebuilt(pres.denominator, pres._saturation_hilbert_basis)
+    sat.is_saturated = True
+    return sat
 
 
 def monoid_equal(p, q):

@@ -437,6 +437,31 @@ def test_delta_past_the_enumeration_budget_exits_2(command, tmp_path, capsys):
     assert err == "error: level 1000000 has 1000000000000 Delta candidates, past the budget of 2000000\n"
 
 
+
+def test_picard_past_the_label_budget_exits_2(tmp_path, capsys):
+    """The cone at level 1000 has 10^9 labels: refused before any is listed."""
+    src = tmp_path / "cone.json"
+    src.write_text(json.dumps(NONSIMPLICIAL))
+    assert main(["picard", "--level", "1000", str(src)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: level 1000 has 1000000000 labels, past the budget of 2000000\n"
+
+
+def test_picard_at_the_label_budget_lists_every_label(tmp_path, capsys, monkeypatch):
+    """With a budget of 64, level 4 on the cone (4^3 labels) is listed and level 5 is not."""
+    from monostack import infquot
+
+    monkeypatch.setattr(infquot, "ENUMERATION_BUDGET", 64)
+    src = tmp_path / "cone.json"
+    src.write_text(json.dumps(NONSIMPLICIAL))
+    assert main(["picard", "--level", "4", str(src)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["invariant_factors"] == [4, 4, 4] and data["order"] == 64
+    assert len({tuple(lab) for lab in data["labels"]}) == 64
+    assert main(["picard", "--level", "5", str(src)]) == 2
+    assert capsys.readouterr().err == "error: level 5 has 125 labels, past the budget of 64\n"
+
 @pytest.mark.parametrize(
     "extra, line",
     [

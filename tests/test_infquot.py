@@ -9,6 +9,7 @@ from monostack import infquot
 from monostack.errors import EnumerationBudget, IncompatibleFamily, NotSharp
 from monostack.infquot import (
     TruncatedProfiniteElement,
+    certified_prime,
     delta_class,
     delta_points,
     delta0_points,
@@ -17,7 +18,7 @@ from monostack.infquot import (
     is_infinite_quotient,
     positive_functional,
 )
-from monostack.kummer import coset_label, enumerate_labels
+from monostack.kummer import CosetLabel, coset_label, enumerate_labels, label_scale
 from monostack.lattice import cone_contains, dot, vadd, vsub
 from monostack.monoid import MonoidPresentation, monoid_points, saturate, validate
 from test_walk_bounds import CONE, HEXAGON, INDEX2, PLANE, SETTINGS, sharp, sharp_generators
@@ -407,3 +408,72 @@ def test_divisors_by_trial_division():
     assert divisors(10**9) == tuple(sorted(2**i * 5**j for i in range(10) for j in range(10)))
     assert divisors(10**9 + 7) == (1, 10**9 + 7)  # a prime
     assert divisors(2 * 999983**2) == (1, 2, 999983, 2 * 999983, 999983**2, 2 * 999983**2)
+
+
+# strong pseudoprimes: to bases 2, 3, 5, 7 (3215031751), to every prime base up
+# to 23 (3825123056546413051), and to every prime base up to 37
+STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461]
+
+
+def test_certified_prime_is_sympy_isprime():
+    import sympy
+
+    for m in list(range(-2, 5000)) + STRONG_PSEUDOPRIMES:
+        assert certified_prime(m) == sympy.isprime(m), m
+    rng = random.Random(7)
+    for digits in (12, 18, 24):
+        for _ in range(20):
+            m = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+            assert certified_prime(m) == sympy.isprime(m), m
+    # from the exactness bound on, nothing is certified
+    p = sympy.nextprime(infquot.MILLER_RABIN_EXACT)
+    assert not certified_prime(p) and not certified_prime(infquot.MILLER_RABIN_EXACT)
+    assert certified_prime(sympy.prevprime(infquot.MILLER_RABIN_EXACT))
+
+
+@SETTINGS
+@given(st.integers(1, 10**6), st.integers(1, 10**18))
+@example(1, 10**18 + 3)
+@example(12, 10**18 + 3)
+@example(1, 100000000000031)
+@example(720720, 10**9)
+def test_divisors_stop_at_a_prime_cofactor(small, large):
+    """n = small * the least prime >= large: trial division finds the small
+    factors and stops at the prime cofactor, which trial division would
+    reach only at its square root (10^9 steps at 10^18)."""
+    import sympy
+
+    n = small * sympy.nextprime(large - 1)
+    assert divisors(n) == tuple(sympy.divisors(n))
+
+
+def _first_incompatible_pair(labels):
+    """The pair the compatibility scan over (m, n), m | n, reports first."""
+    divs = sorted(labels)
+    for m in divs:
+        for n in divs:
+            if n % m == 0 and label_scale(n // m, labels[n]) != labels[m]:
+                return f"labels at levels {n} and {m} are incompatible"
+    return None
+
+
+@SETTINGS
+@given(st.sampled_from(["N2", "CONE", "INDEX2"]), st.sampled_from([4, 12, 36, 60, 360]), st.data())
+def test_corrupted_families_name_the_first_incompatible_pair(name, level, data):
+    """A family of a point with one to three labels swapped for other labels
+    of their level (never level 1): the constructor refuses it iff some pair
+    is incompatible, naming the first such pair of the full scan."""
+    pres = validate({"N2": [(1, 0), (0, 1)], "CONE": CONE, "INDEX2": INDEX2}[name])
+    coords = data.draw(st.tuples(*[st.integers(-3, 5)] * pres.group_rank))
+    point = tuple(sum(c * b[i] for c, b in zip(coords, pres.group_basis)) for i in range(pres.ambient_rank))
+    labels = TruncatedProfiniteElement.from_element(pres, point, level).labels
+    for n in data.draw(st.lists(st.sampled_from(divisors(level)[1:]), min_size=1, max_size=3)):
+        res = data.draw(st.tuples(*[st.integers(0, n - 1)] * pres.group_rank))
+        labels[n] = CosetLabel(pres, n, n, res)
+    want = _first_incompatible_pair(labels)
+    if want is None:
+        assert TruncatedProfiniteElement(pres, level, labels).labels == labels
+    else:
+        with pytest.raises(IncompatibleFamily) as info:
+            TruncatedProfiniteElement(pres, level, labels)
+        assert str(info.value) == want

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import floor
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import delta_bound, random_kummer_hom, random_sharp_saturated
 from monostack.errors import InfiniteCokernel, LevelMismatch
@@ -25,7 +26,9 @@ from monostack.kummer import (
     root_inclusion,
     zero_label,
 )
-from monostack.monoid import monoid_equal, monoid_points, validate
+from monostack.lattice import vec_key
+from monostack.monoid import MonoidPresentation, monoid_equal, monoid_points, saturate, validate
+from test_walk_bounds import CONE, INDEX2, PLANE, SETTINGS, sharp, sharp_generators
 
 
 def test_finite_abelian_group_normalization():
@@ -517,3 +520,103 @@ def test_random_kummer_homs_match_fraction_oracle():
         assert maps and kummer
         assert cokernel(f).invariant_factors == factors
         assert is_kummer(f)
+
+
+# -- closed forms against the search routes --------------------------------------
+
+N4 = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+UNSATURATED = [(2, 0), (3, 0), (0, 1)]  # the saturation adds (1, 0)
+NUMERICAL = [(2,), (3,)]  # N{2, 3}: 1 is in the cone and the group, not in the monoid
+
+
+@SETTINGS
+@given(sharp_generators(), st.integers(1, 3))
+@example([(1,)], 1)
+@example([(1,)], 3)
+@example(N4, 2)
+@example(INDEX2, 1)
+@example(INDEX2, 3)
+@example(UNSATURATED, 2)
+@example(NUMERICAL, 1)
+@example(PLANE, 1)
+@example(CONE, 3)
+def test_picard_group_is_the_cokernel_of_the_root_inclusion(gens, denominator):
+    """(Z/n)^r against the Smith form of P -> (1/n)P at n = 1..12, on any
+    presentation: group ranks 1-4, groups of index > 1, unsaturated monoids."""
+    pres = sharp(gens, denominator)
+    for n in range(1, 13):
+        assert picard_group(pres, n) == cokernel(root_inclusion(pres, n)), n
+
+
+def test_picard_group_runs_no_root_inclusion_and_no_smith_form(nonsimplicial, monkeypatch):
+    from monostack import kummer, lattice
+
+    def refuse(*args):
+        raise AssertionError("picard_group took the cokernel route")
+
+    pres = validate(INDEX2)
+    pres.group_basis
+    for name in ("root_inclusion", "cokernel", "smith_normal_form"):
+        monkeypatch.setattr(kummer, name, refuse)
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    assert picard_group(pres, 6).invariant_factors == (6, 6)
+    assert picard_group(nonsimplicial, 4).invariant_factors == (4, 4, 4)
+    with pytest.raises(ValueError, match="^root level must be a positive integer$"):
+        picard_group(pres, 0)
+
+
+def _search_route_message(source, target, matrix):
+    """The verdict of the N-span search on every generator image, in Fractions:
+    None when M maps each source generator into the target monoid, else the
+    message that names the first that it does not."""
+    fresh = MonoidPresentation(target.ambient_rank, target.generators, target.denominator)
+    for g, x in zip(source.generators, source.rational_generators):
+        y = [sum(a * b for a, b in zip(row, x)) * target.denominator for row in matrix]
+        if any(a.denominator != 1 for a in y) or not fresh._in_generated_int(y):
+            return f"generator {vec_key(x)} does not map into the target monoid"
+    return None
+
+
+SMALL = [[(1,)], NUMERICAL, [(1, 0), (0, 1)], INDEX2, UNSATURATED, [(1, 0), (1, 1), (1, 3)], CONE]
+
+
+@st.composite
+def hom_data(draw):
+    """A source with denominator 1-3, a target that is a saturation or not,
+    with denominator 1-3, and a matrix with entries in -1..2.  Half the
+    monoids come from a list of small ones, where many images land in the
+    target, among them unsaturated targets with group points in the cone
+    that they do not generate."""
+    gens = st.one_of(st.sampled_from(SMALL), sharp_generators())
+    source = sharp(draw(gens), draw(st.integers(1, 3)))
+    target = sharp(draw(gens), draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        target = saturate(target)
+    row = st.tuples(*[st.integers(-1, 2)] * source.ambient_rank)
+    return source, target, tuple(draw(st.lists(row, min_size=target.ambient_rank, max_size=target.ambient_rank)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(hom_data())
+@example((validate([(1,)]), validate(NUMERICAL), ((1,),)))
+@example((validate([(1,)]), validate(NUMERICAL), ((2,),)))
+@example((validate([(1,)]), saturate(validate(NUMERICAL)), ((1,),)))
+@example((validate(INDEX2), validate(UNSATURATED), ((1, 0), (0, 1))))
+@example((validate(INDEX2), validate(UNSATURATED), ((1, 1), (0, 1))))
+@example((validate([(1, 0), (0, 1)]), validate(INDEX2), ((2, 1), (0, 1))))
+@example((validate([(1, 0), (0, 1)]), validate(INDEX2), ((1, 1), (0, 1))))
+@example((validate([(1,)], denominator=2), validate([(1,)], denominator=3), ((1,),)))
+@example((validate(CONE), validate(CONE, denominator=2), ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+@example((validate(CONE), validate(CONE), ((1, 0, 0), (0, 1, 0), (0, 0, -1))))
+def test_hom_accepts_exactly_what_the_search_route_accepts(data):
+    """On saturated targets the constructor tests cone and group, on others it
+    searches: both accept and refuse as the search on every image does, with
+    its message."""
+    source, target, matrix = data
+    want = _search_route_message(source, target, matrix)
+    if want is None:
+        assert MonoidHom(source, target, matrix).matrix == matrix
+    else:
+        with pytest.raises(ValueError) as info:
+            MonoidHom(source, target, matrix)
+        assert str(info.value) == want

@@ -28,7 +28,7 @@ MONOIDS = {
     "unsaturated": lambda: validate([(2, 0), (3, 0), (0, 1)]),
 }
 # read the generator list itself, so a saturation with new generators
-# recomputes them
+# recomputes the memo and is handed the flag as True
 GENERATOR_SPECIFIC = ("is_saturated", "_in_generated_memo")
 
 
@@ -80,6 +80,9 @@ def test_saturation_holds_the_same_cone_and_group(name):
     for attr in INTEGER_MODEL:
         if same_generators or attr not in ("cone",) + GENERATOR_SPECIFIC:
             assert sat.__dict__[attr] is pres.__dict__[attr], attr
+        elif attr == "is_saturated":
+            # a saturation is saturated by proof, and `saturate` says so
+            assert sat.__dict__[attr] is True
         elif attr in GENERATOR_SPECIFIC:
             assert attr not in sat.__dict__, attr
 
