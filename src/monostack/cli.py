@@ -8,7 +8,8 @@ friends, any `ideal mingens --bound` below the certified bound, where a
 larger --bound changes nothing, and a `delta`/`delta0` level past the
 enumeration budget of `infquot.delta_points`, or a `picard` level with more
 than that many labels; `infquot check` builds no slice and answers at any
-level), 3 the infinite-quotient check came back inconclusive.  Every
+level), 3 the infinite-quotient check came back inconclusive, 4 an
+internal error: any other exception, with its traceback on stderr.  Every
 --level, --levels, --to and --divisor value must be a positive integer;
 anything else is malformed input, and so is every other usage error
 argparse reports.
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_PRECONDITION = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _read_payload(path):
@@ -97,10 +99,10 @@ def cmd_monoid(args):
             f"saturated={pres.is_saturated} simplicial={pres.is_simplicial}"
         )
     elif args.action == "hilbert":
-        basis = pres.hilbert_basis
+        basis = pres.integer_hilbert_basis
         payload = {
             "monoid": monoid.monoid_to_json(pres),
-            "hilbert_basis": [lattice.vec_to_json(v) for v in basis],
+            "hilbert_basis": [lattice.scaled_to_json(v, pres.denominator) for v in basis],
         }
         summary = f"Hilbert basis with {len(basis)} elements"
     else:  # saturate
@@ -115,22 +117,15 @@ def cmd_delta(args, delta0_only=False):
 
     pres = monoid.monoid_from_json(_read_payload(args.input))
     ds = infquot.delta_points(pres, args.level)
+    d = args.level * pres.denominator
+    payload = {"monoid": monoid.monoid_to_json(pres), "level": args.level}
     if delta0_only:
-        pts = ds.delta0_points
-        payload = {
-            "monoid": monoid.monoid_to_json(pres),
-            "level": args.level,
-            "points": [lattice.vec_to_json(p) for p in pts],
-        }
-        summary = f"{len(pts)} Delta0 points at level {args.level}"
+        payload["points"] = [lattice.scaled_to_json(y, d) for y, flag in zip(ds.scaled, ds.delta0_mask) if flag]
+        summary = f"{len(payload['points'])} Delta0 points at level {args.level}"
     else:
-        payload = {
-            "monoid": monoid.monoid_to_json(pres),
-            "level": args.level,
-            "points": [lattice.vec_to_json(p) for p in ds.points],
-            "in_delta0": list(ds.delta0_mask),
-        }
-        summary = f"{len(ds.points)} Delta points at level {args.level}"
+        payload["points"] = [lattice.scaled_to_json(y, d) for y in ds.scaled]
+        payload["in_delta0"] = list(ds.delta0_mask)
+        summary = f"{len(ds)} Delta points at level {args.level}"
     return payload, summary, EXIT_OK
 
 
@@ -412,6 +407,11 @@ def main(argv=None):
     except (ValueError, KeyError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
+    except Exception:  # noqa: BLE001 - a bug, not bad input: keep its traceback
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
     _emit(payload, summary if args.pretty else None, args.pretty)
     return code
 

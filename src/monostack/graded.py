@@ -14,10 +14,10 @@ Here and in `parabolic` a point x of (1/n)P is the int tuple y = n*s*x
 (s the presentation denominator); only the algebra knows the scale.  The
 generators are then the integer Hilbert basis of P at every level,
 membership is `MonoidPresentation._contains_int`, and level m maps into
-level N by y -> (N/m)*y.  `GradedAlgebra.point` and `coords` convert at
-the edges: error messages, the generators read from JSON,
-`contains_at_level` and `MonoidIdeal` (JSON keys are written from the
-int tuples, `lattice.scaled_key`).
+level N by y -> (N/m)*y.  Module action keys are these int tuples, and
+so are the generator keys that `jsonio` reads (`lattice.scaled_from_key`)
+and writes (`lattice.scaled_key`, which also writes the error messages);
+only `contains_at_level` and `MonoidIdeal` see rational points.
 
 Construction paths that take untrusted data check the module law x^h
 x^gamma = x^(h+gamma), or 0 when h+gamma leaves Delta, on the defining
@@ -75,7 +75,7 @@ from .kummer import (
     scaled_label,
     zero_label,
 )
-from .lattice import Record, facet_values, unscale, vadd, vec_key, vscale, vsub
+from .lattice import Record, facet_values, scaled_key, unscale, vadd, vec_key, vscale, vsub
 from .monoid import monoid_points_scaled
 
 
@@ -124,17 +124,6 @@ class GradedAlgebra:
     def __hash__(self):
         return hash((self.monoid, self.level, self.field))
 
-    def point(self, y):
-        """The rational point y/scale of integer coordinates y."""
-        return unscale(y, self.scale)
-
-    def coords(self, x):
-        """The integer coordinates scale*x of a rational vector x, or ValueError."""
-        y = self.monoid._scaled(x, self.level)
-        if y is None:
-            raise ValueError(f"{vec_key(x)} is not a point of level {self.level}")
-        return y
-
     def label_of(self, y):
         """Coset label of a point given by its int tuple y; other entries
         (Fractions, even integral ones) raise TypeError.  The graded layer
@@ -143,7 +132,7 @@ class GradedAlgebra:
             raise TypeError(f"label_of takes the int coordinates of a point, not {vec_key(y)}")
         lab = scaled_label(self.monoid, self.level, y)
         if lab is None:
-            raise ValueError(f"{vec_key(self.point(y))} is not in the level-{self.level} group lattice")
+            raise ValueError(f"{scaled_key(y, self.scale)} is not in the level-{self.level} group lattice")
         return lab
 
     def index(self, label):
@@ -263,7 +252,7 @@ class GradedModule:
         self.action = {}
         for (g, lab), mat in gen_action.items():
             if g not in algebra.generators:
-                raise ValueError(f"gen {vec_key(algebra.point(g))} is not a Hilbert generator of (1/n)P")
+                raise ValueError(f"gen {scaled_key(g, algebra.scale)} is not a Hilbert generator of (1/n)P")
             i = algebra.index(lab)
             mat = fields.mat_from_rows(mat)
             if self.sizes[i] and self.sizes[algebra.shift[g][i]]:
@@ -336,7 +325,7 @@ class GradedModule:
     def _shaped(self, g, i, mat):
         """`mat`, if every row fits x^g out of label i, or ValueError."""
         if len(mat) != self.sizes[self.algebra.shift[g][i]] or {*map(len, mat)} - {self.sizes[i]}:
-            where = f"gen {vec_key(self.algebra.point(g))} at rep {vec_key(self.algebra.labels[i].representative)}"
+            where = f"gen {scaled_key(g, self.algebra.scale)} at rep {vec_key(self.algebra.labels[i].representative)}"
             raise ValueError(f"action matrix for {where} has a wrong shape")
         return mat
 
@@ -355,7 +344,7 @@ class GradedModule:
         alg = self.algebra
         parts = alg.decompose(gamma)
         if parts is None:
-            raise ValueError(f"{vec_key(alg.point(gamma))} is not an element of the level monoid")
+            raise ValueError(f"{scaled_key(gamma, alg.scale)} is not an element of the level monoid")
         points, k, mat = [gamma], len(parts), None
         for j in range(1, len(parts)):
             points.append(vsub(points[-1], parts[j - 1]))
@@ -450,7 +439,7 @@ class GradedModule:
                 continue
             for i in support:
                 if not fields.mat_eq_zero(self._gen(h, i)):
-                    raise ValueError(f"generator {vec_key(alg.point(h))} leaves Delta but acts nontrivially")
+                    raise ValueError(f"generator {scaled_key(h, alg.scale)} leaves Delta but acts nontrivially")
         offset, ops = list(accumulate(self.sizes, initial=0)), {}
         for h in alg.delta_generators:
             op = ops[h] = {}
@@ -462,7 +451,7 @@ class GradedModule:
         product = partial(reduce, partial(fields.sparse_compose, alg.field))
         for g, h in combinations(alg.delta_generators, 2):
             if product((ops[g], ops[h])) != product((ops[h], ops[g])):
-                raise ValueError(f"module law fails: generators {vec_key(alg.point(g))} and {vec_key(alg.point(h))} do not commute")
+                raise ValueError(f"module law fails: generators {scaled_key(g, alg.scale)} and {scaled_key(h, alg.scale)} do not commute")
         for u, v in alg.moves:
             if product(map(ops.get, u)) != product(map(ops.get, v)):
                 raise ValueError(f"module law fails: the products {_word_key(alg, u)} and {_word_key(alg, v)} differ")
@@ -475,12 +464,12 @@ class GradedModule:
                 else:
                     x, e = product((x, x)), e // 2
             if power and not e:
-                raise ValueError(f"module law fails: generator {vec_key(alg.point(h))} to the power {alg.level} acts nontrivially")
+                raise ValueError(f"module law fails: generator {scaled_key(h, alg.scale)} to the power {alg.level} acts nontrivially")
 
 
 def _word_key(alg, word):
     """A word of generators in payload notation, such as 1/2,0 + 0,1/2."""
-    return " + ".join(vec_key(alg.point(g)) for g in word)
+    return " + ".join(scaled_key(g, alg.scale) for g in word)
 
 
 def twist(algebra, label):
@@ -963,7 +952,7 @@ class MonoidIdeal:
     """
 
     def __init__(self, monoid, level, generators=None, shift=None, bound=None):
-        monoid.hilbert_basis  # raises NotSaturated
+        monoid.integer_hilbert_basis  # raises NotSaturated
         self.monoid = monoid
         self.level = int(level)
         if generators:

@@ -34,7 +34,9 @@ is searched for: `InconclusiveAtLevel` is the answer when recognition
 finds no Delta0 representative.  Recognition reads one class per
 divisor (`delta_class`) and builds no slice, so it answers at any level:
 no `ENUMERATION_BUDGET` applies, and the divisors come from a
-factorisation by trial division that stops at a prime cofactor.
+factorisation by trial division that stops at a prime cofactor and, below
+the exact range of its primality test, hands a composite cofactor without
+small factors to Pollard's rho.
 
 All of it runs on int tuples: y = n*s*x for the level-n slice (s the
 denominator), and for the family of p the one vector s*p = n*s*(p/n),
@@ -43,8 +45,9 @@ whose coordinates give the labels at every divisor n.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, ge, mul
 
 from . import lattice
@@ -90,22 +93,72 @@ def certified_prime(m):
     return True
 
 
+# `divisors` trial-divides by the p below TRIAL_BOUND, and by every p while
+# the cofactor is at least MILLER_RABIN_EXACT.
+TRIAL_BOUND = 1000
+
+
+def _rho(m):
+    """A divisor 1 < d < m of an odd composite m: Pollard's rho with Brent's
+    cycle search and batched gcds (Brent, BIT 20, 1980) on x -> x^2 + c
+    from x = 2, for c = 1, 2, ... until one splits m."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:  # the batch overshot: step through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g
+
+
+def _split(m):
+    """The prime factors of a composite m below `MILLER_RABIN_EXACT` with no
+    factor below `TRIAL_BOUND`: below that bound a factor that is not
+    `certified_prime` is composite, so it is split again."""
+    d = _rho(m)
+    return [p for f in (d, m // d) for p in ([f] if certified_prime(f) else _split(f))]
+
+
 def divisors(n):
-    """The divisors of n >= 1, ascending, from n's factorisation by trial
-    division: a factor p is tried while p^2 is at most the cofactor left,
-    and not at all once that cofactor is prime (`certified_prime`)."""
-    divs, m, p = [1], n, 2
+    """The divisors of n >= 1, ascending, from n's factorisation.  Trial
+    division tries a factor p while p^2 is at most the cofactor left, not
+    at all once that cofactor is prime (`certified_prime`), and, once p
+    reaches `TRIAL_BOUND`, only while the cofactor is at least
+    `MILLER_RABIN_EXACT`; a composite cofactor left below it is split by
+    Pollard's rho (`_split`), whose factors are certified, so every answer
+    is exact."""
+    primes, m, p = [], n, 2
     prime = certified_prime(m)
-    while not prime and p * p <= m:
+    while not prime and p * p <= m and (p < TRIAL_BOUND or m >= MILLER_RABIN_EXACT):
         k = 0
         while m % p == 0:
             m, k = m // p, k + 1
         if k:
-            divs = [d * p**i for d in divs for i in range(k + 1)]
+            primes += [p] * k
             prime = certified_prime(m)
         p += 1
     if m > 1:
-        divs += [d * m for d in divs]
+        primes += [m] if prime or p * p > m else _split(m)
+    divs = [1]
+    for q in sorted(set(primes)):
+        divs = [d * q**i for d in divs for i in range(primes.count(q) + 1)]
     return tuple(sorted(divs))
 
 
@@ -133,7 +186,7 @@ def _in_delta_values(fy, table):
 def in_delta(pres, x):
     """Exact membership of a rational vector in Delta(P): the `delta_points`
     test on y = k*s*x, k the least common denominator of x."""
-    pres.hilbert_basis  # raises NotSaturated
+    pres.integer_hilbert_basis  # raises NotSaturated
     x = lattice.as_fractions(x)
     k = lcm(*(a.denominator for a in x))
     return _in_delta_values(facet_values(pres.cone.facets, pres._scaled(x, k)), _thresholds(pres, k))
@@ -148,10 +201,15 @@ class DeltaSet:
 
     def __init__(self, monoid, level, scaled, residues):
         self.monoid, self.level, self.scaled, self.residues = monoid, level, scaled, residues
-        self._by_class = by_class = {}
-        for y, res in zip(scaled, residues):
+        count = Counter(residues)
+        self.delta0_mask = tuple(map((1).__eq__, map(count.__getitem__, residues)))
+
+    @cached_property
+    def _by_class(self):
+        by_class = {}
+        for y, res in zip(self.scaled, self.residues):
             by_class.setdefault(res, []).append(y)
-        self.delta0_mask = tuple(map((1).__eq__, map(len, map(by_class.__getitem__, residues))))
+        return by_class
 
     def _class(self, label):
         """The scaled points of a label's class; none when its order does not divide n."""
@@ -177,9 +235,6 @@ class DeltaSet:
     def delta0_point_in_class(self, label):
         pts = self.points_in_class(label)
         return pts[0] if len(pts) == 1 else None
-
-    def __iter__(self):
-        return iter(self.points)
 
     def __len__(self):
         return len(self.scaled)
@@ -228,7 +283,7 @@ def delta_points(pres, level):
     bases are sums of lifts, kept in one list and sorted once, and a
     point's label residues are its coordinates mod level.
     """
-    pres.hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
+    pres.integer_hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
     pieces = pres._simplices
     count = level ** pres.group_rank * sum(len(simplex.points) for simplex in pieces)
     if count > ENUMERATION_BUDGET:
@@ -282,10 +337,6 @@ def delta_points(pres, level):
     return DeltaSet(pres, level, tuple([v[:d] for v in lifted] if first else lifted), residues)
 
 
-def delta0_points(pres, level):
-    return delta_points(pres, level).delta0_points
-
-
 def delta_class(pres, level, label):
     """The Delta points of one label's class at level n, as lex-sorted int
     tuples y = n*s*x: the class of `delta_points(pres, n)`, from sum |Pi|
@@ -310,7 +361,7 @@ def delta_class(pres, level, label):
     half-open cones are disjoint, so the kept points are the class, each
     once, and a class is a singleton exactly when one is kept.
     """
-    pres.hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
+    pres.integer_hilbert_basis  # raises NotSaturated, as Delta is defined for saturated P
     k, rem = divmod(level, label.order)
     if rem:
         return []
@@ -413,7 +464,7 @@ class InfquotVerdict(Record):
 
     def __str__(self):
         if self.is_confirmed:
-            return f"ConfirmedElement({self.element.vector})"
+            return f"ConfirmedElement({lattice.vec_key(self.element.vector)})"
         if self.is_refuted:
             return "NotAnInfiniteQuotient"
         return f"InconclusiveAtLevel({self.level})"

@@ -7,28 +7,27 @@ from payloads: monoids rebuild their cones, flags and Hilbert bases from
 the generators alone.  A parabolic sheaf is a `GradedModule`, so the
 parabolic and graded-module formats share one writer and one reader and
 differ only in the key of the matrix list, "maps" or "action".
-Generators and labels travel as rational keys, generators converted by
-`GradedAlgebra.coords`.  A label key of plain ASCII rationals is read
-straight to its int tuple y = n*s*x (`scaled_from_key`) and labelled by
-`scaled_label`; any other key goes through the `Fraction` parse, so the
-accepted keys and every error line are those of `coset_label`.  Keys are
-written from int tuples by `lattice.scaled_key`.  A module payload
-parses each distinct key once (`_once`): the component keys and the "rep"
-keys share one cache of labels, the "gen" keys have one of vectors, and
-only successes are cached, so a bad key raises where it first occurs.
+Generators and labels travel as rational keys and are read by the one key
+reader, `lattice.scaled_from_key`, to the int tuple y = n*s*x that
+`GradedModule` and `ParabolicSheaf` take: labels by `scaled_label`,
+generators as they are.  Only odd spellings and error lines go through
+the `Fraction` parse, so every key reads and fails as `coset_label` and
+the rational reading of the key would.  Keys
+are written from int tuples by `lattice.scaled_key`.  A module payload parses each distinct key once
+(`_once`): the component keys and the "rep" keys share one cache of
+labels, the "gen" keys have one of int tuples, and only successes are
+cached, so a bad key raises where it first occurs.
 Every value the schemas type as integer, and every GF(p) matrix entry,
 goes through `int_from_json`, which rejects booleans, strings and
 non-integral numbers instead of truncating them.  The scalar and vector
-codec (`frac_to_str`, `frac_from_str`, `int_from_json`, `vec_*`) lives in
-`lattice`, the monoid codec in `monoid`, the hom.json reader
-`hom_from_json` in `kummer` and the profinite reader `profinite_from_json`
-in `infquot`, so a command that reads only those payloads need not import
-this module; all of them are re-exported here.
+codec (`frac_to_str`, `frac_from_str`, `int_from_json`, `vec_*`) and the
+key grammar live in `lattice`, the monoid codec in `monoid`, the hom.json
+reader `hom_from_json` in `kummer` and the profinite reader
+`profinite_from_json` in `infquot`, so a command that reads only those
+payloads need not import this module; all of them are re-exported here.
 """
 
 from __future__ import annotations
-
-import re
 
 from . import fields
 from .errors import MalformedInput
@@ -36,38 +35,33 @@ from .fields import field_from_spec, field_spec
 from .graded import GradedModule, graded_algebra
 from .infquot import profinite_from_json
 from .kummer import coset_label, hom_from_json, scaled_label
-from .lattice import frac_from_str, frac_to_str, int_from_json, scaled_key, vec_from_json, vec_from_key, vec_to_json
+from .lattice import frac_from_str, frac_to_str, int_from_json, scaled_from_key, scaled_key, scaled_to_json
+from .lattice import vec_from_json, vec_from_key, vec_to_json
 from .lattice import vec_key as vec_to_key
 from .monoid import monoid_from_json, monoid_to_json
 from .parabolic import ParabolicSheaf
 
-_PLAIN_KEY = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
-
-
-def scaled_from_key(s, m):
-    """m*x as an int tuple for a key x of plain ASCII rationals
-    (-?[0-9]+(/[0-9]+)?, nonzero denominators), read without `Fraction`;
-    None for any other key, or when m*x is not integral."""
-    if type(s) is not str or not _PLAIN_KEY.fullmatch(s):
-        return None
-    y = []
-    try:
-        for part in s.split(","):
-            num, _, den = part.partition("/")
-            q, r = divmod(int(num) * m, int(den or 1))
-            if r:
-                return None
-            y.append(q)
-    except (ValueError, ZeroDivisionError):  # a zero denominator, or past int's digit limit
-        return None
-    return tuple(y)
-
 
 def label_from_key(pres, n, s):
-    """`coset_label(pres, n, vec_from_key(s))`, by `scaled_label` for a plain key."""
+    """`coset_label(pres, n, vec_from_key(s))`, by `scaled_label` on the key's
+    int tuple; `coset_label` only writes the error line of a key off the
+    level-n group lattice."""
     y = scaled_from_key(s, n * pres.denominator)
     label = None if y is None else scaled_label(pres, n, y)
-    return coset_label(pres, n, vec_from_key(s)) if label is None else label
+    if label is None:
+        coset_label(pres, n, vec_from_key(s))  # raises
+    return label
+
+
+def gen_from_key(pres, n, s):
+    """The int tuple n*s*x of a generator key x; an x off (1/(n*s))Z^d is
+    malformed input, and one of another dimension raises DimensionMismatch."""
+    y = scaled_from_key(s, n * pres.denominator)
+    if y is None or len(y) != pres.ambient_rank:
+        x = vec_from_key(s)
+        pres._scaled(x, n)  # raises DimensionMismatch on a key of another dimension
+        raise MalformedInput(f"{vec_to_key(x)} is not a point of level {n}")
+    return y
 
 
 def label_key(label):
@@ -94,7 +88,7 @@ def profinite_to_json(element):
         "monoid": monoid_to_json(element.monoid),
         "level": element.level,
         "labels": {
-            str(n): vec_to_json(lab.representative)
+            str(n): scaled_to_json(*lab.scaled_representative)
             for n, lab in sorted(element.labels.items())
         },
     }
@@ -170,7 +164,7 @@ def _module_from_json(data, what, key, build):
         action = {}
         for entry in data.get(key, []):
             lab = _once(labels, entry["rep"], label_from_key, pres, level)
-            action[(_once(gens, entry["gen"], vec_from_key), lab)] = matrix_from_json(field, entry["matrix"])
+            action[(_once(gens, entry["gen"], gen_from_key, pres, level), lab)] = matrix_from_json(field, entry["matrix"])
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -196,9 +190,5 @@ def graded_to_json(module):
 
 def graded_from_json(data):
     """A graded-module payload, checked for the module law."""
-
-    def build(pres, level, field, dims, action):
-        alg = graded_algebra(pres, level, field)
-        return GradedModule(alg, dims, {(alg.coords(g), lab): mat for (g, lab), mat in action.items()})
-
-    return _module_from_json(data, "graded", "action", build)
+    return _module_from_json(data, "graded", "action", lambda pres, level, field, dims, action: GradedModule(
+        graded_algebra(pres, level, field), dims, action))

@@ -32,7 +32,6 @@ from math import gcd, lcm, prod
 from .errors import DimensionMismatch, InfiniteCokernel, LevelMismatch, MalformedInput, NotSaturated
 from .lattice import (
     Record,
-    as_fractions,
     dot,
     facet_values,
     int_from_json,
@@ -99,10 +98,6 @@ class MonoidHom(Record):
         """M*y*t/s for y in the source group: integral, as the generators' images are."""
         s, t = self.source.denominator, self.target.denominator
         return tuple(dot(row, y) * t // s for row in self.matrix)
-
-    def apply(self, x):
-        x = as_fractions(x)
-        return tuple(dot(row, x) for row in self.matrix)
 
 
 def hom_from_json(data):

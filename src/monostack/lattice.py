@@ -1,10 +1,11 @@
 """Exact integer and rational lattice geometry.
 
 A point x with denominator d travels as the int tuple d*x: `unscale`
-gives x back, `scale_to_ints` goes the other way and `scaled_key` writes
-x in payload notation, with no `Fraction`; the rest of the scalar and
-vector payload codec (`frac_to_str`, `vec_from_key`, `int_from_json`, ...)
-lives here too, so reading a monoid needs no other module.  Only
+gives x back and `scale_to_ints` goes the other way.  Payload keys are
+read to the int tuple by the one key reader `scaled_from_key`, and keys
+and point lists written from it by `scaled_key` and `scaled_to_json`,
+with no `Fraction`; the rest of the payload codec (`frac_to_str`,
+`vec_from_key`, `int_from_json`, ...) lives here too.  Only
 `lattice_coords` solves over Q, and `cone_contains` also takes Fractions.
 No floating point is used.  This module provides
 Smith normal forms with transform matrices, integer lattice bases and
@@ -27,6 +28,7 @@ full dimensional).
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -88,14 +90,15 @@ def vec_key(x):
     return ",".join(map(str, x))
 
 
+def scaled_to_json(y, d):
+    """`vec_to_json(unscale(y, d))` for an int vector y and d >= 1, with one
+    gcd per entry."""
+    return [str(c // g) if (g := gcd(c, d)) == d else f"{c // g}/{d // g}" for c in y]
+
+
 def scaled_key(y, d):
-    """`vec_key(unscale(y, d))` for an int vector y and d >= 1, one gcd per
-    entry and no `Fraction`."""
-    parts = []
-    for c in y:
-        g = gcd(c, d)
-        parts.append(str(c // g) if g == d else f"{c // g}/{d // g}")
-    return ",".join(parts)
+    """`vec_key(unscale(y, d))`: the key of `scaled_to_json`."""
+    return ",".join(scaled_to_json(y, d))
 
 
 def frac_to_str(x):
@@ -166,6 +169,32 @@ def scale_to_ints(x, m):
             return None
         out.append(q)
     return tuple(out)
+
+
+_PLAIN_KEY = re.compile(r"-?[0-9]+(?:/[0-9]+)?(?:,-?[0-9]+(?:/[0-9]+)?)*")
+
+
+def scaled_from_key(s, m):
+    """m*x as an int tuple for a payload key x, or None when m*x is not
+    integral: the one key reader.  A key of plain ASCII rationals
+    (-?[0-9]+(/[0-9]+)?, comma-separated) is read without `Fraction`; any
+    other spelling (0.5, " 1/2", a zero denominator, ...) goes through
+    `vec_from_key`, so it reads as `frac_from_str` reads it and a bad
+    rational raises MalformedInput."""
+    s = str(s)
+    if _PLAIN_KEY.fullmatch(s):
+        y = []
+        try:
+            for part in s.split(","):
+                num, _, den = part.partition("/")
+                q, r = divmod(int(num) * m, int(den or 1))
+                if r:
+                    return None
+                y.append(q)
+            return tuple(y)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or past int's digit limit
+            pass
+    return scale_to_ints(vec_from_key(s), m)
 
 
 def primitive(u):

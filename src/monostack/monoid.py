@@ -316,12 +316,17 @@ class MonoidPresentation(Record):
 
     # -- public operations ----------------------------------------------------
 
+    @property
+    def integer_hilbert_basis(self):
+        """`hilbert_basis` in the integer model (the s*x); needs saturation."""
+        if not self.is_saturated:
+            raise NotSaturated("Hilbert basis is computed for saturated monoids")
+        return self._saturation_hilbert_basis
+
     @cached_property
     def hilbert_basis(self):
         """Minimal generating set, as rational vectors; needs saturation."""
-        if not self.is_saturated:
-            raise NotSaturated("Hilbert basis is computed for saturated monoids")
-        return tuple(unscale(v, self.denominator) for v in self._saturation_hilbert_basis)
+        return tuple(unscale(v, self.denominator) for v in self.integer_hilbert_basis)
 
     def contains(self, x):
         """Membership x in P for saturated P: group and cone membership."""
@@ -341,7 +346,7 @@ class MonoidElement(Record):
     def __init__(self, owner, vector):
         self.owner, self.vector = owner, as_fractions(vector)
         if not owner.contains(self.vector):
-            raise ValueError(f"{self.vector} is not an element of the monoid")
+            raise ValueError(f"{lattice.vec_key(self.vector)} is not an element of the monoid")
 
     def _key(self):
         return self.owner, self.vector

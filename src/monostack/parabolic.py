@@ -27,8 +27,8 @@ nothing: it reduces every generator along the unit pivots to its normal
 form and eliminates only the own-end generators, 2,520 columns instead of
 171,360 generators for the level-8 `is_induced_from(ind, 4)` of the cone.
 
-Points are `graded`'s int tuples y = n*s*x; a level-m point enters level
-N as (N/m)*y.  Only `ParabolicSheaf` keys its structure by Fractions.
+Points are `graded`'s int tuples y = n*s*x, `ParabolicSheaf`'s structure
+keys among them; a level-m point enters level N as (N/m)*y.
 """
 
 from __future__ import annotations
@@ -39,28 +39,23 @@ from .graded import GradedMap, GradedModule, graded_algebra
 # in_delta and label_add are bound only for perfbench's tracer
 from .infquot import in_delta
 from .kummer import label_add
-from .lattice import dot, vadd, vec_key, vscale, vsub
+from .lattice import dot, scaled_key, vadd, vscale, vsub
 
 
 def ParabolicSheaf(monoid, level, field, components, structure, check=True):
     """The graded module with these weight components and structure matrices.
 
-    `structure` maps (rational generator vector, label) to a matrix; a
-    vector that is not a Hilbert generator of (1/n)P raises ValueError.
-    Matrices for generators outside Delta must vanish (the zero law).
+    `structure` maps (generator, label) to a matrix, the generator given by
+    its int coordinates as `GradedModule` takes them; one that is not a
+    Hilbert generator of (1/n)P raises ValueError.  Matrices for generators
+    outside Delta must vanish (the zero law).
     """
     alg = graded_algebra(monoid, level, field)
-    coords, action = {}, {}
-    for (u, label), mat in structure.items():
-        g = coords.get(u)
-        if g is None:  # each generator once, so the first bad one raises where it is first used
-            g = coords[u] = alg.coords(u)
-        action[(g, label)] = mat
-    module = GradedModule(alg, components, action, check=False)
+    module = GradedModule(alg, components, structure, check=False)
     if check:
-        for (g, _), mat in action.items():
+        for (g, _), mat in structure.items():
             if g not in alg.delta_generators and not fields.mat_eq_zero(mat):
-                raise ValueError(f"structure matrix for {vec_key(alg.point(g))} violates the zero law")
+                raise ValueError(f"structure matrix for {scaled_key(g, alg.scale)} violates the zero law")
         module.validate()
     return module
 

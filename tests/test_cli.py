@@ -559,8 +559,7 @@ def _table_verdict(payload):
     from monostack.jsonio import _module_from_json
 
     def build(pres, level, field, dims, action):
-        alg = graded_algebra(pres, level, field)
-        return GradedModule(alg, dims, {(alg.coords(g), lab): m for (g, lab), m in action.items()}, check=False)
+        return GradedModule(graded_algebra(pres, level, field), dims, action, check=False)
 
     return module_law_oracle(_module_from_json(payload, "parabolic", "maps", build))
 
@@ -772,3 +771,36 @@ def test_misshapen_action_matrices_are_malformed(name, tmp_path, capsys):
     code = main(["parabolic", "to-graded", str(src)])
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", "error: action matrix for gen 1/2,0 at rep 0,0 has a wrong shape\n")
+
+
+def test_unhandled_exception_is_an_internal_error(capsys, monkeypatch):
+    """An exception that no exit code maps is a bug: exit 4 (EXIT_INTERNAL)
+    with its traceback on stderr and nothing on stdout."""
+    from monostack import cli
+
+    def broken(args):
+        raise RuntimeError("handler bug")
+
+    monkeypatch.setattr(cli, "cmd_monoid", broken)
+    code, out, err = run_cli(["monoid", "info"], NAT, capsys, monkeypatch)
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert cli.EXIT_INTERNAL == 4
+    assert "Traceback" in err and err.rstrip().endswith("RuntimeError: handler bug")
+
+
+def test_pretty_summaries_and_element_errors_use_payload_notation(capsys, monkeypatch):
+    """The --pretty summary of a confirmed element, and the error line of a
+    point outside the monoid, print vectors in payload notation, never as
+    Fraction reprs."""
+    from monostack.infquot import TruncatedProfiniteElement
+    from monostack.jsonio import monoid_from_json, profinite_to_json
+    from monostack.monoid import MonoidElement
+
+    family = profinite_to_json(TruncatedProfiniteElement.from_element(monoid_from_json(NONSIMPLICIAL), (2, 3, 5), 12))
+    code, out, err = run_cli(["--pretty", "infquot", "check"], family, capsys, monkeypatch)
+    assert code == 0 and json.loads(out) == {"element": ["2", "3", "5"], "verdict": "confirmed"}
+    assert err == "ConfirmedElement(2,3,5)\n"
+    assert "Fraction(" not in err
+    with pytest.raises(ValueError) as info:
+        MonoidElement(monoid_from_json(NONSIMPLICIAL), (Fraction(1, 2), 0, 0))
+    assert str(info.value) == "1/2,0,0 is not an element of the monoid"

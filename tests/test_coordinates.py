@@ -21,7 +21,7 @@ from monostack.fields import QQ
 from monostack.graded import GradedAlgebra, GradedModule, contains_at_level, graded_algebra
 from monostack.infquot import in_delta
 from monostack.kummer import coset_label, root_extension
-from monostack.lattice import vadd, vscale
+from monostack.lattice import unscale, vadd, vscale
 from monostack.monoid import validate
 from monostack.parabolic import ParabolicSheaf, _induce_with_data, from_graded
 
@@ -50,7 +50,7 @@ def test_labels_match_coset_label(name):
         alg = graded_algebra(pres, n)
         for y in itertools.chain(alg.basis, alg.generators, _box(pres, 3)):
             try:
-                want = coset_label(pres, n, alg.point(y))
+                want = coset_label(pres, n, unscale(y, alg.scale))
             except ValueError:
                 with pytest.raises(ValueError, match=f"level-{n} group lattice"):
                     alg.label_of(y)
@@ -64,10 +64,10 @@ def test_multiply_is_the_fraction_sum_in_delta(name):
     for n in LEVELS:
         alg = graded_algebra(pres, n)
         for a, b in itertools.product(alg.basis, repeat=2):
-            s = vadd(alg.point(a), alg.point(b))
+            s = vadd(unscale(a, alg.scale), unscale(b, alg.scale))
             got = alg.multiply(a, b)
             assert (got is not None) == in_delta(pres, s)
-            assert got is None or alg.point(got) == s
+            assert got is None or unscale(got, alg.scale) == s
 
 
 @pytest.mark.parametrize("name", sorted(MONOIDS))
@@ -79,7 +79,7 @@ def test_membership_predicate_matches_contains_at_level(name):
         alg = GradedAlgebra(pres, n)
         verdicts = set()
         for y in _box(pres, 4):
-            want = contains_at_level(pres, n, alg.point(y))
+            want = contains_at_level(pres, n, unscale(y, alg.scale))
             assert pres._contains_int(y) == want
             assert (alg.decompose(y) is not None) == want
             verdicts.add(want)
@@ -94,7 +94,7 @@ def test_level_change_keeps_labels(name):
         alg = graded_algebra(pres, m)
         for y in alg.basis + alg.generators:
             moved = vscale(12 // m, y)
-            assert big.point(moved) == alg.point(y)
+            assert unscale(moved, big.scale) == unscale(y, alg.scale)
             assert big.label_of(moved) == alg.label_of(y)
 
 
@@ -125,7 +125,12 @@ def test_algebra_internals_are_ints(name):
 
 def test_non_generator_action_key_is_rejected():
     """An action entry must name a Hilbert generator of (1/n)P: on N^2 at
-    level 2, (1/2, 1/2) is a Delta point but not a generator."""
+    level 2, (1/2, 1/2) is a Delta point but not a generator.  `ParabolicSheaf`
+    takes the same int coordinates as `GradedModule`; a key off the level
+    lattice is refused by the payload reader."""
+    from monostack.errors import MalformedInput
+    from monostack.jsonio import parabolic_from_json
+
     pres = MONOIDS["N2"]()
     alg = graded_algebra(pres, 2)
     zero = alg.zero_label
@@ -133,15 +138,46 @@ def test_non_generator_action_key_is_rejected():
     with pytest.raises(ValueError, match=message):
         GradedModule(alg, {zero: 1}, {((1, 1), zero): ((Fraction(7),),)}, check=False)
     with pytest.raises(ValueError, match=message):
-        ParabolicSheaf(pres, 2, QQ, {zero: 1}, {((Fraction(1, 2), Fraction(1, 2)), zero): ((Fraction(7),),)})
-    with pytest.raises(ValueError, match=re.escape("1/3,0 is not a point of level 2")):
-        ParabolicSheaf(pres, 2, QQ, {zero: 1}, {((Fraction(1, 3), Fraction(0)), zero): ((Fraction(7),),)})
+        ParabolicSheaf(pres, 2, QQ, {zero: 1}, {((1, 1), zero): ((Fraction(7),),)})
+    payload = {"monoid": {"ambient_rank": 2, "generators": [[1, 0], [0, 1]]}, "level": 2,
+               "components": {"0,0": 1}, "maps": [{"rep": "0,0", "gen": "1/3,0", "matrix": [["7"]]}]}
+    with pytest.raises(MalformedInput, match="^" + re.escape("1/3,0 is not a point of level 2") + "$"):
+        parabolic_from_json(payload)
 
 
 def test_wrong_shape_message_uses_payload_notation():
     alg = graded_algebra(MONOIDS["N2"](), 2)
     zero = alg.zero_label
-    half = alg.coords((Fraction(1, 2), Fraction(0)))
+    half = (1, 0)
     module = GradedModule(alg, {zero: 1, alg.label_of(half): 1}, {(half, zero): ((1,), (1,))}, check=False)
     with pytest.raises(ValueError, match=re.escape("action matrix for gen 1/2,0 at rep 0,0 has a wrong shape")):
         module.gen_matrix(half, zero)
+
+
+@pytest.mark.parametrize("name", ["n2", "cone"])
+def test_reading_a_plain_key_payload_constructs_no_fraction(name, monkeypatch):
+    """Plain keys read to int tuples and int matrix entries stay ints: with
+    cold caches, reading and checking a sheaf payload builds no Fraction."""
+    import json
+    from pathlib import Path
+
+    from monostack import graded, infquot, jsonio
+
+    original = json.loads((Path(__file__).parent / "data" / "golden_cli_payloads.json").read_text())[name]
+    payload = json.loads(json.dumps(original))
+    for entry in payload["maps"]:
+        entry["matrix"] = [[int(x) for x in row] for row in entry["matrix"]]
+    infquot.delta_points.cache_clear()
+    graded.graded_algebra.cache_clear()
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    sheaf = jsonio.parabolic_from_json(payload)
+    monkeypatch.undo()
+    assert made == []
+    assert jsonio.parabolic_to_json(sheaf) == jsonio.parabolic_to_json(jsonio.parabolic_from_json(original))

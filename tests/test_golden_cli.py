@@ -1,4 +1,4 @@
-"""Golden digests for the `parabolic` command line.
+"""Golden digests for the `parabolic` and the geometry command lines.
 
 Each case runs `cli.main` in-process on a fixed payload from
 `data/golden_cli_payloads.json` and pins the exit code and the sha256 of
@@ -6,7 +6,9 @@ stdout.  The payloads are an N^2 level-2 sheaf and a sheaf on the
 non-simplicial cone at level 2 over "Q", and an N^2 level-2 sheaf over
 "Fp:5"; `from-graded` reads the same payload with "maps" renamed to
 "action".  A payload that violates the zero law must exit 1 with a fixed
-error line on both read paths.
+error line on both read paths.  The geometry commands (`delta`, `delta0`,
+`monoid hilbert`, `ideal mingens` and `probe coherence`) run on the
+non-simplicial cone over four rays.
 """
 
 import hashlib
@@ -102,3 +104,23 @@ def test_zero_law_violation_is_malformed(action, graded, message, tmp_path, caps
     path = _write(tmp_path, "bad.json", _graded(payload) if graded else payload)
     code, out, err = _run(["parabolic", action, path], capsys)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+CONE = {"ambient_rank": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]}
+
+GEOMETRY_DIGESTS = {
+    ("delta", "--level", "12"): "9f0482b85b18542e1232eb3f6e0a36fb2758b74866e56e8e793a6dd602d2d6e9",
+    ("delta0", "--level", "12"): "fc4e9775217b3536a0caebd5d70a0b1be6bb24505c31764f7d395403285e8731",
+    ("monoid", "hilbert"): "7c5f594f913e76d20c0449d3c071903e22323a0a125d34a066b554e909807f5b",
+    ("ideal", "mingens", "--level", "2", "--colon", "1,0,0;0,0,1"):
+        "39b766e122bbe29b18bcbd2f9674da0cc7b66b2725824e79f27a9a90e5e3753d",
+    ("probe", "coherence", "--pair", "1,0,0;0,0,1", "--levels", "1,2,3"):
+        "b35e65ea1c792c90b979c7f91e2c3235f2b79c4271bc7deff40f7a7542f45cc2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GEOMETRY_DIGESTS), ids=" ".join)
+def test_geometry_cli_matches_golden_digests(argv, tmp_path, capsys):
+    code, out, err = _run(list(argv) + [_write(tmp_path, "cone.json", CONE)], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GEOMETRY_DIGESTS[argv]

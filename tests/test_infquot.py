@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from helpers import delta_bound
 from monostack import infquot
@@ -12,7 +12,6 @@ from monostack.infquot import (
     certified_prime,
     delta_class,
     delta_points,
-    delta0_points,
     divisors,
     in_delta,
     is_infinite_quotient,
@@ -77,7 +76,7 @@ def test_delta_boundedness(nat, nat2, nat3, nonsimplicial):
         ell = positive_functional(pres)
         bound = delta_bound(pres)
         for n in (1, 2, 3, 4):
-            for p in delta_points(pres, n):
+            for p in delta_points(pres, n).points:
                 assert dot(ell, p) <= bound
 
 
@@ -444,6 +443,48 @@ def test_divisors_stop_at_a_prime_cofactor(small, large):
     import sympy
 
     n = small * sympy.nextprime(large - 1)
+    assert divisors(n) == tuple(sympy.divisors(n))
+
+
+@SETTINGS
+@given(
+    st.integers(2, 10**9),
+    st.integers(2, 10**9),
+    st.sampled_from([(1, 1), (1, 0), (2, 0), (2, 1), (3, 0)]),
+    st.integers(1, 30),
+)
+@example(10**9 + 7, 10**9 + 9, (1, 1), 1)
+@example(10000019, 30000001, (1, 1), 1)
+@example(999999937, 2, (2, 0), 1)
+@example(1000003, 2, (3, 0), 720720)
+@example(1009, 1013, (2, 1), 2)
+def test_divisors_of_products_of_large_primes(a, b, exponents, small):
+    """n = small * p^i * q^j for the least primes p >= a and q >= b, up to
+    about 10^9, and n below MILLER_RABIN_EXACT: semiprimes, prime squares
+    and cubes, and smooth factors.  Trial division to the smaller of p and
+    q would take up to 10^9 steps; Pollard's rho splits the cofactor
+    instead."""
+    import sympy
+
+    n = small * sympy.nextprime(a - 1) ** exponents[0] * sympy.nextprime(b - 1) ** exponents[1]
+    assume(n < infquot.MILLER_RABIN_EXACT)
+    assert divisors(n) == tuple(sympy.divisors(n))
+
+
+def test_divisors_past_the_exact_primality_range_trial_divide(monkeypatch):
+    """A cofactor at or above MILLER_RABIN_EXACT is not handed to Pollard's
+    rho: trial division goes on past TRIAL_BOUND until the cofactor drops
+    below that bound, here to the prime q."""
+    import sympy
+
+    q = sympy.nextprime(infquot.MILLER_RABIN_EXACT // 1013)
+    n = 1009 * 1013 * q
+    assert q < infquot.MILLER_RABIN_EXACT <= 1013 * q and infquot.TRIAL_BOUND < 1009
+
+    def no_rho(m):
+        raise AssertionError(f"rho called on {m}")
+
+    monkeypatch.setattr(infquot, "_rho", no_rho)
     assert divisors(n) == tuple(sympy.divisors(n))
 
 

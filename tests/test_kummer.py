@@ -84,7 +84,7 @@ def test_is_kummer_examples(nat, nat2):
     shear = MonoidHom(nat2, nat2, ((1, 1), (0, 1)))
     assert not is_kummer(shear)
     # no multiple of e2 lands in the image monoid: brute check
-    img = [shear.apply(g) for g in nat2.rational_generators]
+    img = [shear.image(g) for g in nat2.generators]
     for k in range(1, 21):
         target = (Fraction(0), Fraction(k))
         combos = [
@@ -322,8 +322,8 @@ def test_off_lattice_points_raise(label_monoids, nat):
     alg = graded_algebra(index2, 2)
     for _ in range(2):  # failures are not memoized
         with pytest.raises(ValueError, match="level-2 group lattice"):
-            alg.label_of(alg.coords((Fraction(1, 2), Fraction(0))))
-    assert alg.label_of(alg.coords((Fraction(1, 2), Fraction(1, 2)))).residues == (1, 0)
+            alg.label_of((1, 0))
+    assert alg.label_of((1, 1)).residues == (1, 0)
 
 
 # -- labels hash once; payload keys are read and written on ints ---------------
@@ -369,7 +369,10 @@ def test_labels_over_different_monoids_stay_unequal(nat2, label_monoids):
             assert a != b and len({a, b}) == 2
 
 
-EDGE_KEYS = [" 1/2", "+1/2", "1/-2", "2/4", "-0/3", "1/0", "3.5", "1e-1", "\u0663", "", "1/3", "007", "-4/6", "1/00"]
+EDGE_KEYS = [
+    " 1/2", "+1/2", "1/-2", "2/4", "-0/3", "1/0", "3.5", "1e-1", "\u0663", "", "1/3", "007", "-4/6", "1/00",
+    "0.5", "+1", "a",
+]
 
 
 def _outcome(read, *args):
@@ -380,9 +383,23 @@ def _outcome(read, *args):
         return type(exc), str(exc)
 
 
+def _gen_by_fractions(pres, n, s):
+    """The generator key read through its rational vector, as the reader did
+    before it read keys to int tuples: n*s*x, or the error line it printed."""
+    from monostack.errors import MalformedInput
+    from monostack.lattice import vec_from_key
+
+    x = vec_from_key(s)
+    y = pres._scaled(x, n)
+    if y is None:
+        raise MalformedInput(f"{vec_key(x)} is not a point of level {n}")
+    return y
+
+
 def _keys(pres, n, rng):
     """The representatives of the level-n labels, random rational points in
-    every spelling the payloads use, and the edge strings in each entry."""
+    every spelling the payloads use, the edge strings in each entry, and
+    keys of the wrong length."""
     from monostack.jsonio import label_key
 
     r = pres.ambient_rank
@@ -393,15 +410,18 @@ def _keys(pres, n, rng):
     for edge in EDGE_KEYS:
         for j in range(r):
             keys.append(",".join(edge if i == j else "0" for i in range(r)))
-    return keys + ["1/2" + ",0" * r, "1,", ","]
+    return keys + ["1/2" + ",0" * r, "1" + ",0" * r, "1/3" + ",0" * r, "0", "1/2", "1,", ","]
 
 
 def test_key_reader_matches_the_fraction_route(label_monoids):
-    """`label_from_key` gives the label of `coset_label(pres, n,
-    vec_from_key(s))`, or the same exception type and message, at levels
-    1-6; plain keys are read by `scaled_from_key` to n*s*x."""
-    from monostack.jsonio import label_from_key, scaled_from_key, vec_from_key
-    from monostack.lattice import scale_to_ints
+    """Label keys ("rep" and component keys) and "gen" keys read to what
+    their rational vector x = `vec_from_key(s)` gives, or to the same
+    exception type and message, at levels 1-6: `label_from_key` to
+    `coset_label(pres, n, x)` and `gen_from_key` to n*s*x, and the key
+    reader `scaled_from_key` to `scale_to_ints(x, n*s)`.  Plain keys take
+    the reader's int path."""
+    from monostack.jsonio import gen_from_key, label_from_key
+    from monostack.lattice import _PLAIN_KEY, scale_to_ints, scaled_from_key, vec_from_key
 
     rng = random.Random(33)
     monoids = dict(label_monoids, line=validate([(1, 0)]))
@@ -411,13 +431,47 @@ def test_key_reader_matches_the_fraction_route(label_monoids):
             m = n * pres.denominator
             for s in _keys(pres, n, rng):
                 want = _outcome(lambda: coset_label(pres, n, vec_from_key(s)))
-                got = _outcome(label_from_key, pres, n, s)
-                assert got == want, (name, n, s)
-                y = scaled_from_key(s, m)
-                if y is not None:
-                    fast += 1
-                    assert y == scale_to_ints(vec_from_key(s), m), (name, n, s)
+                assert _outcome(label_from_key, pres, n, s) == want, (name, n, s)
+                assert _outcome(gen_from_key, pres, n, s) == _outcome(_gen_by_fractions, pres, n, s), (name, n, s)
+                y = _outcome(scaled_from_key, s, m)
+                assert y == _outcome(lambda: scale_to_ints(vec_from_key(s), m)), (name, n, s)
+                fast += _PLAIN_KEY.fullmatch(s) is not None and type(y) is tuple
     assert fast > 1000
+
+
+@pytest.mark.parametrize(
+    "gen, code, err",
+    [
+        ("1/3,0", 1, "error: 1/3,0 is not a point of level 2\n"),
+        ("1/3,1/0", 1, "error: bad rational '1/0'\n"),
+        ("a,0", 1, "error: bad rational 'a'\n"),
+        ("1/2", 2, "error: point of dim 1 against cone of dim 2\n"),
+        ("1/3", 2, "error: point of dim 1 against cone of dim 2\n"),
+        ("1/2,0,0", 2, "error: point of dim 3 against cone of dim 2\n"),
+        ("1,0", 1, "error: gen 1,0 is not a Hilbert generator of (1/n)P\n"),
+        ("0.5,0", 0, ""),
+        (" 1/2,0", 0, ""),
+        ("+1/2,0", 0, ""),
+        ("2/4,0", 0, ""),
+    ],
+)
+def test_gen_key_error_lines(gen, code, err, tmp_path, capsys):
+    """A "gen" key through `parabolic to-graded` on N^2 at level 2: off the
+    level lattice, with a bad rational, of another dimension or not a
+    Hilbert generator, it gives these error lines and exit codes; odd
+    spellings of 1/2,0 read as 1/2,0."""
+    import json
+
+    from monostack.cli import main
+
+    payload = {"monoid": {"ambient_rank": 2, "generators": [[1, 0], [0, 1]]}, "level": 2,
+               "components": {"0,0": 1, "1/2,0": 1}, "maps": [{"rep": "0,0", "gen": gen, "matrix": [["1"]]}]}
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps(payload))
+    assert main(["parabolic", "to-graded", str(path)]) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    assert code or json.loads(out)["action"] == [{"gen": "1/2,0", "matrix": [["1"]], "rep": "0,0"}]
 
 
 @pytest.mark.parametrize(
@@ -454,6 +508,21 @@ def test_scaled_key_writes_vec_key_of_unscale(label_monoids):
     for pres in label_monoids.values():
         for n in LEVELS:
             assert all(label_key(lab) == vec_key(lab.representative) for lab in enumerate_labels(pres, n))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5), st.integers(1, 10**4), st.integers(1, 12))
+def test_list_writer_and_key_reader_invert_each_other(y, d, k):
+    """The list writer `scaled_to_json(y, d)` is `vec_to_json(unscale(y, d))`
+    for any int y, negative entries included, and d >= 1; the key reader
+    reads `scaled_key(y, d)` back to y at scale d, and to k*y at scale k*d."""
+    from monostack.lattice import scaled_from_key, scaled_key, scaled_to_json, unscale, vec_to_json
+
+    y = tuple(y)
+    assert scaled_to_json(y, d) == vec_to_json(unscale(y, d))
+    key = scaled_key(y, d)
+    assert scaled_from_key(key, d) == y
+    assert scaled_from_key(key, k * d) == tuple(k * c for c in y)
 
 
 # -- the integer hom layer against the Fraction oracle --------------------------

@@ -28,7 +28,7 @@ from helpers import (
 from monostack.fields import QQ, PrimeField
 from monostack.graded import GradedModule, contains_at_level, graded_algebra
 from monostack.kummer import label_add
-from monostack.lattice import facet_values, vadd
+from monostack.lattice import facet_values, scale_to_ints, vadd
 from monostack.monoid import saturate, validate
 
 MONOIDS = {
@@ -204,10 +204,13 @@ def test_act_is_the_composite_along_decompose(nonsimplicial):
 
 def _module(alg, dims, action):
     """A module from point-keyed dims and (generator, point) -> scalar action."""
+    def y(x):
+        return scale_to_ints(x, alg.scale)
+
     return GradedModule(
         alg,
-        {alg.label_of(alg.coords(p)): d for p, d in dims.items()},
-        {(alg.coords(g), alg.label_of(alg.coords(p))): ((alg.field.of_int(c),),) for (g, p), c in action.items()},
+        {alg.label_of(y(p)): d for p, d in dims.items()},
+        {(y(g), alg.label_of(y(p))): ((alg.field.of_int(c),),) for (g, p), c in action.items()},
         check=False,
     )
 
@@ -327,7 +330,7 @@ def test_ragged_and_dropped_matrices_are_rejected(nat2):
     zero component, which the module drops, must still have its shape:
     dim(target) rows of dim(source) entries."""
     alg = graded_algebra(nat2, 2)
-    a, zero = alg.coords(fr("1/2", 0)), alg.label_of((0, 0))
+    a, zero = scale_to_ints(fr("1/2", 0), alg.scale), alg.label_of((0, 0))
     full = {zero: 2, alg.label_of(a): 2}
     for dims, mat in [
         (full, ((1, 0), (0,))),
