@@ -9,7 +9,8 @@ larger --bound changes nothing, and a `delta`/`delta0` level past the
 enumeration budget of `infquot.delta_points`, or a `picard` level with more
 than that many labels; `infquot check` builds no slice and answers at any
 level), 3 the infinite-quotient check came back inconclusive, 4 an
-internal error: any other exception, with its traceback on stderr.  Every
+internal error: any other exception, with its traceback on stderr, 5 the
+answer could not be written to stdout (a full disk, a closed pipe).  Every
 --level, --levels, --to and --divisor value must be a positive integer;
 anything else is malformed input, and so is every other usage error
 argparse reports.
@@ -29,6 +30,7 @@ EXIT_MALFORMED = 1
 EXIT_PRECONDITION = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
+EXIT_OUTPUT = 5
 
 
 def _read_payload(path):
@@ -41,15 +43,6 @@ def _read_payload(path):
         return json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"cannot read JSON input: {exc}") from exc
-
-
-def _emit(payload, summary, pretty):
-    if pretty:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        if summary:
-            sys.stderr.write(summary + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _positive(value, flag):
@@ -398,6 +391,7 @@ def main(argv=None):
             if value is not None:
                 _positive(value, f"--{flag}")
         payload, summary, code = args.func(args)
+        text = json.dumps(payload, indent=2 if args.pretty else None, sort_keys=True)
     except MalformedInput as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_MALFORMED
@@ -412,7 +406,13 @@ def main(argv=None):
 
         traceback.print_exc()
         return EXIT_INTERNAL
-    _emit(payload, summary if args.pretty else None, args.pretty)
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # a full disk or a closed pipe: the answer is lost, the input was fine
+        sys.stderr.write(f"error: cannot write the output: {exc}\n")
+        return EXIT_OUTPUT
+    if args.pretty and summary:
+        sys.stderr.write(summary + "\n")
     return code
 
 

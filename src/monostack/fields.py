@@ -267,12 +267,16 @@ class PresentedSpace:
         self._row_at = dict(zip(pivots, self.rows))
         self.free = [j for j in range(ngens) if j not in self._row_at]
         self.dim = len(self.free)
+        self._reduced = {}
 
     def reduce(self, vec):
         """Quotient coordinates of a sparse generator vector {column: coefficient}.
 
         The pivot rows vanish at every other pivot column, so subtracting
         vec[c] times the row of each pivot c in one pass clears them all."""
+        key = tuple(vec.items())
+        if key in self._reduced:
+            return self._reduced[key]
         row_at = self._row_at
         out = {}
         for j, c in vec.items():
@@ -284,9 +288,12 @@ class PresentedSpace:
                     out[k] = out.get(k, 0) - c * y
         p = self.field.p
         if p:
-            return tuple(out.get(j, 0) % p for j in self.free)
-        norm = self.field.norm
-        return tuple(x if type(x := out.get(j, 0)) is int else norm(x) for j in self.free)
+            got = tuple(out.get(j, 0) % p for j in self.free)
+        else:
+            norm = self.field.norm
+            got = tuple(x if type(x := out.get(j, 0)) is int else norm(x) for j in self.free)
+        self._reduced[key] = got
+        return got
 
     def unit(self, k):
         return self.reduce({k: self.field.one})
@@ -303,6 +310,20 @@ class PresentedSpace:
                 if f != c:
                     basis[f][c] = -y % p if p else -y
         return tuple(map(tuple, basis.values()))
+
+
+def present_each(field, blocks):
+    """(label, space) per (label, ngens, rows) block, read lazily, with one
+    elimination per distinct block.  A `PresentedSpace` is a function of
+    (field, ngens, rows), its reduced row echelon form being unique, so
+    blocks with equal ngens and equal rows share one space and its `reduce`."""
+    seen = {}
+    for label, ngens, rows in blocks:
+        shelf = seen.setdefault((ngens, len(rows)), [])  # rows compare as dicts: a hashed key would copy every entry
+        space = next((sp for other, sp in shelf if other == rows), None)
+        if space is None:
+            shelf.append((rows, space := PresentedSpace(field, ngens, rows)))
+        yield label, space
 
 
 def sparse_compose(field, a, b):

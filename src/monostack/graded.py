@@ -36,12 +36,15 @@ carry its `monoid`, `level` and `field` and compare by value.
 Every quotient construction (tensor products and cokernels here,
 induction in `parabolic`) goes through one class, `Presentation`: an
 ordered free span per label, sparse relation rows filed by label in one
-pass, one `PresentedSpace` per label, and the generator action moved
-across to the quotient bases.  `PresentedSpace` (defined in `fields`,
-bound here) is the library's one Gauss-Jordan eliminator: relation rows
-are never densified, and the dense `fields.rref`, `rank`, `solve` and
-`nullspace` behind kernels and images run on it too.  Kernels and images
-share `_submodule`, which moves the action onto a sub-basis.
+pass, one elimination per distinct label presentation, and the generator
+action moved across to the quotient bases.  `PresentedSpace` (defined in
+`fields`, bound here) is a function of its column count and rows, as its
+reduced row echelon form is unique, so labels filing equal blocks share
+one (`fields.present_each`).  It is the library's one Gauss-Jordan
+eliminator: relation rows are never densified, and the dense
+`fields.rref`, `rank`, `solve` and `nullspace` behind kernels and images
+run on it too.  Kernels and images share `_submodule`, which moves the
+action onto a sub-basis.
 
 This module also hosts the monomial-ideal side: colon ideals of pairs of
 monoid elements, their minimal generators inside a certified region, and
@@ -783,21 +786,22 @@ class Presentation:
     name zero generators and are dropped.  `move(h, key)` is the sparse
     image of a generator under x^h, for h in `algebra.delta_generators`.
 
-    Each relation row is filed, as a sparse row {position: coeff}, under
-    the label of its keys in one pass; each label gets one PresentedSpace,
-    and the action is moved across to the quotient bases.  `index` maps a
-    key to its (label, position); `module` is the presented module.
+    Relation rows are filed as sparse rows {position: coeff} under the
+    label of their keys, in one pass.  There is one elimination per
+    distinct label presentation: labels with equal blocks share one
+    `PresentedSpace`, sound as its reduced row echelon form is unique, and
+    its memoised `reduce` moves the action across to the quotient bases.
+    `index` maps a key to its (label, position); `module` is the module.
     """
 
     def __init__(self, algebra, gens, relations, move):
-        field = algebra.field
-        self.gens_per_label = {}
+        self.gens_per_label = per = {}
         self.index = index = {}
         for lab, key in gens:
-            keys = self.gens_per_label.setdefault(lab, [])
+            keys = per.setdefault(lab, [])
             index[key] = (lab, len(keys))
             keys.append(key)
-        rows = {lab: [] for lab in self.gens_per_label}
+        rows = {lab: [] for lab in per}
         for terms in relations:
             row = {}
             for key, c in terms:
@@ -807,12 +811,9 @@ class Presentation:
                     row[j] = row.get(j, 0) + c
             if row:
                 rows[lab].append(row)
-        self.spaces = {
-            lab: PresentedSpace(field, len(keys), rows[lab])
-            for lab, keys in self.gens_per_label.items()
-        }
+        self.spaces = dict(fields.present_each(algebra.field, ((lab, len(keys), rows[lab]) for lab, keys in per.items())))
         action = {}
-        for lab, keys in self.gens_per_label.items():
+        for lab, keys in per.items():
             sp = self.spaces[lab]
             if sp.dim == 0:
                 continue

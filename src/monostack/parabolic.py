@@ -309,7 +309,9 @@ def is_induced_from(sheaf, divisor):
     quotient Q_lambda of the induced module is k^C_lambda modulo NF of the
     kept non-canonical blocks of `_reduction` (the dropped blocks lie in
     the span of the kept ones, and the canonical ones map to 0).  Those
-    substituted rows go to one `PresentedSpace` per label, and dim
+    substituted rows get one elimination per distinct label presentation
+    (`fields.present_each`: a `PresentedSpace` is a function of its column
+    count and rows, since its reduced row echelon form is unique), and dim
     Q_lambda is |C_lambda| minus their rank.
 
     The counit sends x^gamma (x) e_i to X_gamma e_i in E, e_i read at the
@@ -317,7 +319,8 @@ def is_induced_from(sheaf, divisor):
     a generator and on its normal form.  So the classes of C_lambda span
     Q_lambda, their images span the image of eps_lambda, and eps_lambda
     is an isomorphism exactly when dim Q_lambda = dim E_lambda and the
-    images of C_lambda span E_lambda, at every label.
+    images of C_lambda span E_lambda, at every label.  That rank test, too,
+    is one elimination per distinct label presentation, up to a failure.
     """
     res = restrict(sheaf, divisor)  # raises NotADivisor
     field = sheaf.field
@@ -360,18 +363,18 @@ def is_induced_from(sheaf, divisor):
                         row[pos] = -c
                     if row:
                         rows[lab].append(row)
-    spaces = {lab: fields.PresentedSpace(field, len(keys), rows[lab]) for lab, keys in columns.items()}
-    if {lab: sp.dim for lab, sp in spaces.items() if sp.dim} != sheaf.dims:
+    own = ((lab, len(keys), rows[lab]) for lab, keys in columns.items())
+    if {lab: sp.dim for lab, sp in fields.present_each(field, own) if sp.dim} != sheaf.dims:
         return False
     up = {j: alg_n.index(alg.labels[j]) for j in res.support}
-    for lab, d in sheaf.dims.items():
-        images = []
+
+    def images(lab, d):
         for j, gamma, i in columns[lab]:
             act = sheaf.act(gamma, up[j])
-            images.append({t: act[t][i] for t in range(d) if act[t][i]})
-        if fields.PresentedSpace(field, d, images).dim:
-            return False
-    return True
+            yield {t: act[t][i] for t in range(d) if act[t][i]}
+
+    # present_each is lazy: the first label whose images miss a direction ends the test
+    return not any(sp.dim for _, sp in fields.present_each(field, ((lab, d, list(images(lab, d))) for lab, d in sheaf.dims.items())))
 
 
 def minimal_inducing_level(sheaf):

@@ -637,3 +637,36 @@ def induction_presentation_oracle(sheaf, level):
         return [((j, vadd(gamma, h), i), field.one)]
 
     return graded.Presentation(alg_n, gens, relations(), move)
+
+
+def record_presentations(monkeypatch):
+    """A list that, from now on, gets one (field, label, ngens, rows, space)
+    entry per block handed to `fields.present_each`: the label's own block
+    as given, before equal blocks share a space, and the space it got.
+    Every caller reads `fields.present_each` at call time, so patching the
+    module attribute sees them all; the entries keep the spaces alive, so
+    the number of eliminations run is the number of distinct `id`s."""
+    seen = []
+    present_each = fields.present_each
+
+    def recording(field, blocks):
+        last = []
+
+        def tap():
+            for block in blocks:
+                last[:] = block
+                yield block
+
+        # present_each reads one block per pair it yields
+        for label, space in present_each(field, tap()):
+            _, ngens, rows = last
+            seen.append((field, label, ngens, [dict(r) for r in rows], space))
+            yield label, space
+
+    monkeypatch.setattr(fields, "present_each", recording)
+    return seen
+
+
+def eliminations(seen):
+    """The number of `PresentedSpace`s behind the entries of `record_presentations`."""
+    return len({id(entry[-1]) for entry in seen})

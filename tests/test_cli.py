@@ -1,4 +1,5 @@
 import io
+import os
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -804,3 +805,49 @@ def test_pretty_summaries_and_element_errors_use_payload_notation(capsys, monkey
     with pytest.raises(ValueError) as info:
         MonoidElement(monoid_from_json(NONSIMPLICIAL), (Fraction(1, 2), 0, 0))
     assert str(info.value) == "1/2,0,0 is not an element of the monoid"
+
+
+class _FullStdout(io.StringIO):
+    """A stdout whose write (or only its flush) fails as on a full disk."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+def test_unwritable_stdout_is_an_output_error(fail_on, pretty, capsys, monkeypatch):
+    """Writing or flushing the answer fails: exit 5 (EXIT_OUTPUT) with one
+    error line and no traceback, and no --pretty summary."""
+    from monostack import cli
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(NAT)))
+    monkeypatch.setattr("sys.stdout", _FullStdout(fail_on))
+    code = main([*pretty, "monoid", "info", "-"])
+    err = capsys.readouterr().err
+    assert (code, err) == (cli.EXIT_OUTPUT, "error: cannot write the output: [Errno 28] No space left on device\n")
+    assert cli.EXIT_OUTPUT == 5
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+def test_stdout_on_a_full_device_exits_5(tmp_path):
+    """`monostack delta` with stdout on /dev/full: exit 5 and one error
+    line, also after the interpreter's own flush at exit."""
+    import subprocess
+    import sys
+
+    src = tmp_path / "n2.json"
+    src.write_text(json.dumps({"ambient_rank": 2, "generators": [[1, 0], [0, 1]]}))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "monostack", "delta", "--level", "40", str(src)], stdout=full, stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert (proc.returncode, proc.stderr) == (5, "error: cannot write the output: [Errno 28] No space left on device\n")

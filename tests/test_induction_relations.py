@@ -21,9 +21,16 @@ import random
 
 import pytest
 
-from helpers import induction_presentation_oracle, random_graded_map, random_module, random_twist_sum
+from helpers import (
+    eliminations,
+    induction_presentation_oracle,
+    random_graded_map,
+    random_module,
+    random_twist_sum,
+    record_presentations,
+)
 from monostack import fields, graded, parabolic
-from monostack.fields import QQ, PresentedSpace, PrimeField
+from monostack.fields import QQ, PrimeField
 from monostack.infquot import divisors
 from monostack.monoid import validate
 
@@ -99,18 +106,15 @@ def test_filtered_relations_on_kernels_and_images(nat2, nonsimplicial, field):
                     done += 1
 
 
-def _filed(monkeypatch, build, where=graded):
-    """What `build` returns, and the (columns, relation rows) of each
-    `PresentedSpace` that `where` builds while it runs."""
-    spaces = []
-
-    class Counting(PresentedSpace):
-        def __init__(self, field, ngens, relations):
-            spaces.append((ngens, len(relations)))
-            super().__init__(field, ngens, relations)
-
-    monkeypatch.setattr(where, "PresentedSpace", Counting)
-    return build(), spaces
+def _filed(monkeypatch, build):
+    """What `build` returns, and the (field, label, columns, relation rows,
+    space) entries of `helpers.record_presentations` for its run: one per
+    label block handed to `fields.present_each`, before equal blocks share
+    a space."""
+    seen = record_presentations(monkeypatch)
+    out = build()
+    monkeypatch.undo()
+    return out, seen
 
 
 def _three_twists(nonsimplicial, level):
@@ -126,27 +130,32 @@ def test_counit_path_files_at_most_half_the_rows(nonsimplicial, monkeypatch):
     res = parabolic.restrict(_three_twists(nonsimplicial, 6), 3)
     (_, pres), kept = _filed(monkeypatch, lambda: parabolic._induce_with_data(res, 6))
     want, full = _filed(monkeypatch, lambda: induction_presentation_oracle(res, 6))
-    kept, full = sum(rows for _, rows in kept), sum(rows for _, rows in full)
-    assert 2 * kept <= full, (kept, full)
+    assert len(kept) == len(full) == len(pres.spaces)
+    kept, full = sum(len(rows) for *_, rows, _ in kept), sum(len(rows) for *_, rows, _ in full)
+    assert 0 < 2 * kept <= full, (kept, full)
     _assert_same_spaces(pres, want)
 
 
 def test_verdict_eliminates_only_own_end_columns(nonsimplicial, monkeypatch):
     """`is_induced_from(ind, 3)` on the cone's three-twist module at level 6
     builds no `graded.Presentation`, so it moves no induced action, and its
-    spaces take the 1,110 own-end columns, where the presentation of the
-    counit path takes all 31,746 generators."""
+    label blocks take the 1,110 own-end columns, where the presentation of
+    the counit path takes all 31,746 generators.  Both count every label's
+    block as filed; equal blocks then share one elimination, so the
+    presentation's 216 labels run 81 and the verdict's 216 run 56."""
     ind = _three_twists(nonsimplicial, 6)
-    _, spaces = _filed(monkeypatch, lambda: parabolic._induce_with_data(parabolic.restrict(ind, 3), 6))
-    assert sum(cols for cols, _ in spaces) == 31746
+    _, seen = _filed(monkeypatch, lambda: parabolic._induce_with_data(parabolic.restrict(ind, 3), 6))
+    assert sum(ngens for _, _, ngens, _, _ in seen) == 31746
+    assert (len(seen), eliminations(seen)) == (216, 81)
 
     def refuse(*args):
         raise AssertionError("is_induced_from built a Presentation")
 
     monkeypatch.setattr(graded, "Presentation", refuse)
-    verdict, spaces = _filed(monkeypatch, lambda: parabolic.is_induced_from(ind, 3), where=fields)
+    verdict, seen = _filed(monkeypatch, lambda: parabolic.is_induced_from(ind, 3))
     assert verdict is False
-    assert sum(cols for cols, _ in spaces) == 1110
+    assert sum(ngens for _, _, ngens, _, _ in seen) == 1110
+    assert (len(seen), eliminations(seen)) == (216, 56)
 
 
 def _verdict_modules(monoid, m, level, field, rng):

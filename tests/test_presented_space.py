@@ -7,7 +7,8 @@ off sympy's rref of the same rows; `fields.rref` is `PresentedSpace` itself,
 so it is no oracle here.  The cases cover QQ (with
 `Fraction` entries and integral `Fraction`s), GF(2), GF(3) and GF(97);
 empty rows, all-zero rows, duplicate rows and fill-in that cancels to
-zero; and every relation matrix that induction builds up to level 6.
+zero; and every label's relation rows that induction files up to level 6,
+against the space that label shares with the labels of equal blocks.
 """
 
 import random
@@ -18,7 +19,7 @@ import pytest
 from monostack import graded, parabolic
 from monostack.fields import QQ, PresentedSpace, PrimeField
 
-from helpers import oracle_rref
+from helpers import eliminations, oracle_rref, record_presentations
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(97)]
 FIELD_IDS = ["Q", "F2", "F3", "F97"]
@@ -55,8 +56,11 @@ def _dense(field, row, ncols):
     return tuple(field.norm(row.get(j, 0)) for j in range(ncols))
 
 
-def _check(field, ncols, rows, vectors):
-    space = PresentedSpace(field, ncols, rows)
+def _check(field, ncols, rows, vectors, space=None):
+    """`space` (by default a fresh elimination of `rows`) against sympy's
+    rref of `rows`, and its `reduce` of each vector, asked twice."""
+    if space is None:
+        space = PresentedSpace(field, ncols, rows)
     red, pivots = oracle_rref(field, [_dense(field, r, ncols) for r in rows], len(rows), ncols)
     assert space.pivots == pivots
     assert [_dense(field, r, ncols) for r in space.rows] == red[: len(pivots)]
@@ -71,6 +75,7 @@ def _check(field, ncols, rows, vectors):
         want = tuple(v[j] for j in space.free)
         got = space.reduce(vec)
         assert got == want
+        assert space.reduce(dict(vec)) == want  # the memoised coordinates
         assert all(type(x) is int or x.denominator != 1 for x in got)  # no integral Fraction
     for k in range(ncols):
         assert space.unit(k) == space.reduce({k: field.one})
@@ -110,21 +115,17 @@ def _three_twists(cone, field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
 def test_induction_relations_match_dense_rref(nonsimplicial, nat2, field, monkeypatch):
-    """Every relation matrix `Presentation` files while inducing the cone's
-    three-twist module from level 2 to levels 4 and 6, and an N^2 module
-    from level 2 to 6, eliminates as the dense rref of sympy does."""
-    seen = []
-
-    class Recording(PresentedSpace):
-        def __init__(self, field, ngens, relations):
-            seen.append((field, ngens, [dict(r) for r in relations]))
-            super().__init__(field, ngens, relations)
-
-    monkeypatch.setattr(graded, "PresentedSpace", Recording)
+    """Every label's relation rows that `Presentation` hands to
+    `fields.present_each` while inducing the cone's three-twist module from
+    level 2 to levels 4 and 6, and an N^2 module from level 2 to 6, and
+    the space that label got, shared with the labels of equal blocks,
+    eliminate as the dense rref of sympy does on the label's own rows."""
+    seen = record_presentations(monkeypatch)
     alg2 = graded.graded_algebra(nat2, 2, field)
     n2 = graded.direct_sum([graded.twist(alg2, lab) for lab in alg2.labels[:3]])
     for source, level in ((_three_twists(nonsimplicial, field), 4), (_three_twists(nonsimplicial, field), 6), (n2, 6)):
         parabolic.induce(source, level)
-    assert sum(len(rows) for _, _, rows in seen) > 1000
-    for fld, ngens, rows in seen:
-        _check(fld, ngens, rows, [{k: fld.one} for k in range(0, ngens, 7)])
+    assert sum(len(rows) for *_, rows, _ in seen) > 1000
+    assert eliminations(seen) < len(seen)
+    for fld, _, ngens, rows, space in seen:
+        _check(fld, ngens, rows, [{k: fld.one} for k in range(0, ngens, 7)], space)
