@@ -5,10 +5,11 @@ The level-n algebra has one basis monomial per point of Delta(P) cap
 0 otherwise.  Modules are graded by coset labels in (1/n)P^gp / P^gp =
 (Z/n)^r, numbered once per algebra by their position in `labels`; one
 translation table per Hilbert generator (`GradedAlgebra.shift`) moves an
-index by the generator's label, so modules store dimensions and action
-matrices by index and act without label arithmetic.  `CosetLabel` appears
-only at the JSON and API edges.  The action of a general Delta monomial is
-the memoized composite along a canonical decomposition.
+index by the generator's label.  A module stores its dimensions and one
+sparse operator per (generator, label index), the only stored form of its
+action; a Delta monomial acts by their memoized composite along a
+canonical decomposition.  Labels and dense matrices appear only at the
+JSON and API edges.
 
 Here and in `parabolic` a point x of (1/n)P is the int tuple y = n*s*x
 (s the presentation denominator); only the algebra knows the scale.  The
@@ -229,43 +230,46 @@ class GradedAlgebra:
 class GradedModule:
     """Finite-dimensional graded module over a level-n algebra.
 
-    The module is stored by label index (positions in `algebra.labels`):
-    `sizes[i]` is the dimension at label i, `support` lists the nonzero
-    ones in input order, and `action` maps (generator, i) to the matrix of
-    the x^generator action out of label i.  `act` and the law checks work
-    on indices only.  The constructor takes label-keyed `dims` and
-    `gen_action`, and `dims`, `dim`, `gen_action` and `gen_matrix` give
+    Stored by label index (positions in `algebra.labels`): `sizes[i]` is
+    the dimension at label i, `support` lists the nonzero ones in input
+    order, and `action[(g, i)]` is the sparse operator {column: {row:
+    entry}} of x^g out of label i, in the local coordinates of label i and
+    its target, with nonzero entries only and no key for a zero action.
+    The constructor takes label-keyed `dims` and dense `gen_action`
+    matrices, and `dims`, `dim`, `gen_action` and `gen_matrix` are
     label-keyed views back.  A label over another monoid or level raises
-    LevelMismatch, an action key that is not one of `algebra.generators`
-    ValueError.  Matrices for zero-dimensional source or target components
-    may be omitted; one that is given is dropped, after its shape is
-    checked like any other.
+    LevelMismatch; an action key that is not one of `algebra.generators`
+    raises ValueError, and so does a matrix of the wrong shape, checked or
+    not.  One into or out of a zero-dimensional component may be omitted.
     """
 
     def __init__(self, algebra, dims, gen_action, check=True):
-        self.algebra = algebra
-        self.sizes = [0] * len(algebra.labels)
-        support = []
+        sizes = {}
         for lab, d in dims.items():
             i, d = algebra.index(lab), int(d)
             if d > 0:
-                self.sizes[i] = d
-                support.append(i)
-        self.support = tuple(support)
-        self.action = {}
+                sizes[i] = d
+        self._store(algebra, sizes, {})
+        shared = {}
         for (g, lab), mat in gen_action.items():
             if g not in algebra.generators:
                 raise ValueError(f"gen {scaled_key(g, algebra.scale)} is not a Hilbert generator of (1/n)P")
             i = algebra.index(lab)
-            mat = fields.mat_from_rows(mat)
-            if self.sizes[i] and self.sizes[algebra.shift[g][i]]:
-                self.action[(g, i)] = mat
-            else:
-                self._shaped(g, i, mat)
-        self._act_memo = {}
-        self._zeros = {}  # one shared zero matrix per shape, for absent actions
+            if op := _operator(self._shaped(g, i, fields.mat_from_rows(mat)), shared):
+                self.action[(g, i)] = op
         if check:
             self.validate()
+
+    @classmethod
+    def _of(cls, algebra, sizes, action):
+        """The module with dimensions {label index: d > 0} and a finished
+        store, unchecked: library constructions hand theirs over here."""
+        (module := cls.__new__(cls))._store(algebra, sizes, action)
+        return module
+
+    def _store(self, algebra, sizes, action):
+        self.algebra, self.support, self.action, self._act_memo = algebra, tuple(sizes), action, {}
+        self.sizes = [sizes.get(i, 0) for i in range(len(algebra.labels))]
 
     # -- shape helpers and label-keyed views ---------------------------------
 
@@ -282,24 +286,18 @@ class GradedModule:
         return self.algebra.field
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GradedModule)
-            and self.algebra == other.algebra
-            and self.sizes == other.sizes
-            and all(self._gen(g, i) == other._gen(g, i) for g in self.algebra.generators for i in self.support)
-        )
+        key = (self.algebra, self.sizes, self.action)
+        return isinstance(other, GradedModule) and key == (other.algebra, other.sizes, other.action)
 
     @cached_property
     def dims(self):
         """Component dimensions keyed by coset label (absent means zero)."""
-        labels = self.algebra.labels
-        return {labels[i]: self.sizes[i] for i in self.support}
+        return {self.algebra.labels[i]: self.sizes[i] for i in self.support}
 
     @property
     def gen_action(self):
-        """The stored action matrices keyed by (generator, label)."""
-        labels = self.algebra.labels
-        return {(g, labels[i]): mat for (g, i), mat in self.action.items()}
+        """The nonzero action matrices keyed by (generator, label)."""
+        return {(g, self.algebra.labels[i]): self._matrix(g, i) for g, i in self.action}
 
     def dim(self, label):
         return self.dims.get(label, 0)
@@ -310,20 +308,15 @@ class GradedModule:
 
     def gen_matrix(self, g, label):
         """Action matrix of a Hilbert generator out of `label`."""
-        return self._gen(g, self.algebra.index(label))
+        return self._matrix(g, self.algebra.index(label))
 
-    # -- the index store -----------------------------------------------------
-
-    def _gen(self, g, i):
-        """Action matrix of a Hilbert generator out of label i."""
-        mat = self.action.get((g, i))
-        if mat is None:
-            shape = (self.sizes[self.algebra.shift[g][i]], self.sizes[i])
-            mat = self._zeros.get(shape)
-            if mat is None:
-                mat = self._zeros[shape] = fields.zero_matrix(self.algebra.field, *shape)
-            return mat
-        return self._shaped(g, i, mat)
+    def _matrix(self, g, i):
+        """The dense matrix of x^g out of label i."""
+        rows = [[self.algebra.field.zero] * self.sizes[i] for _ in range(self.sizes[self.algebra.shift[g][i]])]
+        for c, col in self.action.get((g, i), {}).items():
+            for r, x in col.items():
+                rows[r][c] = x
+        return tuple(map(tuple, rows))
 
     def _shaped(self, g, i, mat):
         """`mat`, if every row fits x^g out of label i, or ValueError."""
@@ -333,44 +326,37 @@ class GradedModule:
         return mat
 
     def act(self, gamma, i):
-        """Matrix of x^gamma out of label i for gamma in Delta cap (1/n)P.
+        """(t, X) for gamma in Delta cap (1/n)P: X is the operator of x^gamma
+        out of label i into label t, not to be changed by the caller.
 
-        The composite along decompose(gamma) = (f, ...) is x^f times the
-        action of gamma - f.  The walk down the tails stops at the first
-        memoized one, and every tail above it is memoized on the way back;
-        gamma = 0 gives the identity, which is not memoized.
+        X composes the stored operator of f with the action of gamma - f,
+        for decompose(gamma) = (f, ...), by `fields.sparse_compose`.  The
+        walk down the tails stops at the first memoized one, and every tail
+        above it is memoized on the way back; gamma = 0 gives the identity,
+        which is not memoized.
         """
         memo = self._act_memo
-        hit = memo.get((gamma, i))
-        if hit is not None:
+        if (hit := memo.get((gamma, i))) is not None:
             return hit
         alg = self.algebra
         parts = alg.decompose(gamma)
         if parts is None:
             raise ValueError(f"{scaled_key(gamma, alg.scale)} is not an element of the level monoid")
-        points, k, mat = [gamma], len(parts), None
+        if not parts:
+            return i, {c: {c: alg.field.one} for c in range(self.sizes[i])}
+        points, k, hit = [gamma], len(parts), (i, None)  # None stands for the identity
         for j in range(1, len(parts)):
             points.append(vsub(points[-1], parts[j - 1]))
-            mat = memo.get((points[j], i))
-            if mat is not None:
-                k = j
+            if (points[j], i) in memo:
+                k, hit = j, memo[(points[j], i)]
                 break
-        if mat is None:
-            mat, mid = fields.identity_matrix(alg.field, self.sizes[i]), i
-        else:
-            mid = alg.target(points[k], i)
+        mid, op = hit
         for j in range(k - 1, -1, -1):
-            mat = self._gen_times(parts[j], mid, mat, i)
+            step = self.action.get((parts[j], mid), {})
+            op = step if op is None else fields.sparse_compose(alg.field, step, op)
             mid = alg.shift[parts[j]][mid]
-            memo[(points[j], i)] = mat
-        return mat
-
-    def _gen_times(self, g, mid, mat, i):
-        """x^g out of label `mid` times a matrix out of label i into `mid`."""
-        sizes = self.sizes
-        return fields.mat_mul_dims(
-            self.algebra.field, self._gen(g, mid), mat, sizes[self.algebra.shift[g][mid]], sizes[mid], sizes[i]
-        )
+            memo[(points[j], i)] = hit = (mid, op)
+        return hit
 
     # -- laws ----------------------------------------------------------------
 
@@ -401,7 +387,7 @@ class GradedModule:
         is in Delta: h - n*h' in S would write h as h' + ((n-1)*h' + (h -
         n*h')), a sum of two nonzero points of S, but h is indecomposable.
 
-        So, after the matrix shapes, with X_h the action of h:
+        So, with X_h the action of h (shapes are checked at construction):
           N  generators outside Delta act as zero (all of them at level 1,
              where A = k and nothing else is asked, none at n >= 2);
           C  X_g X_h = X_h X_g for each pair of delta generators;
@@ -426,31 +412,24 @@ class GradedModule:
         commutators, the moves, and |H| powers of O(log n) products each.
 
         C, M and P are checked on the direct sum of the components, where
-        X_h is one sparse operator {column: {row: entry}} (columns and rows
-        numbered by running offsets over the labels) and products are
-        `fields.sparse_compose`.  X_h maps label i into shift[h][i], so a
-        product of generators maps each label into a single label, and a
-        relation holds on the sum exactly when it holds out of every label.
-        No error line names a label, so each is the line a label-by-label
-        check raises.  A move's words are multiplied in any order, as C
-        holds by then.
+        X_h is one sparse operator {column: {row: entry}}, assembled from
+        the store by shifting each label's columns and rows by running
+        offsets over the labels, and products are `fields.sparse_compose`.
+        X_h maps label i into shift[h][i], so a product of generators maps
+        each label into a single label, and a relation holds on the sum
+        exactly when it holds out of every label.  No error line names a
+        label, so each is the line a label-by-label check raises.  A move's
+        words are multiplied in any order, as C holds by then.
         """
         alg = self.algebra
-        support = self.support
-        for h in alg.generators:
-            if h in alg.delta_generators:
-                continue
-            for i in support:
-                if not fields.mat_eq_zero(self._gen(h, i)):
-                    raise ValueError(f"generator {scaled_key(h, alg.scale)} leaves Delta but acts nontrivially")
-        offset, ops = list(accumulate(self.sizes, initial=0)), {}
-        for h in alg.delta_generators:
-            op = ops[h] = {}
-            for i in support:
-                for r, row in enumerate(self._gen(h, i), offset[alg.shift[h][i]]):
-                    for c, x in enumerate(row, offset[i]):
-                        if x:
-                            op.setdefault(c, {})[r] = x
+        for h, _ in self.action:  # the nonzero actions
+            if h not in alg.delta_generators:
+                raise ValueError(f"generator {scaled_key(h, alg.scale)} leaves Delta but acts nontrivially")
+        offset, ops = list(accumulate(self.sizes, initial=0)), {h: {} for h in alg.delta_generators}
+        for (h, i), op in self.action.items():
+            rows, whole = offset[alg.shift[h][i]], ops[h]
+            for c, col in op.items():
+                whole[offset[i] + c] = {rows + r: x for r, x in col.items()}
         product = partial(reduce, partial(fields.sparse_compose, alg.field))
         for g, h in combinations(alg.delta_generators, 2):
             if product((ops[g], ops[h])) != product((ops[h], ops[g])):
@@ -482,18 +461,14 @@ def twist(algebra, label):
     bases = {}
     for gamma in algebra.basis:
         bases.setdefault(algebra.target(gamma, start), []).append(gamma)
-    labels, field = algebra.labels, algebra.field
-    dims, action = {}, {}
-    for mu in sorted(bases):
-        b = bases[mu]
-        dims[labels[mu]] = len(b)
+    # x^g moves the monomial s to s + g, which sits at position pos[s + g] of the label it reaches
+    pos = {gamma: r for b in bases.values() for r, gamma in enumerate(b)}
+    one, action = algebra.field.one, {}
+    for mu, b in bases.items():
         for g in algebra.generators:
-            tb = bases.get(algebra.shift[g][mu])
-            if tb:
-                action[(g, labels[mu])] = tuple(
-                    tuple(field.one if algebra.multiply(g, s) == t else field.zero for s in b) for t in tb
-                )
-    return GradedModule(algebra, dims, action, check=False)
+            if op := {c: {pos[t]: one} for c, s in enumerate(b) if (t := algebra.multiply(g, s)) is not None}:
+                action[(g, mu)] = op
+    return GradedModule._of(algebra, {mu: len(bases[mu]) for mu in sorted(bases)}, action)
 
 
 def algebra_as_module(algebra):
@@ -501,34 +476,20 @@ def algebra_as_module(algebra):
 
 
 def direct_sum(modules):
+    """The direct sum, each summand's coordinates after those of the summands before it."""
     algebra = modules[0].algebra
     if any(m.algebra != algebra for m in modules):
         raise AlgebraMismatch("direct sum over mixed algebras")
-    field = algebra.field
-    dims = {}
+    sizes, action = {}, {}
     for m in modules:
-        for lab, d in m.dims.items():
-            dims[lab] = dims.get(lab, 0) + d
-    action = {}
-    for lab in dims:
-        i = algebra.index(lab)
-        col_sizes = [m.sizes[i] for m in modules]
-        for g in algebra.generators:
-            blocks = [m._gen(g, i) for m in modules]
-            if not any(blocks):  # no target rows in any summand
-                continue
-            rows = []
-            for mi, mat in enumerate(blocks):
-                for row in mat:
-                    full = []
-                    for mj, size in enumerate(col_sizes):
-                        if mj == mi:
-                            full.extend(row)
-                        else:
-                            full.extend([field.zero] * size)
-                    rows.append(tuple(full))
-            action[(g, lab)] = tuple(rows)
-    return GradedModule(algebra, dims, action, check=False)
+        for (g, i), op in m.action.items():
+            cols, rows = sizes.get(i, 0), sizes.get(algebra.shift[g][i], 0)
+            block = action.setdefault((g, i), {})
+            for c, col in op.items():
+                block[cols + c] = {rows + r: x for r, x in col.items()}
+        for i in m.support:
+            sizes[i] = sizes.get(i, 0) + m.sizes[i]
+    return GradedModule._of(algebra, sizes, action)
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +502,8 @@ class GradedMap:
     def __init__(self, source, target, blocks, check=True):
         if source.algebra != target.algebra:
             raise AlgebraMismatch("map between modules over different algebras")
-        self.source = source
-        self.target = target
-        self.blocks = {}
-        for lab, mat in blocks.items():
-            mat = fields.mat_from_rows(mat)
-            if source.dim(lab) == 0:
-                continue
-            self.blocks[lab] = mat
+        self.source, self.target = source, target
+        self.blocks = {lab: fields.mat_from_rows(mat) for lab, mat in blocks.items() if source.dim(lab)}
         if check and not self.commutes():
             raise ValueError("map does not commute with the action")
 
@@ -567,10 +522,10 @@ class GradedMap:
             for i in set(src.support) | set(tgt.support):
                 t = table[i]
                 lhs = fields.mat_mul_dims(
-                    alg.field, self.block(labels[t]), src._gen(g, i), tgt.sizes[t], src.sizes[t], src.sizes[i]
+                    alg.field, self.block(labels[t]), src._matrix(g, i), tgt.sizes[t], src.sizes[t], src.sizes[i]
                 )
                 rhs = fields.mat_mul_dims(
-                    alg.field, tgt._gen(g, i), self.block(labels[i]), tgt.sizes[t], tgt.sizes[i], src.sizes[i]
+                    alg.field, tgt._matrix(g, i), self.block(labels[i]), tgt.sizes[t], tgt.sizes[i], src.sizes[i]
                 )
                 if lhs != rhs:
                     return False
@@ -592,26 +547,34 @@ def compose_maps(g, f):
     return GradedMap(f.source, g.target, blocks, check=False)
 
 
+def _operator(rows, shared):
+    """The sparse operator {column: {row: entry}} of a dense matrix, a tuple
+    of row tuples.  Equal matrices share one operator, kept in `shared`: a
+    module has few distinct ones, and no reader changes a stored one."""
+    if (op := shared.get(rows)) is None:
+        op = shared[rows] = {c: {r: x for r, x in enumerate(col) if x} for c, col in enumerate(zip(*rows)) if any(col)}
+    return op
+
+
 def _submodule(ambient, bases, what):
     """The submodule of `ambient` spanned by per-label column bases, with its
     inclusion; raises ValueError when the span is not action-stable."""
     alg = ambient.algebra
     field = alg.field
     incl = {lab: tuple(zip(*basis)) for lab, basis in bases.items()}
-    action = {}
+    action, shared = {}, {}
     for lab, basis in incl.items():
         i = alg.index(lab)
         for g in alg.generators:
-            moved = fields.mat_mul(field, ambient._gen(g, i), basis)
+            moved = fields.mat_mul(field, ambient._matrix(g, i), basis)
             tbasis = incl.get(alg.labels[alg.shift[g][i]])
             if tbasis is None:
                 if not fields.mat_eq_zero(moved):
                     raise ValueError(f"{what} is not action-stable")
                 continue
-            cols = [fields.solve(field, tbasis, col) for col in zip(*moved)]
-            action[(g, lab)] = tuple(zip(*cols))
-    dims = {lab: len(basis) for lab, basis in bases.items()}
-    sub = GradedModule(alg, dims, action, check=False)
+            if op := _operator(tuple(zip(*(fields.solve(field, tbasis, col) for col in zip(*moved)))), shared):
+                action[(g, i)] = op
+    sub = GradedModule._of(alg, {alg.index(lab): len(basis) for lab, basis in bases.items()}, action)
     return sub, GradedMap(sub, ambient, incl, check=False)
 
 
@@ -661,8 +624,7 @@ def cokernel(f):
     def move(h, key):
         i, a = key
         t = alg.shift[h][i]
-        gmat = target._gen(h, i)
-        return [((t, r), gmat[r][a]) for r in range(target.sizes[t])]
+        return [((t, r), x) for r, x in target.action.get((h, i), {}).get(a, {}).items()]
 
     pres = Presentation(alg, gens, relations(), move)
     proj_blocks = {
@@ -699,18 +661,19 @@ def degree_zero_part(module, sublevel):
     if alg.level % sublevel != 0:
         raise LevelMismatch(f"{sublevel} does not divide level {alg.level}")
     sub = graded_algebra(alg.monoid, sublevel, alg.field)
-    dims = {}
-    for lab, d in module.dims.items():
-        if label_level_divides(lab, sublevel):
-            dims[label_at_level(lab, sublevel)] = d
-    # labels compare across levels, and a level-m generator moves a level-m
-    # label to a level-m label, so every target is a component here too
-    action = {}
+    # the level-m index of each kept level-n index; a level-m generator moves
+    # a level-m label to a level-m label, so every target is kept too
+    down = {}
+    for i in module.support:
+        if label_level_divides(lab := alg.labels[i], sublevel):
+            down[i] = sub.index(label_at_level(lab, sublevel))
+    action, sizes = {}, {k: module.sizes[i] for i, k in down.items()}
     for g in sub.delta_generators:
         big_g = vscale(alg.level // sublevel, g)
-        for lab in dims:
-            action[(g, lab)] = module.act(big_g, alg.index(lab))
-    return GradedModule(sub, dims, action, check=False)
+        for i, k in down.items():
+            if op := module.act(big_g, i)[1]:
+                action[(g, k)] = op
+    return GradedModule._of(sub, sizes, action)
 
 
 def restrict_map(fmap, sublevel):
@@ -812,7 +775,7 @@ class Presentation:
             if row:
                 rows[lab].append(row)
         self.spaces = dict(fields.present_each(algebra.field, ((lab, len(keys), rows[lab]) for lab, keys in per.items())))
-        action = {}
+        action, shared = {}, {}
         for lab, keys in per.items():
             sp = self.spaces[lab]
             if sp.dim == 0:
@@ -823,10 +786,9 @@ class Presentation:
                 tsp = self.spaces.get(tlab)
                 if tsp is None or tsp.dim == 0:
                     continue
-                cols = [self.coords(tlab, move(h, keys[k])) for k in sp.free]
-                action[(h, lab)] = tuple(zip(*cols))
-        dims = {lab: sp.dim for lab, sp in self.spaces.items() if sp.dim}
-        self.module = GradedModule(algebra, dims, action, check=False)
+                if op := _operator(tuple(zip(*(self.coords(tlab, move(h, keys[k])) for k in sp.free))), shared):
+                    action[(h, i)] = op
+        self.module = GradedModule._of(algebra, {algebra.index(lab): sp.dim for lab, sp in self.spaces.items() if sp.dim}, action)
 
     def coords(self, label, terms):
         """Quotient coordinates at `label` of a sparse generator vector."""
@@ -847,23 +809,18 @@ def tensor(m, n):
     """
     if m.algebra != n.algebra:
         raise AlgebraMismatch("tensor of modules over different algebras")
-    alg = m.algebra
-    field = alg.field
+    alg, field, labels = m.algebra, m.field, m.algebra.labels
     gens = []
     for mu, dm in m.dims.items():
         for nu, dn in n.dims.items():
-            lab = label_add(mu, nu)
-            gens.extend((lab, (mu, i, nu, j)) for i in range(dm) for j in range(dn))
-
-    labels = alg.labels
+            gens.extend((label_add(mu, nu), (mu, i, nu, j)) for i in range(dm) for j in range(dn))
 
     def move(g, key):
         """x^g on the left factor of e_i (x) e_j."""
         mu, i, nu, j = key
         k = alg.index(mu)
         t = alg.shift[g][k]
-        am = m.act(g, k)
-        return [((labels[t], i2, nu, j), am[i2][i]) for i2 in range(m.sizes[t])]
+        return [((labels[t], i2, nu, j), x) for i2, x in m.action.get((g, k), {}).get(i, {}).items()]
 
     def relations():
         # (x^g e_i) (x) e_j = e_i (x) (x^g e_j)
@@ -871,14 +828,10 @@ def tensor(m, n):
             for mu, dm in m.dims.items():
                 for nu, dn in n.dims.items():
                     k = alg.index(nu)
-                    t = alg.shift[g][k]
-                    an = n.act(g, k)
+                    t, an = alg.shift[g][k], n.action.get((g, k), {})
                     for i in range(dm):
                         for j in range(dn):
-                            right = [
-                                ((mu, i, labels[t], j2), field.norm(-an[j2][j]))
-                                for j2 in range(n.sizes[t])
-                            ]
+                            right = [((mu, i, labels[t], j2), field.norm(-x)) for j2, x in an.get(j, {}).items()]
                             yield move(g, (mu, i, nu, j)) + right
 
     pres = Presentation(alg, gens, relations(), move)

@@ -29,7 +29,6 @@ payloads need not import this module; all of them are re-exported here.
 
 from __future__ import annotations
 
-from . import fields
 from .errors import MalformedInput
 from .fields import field_from_spec, field_spec
 from .graded import GradedModule, graded_algebra
@@ -119,20 +118,19 @@ def _module_to_json(module, key):
     field = module.field
     alg = module.algebra
     # `alg.labels` run through the residues in lex order, that of the normal forms
-    reps = {alg.labels[i]: label_key(alg.labels[i]) for i in sorted(module.support)}
+    reps = {i: label_key(alg.labels[i]) for i in sorted(module.support)}
     gens = {g: scaled_key(g, alg.scale) for g in alg.generators}
-    entries = []
-    for lab, rep in reps.items():
-        for g, gen in gens.items():
-            mat = module.gen_matrix(g, lab)
-            if fields.mat_eq_zero(mat):
-                continue
-            entries.append({"rep": rep, "gen": gen, "matrix": matrix_to_json(field, mat)})
+    entries = [
+        {"rep": rep, "gen": gen, "matrix": matrix_to_json(field, module._matrix(g, i))}
+        for i, rep in reps.items()
+        for g, gen in gens.items()
+        if (g, i) in module.action  # the store holds the nonzero actions only
+    ]
     return {
         "monoid": monoid_to_json(module.monoid),
         "level": module.level,
         "field": field_spec(field),
-        "components": {rep: module.dims[lab] for lab, rep in reps.items()},
+        "components": {rep: module.sizes[i] for i, rep in reps.items()},
         key: entries,
     }
 
@@ -149,6 +147,15 @@ def _once(cache, key, parse, *args):
     return hit
 
 
+def _claim(names, key, name, what):
+    """Note that the payload keys `name` read to `key`; other keys that read
+    to the same one, such as "0" and "1" for one label at level 2 on N,
+    would silently overwrite each other, so they are malformed input."""
+    if key in names:
+        raise MalformedInput(f"{names[key]} and {name} name the same {what}")
+    names[key] = name
+
+
 def _module_from_json(data, what, key, build):
     if not isinstance(data, dict):
         raise MalformedInput(f"{what} payload must be an object")
@@ -156,15 +163,18 @@ def _module_from_json(data, what, key, build):
         pres = monoid_from_json(data["monoid"])
         level = int_from_json(data["level"], "level", minimum=1)
         field = field_from_spec(data.get("field", "Q"))
-        dims, labels, gens = {}, {}, {}
+        dims, labels, gens, names = {}, {}, {}, {}
         if not isinstance(data["components"], dict):
             raise TypeError("components must be an object")
         for rep, d in data["components"].items():
-            dims[_once(labels, rep, label_from_key, pres, level)] = int_from_json(d, "component dimension", minimum=0)
+            _claim(names, lab := _once(labels, rep, label_from_key, pres, level), f"component {rep}", "label")
+            dims[lab] = int_from_json(d, "component dimension", minimum=0)
         action = {}
         for entry in data.get(key, []):
             lab = _once(labels, entry["rep"], label_from_key, pres, level)
-            action[(_once(gens, entry["gen"], gen_from_key, pres, level), lab)] = matrix_from_json(field, entry["matrix"])
+            g = _once(gens, entry["gen"], gen_from_key, pres, level)
+            _claim(names, (g, lab), f"{key} entry rep {entry['rep']}, gen {entry['gen']}", "label and generator")
+            action[(g, lab)] = matrix_from_json(field, entry["matrix"])
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError) as exc:

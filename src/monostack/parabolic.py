@@ -53,8 +53,8 @@ def ParabolicSheaf(monoid, level, field, components, structure, check=True):
     alg = graded_algebra(monoid, level, field)
     module = GradedModule(alg, components, structure, check=False)
     if check:
-        for (g, _), mat in structure.items():
-            if g not in alg.delta_generators and not fields.mat_eq_zero(mat):
+        for g, _ in module.action:  # the nonzero actions
+            if g not in alg.delta_generators:
                 raise ValueError(f"structure matrix for {scaled_key(g, alg.scale)} violates the zero law")
         module.validate()
     return module
@@ -201,12 +201,10 @@ def _induce_with_data(sheaf, level):
         minus_one = field.of_int(-1)
         for w, kept in blocks:
             for j in sheaf.support:
-                act = sheaf.act(w, j)
-                t = alg.shift[w][j]
-                cols = [[(k, a[i]) for k, a in enumerate(act) if a[i]] for i in range(sizes[j])]
+                op, t = sheaf.action.get((w, j), {}), alg.shift[w][j]
                 for gamma, g, _ in kept:
-                    for i, col in enumerate(cols):
-                        row = [((t, gamma, k), c) for k, c in col]
+                    for i in range(sizes[j]):
+                        row = [((t, gamma, k), c) for k, c in op.get(i, {}).items()]
                         row.append(((j, g, i), minus_one))
                         yield row
 
@@ -283,8 +281,8 @@ def counit_map(sheaf, sublevel, ind=None):
         cols = []
         for k in pres.spaces[lab].free:
             j, gamma, i = pres.gens_per_label[lab][k]
-            act = sheaf.act(gamma, up[j])
-            cols.append(tuple(act[t][i] for t in range(tdim)))
+            col = sheaf.act(gamma, up[j])[1].get(i, {})
+            cols.append(tuple(col.get(t, sheaf.field.zero) for t in range(tdim)))
         blocks[lab] = tuple(zip(*cols))
     return GradedMap(ind_sheaf, sheaf, blocks, check=False)
 
@@ -342,8 +340,8 @@ def is_induced_from(sheaf, divisor):
         if key not in nf_memo:
             cols = None
             if v in delta_m:
-                act, t = res.act(v, j), alg.target(v, j)
-                cols = [[(index[(t, e, k)], a[i]) for k, a in enumerate(act) if a[i]] for i in range(res.sizes[j])]
+                t, op = res.act(v, j)
+                cols = [[(index[(t, e, k)], a) for k, a in op.get(i, {}).items()] for i in range(res.sizes[j])]
             nf_memo[key] = cols
         return nf_memo[key]
 
@@ -370,8 +368,7 @@ def is_induced_from(sheaf, divisor):
 
     def images(lab, d):
         for j, gamma, i in columns[lab]:
-            act = sheaf.act(gamma, up[j])
-            yield {t: act[t][i] for t in range(d) if act[t][i]}
+            yield sheaf.act(gamma, up[j])[1].get(i, {})
 
     # present_each is lazy: the first label whose images miss a direction ends the test
     return not any(sp.dim for _, sp in fields.present_each(field, ((lab, d, list(images(lab, d))) for lab, d in sheaf.dims.items())))
@@ -422,17 +419,19 @@ def hom_space(source, target):
     for g in alg.delta_generators:
         for i in source.support:
             d, t = source.sizes[i], alg.shift[g][i]
-            a1, a2 = source._gen(g, i), target._gen(g, i)
+            a1, a2 = source.action.get((g, i), {}), {}
+            for k, col in target.action.get((g, i), {}).items():
+                for r, x in col.items():
+                    a2.setdefault(r, {})[k] = x
             bi, bt, dt = base[i], base.get(t), source.sizes[t]
             for r in range(target.sizes[t]):
-                a2r = a2[r]
+                a2r = a2.get(r, {})
                 for c in range(d):
                     # (f_t A1)[r][c] - (A2 f_i)[r][c]
-                    row = {} if bt is None else {bt + r * dt + k: a1[k][c] for k in range(dt) if a1[k][c]}
-                    for k, x in enumerate(a2r):
-                        if x:
-                            col = bi + k * d + c
-                            row[col] = row.get(col, 0) - x
+                    row = {} if bt is None else {bt + r * dt + k: x for k, x in a1.get(c, {}).items()}
+                    for k, x in a2r.items():
+                        col = bi + k * d + c
+                        row[col] = row.get(col, 0) - x
                     if row:
                         rows.append(row)
     maps = []

@@ -405,6 +405,14 @@ def _chain(module, word, label):
     return mat
 
 
+def dense_act(module, gamma, i):
+    """`module.act(gamma, i)` as a dense matrix, sizes[target] x sizes[i],
+    read from its sparse operator with the zeros filled in."""
+    t, op = module.act(gamma, i)
+    zero = module.algebra.field.zero
+    return tuple(tuple(op.get(c, {}).get(r, zero) for c in range(module.sizes[i])) for r in range(module.sizes[t]))
+
+
 def _composite(module, gamma, label, memo=None):
     """x^gamma out of `label`: the chain product along `decompose(gamma)`,
     stored in `memo` when one is given."""
@@ -625,7 +633,7 @@ def induction_presentation_oracle(sheaf, level):
         for w in alg.delta_generators:
             qw = vscale(level // sheaf.level, w)
             for j in sheaf.support:
-                act, t = sheaf.act(w, j), alg.shift[w][j]
+                act, t = dense_act(sheaf, w, j), alg.shift[w][j]
                 for gamma in alg_n.basis:
                     for i in range(sizes[j]):
                         row = [((t, gamma, k), act[k][i]) for k in range(sizes[t])]

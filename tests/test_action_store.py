@@ -1,0 +1,120 @@
+"""The sparse action store of `GradedModule` against the dense constructor.
+
+A module keeps its action as one sparse operator {column: {row: entry}}
+per (generator, label index), and the library constructions hand their
+stores to `GradedModule._of`, which checks neither the shapes nor the
+module law.  So every module built by `twist`, `direct_sum`, a
+`Presentation` (`induce`, `cokernel`, `tensor`), `degree_zero_part`,
+`kernel` and `image` must equal the module that the public dense
+constructor rebuilds from its `gen_action` view, with the law checked,
+and must hold only nonzero field elements inside its shapes.  `act`, the
+memoised sparse composite along `decompose`, must match the schoolbook
+dense composite on every Delta monomial and every label, zero components
+and the zero module included.  All of it over QQ, GF(2) and GF(3).
+"""
+
+import random
+from itertools import accumulate
+
+import pytest
+
+from helpers import _composite, dense_act, random_graded_map, random_module, random_twist_sum
+from monostack import graded, parabolic
+from monostack.fields import QQ, PrimeField
+from monostack.graded import GradedModule, graded_algebra
+from monostack.lattice import vadd, vsub
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+FIELD_IDS = ["Q", "F2", "F3"]
+
+
+def assert_sound_store(module):
+    """Every stored entry is a nonzero field element inside the shape, and
+    the dense round trip, with the module law checked, gives the module back."""
+    alg = module.algebra
+    for (g, i), op in module.action.items():
+        t = alg.shift[g][i]
+        assert g in alg.generators and op
+        for c, col in op.items():
+            assert 0 <= c < module.sizes[i] and col
+            for r, x in col.items():
+                assert 0 <= r < module.sizes[t]
+                assert x and alg.field.norm(x) == x
+    module.validate()
+    assert GradedModule(alg, module.dims, module.gen_action) == module
+
+
+def constructions(monoid, field, seed):
+    """(name, module) for every construction that hands a store over."""
+    rng = random.Random(seed)
+    alg = graded_algebra(monoid, 2, field)
+    m, n = random_twist_sum(alg, rng), random_twist_sum(alg, rng, 3)
+    f = random_graded_map(m, n, rng)
+    ind = parabolic.induce(m, 4)
+    yield "twist", graded.twist(alg, alg.labels[-1])
+    yield "direct_sum", graded.direct_sum([m, n, m])
+    yield "kernel", graded.kernel(f)[0]
+    yield "image", graded.image(f)[0]
+    yield "cokernel", graded.cokernel(f)[0]
+    yield "tensor", graded.tensor(m, n)[0]
+    yield "induce", ind
+    yield "restrict", parabolic.restrict(ind, 2)
+    yield "degree_zero_part", graded.degree_zero_part(ind, 1)
+    yield "random", random_module(alg, rng)
+    yield "zero", graded.direct_sum([GradedModule(alg, {}, {})] * 2)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_constructions_store_what_the_dense_constructor_stores(nat2, nonsimplicial, field):
+    seen = set()
+    for monoid, seed in ((nat2, 1), (nat2, 2), (nonsimplicial, 3)):
+        for name, module in constructions(monoid, field, seed):
+            assert_sound_store(module)
+            seen.add(name)
+    assert len(seen) == 11
+
+
+def square(monoid, field):
+    """N^2 at level 2, one dimension per label: x^a then x^b out of 0 is 2
+    times 2, x^b then x^a is 4 times 1, equal once each product is brought
+    into the field (4 = 1 in GF(3)); with its induction to level 4 and
+    that one's restriction back."""
+    alg = graded_algebra(monoid, 2, field)
+    (a, b), zero = alg.generators, alg.zero_label
+    two, four = field.of_int(2), field.of_int(4)
+    matrices = {(a, zero): two, (b, alg.label_of(a)): two, (b, zero): four, (a, alg.label_of(b)): field.one}
+    module = GradedModule(alg, {alg.label_of(y): 1 for y in alg.basis}, {key: ((x,),) for key, x in matrices.items()})
+    ind = parabolic.induce(module, 4)
+    return [("square", module), ("square induced", ind), ("square restricted", parabolic.restrict(ind, 2))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_act_is_the_dense_composite_on_every_label(nat2, field):
+    """Every Delta monomial out of every label of the algebra, components of
+    dimension 0 among them: the twist sums miss labels, the kernels and
+    images shrink components to 0, and the zero module has none."""
+    zero_components = 0
+    for name, module in [*constructions(nat2, field, 4), *square(nat2, field)]:
+        alg = module.algebra
+        zero_components += sum(not d for d in module.sizes)
+        for gamma in alg.basis:
+            for i, lab in enumerate(alg.labels):
+                assert module.act(gamma, i)[0] == alg.target(gamma, i)
+                assert dense_act(module, gamma, i) == _composite(module, gamma, lab), (name, gamma, lab)
+    assert zero_components
+
+
+def test_act_memo_is_per_monomial_and_label(nat2):
+    """`act` memoises every proper tail it walks, one entry per (gamma,
+    label), and the identity of gamma = 0 not at all."""
+    alg = graded_algebra(nat2, 4)
+    module = random_twist_sum(alg, random.Random(5))
+    zero = (0, 0)
+    top = max(alg.basis, key=sum)
+    i = module.support[0]
+    assert module.act(zero, i) == (i, {c: {c: 1} for c in range(module.sizes[i])})
+    module.act(top, i)
+    assert (zero, i) not in module._act_memo
+    parts = alg.decompose(top)
+    assert len(parts) > 2
+    assert set(module._act_memo) == {(vsub(top, head), i) for head in accumulate(parts[:-1], vadd, initial=zero)}

@@ -774,6 +774,37 @@ def test_misshapen_action_matrices_are_malformed(name, tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: action matrix for gen 1/2,0 at rep 0,0 has a wrong shape\n")
 
 
+# On N at level 2 the keys 0 and 1 name one label and the gens 1/2 and 2/4
+# one generator: each pair used to overwrite silently, the last one kept.
+ALIASED = {
+    "components": ({"0": 2, "1/2": 1, "1": 1}, [], "component 0 and component 1 name the same label"),
+    "reps": (
+        {"0": 1, "1/2": 1},
+        [{"rep": "0", "gen": "1/2", "matrix": [["1"]]}, {"rep": "1", "gen": "1/2", "matrix": [["2"]]}],
+        "{key} entry rep 0, gen 1/2 and {key} entry rep 1, gen 1/2 name the same label and generator",
+    ),
+    "gens": (
+        {"0": 1, "1/2": 1},
+        [{"rep": "0", "gen": "1/2", "matrix": [["1"]]}, {"rep": "0", "gen": "2/4", "matrix": [["2"]]}],
+        "{key} entry rep 0, gen 1/2 and {key} entry rep 0, gen 2/4 name the same label and generator",
+    ),
+}
+
+
+@pytest.mark.parametrize("command, key", [("to-graded", "maps"), ("from-graded", "action")])
+@pytest.mark.parametrize("name", sorted(ALIASED))
+def test_aliased_payload_keys_are_malformed(name, command, key, tmp_path, capsys):
+    """Two component keys of one label, or two entries of one label and
+    generator, exit 1 with one error line naming both in payload notation."""
+    components, entries, line = ALIASED[name]
+    payload = {"monoid": NAT, "level": 2, "field": "Q", "components": components, key: entries}
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps(payload))
+    code = main(["parabolic", command, str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {line.format(key=key)}\n")
+
+
 def test_unhandled_exception_is_an_internal_error(capsys, monkeypatch):
     """An exception that no exit code maps is a bug: exit 4 (EXIT_INTERNAL)
     with its traceback on stderr and nothing on stdout."""

@@ -110,10 +110,11 @@ def test_algebra_internals_are_ints(name):
         for gamma, i in itertools.product(alg.basis, module.support):
             module.act(gamma, i)
         points = [alg.basis, alg.generators, alg.delta_generators, alg._decomp_memo]
-        points += [[y for y, _ in module._act_memo], [g for g, _ in module.gen_action]]
+        points += [[y for y, _ in module._act_memo], [g for g, _ in module.action]]
         points += [parts for parts in alg._decomp_memo.values() if parts]
         assert all(_is_int_point(y) for group in points for y in group)
-        assert n == 1 or (module._act_memo and module.gen_action)
+        assert all(type(i) is int for _, i in [*module._act_memo, *module.action])
+        assert n == 1 or (module._act_memo and module.action)
     for m, big in ((1, 2), (2, 4)):
         if name == "cone" and big == 4:
             continue
@@ -149,9 +150,8 @@ def test_wrong_shape_message_uses_payload_notation():
     alg = graded_algebra(MONOIDS["N2"](), 2)
     zero = alg.zero_label
     half = (1, 0)
-    module = GradedModule(alg, {zero: 1, alg.label_of(half): 1}, {(half, zero): ((1,), (1,))}, check=False)
     with pytest.raises(ValueError, match=re.escape("action matrix for gen 1/2,0 at rep 0,0 has a wrong shape")):
-        module.gen_matrix(half, zero)
+        GradedModule(alg, {zero: 1, alg.label_of(half): 1}, {(half, zero): ((1,), (1,))}, check=False)
 
 
 @pytest.mark.parametrize("name", ["n2", "cone"])

@@ -101,7 +101,7 @@ def test_filtered_relations_on_kernels_and_images(nat2, nonsimplicial, field):
         while done < 2:
             f = random_graded_map(random_twist_sum(alg, rng, 3), random_twist_sum(alg, rng, 3), rng)
             for sub, _ in (graded.kernel(f), graded.image(f)):
-                if not all(map(fields.mat_eq_zero, sub.action.values())):
+                if not all(map(fields.mat_eq_zero, sub.gen_action.values())):
                     _assert_same_presentation(sub, level)
                     done += 1
 

@@ -19,6 +19,7 @@ import pytest
 from helpers import (
     _composite,
     corrupt_entry,
+    dense_act,
     law_family_failures,
     module_law_oracle,
     random_module,
@@ -196,7 +197,7 @@ def test_act_is_the_composite_along_decompose(nonsimplicial):
         module = random_module(alg, rng)
         for gamma in reversed(alg.basis):
             for lab in module.dims:
-                assert module.act(gamma, alg.index(lab)) == _composite(module, gamma, lab)
+                assert dense_act(module, gamma, alg.index(lab)) == _composite(module, gamma, lab)
 
 
 # -- one module per family ----------------------------------------------------
@@ -319,10 +320,8 @@ def test_wrongly_shaped_matrix_is_rejected(nat2):
     key = next(k for k in module.gen_action if k[0] in alg.delta_generators)
     action = dict(module.gen_action)
     action[key] = action[key] + (action[key][0],)
-    bad = GradedModule(alg, module.dims, action, check=False)
-    assert not module_law_oracle(bad)
     with pytest.raises(ValueError, match="wrong shape"):
-        bad.validate()
+        GradedModule(alg, module.dims, action, check=False)
 
 
 def test_ragged_and_dropped_matrices_are_rejected(nat2):

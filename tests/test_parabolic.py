@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_module
+from helpers import dense_act, random_module
 from monostack.errors import LevelMismatch, NotADivisor, NotAMultiple
 from monostack.fields import QQ
 from monostack.graded import (
@@ -94,8 +94,8 @@ def test_integral_composites_vanish(nat2):
 
                     comp = F.mat_mul_dims(
                         QQ,
-                        mod.act(b, mid),
-                        mod.act(a, i),
+                        dense_act(mod, b, mid),
+                        dense_act(mod, a, i),
                         mod.sizes[alg.target(b, mid)],
                         mod.sizes[mid],
                         mod.sizes[i],
