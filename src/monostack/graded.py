@@ -255,7 +255,7 @@ class GradedModule:
             if g not in algebra.generators:
                 raise ValueError(f"gen {scaled_key(g, algebra.scale)} is not a Hilbert generator of (1/n)P")
             i = algebra.index(lab)
-            if op := _operator(self._shaped(g, i, fields.mat_from_rows(mat)), shared):
+            if op := _operator(tuple(zip(*self._shaped(g, i, fields.mat_from_rows(mat)))), shared):
                 self.action[(g, i)] = op
         if check:
             self.validate()
@@ -547,12 +547,12 @@ def compose_maps(g, f):
     return GradedMap(f.source, g.target, blocks, check=False)
 
 
-def _operator(rows, shared):
+def _operator(cols, shared):
     """The sparse operator {column: {row: entry}} of a dense matrix, a tuple
-    of row tuples.  Equal matrices share one operator, kept in `shared`: a
-    module has few distinct ones, and no reader changes a stored one."""
-    if (op := shared.get(rows)) is None:
-        op = shared[rows] = {c: {r: x for r, x in enumerate(col) if x} for c, col in enumerate(zip(*rows)) if any(col)}
+    of column tuples.  Equal matrices share one operator, kept in `shared`:
+    a module has few distinct ones, and no reader changes a stored one."""
+    if (op := shared.get(cols)) is None:
+        op = shared[cols] = {c: {r: x for r, x in enumerate(col) if x} for c, col in enumerate(cols) if any(col)}
     return op
 
 
@@ -572,7 +572,7 @@ def _submodule(ambient, bases, what):
                 if not fields.mat_eq_zero(moved):
                     raise ValueError(f"{what} is not action-stable")
                 continue
-            if op := _operator(tuple(zip(*(fields.solve(field, tbasis, col) for col in zip(*moved)))), shared):
+            if op := _operator(tuple(fields.solve(field, tbasis, col) for col in zip(*moved)), shared):
                 action[(g, i)] = op
     sub = GradedModule._of(alg, {alg.index(lab): len(basis) for lab, basis in bases.items()}, action)
     return sub, GradedMap(sub, ambient, incl, check=False)
@@ -786,7 +786,7 @@ class Presentation:
                 tsp = self.spaces.get(tlab)
                 if tsp is None or tsp.dim == 0:
                     continue
-                if op := _operator(tuple(zip(*(self.coords(tlab, move(h, keys[k])) for k in sp.free))), shared):
+                if op := _operator(tuple(self.coords(tlab, move(h, keys[k])) for k in sp.free), shared):
                     action[(h, i)] = op
         self.module = GradedModule._of(algebra, {algebra.index(lab): sp.dim for lab, sp in self.spaces.items() if sp.dim}, action)
 

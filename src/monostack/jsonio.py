@@ -118,19 +118,20 @@ def _module_to_json(module, key):
     field = module.field
     alg = module.algebra
     # `alg.labels` run through the residues in lex order, that of the normal forms
-    reps = {i: label_key(alg.labels[i]) for i in sorted(module.support)}
+    reps = {alg.labels[i]: label_key(alg.labels[i]) for i in sorted(module.support)}
     gens = {g: scaled_key(g, alg.scale) for g in alg.generators}
+    action = module.gen_action
     entries = [
-        {"rep": rep, "gen": gen, "matrix": matrix_to_json(field, module._matrix(g, i))}
-        for i, rep in reps.items()
+        {"rep": rep, "gen": gen, "matrix": matrix_to_json(field, action[g, lab])}
+        for lab, rep in reps.items()
         for g, gen in gens.items()
-        if (g, i) in module.action  # the store holds the nonzero actions only
+        if (g, lab) in action
     ]
     return {
         "monoid": monoid_to_json(module.monoid),
         "level": module.level,
         "field": field_spec(field),
-        "components": {rep: module.sizes[i] for i, rep in reps.items()},
+        "components": {rep: module.dim(lab) for lab, rep in reps.items()},
         key: entries,
     }
 

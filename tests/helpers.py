@@ -494,19 +494,23 @@ def law_family_failures(module):
 
 def corrupt_entry(module, rng):
     """A copy of the module with one random action entry raised by one, or
-    None when it has no action entry."""
-    field = module.algebra.field
+    None when it has no action entry.  Entries of zero actions count too,
+    for every generator, in Delta or not, out of every nonzero component
+    into a nonzero one."""
+    alg = module.algebra
+    field = alg.field
     entries = [
-        (key, i, j)
-        for key, mat in module.gen_action.items()
-        for i in range(len(mat))
-        for j in range(len(mat[i]))
+        ((g, lab), i, j)
+        for g in alg.generators
+        for lab, d in module.dims.items()
+        for i in range(module.dim(alg.labels[alg.shift[g][alg.index(lab)]]))
+        for j in range(d)
     ]
     if not entries:
         return None
     key, i, j = rng.choice(entries)
     action = dict(module.gen_action)
-    rows = [list(row) for row in action[key]]
+    rows = [list(row) for row in module.gen_matrix(*key)]
     rows[i][j] = field.norm(rows[i][j] + field.one)
     action[key] = rows
     return GradedModule(module.algebra, module.dims, action, check=False)

@@ -78,7 +78,9 @@ def test_law_set_agrees_with_full_table(name):
         for _ in range(8 if small else 1):
             summed = random_twist_sum(alg, rng, 2 if small else 1)
             cases = [summed, corrupt_entry(summed, rng), random_scalar_module(alg, rng)]
-            for module in filter(None, cases):
+            # zero actions are corrupted too; at level 1 that is every entry
+            assert cases[1] is not None, (level, field, summed.dims)
+            for module in cases:
                 want = module_law_oracle(module)
                 assert _accepts(module) == want, (level, field, module.dims)
                 verdicts[want] += 1
