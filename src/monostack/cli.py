@@ -170,21 +170,21 @@ def cmd_picard(args):
 
 
 def cmd_ideal(args):
-    from . import graded
+    from . import ideals
 
     pres = monoid.monoid_from_json(_read_payload(args.input))
     bound = None if args.bound is None else lattice.frac_from_str(args.bound)
     if args.colon:
         a, b = _pair(args.colon, "--colon")
-        ideal = graded.colon_degree_ideal(pres, args.level, a, b, bound=bound)
+        ideal = ideals.colon_degree_ideal(pres, args.level, a, b, bound=bound)
         colon = [lattice.vec_to_json(a), lattice.vec_to_json(b)]
     elif args.generators:
         gens = [lattice.vec_from_key(part) for part in args.generators.split(";")]
-        ideal = graded.MonoidIdeal(pres, args.level, generators=gens, bound=bound)
+        ideal = ideals.MonoidIdeal(pres, args.level, generators=gens, bound=bound)
         colon = None
     else:
         raise MalformedInput("ideal mingens needs --colon or --generators")
-    mins = graded.ideal_min_generators(ideal)
+    mins = ideals.ideal_min_generators(ideal)
     payload = {
         "monoid": monoid.monoid_to_json(pres),
         "level": args.level,
@@ -197,11 +197,11 @@ def cmd_ideal(args):
 
 
 def cmd_probe(args):
-    from . import graded
+    from . import ideals
 
     pres = monoid.monoid_from_json(_read_payload(args.input))
     a, b = _pair(args.pair, "--pair")
-    rows = graded.coherence_probe(pres, a, b, _parse_levels(args.levels))
+    rows = ideals.coherence_probe(pres, a, b, _parse_levels(args.levels))
     payload = {
         "monoid": monoid.monoid_to_json(pres),
         "pair": [lattice.vec_to_json(a), lattice.vec_to_json(b)],

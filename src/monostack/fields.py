@@ -135,8 +135,8 @@ def _eliminate(field, m):
 
 
 def rref(field, m):
-    """Reduced row echelon form.  Returns (rows, pivot column list); the
-    rows past the pivots are zero."""
+    """Reduced row echelon form (rows, pivot column list), the rows past the
+    pivots zero; only the tests and the benchmark's span tracer call it."""
     space = _eliminate(field, m)
     zero, ncols = field.zero, space.ngens
     red = tuple(tuple(row.get(j, zero) for j in range(ncols)) for row in space.rows)

@@ -18,7 +18,7 @@ membership is `MonoidPresentation._contains_int`, and level m maps into
 level N by y -> (N/m)*y.  Module action keys are these int tuples, and
 so are the generator keys that `jsonio` reads (`lattice.scaled_from_key`)
 and writes (`lattice.scaled_key`, which also writes the error messages);
-only `contains_at_level` and `MonoidIdeal` see rational points.
+no function here sees a rational point.
 
 Construction paths that take untrusted data check the module law x^h
 x^gamma = x^(h+gamma), or 0 when h+gamma leaves Delta, on the defining
@@ -43,31 +43,24 @@ action moved across to the quotient bases.  `PresentedSpace` (defined in
 reduced row echelon form is unique, so labels filing equal blocks share
 one (`fields.present_each`).  It is the library's one Gauss-Jordan
 eliminator: relation rows are never densified, and the dense
-`fields.rref`, `rank`, `solve` and `nullspace` behind kernels and images
-run on it too.  Kernels and images share `_submodule`, which moves the
+`fields.rank`, `solve` and `nullspace` behind kernels and images run on
+it too.  Kernels and images share `_submodule`, which moves the
 action onto a sub-basis.
 
-This module also hosts the monomial-ideal side: colon ideals of pairs of
-monoid elements, their minimal generators inside a certified region, and
-the coherence probe that tabulates their growth across levels.
+The monomial-ideal side lives in `ideals`; its four public names stay
+bound here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import accumulate, combinations
-from math import ceil, floor
-from operator import add, ge
+from operator import add
 
-from . import fields, lattice
-from .errors import (
-    AlgebraMismatch,
-    LevelMismatch,
-    NotExactInput,
-    RegionTooSmall,
-)
+from . import fields
+from .errors import AlgebraMismatch, LevelMismatch, NotExactInput
 from .fields import QQ, PresentedSpace
+from .ideals import MonoidIdeal, coherence_probe, colon_degree_ideal, ideal_min_generators
 # coset_label and in_delta are bound only for perfbench's tracer
 from .infquot import delta_points, in_delta
 from .kummer import (
@@ -79,15 +72,7 @@ from .kummer import (
     scaled_label,
     zero_label,
 )
-from .lattice import Record, facet_values, scaled_key, unscale, vadd, vec_key, vscale, vsub
-from .monoid import monoid_points_scaled
-
-
-def contains_at_level(pres, level, x):
-    """Membership of a rational vector in (1/level)*P (saturated P): y =
-    level*s*x is integral and `pres._contains_int(y)`."""
-    y = pres._scaled(x, level)
-    return y is not None and pres._contains_int(y)
+from .lattice import Record, scaled_key, vadd, vec_key, vscale, vsub
 
 
 @lru_cache(maxsize=None)
@@ -236,11 +221,11 @@ class GradedModule:
     entry}} of x^g out of label i, in the local coordinates of label i and
     its target, with nonzero entries only and no key for a zero action.
     The constructor takes label-keyed `dims` and dense `gen_action`
-    matrices, and `dims`, `dim`, `gen_action` and `gen_matrix` are
-    label-keyed views back.  A label over another monoid or level raises
-    LevelMismatch; an action key that is not one of `algebra.generators`
-    raises ValueError, and so does a matrix of the wrong shape, checked or
-    not.  One into or out of a zero-dimensional component may be omitted.
+    matrices, whose entries it brings into the field (`norm`); `dims`,
+    `dim`, `gen_action` and `gen_matrix` are label-keyed views back.  A
+    label of another monoid or level raises LevelMismatch; a generator not
+    in `algebra.generators`, or a misshapen matrix (checked or not), raises
+    ValueError; one into or out of a zero component may be omitted.
     """
 
     def __init__(self, algebra, dims, gen_action, check=True):
@@ -255,7 +240,7 @@ class GradedModule:
             if g not in algebra.generators:
                 raise ValueError(f"gen {scaled_key(g, algebra.scale)} is not a Hilbert generator of (1/n)P")
             i = algebra.index(lab)
-            if op := _operator(tuple(zip(*self._shaped(g, i, fields.mat_from_rows(mat)))), shared):
+            if op := _operator(tuple(zip(*self._shaped(g, i, fields.mat_from_rows(mat)))), shared, algebra.field.norm):
                 self.action[(g, i)] = op
         if check:
             self.validate()
@@ -547,12 +532,14 @@ def compose_maps(g, f):
     return GradedMap(f.source, g.target, blocks, check=False)
 
 
-def _operator(cols, shared):
+def _operator(cols, shared, norm=None):
     """The sparse operator {column: {row: entry}} of a dense matrix, a tuple
-    of column tuples.  Equal matrices share one operator, kept in `shared`:
-    a module has few distinct ones, and no reader changes a stored one."""
+    of column tuples, its entries brought into the field by `norm` if given.
+    Equal matrices share one operator, kept in `shared`: a module has few
+    distinct ones, and no reader changes a stored one."""
     if (op := shared.get(cols)) is None:
-        op = shared[cols] = {c: {r: x for r, x in enumerate(col) if x} for c, col in enumerate(cols) if any(col)}
+        normal = cols if norm is None else [[*map(norm, col)] for col in cols]
+        op = shared[cols] = {c: {r: x for r, x in enumerate(col) if x} for c, col in enumerate(normal) if any(col)}
     return op
 
 
@@ -874,146 +861,3 @@ def unit_map_check(dim0, algebra):
     big = base_tensor(dim0, free)
     pushed = degree_zero_part(big, 1)
     return pushed.total_dim == dim0
-
-
-# ---------------------------------------------------------------------------
-# monomial ideals and the coherence probe
-
-
-class MonoidIdeal:
-    """An ideal of (1/n)P given by generators or by a colon pair (a, b).
-
-    P must be saturated (NotSaturated otherwise): minimality is tested
-    against its Hilbert basis.  The generators, and a and b, must lie in
-    (1/n)P.  In coordinates y = n*s*x the ideal is the group points y with
-    f(y) >= t for the facets f and some row t of `thresholds`: f(g) per
-    generator g, or max(0, -f(a - b)) for the colon ideal.
-
-    `certified_bound` is a bound on l(x) for every minimal generator x,
-    and the default `bound`; `ideal_min_generators` always walks to it and
-    refuses a `bound` below it (RegionTooSmall).  Each row t cuts out a
-    polyhedron {y : F*y >= t} with recession cone the cone of P; it is
-    pointed, so by Minkowski-Weyl (Ziegler, Lectures on Polytopes, section
-    1) it is conv(V) + cone for its vertex set V.  Write a point y of it as
-    q + sum t_j r_j with q in conv(V) and, by Caratheodory, t_j >= 0 over d
-    independent ray generators r_j of P, which are group points and
-    Hilbert generators of (1/n)P in these coordinates.  If some t_j >= 1,
-    then y - r_j still lies in the polyhedron, so in the ideal, and y is
-    not minimal.  So l(y) < max l(V) + C (C the `caratheodory_sum`).  The
-    polyhedron of a generator g is g + cone, with V = {g}; the vertices of
-    the colon polyhedron are solved from square subsets of the facet rows
-    (`_vertex_max`).
-    """
-
-    def __init__(self, monoid, level, generators=None, shift=None, bound=None):
-        monoid.integer_hilbert_basis  # raises NotSaturated
-        self.monoid = monoid
-        self.level = int(level)
-        if generators:
-            points, message = generators, "ideal generator {} outside (1/n)P"
-        elif shift is not None:
-            points, message = shift, "{} is not an element of (1/n)P"
-        else:
-            raise ValueError("an ideal needs generators or a colon shift")
-        facets = monoid.cone.facets
-        ys = []
-        for x in points:
-            y = monoid._scaled(x, self.level)
-            if y is None or not monoid._contains_int(y):
-                raise ValueError(message.format(vec_key(x)))
-            ys.append(y)
-        ell = monoid.positive_functional
-        if generators:
-            self.thresholds = [facet_values(facets, y) for y in ys]
-            top = max(lattice.dot(ell, y) for y in ys)
-        else:
-            a, b = ys
-            self.thresholds = [[max(0, -v) for v in facet_values(facets, vsub(a, b))]]
-            top = _vertex_max(facets, self.thresholds[0], ell)
-        # l(y) < top + C, and l(y) is an integer
-        self.certified_bound = Fraction(ceil(top + monoid.caratheodory_sum) - 1, self.level * monoid.denominator)
-        self.bound = self.certified_bound if bound is None else Fraction(bound)
-
-    def contains(self, x):
-        """Membership of a rational vector in the ideal."""
-        y = self.monoid._scaled(x, self.level)
-        if y is None or not self.monoid._group_contains_int(y):
-            return False
-        return _dominates(facet_values(self.monoid.cone.facets, y), self.thresholds)
-
-
-def _vertex_max(facets, t, ell):
-    """The largest l(v) over the vertices v of the pointed polyhedron {y : F*y >= t}.
-
-    A vertex is a point of it where the tight facets have full rank, so
-    the vertices are the feasible solutions of F_S*y = t_S over the square
-    invertible row subsets S, solved exactly over QQ.
-    """
-    dim = len(ell)
-    best = None
-    for rows in combinations(range(len(facets)), dim):
-        red, pivots = fields.rref(QQ, [list(facets[i]) + [t[i]] for i in rows])
-        if pivots != list(range(dim)):
-            continue  # singular, or F_S*y = t_S has no solution
-        v = [row[-1] for row in red]
-        if all(lattice.dot(f, v) >= ti for f, ti in zip(facets, t)):
-            value = lattice.dot(ell, v)
-            best = value if best is None else max(best, value)
-    return best
-
-
-def _dominates(values, rows):
-    """Whether values >= t componentwise for some row t."""
-    return any(all(map(ge, values, t)) for t in rows)
-
-
-def colon_degree_ideal(monoid, level, a, b, bound=None):
-    """Degrees c with c + a - b in (1/n)P: the first-projection syzygy degrees
-    of the pair (x^a, x^b)."""
-    return MonoidIdeal(monoid, level, shift=(a, b), bound=bound)
-
-
-def ideal_min_generators(ideal):
-    """Minimal generators of the ideal, lex-sorted.
-
-    A point x is minimal iff x - h leaves the ideal for every Hilbert
-    generator h of (1/n)P.  Every minimal generator has l(x) <=
-    `certified_bound` (`MonoidIdeal`), so the walk goes exactly that far;
-    a larger `bound` changes nothing.  A smaller one cannot be answered
-    (a truncated region may miss minimal generators, and nothing in it
-    shows which) and raises RegionTooSmall before any walk.
-
-    Region points y = n*s*x and generators h are group points, so y - h is
-    in the ideal iff f(y) >= f(h) + t for a row t of `thresholds`: f is
-    evaluated once per point and per h, and no lattice test is made.
-    """
-    if ideal.bound < ideal.certified_bound:
-        raise RegionTooSmall(
-            f"bound {ideal.bound} is below the certified bound {ideal.certified_bound}"
-        )
-    pres = ideal.monoid
-    facets = pres.cone.facets
-    shifted = [
-        vadd(facet_values(facets, h), t) for h in pres._saturation_hilbert_basis for t in ideal.thresholds
-    ]
-    denom = ideal.level * pres.denominator
-    mins = []
-    for y in monoid_points_scaled(pres, floor(ideal.certified_bound * denom)):
-        fy = facet_values(facets, y)
-        if _dominates(fy, ideal.thresholds) and not _dominates(fy, shifted):
-            mins.append(unscale(y, denom))
-    return mins
-
-
-def coherence_probe(monoid, a, b, levels):
-    """Minimal-generator counts of the colon ideal across levels.
-
-    Growing counts witness non-coherence (non-simplicial monoids); constant
-    counts are what simplicial monoids produce.
-    """
-    rows = []
-    for n in levels:
-        ideal = colon_degree_ideal(monoid, n, a, b)
-        gens = ideal_min_generators(ideal)
-        rows.append({"n": int(n), "min_gens": len(gens), "generators": gens})
-    return rows

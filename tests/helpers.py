@@ -23,6 +23,7 @@ from monostack.graded import (
     twist,
 )
 from monostack.kummer import MonoidHom, label_add
+from monostack.lattice import dot
 from monostack.monoid import saturate, validate
 from monostack.parabolic import from_graded, hom_space
 
@@ -281,6 +282,30 @@ def hom_oracle(source, target, matrix):
                 kummer = False
                 break
     return maps, factors, kummer
+
+
+def contains_at_level(pres, level, x):
+    """Membership of a rational vector in (1/level)*P (saturated P): y =
+    level*s*x is integral and `pres._contains_int(y)`."""
+    y = pres._scaled(x, level)
+    return y is not None and pres._contains_int(y)
+
+
+def vertex_max_oracle(facets, t, ell):
+    """`ideals._vertex_max` by elimination over QQ: the largest l(v) over the
+    feasible solutions v of F_S*v = t_S, S a square subset of the facet
+    rows whose reduced row echelon form has a pivot in every variable."""
+    dim = len(ell)
+    best = None
+    for rows in itertools.combinations(range(len(facets)), dim):
+        red, pivots = fields.rref(QQ, [list(facets[i]) + [t[i]] for i in rows])
+        if pivots != list(range(dim)):
+            continue  # singular, or F_S*y = t_S has no solution
+        v = [row[-1] for row in red]
+        if all(dot(f, v) >= ti for f, ti in zip(facets, t)):
+            value = dot(ell, v)
+            best = value if best is None else max(best, value)
+    return best
 
 
 def ideal_min_generators_oracle(ideal):

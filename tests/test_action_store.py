@@ -14,12 +14,13 @@ and the zero module included.  All of it over QQ, GF(2) and GF(3).
 """
 
 import random
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
 from helpers import _composite, dense_act, random_graded_map, random_module, random_twist_sum
-from monostack import graded, parabolic
+from monostack import graded, jsonio, parabolic
 from monostack.fields import QQ, PrimeField
 from monostack.graded import GradedModule, graded_algebra
 from monostack.lattice import vadd, vsub
@@ -118,3 +119,35 @@ def test_act_memo_is_per_monomial_and_label(nat2):
     parts = alg.decompose(top)
     assert len(parts) > 2
     assert set(module._act_memo) == {(vsub(top, head), i) for head in accumulate(parts[:-1], vadd, initial=zero)}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_constructor_brings_entries_into_the_field(nat, nat2, field):
+    """Entries are stored as field elements: over GF(p) an entry off by a
+    multiple of p is its residue and a multiple of p is no entry, over QQ an
+    integral Fraction is an int.  So a module read from lifted entries equals
+    the module, every zero lift included, and its JSON round trip is the
+    identity; over GF(3), x^(1/2) acting by 3 is the zero action."""
+    rng = random.Random(7)
+    if field.p:
+        def lift(x):
+            return x + field.p * rng.randint(-2, 2)
+    else:
+        lift = Fraction
+    for seed in range(4):
+        alg = graded_algebra(nat2, 2, field)
+        module = random_module(alg, random.Random(seed))
+        lifts = {(g, lab): tuple(tuple(map(lift, row)) for row in module.gen_matrix(g, lab))
+                 for g in alg.generators for lab in module.dims}
+        lifted = GradedModule(alg, module.dims, lifts)
+        assert lifted == module
+        for op in lifted.action.values():
+            assert all(type(x) is int or x.denominator > 1 for col in op.values() for x in col.values())
+        assert jsonio.graded_from_json(jsonio.graded_to_json(lifted)) == lifted
+    alg = graded_algebra(nat, 2, PrimeField(3))
+    (g,), zero = alg.generators, alg.zero_label
+    dims = {zero: 1, alg.label_of(g): 1}
+    threes = GradedModule(alg, dims, {(g, zero): ((3,),)}, check=False)
+    assert threes.action == {} and threes == GradedModule(alg, dims, {})
+    assert GradedModule(alg, dims, {(g, zero): ((-1,),)}).action == {(g, 0): {0: {0: 2}}}
+    assert jsonio.graded_from_json(jsonio.graded_to_json(threes)) == threes

@@ -27,11 +27,15 @@ SHEAF = {"monoid": N1, "level": 2, "field": "Q", "components": {"0": 1, "1/2": 1
 MODULE = dict({k: v for k, v in SHEAF.items() if k != "maps"}, action=SHEAF["maps"])
 
 MONOID_ONLY = {"monostack", "monostack.cli", "monostack.errors", "monostack.lattice", "monostack.monoid"}
-# the hom.json and profinite readers live in `kummer` and `infquot`, so
-# these two commands load neither `jsonio` nor the module layers behind it
-READER_ONLY = {
+# the exact monostack modules of these commands: the hom.json and profinite
+# readers live in `kummer` and `infquot`, so those two load neither `jsonio`
+# nor the module layers behind it, and the ideal side is integer arithmetic
+# on the monoid, with no graded module, field or label
+EXACT = {
     "kummer": MONOID_ONLY | {"monostack.kummer"},
     "infquot": MONOID_ONLY | {"monostack.kummer", "monostack.infquot"},
+    "ideal": MONOID_ONLY | {"monostack.ideals"},
+    "probe": MONOID_ONLY | {"monostack.ideals"},
 }
 
 CASES = [
@@ -80,8 +84,8 @@ def test_each_command_imports_only_what_it_runs(argv, payload, tmp_path):
     assert not added & {"dataclasses", "inspect"}, argv
     if argv[0] == "monoid":
         assert {m for m in added if m.startswith("monostack")} == MONOID_ONLY, argv
-    if argv[0] in READER_ONLY:
-        assert {m for m in added if m.startswith("monostack")} == READER_ONLY[argv[0]], argv
+    if argv[0] in EXACT:
+        assert {m for m in added if m.startswith("monostack")} == EXACT[argv[0]], argv
     if argv[0] in ("delta", "delta0"):
         heavy = {f"monostack.{m}" for m in ("graded", "parabolic", "jsonio", "fields")}
         assert not added & heavy, argv

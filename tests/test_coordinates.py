@@ -4,9 +4,9 @@ A point x of (1/n)P is stored as the int tuple y = n*s*x, s the
 presentation denominator.  On N, N^2, the non-simplicial cone, the index-2
 group <(2,0),(1,1),(0,2)> and that group with denominator 3, at levels 1-4,
 labels, products and membership computed on y agree with `coset_label`,
-`in_delta` and `contains_at_level` on x, y -> (N/m)*y keeps labels from
-level m to N = 12, and the algebra, its memos, the action keys and the
-induction presentation hold only ints.
+`in_delta` and `helpers.contains_at_level` on x, y -> (N/m)*y keeps labels
+from level m to N = 12, and the algebra, its memos, the action keys and
+the induction presentation hold only ints.
 """
 
 import itertools
@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_twist_sum
+from helpers import contains_at_level, random_twist_sum
 from monostack.fields import QQ
-from monostack.graded import GradedAlgebra, GradedModule, contains_at_level, graded_algebra
+from monostack.graded import GradedAlgebra, GradedModule, graded_algebra
 from monostack.infquot import in_delta
 from monostack.kummer import coset_label, root_extension
 from monostack.lattice import unscale, vadd, vscale

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    contains_at_level,
     ideal_min_generators_oracle,
     random_module,
     random_ses,
@@ -15,17 +16,12 @@ from monostack.graded import (
     GradedAlgebra,
     GradedMap,
     GradedModule,
-    MonoidIdeal,
     ShortExactSequence,
     algebra_as_module,
     check_exactness,
-    coherence_probe,
-    colon_degree_ideal,
-    contains_at_level,
     degree_zero_part,
     direct_sum,
     graded_algebra,
-    ideal_min_generators,
     image,
     is_exact_sequence,
     kernel,
@@ -34,6 +30,7 @@ from monostack.graded import (
     twist,
     unit_map_check,
 )
+from monostack.ideals import MonoidIdeal, coherence_probe, colon_degree_ideal, ideal_min_generators
 from monostack.infquot import delta_points, in_delta
 from monostack.kummer import coset_label, enumerate_labels, label_add, zero_label
 from monostack.lattice import dot, scale_to_ints, unscale, vadd, vsub

@@ -18,6 +18,7 @@ import pytest
 
 from helpers import (
     _composite,
+    contains_at_level,
     corrupt_entry,
     dense_act,
     law_family_failures,
@@ -27,7 +28,7 @@ from helpers import (
     random_twist_sum,
 )
 from monostack.fields import QQ, PrimeField
-from monostack.graded import GradedModule, contains_at_level, graded_algebra
+from monostack.graded import GradedModule, graded_algebra
 from monostack.kummer import label_add
 from monostack.lattice import facet_values, scale_to_ints, vadd
 from monostack.monoid import saturate, validate

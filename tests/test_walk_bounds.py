@@ -23,7 +23,7 @@ from helpers import (
     saturation_hilbert_basis_oracle,
 )
 from monostack.errors import EmptyGenerators, NotSharp
-from monostack.graded import MonoidIdeal, colon_degree_ideal, ideal_min_generators
+from monostack.ideals import MonoidIdeal, colon_degree_ideal, ideal_min_generators
 from monostack.infquot import delta_points, in_delta
 from monostack.lattice import dot, enumerate_integer_points, lattice_basis, unscale, vadd
 from monostack.monoid import monoid_points, saturate, validate
