@@ -41,7 +41,7 @@ def _read_payload(path):
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         return json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, an int past the digit limit
         raise MalformedInput(f"cannot read JSON input: {exc}") from exc
 
 

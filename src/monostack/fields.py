@@ -332,10 +332,29 @@ def sparse_compose(field, a, b):
     Each column of B is a combination of columns of A; each entry is
     brought into the field once, as in `PresentedSpace`, and zero entries
     and zero columns are dropped, so a zero operator is {} and two
-    operators are equal exactly when their dicts are."""
+    operators are equal exactly when their dicts are.  A column of B with
+    one entry x at k is x times column k of A; when x is 1 and that column
+    is one entry already in normal form, the result holds that column dict
+    itself, so the caller must change no column of A or of the result."""
     p, norm = field.p, field.norm
     out = {}
     for c, col in b.items():
+        if len(col) == 1:
+            ((k, x),) = col.items()
+            if not (acol := a.get(k)):
+                continue
+            if x == 1 and len(acol) == 1:
+                (y,) = acol.values()
+                if (0 < y < p) if p else (y and norm(y) is y):
+                    out[c] = acol
+                    continue
+            if p:
+                acc = {r: s for r, y in acol.items() if (s := x * y % p)}
+            else:
+                acc = {r: s if type(s) is int else norm(s) for r, y in acol.items() if (s := x * y)}
+            if acc:
+                out[c] = acc
+            continue
         acc = {}
         for k, x in col.items():
             for r, y in a.get(k, {}).items():

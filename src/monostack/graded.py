@@ -229,17 +229,17 @@ class GradedModule:
     """
 
     def __init__(self, algebra, dims, gen_action, check=True):
-        sizes = {}
+        sizes, at = {}, {}
         for lab, d in dims.items():
-            i, d = algebra.index(lab), int(d)
-            if d > 0:
+            at[lab] = i = algebra.index(lab)
+            if (d := int(d)) > 0:
                 sizes[i] = d
         self._store(algebra, sizes, {})
         shared = {}
         for (g, lab), mat in gen_action.items():
             if g not in algebra.generators:
                 raise ValueError(f"gen {scaled_key(g, algebra.scale)} is not a Hilbert generator of (1/n)P")
-            i = algebra.index(lab)
+            i = at[lab] if lab in at else algebra.index(lab)  # a payload reuses its `dims` label objects
             if op := _operator(tuple(zip(*self._shaped(g, i, fields.mat_from_rows(mat)))), shared, algebra.field.norm):
                 self.action[(g, i)] = op
         if check:
@@ -281,8 +281,16 @@ class GradedModule:
 
     @property
     def gen_action(self):
-        """The nonzero action matrices keyed by (generator, label)."""
-        return {(g, self.algebra.labels[i]): self._matrix(g, i) for g, i in self.action}
+        """The nonzero action matrices keyed by (generator, label).  Blocks
+        of one shape whose operators are one shared dict (`_operator`) get
+        one matrix, built once."""
+        alg, dense, out = self.algebra, {}, {}
+        for (g, i), op in self.action.items():
+            key = (id(op), self.sizes[alg.shift[g][i]], self.sizes[i])
+            if (mat := dense.get(key)) is None:
+                mat = dense[key] = self._matrix(g, i)
+            out[(g, alg.labels[i])] = mat
+        return out
 
     def dim(self, label):
         return self.dims.get(label, 0)

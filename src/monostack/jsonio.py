@@ -15,8 +15,11 @@ the `Fraction` parse, so every key reads and fails as `coset_label` and
 the rational reading of the key would.  Keys
 are written from int tuples by `lattice.scaled_key`.  A module payload parses each distinct key once
 (`_once`): the component keys and the "rep" keys share one cache of
-labels, the "gen" keys have one of int tuples, and only successes are
-cached, so a bad key raises where it first occurs.
+labels, the "gen" keys have one of int tuples, the matrix entry strings
+one of field elements, and only successes are cached, so a bad key raises
+where it first occurs.  A matrix or a row that is not a JSON array is
+malformed input.  The writer turns each distinct matrix of `gen_action`
+into JSON rows once, so entries with equal matrices share one list.
 Every value the schemas type as integer, and every GF(p) matrix entry,
 goes through `int_from_json`, which rejects booleans, strings and
 non-integral numbers instead of truncating them.  The scalar and vector
@@ -110,8 +113,13 @@ def matrix_to_json(field, mat):
     return [[_fel_to_json(field, x) for x in row] for row in mat]
 
 
-def matrix_from_json(field, data):
-    return tuple(tuple(_fel_from_json(field, x) for x in row) for row in data)
+def matrix_from_json(field, data, parsed):
+    """The matrix of a JSON array of row arrays, or None when the matrix or a
+    row is not an array (a string would read as its characters).  Entry
+    strings are parsed once per `parsed` cache of one field (`_once`)."""
+    if type(data) is not list or not all(type(row) is list for row in data):
+        return None
+    return tuple(tuple(_once(parsed, x, _fel_from_json, field) for x in row) for row in data)
 
 
 def _module_to_json(module, key):
@@ -121,8 +129,10 @@ def _module_to_json(module, key):
     reps = {alg.labels[i]: label_key(alg.labels[i]) for i in sorted(module.support)}
     gens = {g: scaled_key(g, alg.scale) for g in alg.generators}
     action = module.gen_action
+    # equal operators of one shape share one matrix (`gen_action`), so each is written once
+    rows = {key: matrix_to_json(field, mat) for key, mat in {id(mat): mat for mat in action.values()}.items()}
     entries = [
-        {"rep": rep, "gen": gen, "matrix": matrix_to_json(field, action[g, lab])}
+        {"rep": rep, "gen": gen, "matrix": rows[id(action[g, lab])]}
         for lab, rep in reps.items()
         for g, gen in gens.items()
         if (g, lab) in action
@@ -164,7 +174,7 @@ def _module_from_json(data, what, key, build):
         pres = monoid_from_json(data["monoid"])
         level = int_from_json(data["level"], "level", minimum=1)
         field = field_from_spec(data.get("field", "Q"))
-        dims, labels, gens, names = {}, {}, {}, {}
+        dims, labels, gens, names, parsed = {}, {}, {}, {}, {}
         if not isinstance(data["components"], dict):
             raise TypeError("components must be an object")
         for rep, d in data["components"].items():
@@ -174,8 +184,10 @@ def _module_from_json(data, what, key, build):
         for entry in data.get(key, []):
             lab = _once(labels, entry["rep"], label_from_key, pres, level)
             g = _once(gens, entry["gen"], gen_from_key, pres, level)
-            _claim(names, (g, lab), f"{key} entry rep {entry['rep']}, gen {entry['gen']}", "label and generator")
-            action[(g, lab)] = matrix_from_json(field, entry["matrix"])
+            _claim(names, (g, lab), name := f"{key} entry rep {entry['rep']}, gen {entry['gen']}", "label and generator")
+            if (mat := matrix_from_json(field, entry["matrix"], parsed)) is None:
+                raise MalformedInput(f"{name}: matrix is not an array of arrays")
+            action[(g, lab)] = mat
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError) as exc:

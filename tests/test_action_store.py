@@ -13,6 +13,7 @@ dense composite on every Delta monomial and every label, zero components
 and the zero module included.  All of it over QQ, GF(2) and GF(3).
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -20,7 +21,7 @@ from itertools import accumulate
 import pytest
 
 from helpers import _composite, dense_act, random_graded_map, random_module, random_twist_sum
-from monostack import graded, jsonio, parabolic
+from monostack import fields, graded, jsonio, parabolic
 from monostack.fields import QQ, PrimeField
 from monostack.graded import GradedModule, graded_algebra
 from monostack.lattice import vadd, vsub
@@ -151,3 +152,46 @@ def test_constructor_brings_entries_into_the_field(nat, nat2, field):
     assert threes.action == {} and threes == GradedModule(alg, dims, {})
     assert GradedModule(alg, dims, {(g, zero): ((-1,),)}).action == {(g, 0): {0: {0: 2}}}
     assert jsonio.graded_from_json(jsonio.graded_to_json(threes)) == threes
+
+
+@pytest.mark.parametrize(
+    "field, entry, normal", [(PrimeField(3), 4, 1), (PrimeField(3), 3, None), (QQ, Fraction(2, 1), 2)], ids=["F3-4", "F3-3", "Q-2/1"]
+)
+def test_unit_columns_come_back_in_normal_form(field, entry, normal):
+    """A column of B that is 1 at k takes column k of A, and a one-entry
+    column of A not in normal form (4 or 3 over GF(3), the integral
+    Fraction 2 over QQ) comes back in normal form, or is dropped at 0."""
+    got = fields.sparse_compose(field, {0: {1: entry}}, {5: {0: 1}})
+    assert got == ({} if normal is None else {5: {1: normal}})
+    assert all(type(x) is int for col in got.values() for x in col.values())
+
+
+@pytest.mark.parametrize("field, entry", [(PrimeField(3), 2), (QQ, Fraction(1, 2)), (QQ, -3)], ids=["F3-2", "Q-1/2", "Q--3"])
+def test_unit_columns_share_a_normal_column(field, entry):
+    """A one-entry column of A already in normal form is returned itself
+    under a unit column of B; any other multiple is a new dict."""
+    col = {1: entry}
+    got = fields.sparse_compose(field, {0: col, 1: {0: 1}}, {5: {0: 1}, 6: {0: 2}, 7: {0: 1, 1: 1}})
+    assert got[5] is col
+    assert got[6] is not col and got[6] == {1: field.norm(2 * entry)}
+    assert got[7] == {0: 1, 1: entry} and got[7] is not col
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_one_operator_shared_by_blocks_of_two_shapes(nat2, field):
+    """`_of` takes a store whose two blocks hold one operator dict, x^a out
+    of 0,0 into a 2-dimensional label and x^b into a 1-dimensional one:
+    `gen_action` still gives each block its own shape, as `gen_matrix`
+    does, and the JSON round trip is the identity.  Every product of two
+    generators lands in a zero component, so the module law holds."""
+    alg = graded_algebra(nat2, 2, field)
+    (a, b), zero = alg.generators, alg.index(alg.zero_label)
+    op = {0: {0: field.one}}
+    sizes = {zero: 1, alg.shift[a][zero]: 2, alg.shift[b][zero]: 1}
+    module = GradedModule._of(alg, sizes, {(a, zero): op, (b, zero): op})
+    module.validate()
+    action = module.gen_action
+    assert action == {key: module.gen_matrix(*key) for key in action}
+    assert [action[g, alg.zero_label] for g in (a, b)] == [((1,), (0,)), ((1,),)]
+    assert jsonio.graded_from_json(json.loads(json.dumps(jsonio.graded_to_json(module)))) == module
+    assert jsonio.parabolic_from_json(jsonio.parabolic_to_json(module)) == module

@@ -805,6 +805,58 @@ def test_aliased_payload_keys_are_malformed(name, command, key, tmp_path, capsys
     assert (code, out, err) == (1, "", f"error: {line.format(key=key)}\n")
 
 
+# x^(1/2,0) out of 0,0 on N^2 at level 2, with a matrix or a row that is no
+# JSON array; over Q the first two used to read as [["1", "2"]] and [["1"]]
+# and fit the components, so they exited 0.
+NOT_ARRAYS = {
+    "string_row": ({"0,0": 2, "1/2,0": 1}, ["12"], ["12"]),
+    "string_matrix": ({"0,0": 1, "1/2,0": 1}, "1", 1),
+    "object_matrix": ({"0,0": 1, "1/2,0": 1}, {"0": ["1"]}, {"0": [1]}),
+    "second_row": ({"0,0": 1, "1/2,0": 2}, [["1"], "0"], [[1], 0]),
+}
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+@pytest.mark.parametrize("name", sorted(NOT_ARRAYS))
+def test_matrices_that_are_not_arrays_are_malformed(name, field, tmp_path, capsys):
+    """A matrix or a row that is not a JSON array exits 1 with one error
+    line naming the entry's rep and gen."""
+    components, rational, modular = NOT_ARRAYS[name]
+    matrix = rational if field == "Q" else modular
+    payload = {"monoid": N2, "level": 2, "field": field, "components": components,
+               "maps": [{"rep": "0,0", "gen": "1/2,0", "matrix": matrix}]}
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps(payload))
+    code = main(["parabolic", "to-graded", str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: maps entry rep 0,0, gen 1/2,0: matrix is not an array of arrays\n")
+
+
+# Input that json.loads cannot read raises a ValueError that is no JSONDecodeError.
+UNREADABLE = {
+    "invalid_utf8": (b'{"ambient_rank": 1, "generators": [[1]]}\xff', "'utf-8' codec can't decode byte 0xff"),
+    "long_integer": (b'{"ambient_rank": ' + b"9" * 5000 + b', "generators": [[1]]}', "Exceeds the limit (4300 digits)"),
+}
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_unreadable_json_input_is_malformed(name, via, tmp_path, capsys, monkeypatch):
+    """Invalid UTF-8 and an integer past Python's digit limit exit 1 with
+    one error line, from a file and from stdin."""
+    data, reason = UNREADABLE[name]
+    if via == "file":
+        (src := tmp_path / "payload.json").write_bytes(data)
+        arg = str(src)
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        arg = "-"
+    code = main(["monoid", "info", arg])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read JSON input: ") and reason in err and err.count("\n") == 1
+
+
 def test_unhandled_exception_is_an_internal_error(capsys, monkeypatch):
     """An exception that no exit code maps is a bug: exit 4 (EXIT_INTERNAL)
     with its traceback on stderr and nothing on stdout."""
