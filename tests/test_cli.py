@@ -832,7 +832,7 @@ def test_matrices_that_are_not_arrays_are_malformed(name, field, tmp_path, capsy
     assert (code, out, err) == (1, "", "error: maps entry rep 0,0, gen 1/2,0: matrix is not an array of arrays\n")
 
 
-# Input that json.loads cannot read raises a ValueError that is no JSONDecodeError.
+# Reading these raises a ValueError that is no JSONDecodeError: the UTF-8 decoder's or int()'s.
 UNREADABLE = {
     "invalid_utf8": (b'{"ambient_rank": 1, "generators": [[1]]}\xff', "'utf-8' codec can't decode byte 0xff"),
     "long_integer": (b'{"ambient_rank": ' + b"9" * 5000 + b', "generators": [[1]]}', "Exceeds the limit (4300 digits)"),
