@@ -34,11 +34,13 @@ A parabolic sheaf over a log point is a graded module here: `parabolic`
 passes `GradedModule` and `GradedMap` through unchanged, and modules
 carry its `monoid`, `level` and `field` and compare by value.
 
-Every quotient construction (tensor products and cokernels here,
-induction in `parabolic`) goes through one class, `Presentation`: an
-ordered free span per label, sparse relation rows filed by label in one
-pass, one elimination per distinct label presentation, and the generator
-action moved across to the quotient bases.  `PresentedSpace` (defined in
+Every quotient construction (tensor products and cokernels here;
+induction, its unit and counit maps and the counit test in `parabolic`)
+goes through one class, `Presentation`: an ordered free span per label
+index, sparse relation rows filed by label index in one pass, one
+elimination per distinct label presentation, and, once its `module` is
+read, the generator action moved across to the quotient bases; the
+counit test reads only the spaces.  `PresentedSpace` (defined in
 `fields`, bound here) is a function of its column count and rows, as its
 reduced row echelon form is unique, so labels filing equal blocks share
 one (`fields.present_each`).  It is the library's one Gauss-Jordan
@@ -66,7 +68,6 @@ from .infquot import delta_points, in_delta
 from .kummer import (
     coset_label,
     enumerate_labels,
-    label_add,
     label_at_level,
     label_level_divides,
     scaled_label,
@@ -490,37 +491,41 @@ def direct_sum(modules):
 
 
 class GradedMap:
-    """Degree-zero action-commuting map between modules over one algebra."""
+    """Degree-zero action-commuting map between modules over one algebra.
+
+    `blocks` maps a label to the dense matrix there, its entries brought into
+    the field (`norm`); one of a wrong shape raises ValueError, checked or not."""
 
     def __init__(self, source, target, blocks, check=True):
         if source.algebra != target.algebra:
             raise AlgebraMismatch("map between modules over different algebras")
         self.source, self.target = source, target
-        self.blocks = {lab: fields.mat_from_rows(mat) for lab, mat in blocks.items() if source.dim(lab)}
+        norm, self.blocks = source.field.norm, {}
+        for lab, mat in blocks.items():
+            if d := source.dim(lab):
+                mat = self.blocks[lab] = tuple(tuple(map(norm, row)) for row in mat)
+                if len(mat) != target.dim(lab) or {*map(len, mat)} - {d}:
+                    raise ValueError(f"map block at rep {vec_key(lab.representative)} has a wrong shape")
         if check and not self.commutes():
             raise ValueError("map does not commute with the action")
 
     def block(self, label):
-        mat = self.blocks.get(label)
-        if mat is None:
+        if (mat := self.blocks.get(label)) is None:
             return fields.zero_matrix(self.source.algebra.field, self.target.dim(label), self.source.dim(label))
         return mat
 
     def commutes(self):
+        """F_t X_g = Y_g F_i on the stored sparse operators X of the source
+        and Y of the target, F those of the blocks, out of each label i of the
+        source support (t = shift[g][i]); off it X_g and F_i, so both sides, are 0."""
         src, tgt = self.source, self.target
-        alg = src.algebra
-        labels = alg.labels
+        alg, shared = src.algebra, {}
+        compose = partial(fields.sparse_compose, alg.field)
+        ops = {alg.index(lab): _operator(tuple(zip(*mat)), shared) for lab, mat in self.blocks.items()}
         for g in alg.generators:
-            table = alg.shift[g]
-            for i in set(src.support) | set(tgt.support):
-                t = table[i]
-                lhs = fields.mat_mul_dims(
-                    alg.field, self.block(labels[t]), src._matrix(g, i), tgt.sizes[t], src.sizes[t], src.sizes[i]
-                )
-                rhs = fields.mat_mul_dims(
-                    alg.field, tgt._matrix(g, i), self.block(labels[i]), tgt.sizes[t], tgt.sizes[i], src.sizes[i]
-                )
-                if lhs != rhs:
+            for i in src.support:
+                lhs = compose(ops.get(alg.shift[g][i], {}), src.action.get((g, i), {}))
+                if lhs != compose(tgt.action.get((g, i), {}), ops.get(i, {})):
                     return False
         return True
 
@@ -567,7 +572,10 @@ def _submodule(ambient, bases, what):
                 if not fields.mat_eq_zero(moved):
                     raise ValueError(f"{what} is not action-stable")
                 continue
-            if op := _operator(tuple(fields.solve(field, tbasis, col) for col in zip(*moved)), shared):
+            cols = tuple(fields.solve(field, tbasis, col) for col in zip(*moved))
+            if None in cols:  # a moved vector leaves the target span
+                raise ValueError(f"{what} is not action-stable")
+            if op := _operator(cols, shared):
                 action[(g, i)] = op
     sub = GradedModule._of(alg, {alg.index(lab): len(basis) for lab, basis in bases.items()}, action)
     return sub, GradedMap(sub, ambient, incl, check=False)
@@ -578,11 +586,8 @@ def kernel(f):
     field = f.source.algebra.field
     bases = {}
     for lab, d in f.source.dims.items():
-        if f.target.dim(lab) == 0:
-            # the block is an empty matrix; the whole component is kernel
-            basis = fields.identity_matrix(field, d)
-        else:
-            basis = fields.nullspace(field, f.block(lab))
+        # an empty block (zero target) has the whole component as kernel
+        basis = fields.nullspace(field, f.block(lab)) if f.target.dim(lab) else fields.identity_matrix(field, d)
         if basis:
             bases[lab] = basis  # tuples of length d
     return _submodule(f.source, bases, "kernel")
@@ -607,13 +612,12 @@ def cokernel(f):
     alg = target.algebra
     img, incl = image(f)
     # generator keys are (label index, basis position)
-    gens = [(alg.labels[i], (i, a)) for i in target.support for a in range(target.sizes[i])]
+    gens = [(i, (i, a)) for i in target.support for a in range(target.sizes[i])]
 
     def relations():
-        for lab, d in img.dims.items():
-            mat = incl.block(lab)
-            i = alg.index(lab)
-            for j in range(d):
+        for i in img.support:
+            mat = incl.block(alg.labels[i])
+            for j in range(img.sizes[i]):
                 yield [((i, a), mat[a][j]) for a in range(target.sizes[i])]
 
     def move(h, key):
@@ -623,8 +627,8 @@ def cokernel(f):
 
     pres = Presentation(alg, gens, relations(), move)
     proj_blocks = {
-        lab: tuple(zip(*[sp.unit(a) for a in range(sp.ngens)]))
-        for lab, sp in pres.spaces.items()
+        alg.labels[i]: tuple(zip(*[sp.unit(a) for a in range(sp.ngens)]))
+        for i, sp in pres.spaces.items()
         if sp.dim
     }
     return pres.module, GradedMap(target, pres.module, proj_blocks, check=False)
@@ -738,62 +742,64 @@ def check_exactness(ses, sublevel):
 class Presentation:
     """A graded module presented as a free span per label modulo relations.
 
-    `gens` is an ordered list of (label, key) pairs; the order within a
-    label fixes the quotient basis.  `relations` yields sparse rows
+    `gens` is an ordered list of (label index, key) pairs; the order within
+    a label fixes the quotient basis.  `relations` yields sparse rows
     [(key, coeff), ...] whose keys share one label; keys not in `gens`
     name zero generators and are dropped.  `move(h, key)` is the sparse
     image of a generator under x^h, for h in `algebra.delta_generators`.
 
     Relation rows are filed as sparse rows {position: coeff} under the
-    label of their keys, in one pass.  There is one elimination per
+    label index of their keys, in one pass.  There is one elimination per
     distinct label presentation: labels with equal blocks share one
-    `PresentedSpace`, sound as its reduced row echelon form is unique, and
-    its memoised `reduce` moves the action across to the quotient bases.
-    `index` maps a key to its (label, position); `module` is the module.
+    `PresentedSpace`, sound as its reduced row echelon form is unique.
+    `index` maps a key to its (label index, position); `spaces` and
+    `gens_per_label` are keyed by label index.  `module`, built when first
+    read, moves the action across to the quotient bases by `reduce`.
     """
 
     def __init__(self, algebra, gens, relations, move):
+        self.algebra, self._move = algebra, move
         self.gens_per_label = per = {}
         self.index = index = {}
-        for lab, key in gens:
-            keys = per.setdefault(lab, [])
-            index[key] = (lab, len(keys))
+        for i, key in gens:
+            keys = per.setdefault(i, [])
+            index[key] = (i, len(keys))
             keys.append(key)
-        rows = {lab: [] for lab in per}
+        rows = {i: [] for i in per}
         for terms in relations:
             row = {}
             for key, c in terms:
                 hit = index.get(key) if c else None
                 if hit is not None:
-                    lab, j = hit
+                    i, j = hit
                     row[j] = row.get(j, 0) + c
             if row:
-                rows[lab].append(row)
-        self.spaces = dict(fields.present_each(algebra.field, ((lab, len(keys), rows[lab]) for lab, keys in per.items())))
-        action, shared = {}, {}
-        for lab, keys in per.items():
-            sp = self.spaces[lab]
-            if sp.dim == 0:
-                continue
-            i = algebra.index(lab)
-            for h in algebra.delta_generators:
-                tlab = algebra.labels[algebra.shift[h][i]]
-                tsp = self.spaces.get(tlab)
-                if tsp is None or tsp.dim == 0:
-                    continue
-                if op := _operator(tuple(self.coords(tlab, move(h, keys[k])) for k in sp.free), shared):
-                    action[(h, i)] = op
-        self.module = GradedModule._of(algebra, {algebra.index(lab): sp.dim for lab, sp in self.spaces.items() if sp.dim}, action)
+                rows[i].append(row)
+        self.spaces = dict(fields.present_each(algebra.field, ((i, len(keys), rows[i]) for i, keys in per.items())))
 
-    def coords(self, label, terms):
-        """Quotient coordinates at `label` of a sparse generator vector."""
+    @cached_property
+    def module(self):
+        algebra, spaces, action, shared = self.algebra, self.spaces, {}, {}
+        for i, keys in self.gens_per_label.items():
+            if (sp := spaces[i]).dim == 0:
+                continue
+            for h in algebra.delta_generators:
+                t = algebra.shift[h][i]
+                if t not in spaces or spaces[t].dim == 0:
+                    continue
+                if op := _operator(tuple(self.coords(t, self._move(h, keys[k])) for k in sp.free), shared):
+                    action[(h, i)] = op
+        return GradedModule._of(algebra, {i: sp.dim for i, sp in spaces.items() if sp.dim}, action)
+
+    def coords(self, i, terms):
+        """Quotient coordinates at label index i of a sparse generator vector."""
         index = self.index
         vec = {}
         for key, c in terms:
             hit = index.get(key)
             if hit is not None:
                 vec[hit[1]] = vec.get(hit[1], 0) + c
-        return self.spaces[label].reduce(vec)
+        return self.spaces[i].reduce(vec)
 
 
 def tensor(m, n):
@@ -806,37 +812,37 @@ def tensor(m, n):
         raise AlgebraMismatch("tensor of modules over different algebras")
     alg, field, labels = m.algebra, m.field, m.algebra.labels
     gens = []
-    for mu, dm in m.dims.items():
-        for nu, dn in n.dims.items():
-            gens.extend((label_add(mu, nu), (mu, i, nu, j)) for i in range(dm) for j in range(dn))
+    # generator keys are (label index in m, basis position, label index in n, basis position)
+    for k in m.support:
+        for l in n.support:
+            t = alg._position(map(add, labels[k].residues, labels[l].residues))
+            gens.extend((t, (k, i, l, j)) for i in range(m.sizes[k]) for j in range(n.sizes[l]))
 
     def move(g, key):
         """x^g on the left factor of e_i (x) e_j."""
-        mu, i, nu, j = key
-        k = alg.index(mu)
+        k, i, l, j = key
         t = alg.shift[g][k]
-        return [((labels[t], i2, nu, j), x) for i2, x in m.action.get((g, k), {}).get(i, {}).items()]
+        return [((t, i2, l, j), x) for i2, x in m.action.get((g, k), {}).get(i, {}).items()]
 
     def relations():
         # (x^g e_i) (x) e_j = e_i (x) (x^g e_j)
         for g in alg.delta_generators:
-            for mu, dm in m.dims.items():
-                for nu, dn in n.dims.items():
-                    k = alg.index(nu)
-                    t, an = alg.shift[g][k], n.action.get((g, k), {})
-                    for i in range(dm):
-                        for j in range(dn):
-                            right = [((mu, i, labels[t], j2), field.norm(-x)) for j2, x in an.get(j, {}).items()]
-                            yield move(g, (mu, i, nu, j)) + right
+            for k in m.support:
+                for l in n.support:
+                    t, an = alg.shift[g][l], n.action.get((g, l), {})
+                    for i in range(m.sizes[k]):
+                        for j in range(n.sizes[l]):
+                            right = [((k, i, t, j2), field.norm(-x)) for j2, x in an.get(j, {}).items()]
+                            yield move(g, (k, i, l, j)) + right
 
     pres = Presentation(alg, gens, relations(), move)
 
     def embed(mu, i, nu, j):
-        hit = pres.index.get((mu, i, nu, j))
+        hit = pres.index.get((alg.label_index.get(mu), i, alg.label_index.get(nu), j))
         if hit is None:
             return None
-        lab, idx = hit
-        return lab, pres.spaces[lab].unit(idx)
+        t, idx = hit
+        return alg.labels[t], pres.spaces[t].unit(idx)
 
     return pres.module, embed
 

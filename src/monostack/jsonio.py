@@ -22,9 +22,11 @@ malformed input.  The writer turns each distinct matrix of `gen_action`
 into JSON rows once, so entries with equal matrices share one list.
 Every value the schemas type as integer, and every GF(p) matrix entry,
 goes through `int_from_json`, which rejects booleans, strings and
-non-integral numbers instead of truncating them.  The scalar and vector
-codec (`frac_to_str`, `frac_from_str`, `int_from_json`, `vec_*`) and the
-key grammar live in `lattice`, the monoid codec in `monoid`, the hom.json
+non-integral numbers instead of truncating them; a Q matrix entry that
+is a JSON float, rounded before it is read, is refused.  Errors in a
+matrix name its entry's rep and gen.  The scalar and vector codec
+(`frac_to_str`, `frac_from_str`, `int_from_json`, `vec_*`) and the key
+grammar live in `lattice`, the monoid codec in `monoid`, the hom.json
 reader `hom_from_json` in `kummer` and the profinite reader
 `profinite_from_json` in `infquot`, so a command that reads only those
 payloads need not import this module; all of them are re-exported here.
@@ -104,9 +106,11 @@ def _fel_to_json(field, x):
 
 
 def _fel_from_json(field, data):
-    if not field.p:
-        return frac_from_str(data)
-    return field.of_int(int_from_json(data, "matrix entry"))
+    if field.p:
+        return field.of_int(int_from_json(data, "matrix entry"))
+    if type(data) is float:  # json has already rounded it: 1e-400 reads as 0.0
+        raise MalformedInput("a Q matrix entry must be an integer or an exact rational string, not a JSON float")
+    return frac_from_str(data)
 
 
 def matrix_to_json(field, mat):
@@ -114,11 +118,11 @@ def matrix_to_json(field, mat):
 
 
 def matrix_from_json(field, data, parsed):
-    """The matrix of a JSON array of row arrays, or None when the matrix or a
-    row is not an array (a string would read as its characters).  Entry
-    strings are parsed once per `parsed` cache of one field (`_once`)."""
+    """The matrix of a JSON array of row arrays; a matrix or row that is not
+    an array (a string would read as its characters) is malformed input.
+    Entry strings are parsed once per `parsed` cache of one field (`_once`)."""
     if type(data) is not list or not all(type(row) is list for row in data):
-        return None
+        raise MalformedInput("matrix is not an array of arrays")
     return tuple(tuple(_once(parsed, x, _fel_from_json, field) for x in row) for row in data)
 
 
@@ -185,9 +189,10 @@ def _module_from_json(data, what, key, build):
             lab = _once(labels, entry["rep"], label_from_key, pres, level)
             g = _once(gens, entry["gen"], gen_from_key, pres, level)
             _claim(names, (g, lab), name := f"{key} entry rep {entry['rep']}, gen {entry['gen']}", "label and generator")
-            if (mat := matrix_from_json(field, entry["matrix"], parsed)) is None:
-                raise MalformedInput(f"{name}: matrix is not an array of arrays")
-            action[(g, lab)] = mat
+            try:
+                action[(g, lab)] = matrix_from_json(field, entry["matrix"], parsed)
+            except MalformedInput as exc:
+                raise MalformedInput(f"{name}: {exc}") from exc
     except MalformedInput:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -20,12 +20,13 @@ as a direct sum of source components modulo the arrow identifications
 what makes the pseudo-period normalization the identity).  Induction is
 built by `graded.Presentation`; the presentation is kept for the unit,
 counit and induced maps, which read its generator index and quotient
-spaces.  Most relation blocks follow from the unit-pivot ones, and only
-the others are filed (`_reduction` and `_induce_with_data` prove that the
-quotients do not change).  The counit test `is_induced_from` presents
-nothing: it reduces every generator along the unit pivots to its normal
-form and eliminates only the own-end generators, 2,520 columns instead of
-171,360 generators for the level-8 `is_induced_from(ind, 4)` of the cone.
+spaces by level-N label index.  Most relation blocks follow from the
+unit-pivot ones, and only the others are filed (`_reduction` and
+`_induce_with_data` prove that the quotients do not change).  The counit
+test `is_induced_from` presents only the own-end generators and moves no
+action: it reduces every generator along the unit pivots to its normal
+form, so its `Presentation` takes 2,520 columns instead of 171,360
+generators for the level-8 `is_induced_from(ind, 4)` of the cone.
 
 Points are `graded`'s int tuples y = n*s*x, `ParabolicSheaf`'s structure
 keys among them; a level-m point enters level N as (N/m)*y.
@@ -70,11 +71,8 @@ compose = graded.compose_maps
 
 
 def is_identity(pmap):
-    field = pmap.source.field
-    for lab, d in pmap.source.dims.items():
-        if pmap.block(lab) != fields.identity_matrix(field, d):
-            return False
-    return all(pmap.target.dim(lab) == pmap.source.dim(lab) for lab in pmap.target.dims)
+    src, field = pmap.source, pmap.source.field
+    return src.sizes == pmap.target.sizes and all(pmap.block(lab) == fields.identity_matrix(field, d) for lab, d in src.dims.items())
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +157,20 @@ def _reduction(sheaf, alg_n):
     return end, u, blocks
 
 
+def _up(sheaf, alg_n):
+    """The level-N index of each label index of the support of `sheaf`."""
+    labels = sheaf.algebra.labels
+    return {j: alg_n.index(labels[j]) for j in sheaf.support}  # labels compare across levels
+
+
 def _generators(sheaf, alg_n, points):
-    """(label, (j, gamma, i)) for j in the support, gamma in `points` and i
-    below the size of j, the label that of j moved by gamma at level N."""
-    alg = sheaf.algebra
+    """(label index, (j, gamma, i)) for j in the support, gamma in `points`
+    and i below the size of j, the label that of j moved by gamma at level N."""
     gens = []
-    for j in sheaf.support:
-        start = alg_n.index(alg.labels[j])  # labels compare across levels
+    for j, start in _up(sheaf, alg_n).items():
         for gamma in points:
-            lab = alg_n.labels[alg_n.target(gamma, start)]
-            gens.extend((lab, (j, gamma, i)) for i in range(sheaf.sizes[j]))
+            t = alg_n.target(gamma, start)
+            gens.extend((t, (j, gamma, i)) for i in range(sheaf.sizes[j]))
     return gens
 
 
@@ -223,43 +225,33 @@ def induce(sheaf, level):
 
 def induce_parabolic_map(pmap, level, src_ind=None, tgt_ind=None):
     """The induced map between induced sheaves (functoriality of induction)."""
-    if src_ind is None:
-        src_ind = _induce_with_data(pmap.source, level)
-    if tgt_ind is None:
-        tgt_ind = _induce_with_data(pmap.target, level)
-    s_sheaf, s_pres = src_ind
-    t_sheaf, t_pres = tgt_ind
+    s_sheaf, s_pres = src_ind or _induce_with_data(pmap.source, level)
+    t_sheaf, t_pres = tgt_ind or _induce_with_data(pmap.target, level)
     labels = pmap.source.algebra.labels
     blocks = {}
-    for lab in s_sheaf.dims:
-        if not t_sheaf.dim(lab):
+    for t in s_sheaf.support:
+        if not t_sheaf.sizes[t]:
             continue
-        sp = s_pres.spaces[lab]
         cols = []
-        for k in sp.free:
-            j, gamma, i = s_pres.gens_per_label[lab][k]
+        for k in s_pres.spaces[t].free:
+            j, gamma, i = s_pres.gens_per_label[t][k]
             fb = pmap.block(labels[j])
             terms = [((j, gamma, k2), fb[k2][i]) for k2 in range(pmap.target.sizes[j])]
-            cols.append(t_pres.coords(lab, terms))
-        blocks[lab] = tuple(zip(*cols))
+            cols.append(t_pres.coords(t, terms))
+        blocks[s_sheaf.algebra.labels[t]] = tuple(zip(*cols))
     return GradedMap(s_sheaf, t_sheaf, blocks, check=False)
 
 
 def unit_map(sheaf, level, ind=None):
     """eta: E -> restrict(induce(E, level), E.level)."""
-    if ind is None:
-        ind = _induce_with_data(sheaf, level)
-    ind_sheaf, pres = ind
+    ind_sheaf, pres = ind or _induce_with_data(sheaf, level)
     res = restrict(ind_sheaf, sheaf.level)
-    field = sheaf.field
-    zero = (0,) * sheaf.monoid.ambient_rank
+    one, zero = sheaf.field.one, (0,) * sheaf.monoid.ambient_rank
     blocks = {}
-    for j in sheaf.support:
-        nu = sheaf.algebra.labels[j]
-        if not ind_sheaf.dim(nu):  # labels compare across levels
-            continue
-        cols = [pres.coords(nu, [((j, zero, i), field.one)]) for i in range(sheaf.sizes[j])]
-        blocks[nu] = tuple(zip(*cols))
+    for j, t in _up(sheaf, pres.algebra).items():
+        if ind_sheaf.sizes[t]:
+            cols = [pres.coords(t, [((j, zero, i), one)]) for i in range(sheaf.sizes[j])]
+            blocks[sheaf.algebra.labels[j]] = tuple(zip(*cols))
     return GradedMap(sheaf, res, blocks, check=False)
 
 
@@ -268,22 +260,18 @@ def counit_map(sheaf, sublevel, ind=None):
     if sheaf.level % sublevel != 0:
         raise NotADivisor(f"{sublevel} does not divide level {sheaf.level}")
     res = restrict(sheaf, sublevel)
-    if ind is None:
-        ind = _induce_with_data(res, sheaf.level)
-    ind_sheaf, pres = ind
-    # the level-N index of each source label index of the restriction
-    up = {j: sheaf.algebra.index(res.algebra.labels[j]) for j in res.support}
+    ind_sheaf, pres = ind or _induce_with_data(res, sheaf.level)
+    up, zero = _up(res, sheaf.algebra), sheaf.field.zero
     blocks = {}
-    for lab in ind_sheaf.dims:
-        tdim = sheaf.dim(lab)
-        if tdim == 0:
+    for t in ind_sheaf.support:
+        if not (tdim := sheaf.sizes[t]):
             continue
         cols = []
-        for k in pres.spaces[lab].free:
-            j, gamma, i = pres.gens_per_label[lab][k]
+        for k in pres.spaces[t].free:
+            j, gamma, i = pres.gens_per_label[t][k]
             col = sheaf.act(gamma, up[j])[1].get(i, {})
-            cols.append(tuple(col.get(t, sheaf.field.zero) for t in range(tdim)))
-        blocks[lab] = tuple(zip(*cols))
+            cols.append(tuple(col.get(r, zero) for r in range(tdim)))
+        blocks[sheaf.algebra.labels[t]] = tuple(zip(*cols))
     return GradedMap(ind_sheaf, sheaf, blocks, check=False)
 
 
@@ -292,9 +280,10 @@ def is_induced_from(sheaf, divisor):
 
     Componentwise finite presentation is automatic for finite-dimensional
     components over a field, so this single check decides the criterion at
-    the stored level.  It is decided on the own-end generators of the
-    induction of R = restrict(E, m), m = `divisor`, to the level N of E,
-    without presenting the induced module (`counit_map` builds the map).
+    the stored level.  It is decided on a `graded.Presentation` of the
+    own-end generators of the induction of R = restrict(E, m), m =
+    `divisor`, to the level N of E, whose `module` is never read, so no
+    induced action is moved (`counit_map` builds the map).
 
     With end and u those of `_reduction`, the normal form of a generator
     is NF(j, gamma, i) = X_u(gamma) e_i at (the label of j moved by
@@ -321,57 +310,55 @@ def is_induced_from(sheaf, divisor):
     is one elimination per distinct label presentation, up to a failure.
     """
     res = restrict(sheaf, divisor)  # raises NotADivisor
-    field = sheaf.field
-    alg, alg_n = res.algebra, sheaf.algebra
-    delta_m = alg._basis_set
+    alg_n, delta_m = sheaf.algebra, res.algebra._basis_set
     end, u, blocks = _reduction(res, alg_n)
-    index, columns = {}, {}
-    for lab, key in _generators(res, alg_n, [g for g in alg_n.basis if end[g] == g]):
-        keys = columns.setdefault(lab, [])
-        index[key] = (lab, len(keys))
-        keys.append(key)
+    column, nf_memo = {}, {}  # one key tuple per column, shared by every normal form
 
-    nf_memo = {}
+    def columns():  # `Presentation` reads them all before the first relation
+        for t, key in _generators(res, alg_n, [g for g in alg_n.basis if end[g] == g]):
+            column[key] = key
+            yield t, key
 
     def nf(j, v, e):
-        """X_v e_i at (j moved by v, e) on the columns, one sparse list
-        [((label, position), coeff), ...] per i; None when v leaves Delta_m."""
-        key = (j, v, e)
-        if key not in nf_memo:
+        """X_v e_i at (j moved by v, e) as column terms, one list per i; None
+        when v leaves Delta_m."""
+        memo = (j, v, e)
+        if memo not in nf_memo:
             cols = None
             if v in delta_m:
                 t, op = res.act(v, j)
-                cols = [[(index[(t, e, k)], a) for k, a in op.get(i, {}).items()] for i in range(res.sizes[j])]
-            nf_memo[key] = cols
-        return nf_memo[key]
+                cols = [[(column[(t, e, k)], a) for k, a in op.get(i, {}).items()] for i in range(res.sizes[j])]
+            nf_memo[memo] = cols
+        return nf_memo[memo]
 
-    rows = {lab: [] for lab in columns}
-    for w, kept in blocks:
-        for gamma, g, canonical in kept:
-            if canonical:
-                continue
-            for j in res.support:
-                left = nf(j, u[g], end[g]) if g in alg_n._basis_set else None
-                right = nf(j, vadd(w, u[gamma]), end[gamma])
-                for i in range(res.sizes[j]):
-                    row, lab = {}, None
-                    for (lab, pos), c in left[i] if left else ():
-                        row[pos] = c
-                    for (lab, pos), c in right[i] if right else ():
-                        row[pos] = -c
-                    if row:
-                        rows[lab].append(row)
-    own = ((lab, len(keys), rows[lab]) for lab, keys in columns.items())
-    if {lab: sp.dim for lab, sp in fields.present_each(field, own) if sp.dim} != sheaf.dims:
+    def relations():
+        for w, kept in blocks:
+            for gamma, g, canonical in kept:
+                if canonical:
+                    continue
+                for j in res.support:
+                    left = nf(j, u[g], end[g]) if g in alg_n._basis_set else None
+                    right = nf(j, vadd(w, u[gamma]), end[gamma])
+                    for i in range(res.sizes[j]):
+                        l, r = left[i] if left else (), right[i] if right else ()
+                        if l and r:
+                            yield l + [(key, -c) for key, c in r]
+                        elif l or r:  # a one-sided row spans what its negative does
+                            yield l or r
+
+    pres = graded.Presentation(alg_n, columns(), relations(), None)
+    spaces = pres.spaces
+    if [spaces[t].dim if t in spaces else 0 for t in range(len(alg_n.labels))] != sheaf.sizes:
         return False
-    up = {j: alg_n.index(alg.labels[j]) for j in res.support}
+    up = _up(res, alg_n)
 
-    def images(lab, d):
-        for j, gamma, i in columns[lab]:
+    def images(t):
+        for j, gamma, i in pres.gens_per_label[t]:
             yield sheaf.act(gamma, up[j])[1].get(i, {})
 
     # present_each is lazy: the first label whose images miss a direction ends the test
-    return not any(sp.dim for _, sp in fields.present_each(field, ((lab, d, list(images(lab, d))) for lab, d in sheaf.dims.items())))
+    blocks = ((t, sheaf.sizes[t], list(images(t))) for t in sheaf.support)
+    return not any(sp.dim for _, sp in fields.present_each(sheaf.field, blocks))
 
 
 def minimal_inducing_level(sheaf):

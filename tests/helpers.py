@@ -639,11 +639,12 @@ def induction_presentation_oracle(sheaf, level):
     """The presentation of induction to `level` with every relation block filed.
 
     The generators are those of `parabolic._induce_with_data`, (j, gamma, i)
-    in the same order; the relations are all of x^(qw+gamma) (x) e_i =
-    x^gamma (x) X_w e_i, q = level / sheaf.level, for every delta generator w
-    of the source, every label index j of its support, every level-N Delta
-    point gamma and every i, the left side dropped when qw+gamma leaves
-    Delta.  Returns the `graded.Presentation`.
+    in the same order under the same level-N label indices; the relations
+    are all of x^(qw+gamma) (x) e_i = x^gamma (x) X_w e_i, q = level /
+    sheaf.level, for every delta generator w of the source, every label
+    index j of its support, every level-N Delta point gamma and every i,
+    the left side dropped when qw+gamma leaves Delta.  Returns the
+    `graded.Presentation`.
     """
     from monostack import graded
     from monostack.lattice import vadd, vscale
@@ -655,8 +656,8 @@ def induction_presentation_oracle(sheaf, level):
     for j in sheaf.support:
         start = alg_n.index(alg.labels[j])
         for gamma in alg_n.basis:
-            lab = alg_n.labels[alg_n.target(gamma, start)]
-            gens.extend((lab, (j, gamma, i)) for i in range(sizes[j]))
+            t = alg_n.target(gamma, start)
+            gens.extend((t, (j, gamma, i)) for i in range(sizes[j]))
 
     def relations():
         for w in alg.delta_generators:

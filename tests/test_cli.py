@@ -832,6 +832,35 @@ def test_matrices_that_are_not_arrays_are_malformed(name, field, tmp_path, capsy
     assert (code, out, err) == (1, "", "error: maps entry rep 0,0, gen 1/2,0: matrix is not an array of arrays\n")
 
 
+# JSON numbers that are not integers, as Q entries of x^(1/2) out of 0 on N at
+# level 2; both used to exit 0, the first with the action dropped (it reads
+# as 0.0), the second as 1/10 (the float nearest to it is 0.1).
+FLOAT_ENTRIES = {
+    "underflow": "1e-400",
+    "long_decimal": "0.1000000000000000055511151231257827",
+    "integral": "1.0",
+}
+
+
+@pytest.mark.parametrize("key, command", [("maps", "to-graded"), ("action", "from-graded")])
+@pytest.mark.parametrize("name", sorted(FLOAT_ENTRIES))
+def test_float_entries_over_q_are_malformed(name, key, command, tmp_path, capsys):
+    """Over Q a matrix entry must be a JSON integer or an exact rational
+    string: a JSON float exits 1 with one error line naming the entry's rep
+    and gen, under either matrix key; the same entry as a string is read."""
+    payload = ('{"monoid": {"ambient_rank": 1, "generators": [[1]]}, "level": 2, "field": "Q", '
+               '"components": {"0": 1, "1/2": 1}, "%s": [{"rep": "0", "gen": "1/2", "matrix": [[%s]]}]}')
+    src = tmp_path / "payload.json"
+    src.write_text(payload % (key, FLOAT_ENTRIES[name]))
+    code = main(["parabolic", command, str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {key} entry rep 0, gen 1/2: ") and "JSON float" in err and err.count("\n") == 1
+    src.write_text(payload % (key, json.dumps(FLOAT_ENTRIES[name])))
+    assert main(["parabolic", command, str(src)]) == 0
+    capsys.readouterr()
+
+
 # Reading these raises a ValueError that is no JSONDecodeError: the UTF-8 decoder's or int()'s.
 UNREADABLE = {
     "invalid_utf8": (b'{"ambient_rank": 1, "generators": [[1]]}\xff', "'utf-8' codec can't decode byte 0xff"),

@@ -498,3 +498,59 @@ def test_projection_formula_plane_times_twist(nat2):
         both = degree_zero_part(base_tensor(2, t), 1).total_dim
         assert both == 2 * d0
         assert projection_formula_check(2, t)
+
+
+# -- graded maps ----------------------------------------------------------------
+
+MAP_FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+
+
+def _two_copies(nat, field):
+    """Two copies of R(0) on N at level 3: dimension 2 at each of the labels 0, 1/3, 2/3."""
+    r = algebra_as_module(graded_algebra(nat, 3, field))
+    return direct_sum([r, r])
+
+
+@pytest.mark.parametrize("field", MAP_FIELDS, ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("check", [True, False])
+def test_map_blocks_of_a_wrong_shape_are_refused(nat, field, check):
+    """A block must be target dim x source dim, with or without the check:
+    one column too many, one row too many, a ragged row and a row-less
+    block on a 2-dim component are each refused."""
+    m = _two_copies(nat, field)
+    lab = m.algebra.zero_label
+    one, zero = field.one, field.zero
+    for bad in (((one, zero, zero), (zero, one, zero)), ((one, zero), (zero, one), (zero, zero)), ((one, zero), (one,)), ()):
+        with pytest.raises(ValueError, match=r"map block at rep 0 has a wrong shape"):
+            GradedMap(m, m, {lab: bad}, check=check)
+
+
+@pytest.mark.parametrize("field", MAP_FIELDS, ids=["Q", "F2", "F3"])
+def test_map_entries_are_brought_into_the_field(nat, field):
+    """Each block entry is stored in normal form: (p+1)*I is the identity
+    over GF(p), and over QQ an I of `Fraction(1)` entries holds ints."""
+    from monostack.parabolic import is_identity
+
+    m = _two_copies(nat, field)
+    one = field.p + 1 if field.p else Fraction(1)
+    f = GradedMap(m, m, {lab: ((one, 0), (0, one)) for lab in m.dims})
+    assert {type(x) for mat in f.blocks.values() for row in mat for x in row} == {int}
+    assert is_identity(f) and f.is_isomorphism()
+
+
+@pytest.mark.parametrize("field", MAP_FIELDS, ids=["Q", "F2", "F3"])
+def test_kernel_and_image_of_a_non_commuting_map_are_refused(nat, field):
+    """A map that does not commute with the action, given unchecked: its
+    kernel and image are not action-stable, and both say so, where the
+    kernel's moved vector leaves a target span that is present (e_2 at
+    label 0 moves to e_2 at 1/3, whose kernel is spanned by e_1)."""
+    m = _two_copies(nat, field)
+    labels = m.algebra.labels
+    one, zero = field.one, field.zero
+    blocks = {labels[0]: ((one, zero), (zero, zero)), labels[1]: ((zero, zero), (zero, one)), labels[2]: ((one, zero), (zero, one))}
+    f = GradedMap(m, m, blocks, check=False)
+    assert not f.commutes()
+    with pytest.raises(ValueError, match="^kernel is not action-stable$"):
+        kernel(f)
+    with pytest.raises(ValueError, match="^image is not action-stable$"):
+        image(f)
