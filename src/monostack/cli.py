@@ -19,6 +19,7 @@ argparse reports.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 
@@ -40,7 +41,7 @@ def _read_payload(path):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return json.loads(text)
+        return json.loads(text, parse_float=decimal.Decimal)  # exact: a float would round 1e-400 to 0.0
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, an int past the digit limit
         raise MalformedInput(f"cannot read JSON input: {exc}") from exc
 

@@ -1,19 +1,19 @@
-"""Exact field arithmetic, dense matrices and one sparse elimination.
+"""Exact field arithmetic, one sparse elimination and dense test helpers.
 
 The coefficient field is a prime field, `PrimeField(p)`: the rationals
 `QQ = PrimeField(0)` (elements are ints, or `fractions.Fraction`s once a
 division makes the value fractional) or `GF(p)` for a prime p <= 97
 (elements are plain ints in [0, p)).  The matrix routines compute with
 Python's operators and bring each result back into the field, so
-graded/parabolic code runs one code path for both fields.  Matrices are
-tuples of row tuples; vectors are tuples.
+graded/parabolic code runs one code path for both fields.  Actions and
+maps are sparse operators (`sparse_compose`); the dense matrices here,
+tuples of row tuples, and their routines serve only tests and benchmark.
 
 `PresentedSpace`, the quotient of a free space by relation rows, takes
 sparse rows {column: coefficient} and eliminates them sparsely.  It is the
 only Gauss-Jordan elimination here: the quotient constructions of `graded`
-and `parabolic` (induction, tensor products, cokernels, hom spaces) run on
-it, and `rref`, `rank`, `solve` and `nullspace` file the nonzero entries
-of their dense rows into it.
+and `parabolic` and the kernels and images of maps run on it, and the
+dense `rref`, `rank`, `solve` and `nullspace` file their rows into it.
 """
 
 from __future__ import annotations
@@ -79,16 +79,6 @@ def field_spec(field):
 
 def zero_matrix(field, rows, cols):
     return tuple(tuple(field.zero for _ in range(cols)) for _ in range(rows))
-
-
-def identity_matrix(field, n):
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-    )
-
-
-def mat_from_rows(rows):
-    return tuple(tuple(row) for row in rows)
 
 
 def mat_mul(field, a, b):

@@ -8,8 +8,9 @@ translation table per Hilbert generator (`GradedAlgebra.shift`) moves an
 index by the generator's label.  A module stores its dimensions and one
 sparse operator per (generator, label index), the only stored form of its
 action; a Delta monomial acts by their memoized composite along a
-canonical decomposition.  Labels and dense matrices appear only at the
-JSON and API edges.
+canonical decomposition.  A `GradedMap` stores one operator of the same
+form per source label index.  Labels and dense matrices appear only at
+the JSON and API edges.
 
 Here and in `parabolic` a point x of (1/n)P is the int tuple y = n*s*x
 (s the presentation denominator); only the algebra knows the scale.  The
@@ -44,10 +45,11 @@ counit test reads only the spaces.  `PresentedSpace` (defined in
 `fields`, bound here) is a function of its column count and rows, as its
 reduced row echelon form is unique, so labels filing equal blocks share
 one (`fields.present_each`).  It is the library's one Gauss-Jordan
-eliminator: relation rows are never densified, and the dense
-`fields.rank`, `solve` and `nullspace` behind kernels and images run on
-it too.  Kernels and images share `_submodule`, which moves the
-action onto a sub-basis.
+eliminator, and it works on operators directly: ranks are pivots of an
+operator's columns, a kernel is the `nullspace` of its rows and an image
+its pivot columns.  Kernels and images share `_submodule`, which moves
+the action onto a sub-basis by `fields.sparse_compose` and reads the
+coordinates from one space per target label (`_coordinates`).
 
 The monomial-ideal side lives in `ideals`; its four public names stay
 bound here.
@@ -68,8 +70,6 @@ from .infquot import delta_points, in_delta
 from .kummer import (
     coset_label,
     enumerate_labels,
-    label_at_level,
-    label_level_divides,
     scaled_label,
     zero_label,
 )
@@ -241,7 +241,10 @@ class GradedModule:
             if g not in algebra.generators:
                 raise ValueError(f"gen {scaled_key(g, algebra.scale)} is not a Hilbert generator of (1/n)P")
             i = at[lab] if lab in at else algebra.index(lab)  # a payload reuses its `dims` label objects
-            if op := _operator(tuple(zip(*self._shaped(g, i, fields.mat_from_rows(mat)))), shared, algebra.field.norm):
+            if len(mat) != self.sizes[algebra.shift[g][i]] or {*map(len, mat)} - {self.sizes[i]}:
+                where = f"gen {scaled_key(g, algebra.scale)} at rep {vec_key(algebra.labels[i].representative)}"
+                raise ValueError(f"action matrix for {where} has a wrong shape")
+            if op := _operator(tuple(zip(*mat)), shared, algebra.field.norm):
                 self.action[(g, i)] = op
         if check:
             self.validate()
@@ -289,7 +292,7 @@ class GradedModule:
         for (g, i), op in self.action.items():
             key = (id(op), self.sizes[alg.shift[g][i]], self.sizes[i])
             if (mat := dense.get(key)) is None:
-                mat = dense[key] = self._matrix(g, i)
+                mat = dense[key] = self.gen_matrix(g, alg.labels[i])
             out[(g, alg.labels[i])] = mat
         return out
 
@@ -302,22 +305,8 @@ class GradedModule:
 
     def gen_matrix(self, g, label):
         """Action matrix of a Hilbert generator out of `label`."""
-        return self._matrix(g, self.algebra.index(label))
-
-    def _matrix(self, g, i):
-        """The dense matrix of x^g out of label i."""
-        rows = [[self.algebra.field.zero] * self.sizes[i] for _ in range(self.sizes[self.algebra.shift[g][i]])]
-        for c, col in self.action.get((g, i), {}).items():
-            for r, x in col.items():
-                rows[r][c] = x
-        return tuple(map(tuple, rows))
-
-    def _shaped(self, g, i, mat):
-        """`mat`, if every row fits x^g out of label i, or ValueError."""
-        if len(mat) != self.sizes[self.algebra.shift[g][i]] or {*map(len, mat)} - {self.sizes[i]}:
-            where = f"gen {scaled_key(g, self.algebra.scale)} at rep {vec_key(self.algebra.labels[i].representative)}"
-            raise ValueError(f"action matrix for {where} has a wrong shape")
-        return mat
+        i = self.algebra.index(label)
+        return _dense(self.field, self.action.get((g, i), {}), self.sizes[self.algebra.shift[g][i]], self.sizes[i])
 
     def act(self, gamma, i):
         """(t, X) for gamma in Delta cap (1/n)P: X is the operator of x^gamma
@@ -493,35 +482,49 @@ def direct_sum(modules):
 class GradedMap:
     """Degree-zero action-commuting map between modules over one algebra.
 
-    `blocks` maps a label to the dense matrix there, its entries brought into
-    the field (`norm`); one of a wrong shape raises ValueError, checked or not."""
+    Stored as `ops[i]`, the sparse operator {column: {row: entry}} out of
+    label index i of the source into label i of the target, in the format of
+    `GradedModule.action`, with no key for a zero block.  The constructor
+    takes label-keyed dense `blocks`, whose entries it brings into the field
+    (`norm`); one of a wrong shape raises ValueError, checked or not.
+    `block(label)` and `blocks`, over the whole source support, are dense
+    views back."""
 
     def __init__(self, source, target, blocks, check=True):
         if source.algebra != target.algebra:
             raise AlgebraMismatch("map between modules over different algebras")
-        self.source, self.target = source, target
-        norm, self.blocks = source.field.norm, {}
+        self.source, self.target, self.ops, shared = source, target, {}, {}
         for lab, mat in blocks.items():
             if d := source.dim(lab):
-                mat = self.blocks[lab] = tuple(tuple(map(norm, row)) for row in mat)
                 if len(mat) != target.dim(lab) or {*map(len, mat)} - {d}:
                     raise ValueError(f"map block at rep {vec_key(lab.representative)} has a wrong shape")
+                if op := _operator(tuple(zip(*mat)), shared, source.field.norm):
+                    self.ops[source.algebra.index(lab)] = op
         if check and not self.commutes():
             raise ValueError("map does not commute with the action")
 
+    @classmethod
+    def _of(cls, source, target, ops):
+        """The map with a finished store, unchecked: library constructions
+        hand theirs over here."""
+        (fmap := cls.__new__(cls)).source, fmap.target, fmap.ops = source, target, ops
+        return fmap
+
     def block(self, label):
-        if (mat := self.blocks.get(label)) is None:
-            return fields.zero_matrix(self.source.algebra.field, self.target.dim(label), self.source.dim(label))
-        return mat
+        i = self.source.algebra.index(label)
+        return _dense(self.source.field, self.ops.get(i, {}), self.target.sizes[i], self.source.sizes[i])
+
+    @property
+    def blocks(self):
+        return {lab: self.block(lab) for lab in self.source.dims}
 
     def commutes(self):
-        """F_t X_g = Y_g F_i on the stored sparse operators X of the source
-        and Y of the target, F those of the blocks, out of each label i of the
-        source support (t = shift[g][i]); off it X_g and F_i, so both sides, are 0."""
-        src, tgt = self.source, self.target
-        alg, shared = src.algebra, {}
+        """F_t X_g = Y_g F_i on the sparse operators X of the source, Y of
+        the target and F of the map, out of each label i of the source
+        support (t = shift[g][i]); off it X_g and F_i, so both sides, are 0."""
+        src, tgt, ops = self.source, self.target, self.ops
+        alg = src.algebra
         compose = partial(fields.sparse_compose, alg.field)
-        ops = {alg.index(lab): _operator(tuple(zip(*mat)), shared) for lab, mat in self.blocks.items()}
         for g in alg.generators:
             for i in src.support:
                 lhs = compose(ops.get(alg.shift[g][i], {}), src.action.get((g, i), {}))
@@ -529,20 +532,28 @@ class GradedMap:
                     return False
         return True
 
+    def _rank(self, i):
+        return len(PresentedSpace(self.source.field, self.target.sizes[i], [*self.ops.get(i, {}).values()]).pivots)
+
     def is_injective(self):
-        return all(fields.rank(self.source.field, self.block(lab)) == d for lab, d in self.source.dims.items())
+        return all(self._rank(i) == self.source.sizes[i] for i in self.source.support)
 
     def is_isomorphism(self):
         return self.source.sizes == self.target.sizes and self.is_injective()
 
 
 def compose_maps(g, f):
-    field = f.source.algebra.field
-    blocks = {
-        lab: fields.mat_mul_dims(field, g.block(lab), f.block(lab), g.target.dim(lab), f.target.dim(lab), d)
-        for lab, d in f.source.dims.items()
-    }
-    return GradedMap(f.source, g.target, blocks, check=False)
+    compose = partial(fields.sparse_compose, f.source.field)
+    return GradedMap._of(f.source, g.target, {i: op for i, fop in f.ops.items() if (op := compose(g.ops.get(i, {}), fop))})
+
+
+def _dense(field, op, nrows, ncols):
+    """The dense matrix, a tuple of row tuples, of a sparse operator."""
+    rows = [[field.zero] * ncols for _ in range(nrows)]
+    for c, col in op.items():
+        for r, x in col.items():
+            rows[r][c] = x
+    return tuple(map(tuple, rows))
 
 
 def _operator(cols, shared, norm=None):
@@ -556,53 +567,65 @@ def _operator(cols, shared, norm=None):
     return op
 
 
+def _row_space(field, op, ncols):
+    """The `PresentedSpace` of the rows of a sparse operator with `ncols` columns."""
+    rows = {}
+    for c, col in op.items():
+        for r, x in col.items():
+            rows.setdefault(r, {})[c] = x
+    return PresentedSpace(field, ncols, [*rows.values()])
+
+
+def _coordinates(field, basis, n, shared):
+    """solve(op, ncols): the coordinates of the columns of `op` in `basis`,
+    independent columns b_k in k^n, as an operator, or None off their span.
+    k^n + k^basis modulo the rows b_k - e'_k has ambient pivots only, so
+    `reduce` leaves v as a residue on free ambient columns plus a sum of
+    e'_k, standing for b_k: the residue is 0 exactly on the span."""
+    m = len(basis)
+    space = PresentedSpace(field, n + m, [{**col, n + k: -1} for k, col in basis.items()])
+
+    def solve(op, ncols):
+        got = [space.reduce(op.get(c, {})) for c in range(ncols)]
+        if not any(any(v[: n - m]) for v in got):
+            return _operator(tuple(v[n - m :] for v in got), shared)
+
+    return solve
+
+
 def _submodule(ambient, bases, what):
-    """The submodule of `ambient` spanned by per-label column bases, with its
-    inclusion; raises ValueError when the span is not action-stable."""
-    alg = ambient.algebra
-    field = alg.field
-    incl = {lab: tuple(zip(*basis)) for lab, basis in bases.items()}
-    action, shared = {}, {}
-    for lab, basis in incl.items():
-        i = alg.index(lab)
+    """The submodule of `ambient` spanned by per-label-index bases, given as
+    operators with independent columns, with its inclusion; raises
+    ValueError when the span is not action-stable."""
+    alg, action, shared = ambient.algebra, {}, {}
+    spans = {t: _coordinates(alg.field, bases.get(t, {}), ambient.sizes[t], shared) for t in ambient.support}
+    for i, basis in bases.items():
         for g in alg.generators:
-            moved = fields.mat_mul(field, ambient._matrix(g, i), basis)
-            tbasis = incl.get(alg.labels[alg.shift[g][i]])
-            if tbasis is None:
-                if not fields.mat_eq_zero(moved):
+            if moved := fields.sparse_compose(alg.field, ambient.action.get((g, i), {}), basis):
+                if (op := spans[alg.shift[g][i]](moved, len(basis))) is None:  # a moved vector leaves the target span
                     raise ValueError(f"{what} is not action-stable")
-                continue
-            cols = tuple(fields.solve(field, tbasis, col) for col in zip(*moved))
-            if None in cols:  # a moved vector leaves the target span
-                raise ValueError(f"{what} is not action-stable")
-            if op := _operator(cols, shared):
                 action[(g, i)] = op
-    sub = GradedModule._of(alg, {alg.index(lab): len(basis) for lab, basis in bases.items()}, action)
-    return sub, GradedMap(sub, ambient, incl, check=False)
+    sub = GradedModule._of(alg, {i: len(basis) for i, basis in bases.items()}, action)
+    return sub, GradedMap._of(sub, ambient, bases)
 
 
 def kernel(f):
-    """Kernel submodule with its inclusion map."""
-    field = f.source.algebra.field
-    bases = {}
-    for lab, d in f.source.dims.items():
-        # an empty block (zero target) has the whole component as kernel
-        basis = fields.nullspace(field, f.block(lab)) if f.target.dim(lab) else fields.identity_matrix(field, d)
-        if basis:
-            bases[lab] = basis  # tuples of length d
-    return _submodule(f.source, bases, "kernel")
+    """Kernel submodule with its inclusion map: at each label the null space
+    of the block's rows (all of the component where the block is zero)."""
+    src, bases, shared = f.source, {}, {}
+    for i in src.support:
+        if basis := _operator(_row_space(src.field, f.ops.get(i, {}), src.sizes[i]).nullspace(), shared):
+            bases[i] = basis
+    return _submodule(src, bases, "kernel")
 
 
 def image(f):
-    """Image submodule of the target with its inclusion map."""
-    field = f.source.algebra.field
+    """Image submodule of the target with its inclusion map: the pivot
+    columns of each block."""
     bases = {}
-    for lab in f.source.dims:
-        mat = f.block(lab)
-        cols = tuple(zip(*mat))
-        chosen = [cols[j] for j in fields._eliminate(field, mat).pivots]
-        if chosen:
-            bases[lab] = chosen
+    for i in f.source.support:
+        if op := f.ops.get(i):
+            bases[i] = {k: op[j] for k, j in enumerate(_row_space(f.source.field, op, f.source.sizes[i]).pivots)}
     return _submodule(f.target, bases, "image")
 
 
@@ -610,39 +633,26 @@ def cokernel(f):
     """Quotient of the target by the image, with the projection."""
     target = f.target
     alg = target.algebra
-    img, incl = image(f)
-    # generator keys are (label index, basis position)
+    # generator keys are (label index, basis position); the columns of f span the image
     gens = [(i, (i, a)) for i in target.support for a in range(target.sizes[i])]
-
-    def relations():
-        for i in img.support:
-            mat = incl.block(alg.labels[i])
-            for j in range(img.sizes[i]):
-                yield [((i, a), mat[a][j]) for a in range(target.sizes[i])]
+    relations = ([((i, a), x) for a, x in col.items()] for i, op in f.ops.items() for col in op.values())
 
     def move(h, key):
         i, a = key
         t = alg.shift[h][i]
         return [((t, r), x) for r, x in target.action.get((h, i), {}).get(a, {}).items()]
 
-    pres = Presentation(alg, gens, relations(), move)
-    proj_blocks = {
-        alg.labels[i]: tuple(zip(*[sp.unit(a) for a in range(sp.ngens)]))
-        for i, sp in pres.spaces.items()
-        if sp.dim
-    }
-    return pres.module, GradedMap(target, pres.module, proj_blocks, check=False)
+    pres, shared = Presentation(alg, gens, relations, move), {}
+    proj = {i: _operator(tuple(map(sp.unit, range(sp.ngens))), shared) for i, sp in pres.spaces.items() if sp.dim}
+    return pres.module, GradedMap._of(target, pres.module, proj)
 
 
 def corestrict_to_image(f, img, incl):
     """The surjection source -> image induced by f."""
-    field = f.source.algebra.field
-    blocks = {}
-    for lab in f.source.dims:
-        if img.dim(lab):
-            cols = [fields.solve(field, incl.block(lab), col) for col in zip(*f.block(lab))]
-            blocks[lab] = tuple(zip(*cols))
-    return GradedMap(f.source, img, blocks, check=False)
+    ops, shared = {}, {}
+    for i, op in f.ops.items():  # the image is 0 where f is
+        ops[i] = _coordinates(f.source.field, incl.ops[i], f.target.sizes[i], shared)(op, f.source.sizes[i])
+    return GradedMap._of(f.source, img, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +670,10 @@ def degree_zero_part(module, sublevel):
     if alg.level % sublevel != 0:
         raise LevelMismatch(f"{sublevel} does not divide level {alg.level}")
     sub = graded_algebra(alg.monoid, sublevel, alg.field)
-    # the level-m index of each kept level-n index; a level-m generator moves
-    # a level-m label to a level-m label, so every target is kept too
-    down = {}
-    for i in module.support:
-        if label_level_divides(lab := alg.labels[i], sublevel):
-            down[i] = sub.index(label_at_level(lab, sublevel))
+    # the level-m index of each kept level-n index (labels compare across
+    # levels); a level-m generator moves a level-m label to a level-m label,
+    # so every target is kept too
+    down = {i: sub.label_index[lab] for i in module.support if (lab := alg.labels[i]) in sub.label_index}
     action, sizes = {}, {k: module.sizes[i] for i, k in down.items()}
     for g in sub.delta_generators:
         big_g = vscale(alg.level // sublevel, g)
@@ -677,13 +685,9 @@ def degree_zero_part(module, sublevel):
 
 def restrict_map(fmap, sublevel):
     """degree_zero_part applied to a graded map."""
-    src = degree_zero_part(fmap.source, sublevel)
-    tgt = degree_zero_part(fmap.target, sublevel)
-    blocks = {}
-    for lab in fmap.source.dims:
-        if label_level_divides(lab, sublevel):
-            blocks[label_at_level(lab, sublevel)] = fmap.block(lab)
-    return GradedMap(src, tgt, blocks, check=False)
+    src, tgt = degree_zero_part(fmap.source, sublevel), degree_zero_part(fmap.target, sublevel)
+    labels, down = fmap.source.algebra.labels, src.algebra.label_index
+    return GradedMap._of(src, tgt, {down[labels[i]]: op for i, op in fmap.ops.items() if labels[i] in down})
 
 
 class ShortExactSequence(Record):
@@ -695,29 +699,14 @@ class ShortExactSequence(Record):
 
 
 def is_exact_sequence(ses):
-    """Degreewise exactness of 0 -> A -> B -> C -> 0."""
+    """Degreewise exactness of 0 -> A -f-> B -g-> C -> 0: f is injective,
+    g f = 0, and at each label g is onto and rank f = dim B - rank g (off
+    the supports of B and C every term is 0)."""
     f, g = ses.inject, ses.project
     if f.target is not g.source and f.target.dims != g.source.dims:
         return False
-    field = f.source.algebra.field
-    labels = set(f.source.dims) | set(f.target.dims) | set(g.target.dims)
-    for lab in labels:
-        fb = f.block(lab)
-        gb = g.block(lab)
-        rank_f = fields.rank(field, fb)
-        if rank_f != f.source.dim(lab):
-            return False
-        rank_g = fields.rank(field, gb)
-        if rank_g != g.target.dim(lab):
-            return False
-        comp = fields.mat_mul_dims(
-            field, gb, fb, g.target.dim(lab), f.target.dim(lab), f.source.dim(lab)
-        )
-        if not fields.mat_eq_zero(comp):
-            return False
-        if rank_f != f.target.dim(lab) - rank_g:
-            return False
-    return True
+    onto = all(g._rank(i) == g.target.sizes[i] == f.target.sizes[i] - f._rank(i) for i in {*f.target.support, *g.target.support})
+    return onto and f.is_injective() and not compose_maps(g, f).ops
 
 
 def check_exactness(ses, sublevel):

@@ -23,7 +23,10 @@ into JSON rows once, so entries with equal matrices share one list.
 Every value the schemas type as integer, and every GF(p) matrix entry,
 goes through `int_from_json`, which rejects booleans, strings and
 non-integral numbers instead of truncating them; a Q matrix entry that
-is a JSON float, rounded before it is read, is refused.  Errors in a
+is a JSON number with a fraction or an exponent is refused.  The CLI
+reads those numbers as `decimal.Decimal`, exactly; a Python float, which
+only a library caller can pass, may have been rounded already, so it is
+refused wherever a number is read.  Errors in a
 matrix name its entry's rep and gen.  The scalar and vector codec
 (`frac_to_str`, `frac_from_str`, `int_from_json`, `vec_*`) and the key
 grammar live in `lattice`, the monoid codec in `monoid`, the hom.json
@@ -33,6 +36,8 @@ payloads need not import this module; all of them are re-exported here.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal
 
 from .errors import MalformedInput
 from .fields import field_from_spec, field_spec
@@ -108,7 +113,7 @@ def _fel_to_json(field, x):
 def _fel_from_json(field, data):
     if field.p:
         return field.of_int(int_from_json(data, "matrix entry"))
-    if type(data) is float:  # json has already rounded it: 1e-400 reads as 0.0
+    if type(data) in (Decimal, float):  # a JSON number with a fraction or an exponent, or a float, maybe rounded
         raise MalformedInput("a Q matrix entry must be an integer or an exact rational string, not a JSON float")
     return frac_from_str(data)
 

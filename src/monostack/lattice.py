@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import deque
+from decimal import Decimal
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, product
-from math import gcd
+from math import gcd, inf
 from operator import add, le, mul, sub
 
 from .errors import DimensionMismatch, MalformedInput, UnboundedRegion
@@ -109,11 +111,16 @@ def frac_to_str(x):
 def frac_from_str(s):
     """A rational from its string; plain ASCII decimal integers (most
     payload entries) skip the `Fraction` parse, which gives them the same
-    int."""
+    int.  `Fraction` writes an exponent out in full, so a spelling whose
+    mantissa and exponent would need more digits than the int digit limit
+    (`sys.get_int_max_str_digits`, if it is on) is refused unparsed."""
     s = str(s)
-    if s.isascii() and (s.isdigit() or (s[:1] == "-" and s[1:].isdigit())):
-        return int(s)
     try:
+        if s.isascii() and (s.isdigit() or (s[:1] == "-" and s[1:].isdigit())):
+            return int(s)
+        mantissa, e, exponent = s.lower().partition("e")
+        if e and len(mantissa) + abs(int(exponent)) > (sys.get_int_max_str_digits() or inf):
+            raise MalformedInput(f"rational {s!r} needs more than {sys.get_int_max_str_digits()} digits")
         x = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad rational {s!r}") from exc
@@ -121,16 +128,22 @@ def frac_from_str(s):
 
 
 def int_from_json(value, what, minimum=None):
-    """A JSON integer; an integral float such as 2.0 counts, as in JSON Schema.
+    """A JSON integer: an int, or a `Decimal` (the CLI reads every other JSON
+    number as one) of integral value such as 2.0, as in JSON Schema.  Every
+    other value is refused, a float among them, and so is a Decimal past the
+    int digit limit, such as 1e999999999, before its int is built.
 
     `minimum` is the schema minimum, 0 or 1, when there is one.
     """
-    if not (type(value) is int or (type(value) is float and value.is_integer())):
-        raise MalformedInput(f"{what} must be an integer, got {json.dumps(value)}")
+    limit = sys.get_int_max_str_digits() or inf
+    if type(value) is Decimal and value.is_finite() and value.adjusted() < limit and value == value.to_integral_value():
+        value = int(value)
+    if type(value) is not int:
+        raise MalformedInput(f"{what} must be an integer, got {value if type(value) is Decimal else json.dumps(value, default=str)}")
     if minimum is not None and value < minimum:
         kind = "positive" if minimum == 1 else "nonnegative"
-        raise MalformedInput(f"{what} must be a {kind} integer, got {int(value)}")
-    return int(value)
+        raise MalformedInput(f"{what} must be a {kind} integer, got {value}")
+    return value
 
 
 def vec_to_json(v):

@@ -11,7 +11,8 @@ and this module represents it as one: every function here takes and
 returns `graded.GradedModule` and `graded.GradedMap`, `to_graded` and
 `from_graded` are the identity, and `ParabolicSheaf` only enforces the
 zero law on structure matrices read from outside.  Kernels and cokernels
-are `graded.kernel` and `graded.cokernel`.
+are `graded.kernel` and `graded.cokernel`, and every map here is built
+straight into the sparse operators of `GradedMap` (`GradedMap._of`).
 
 Induction along m | N is the left adjoint of weight restriction.  It is
 computed as the colimit of the weight diagram below each class, presented
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from . import fields, graded
 from .errors import LevelMismatch, NotADivisor, NotAMultiple
-from .graded import GradedMap, GradedModule, graded_algebra
+from .graded import GradedMap, GradedModule, _operator, graded_algebra
 # in_delta and label_add are bound only for perfbench's tracer
 from .infquot import in_delta
 from .kummer import label_add
@@ -71,8 +72,10 @@ compose = graded.compose_maps
 
 
 def is_identity(pmap):
-    src, field = pmap.source, pmap.source.field
-    return src.sizes == pmap.target.sizes and all(pmap.block(lab) == fields.identity_matrix(field, d) for lab, d in src.dims.items())
+    """The map is the identity: equal sizes, and at each label the operator
+    of x^0, which `act` builds as the identity."""
+    src, zero = pmap.source, (0,) * pmap.source.monoid.ambient_rank
+    return src.sizes == pmap.target.sizes and all(pmap.ops.get(i, {}) == src.act(zero, i)[1] for i in src.support)
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +230,17 @@ def induce_parabolic_map(pmap, level, src_ind=None, tgt_ind=None):
     """The induced map between induced sheaves (functoriality of induction)."""
     s_sheaf, s_pres = src_ind or _induce_with_data(pmap.source, level)
     t_sheaf, t_pres = tgt_ind or _induce_with_data(pmap.target, level)
-    labels = pmap.source.algebra.labels
-    blocks = {}
+    ops, shared = {}, {}
     for t in s_sheaf.support:
         if not t_sheaf.sizes[t]:
             continue
         cols = []
         for k in s_pres.spaces[t].free:
             j, gamma, i = s_pres.gens_per_label[t][k]
-            fb = pmap.block(labels[j])
-            terms = [((j, gamma, k2), fb[k2][i]) for k2 in range(pmap.target.sizes[j])]
-            cols.append(t_pres.coords(t, terms))
-        blocks[s_sheaf.algebra.labels[t]] = tuple(zip(*cols))
-    return GradedMap(s_sheaf, t_sheaf, blocks, check=False)
+            cols.append(t_pres.coords(t, [((j, gamma, k2), x) for k2, x in pmap.ops.get(j, {}).get(i, {}).items()]))
+        if op := _operator(tuple(cols), shared):
+            ops[t] = op
+    return GradedMap._of(s_sheaf, t_sheaf, ops)
 
 
 def unit_map(sheaf, level, ind=None):
@@ -247,12 +248,11 @@ def unit_map(sheaf, level, ind=None):
     ind_sheaf, pres = ind or _induce_with_data(sheaf, level)
     res = restrict(ind_sheaf, sheaf.level)
     one, zero = sheaf.field.one, (0,) * sheaf.monoid.ambient_rank
-    blocks = {}
+    ops, shared = {}, {}
     for j, t in _up(sheaf, pres.algebra).items():
-        if ind_sheaf.sizes[t]:
-            cols = [pres.coords(t, [((j, zero, i), one)]) for i in range(sheaf.sizes[j])]
-            blocks[sheaf.algebra.labels[j]] = tuple(zip(*cols))
-    return GradedMap(sheaf, res, blocks, check=False)
+        if op := _operator(tuple(pres.coords(t, [((j, zero, i), one)]) for i in range(sheaf.sizes[j])), shared):
+            ops[j] = op
+    return GradedMap._of(sheaf, res, ops)
 
 
 def counit_map(sheaf, sublevel, ind=None):
@@ -261,18 +261,16 @@ def counit_map(sheaf, sublevel, ind=None):
         raise NotADivisor(f"{sublevel} does not divide level {sheaf.level}")
     res = restrict(sheaf, sublevel)
     ind_sheaf, pres = ind or _induce_with_data(res, sheaf.level)
-    up, zero = _up(res, sheaf.algebra), sheaf.field.zero
-    blocks = {}
+    up, ops = _up(res, sheaf.algebra), {}
     for t in ind_sheaf.support:
-        if not (tdim := sheaf.sizes[t]):
-            continue
-        cols = []
-        for k in pres.spaces[t].free:
-            j, gamma, i = pres.gens_per_label[t][k]
-            col = sheaf.act(gamma, up[j])[1].get(i, {})
-            cols.append(tuple(col.get(r, zero) for r in range(tdim)))
-        blocks[sheaf.algebra.labels[t]] = tuple(zip(*cols))
-    return GradedMap(ind_sheaf, sheaf, blocks, check=False)
+        op, keys = {}, pres.gens_per_label[t]
+        for c, k in enumerate(pres.spaces[t].free):
+            j, gamma, i = keys[k]
+            if col := sheaf.act(gamma, up[j])[1].get(i):  # the columns of the action, not to be changed
+                op[c] = col
+        if op:
+            ops[t] = op
+    return GradedMap._of(ind_sheaf, sheaf, ops)
 
 
 def is_induced_from(sheaf, divisor):
@@ -421,11 +419,13 @@ def hom_space(source, target):
                         row[col] = row.get(col, 0) - x
                     if row:
                         rows.append(row)
-    maps = []
+    maps, shared = [], {}
     for vec in fields.PresentedSpace(field, nvars, rows).nullspace():
-        blocks = {}
+        ops = {}
         for i in source.support:
+            # column c of f_i holds the unknowns b + r*d + c, one per row r
             d, b = source.sizes[i], base[i]
-            blocks[alg.labels[i]] = tuple(tuple(vec[b + r * d : b + r * d + d]) for r in range(target.sizes[i]))
-        maps.append(GradedMap(source, target, blocks, check=False))
+            if op := _operator(tuple(vec[b + c : b + d * target.sizes[i] : d] for c in range(d)), shared):
+                ops[i] = op
+        maps.append(GradedMap._of(source, target, ops))
     return len(maps), maps

@@ -708,3 +708,130 @@ def record_presentations(monkeypatch):
 def eliminations(seen):
     """The number of `PresentedSpace`s behind the entries of `record_presentations`."""
     return len({id(entry[-1]) for entry in seen})
+
+
+# -- the dense map layer: a reference for the sparse operators of GradedMap -----
+
+
+def same_dense(a, b):
+    """Equal entry for entry and in type (an int is not a `Fraction` here),
+    through dicts and tuples."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same_dense(a[k], b[k]) for k in a)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(same_dense, a, b))
+    return type(a) is type(b) and a == b
+
+
+def _identity(d):
+    return tuple(tuple(int(r == c) for c in range(d)) for r in range(d))
+
+
+def dense_span(ambient, bases, what):
+    """The span of per-label column bases {label: [column, ...]} of
+    `ambient`, by dense linear algebra: (dims, gen_action, inclusion
+    blocks), each generator's action moved by `fields.mat_mul` and read
+    back by one `fields.solve` per moved column; ValueError when the span
+    is not action-stable."""
+    alg, field = ambient.algebra, ambient.field
+    incl = {lab: tuple(zip(*basis)) for lab, basis in bases.items()}
+    action = {}
+    for lab, mat in incl.items():
+        for g in alg.generators:
+            moved = fields.mat_mul(field, ambient.gen_matrix(g, lab), mat)
+            tmat = incl.get(label_add(lab, alg.label_of(g)))
+            if tmat is None:
+                if not fields.mat_eq_zero(moved):
+                    raise ValueError(f"{what} is not action-stable")
+                continue
+            cols = [fields.solve(field, tmat, col) for col in zip(*moved)]
+            if None in cols:
+                raise ValueError(f"{what} is not action-stable")
+            if any(map(any, cols)):
+                action[(g, lab)] = tuple(zip(*cols))
+    return {lab: len(basis) for lab, basis in bases.items()}, action, incl
+
+
+def dense_kernel(f):
+    """`dense_span` of the `fields.nullspace` of each block (the whole
+    component where the target is 0)."""
+    bases = {}
+    for lab, d in f.source.dims.items():
+        basis = fields.nullspace(f.source.field, f.block(lab)) if f.target.dim(lab) else _identity(d)
+        if basis:
+            bases[lab] = basis
+    return dense_span(f.source, bases, "kernel")
+
+
+def dense_image(f):
+    """`dense_span` of the pivot columns of each block."""
+    bases = {}
+    for lab in f.source.dims:
+        block = f.block(lab)
+        if chosen := [tuple(zip(*block))[j] for j in fields.rref(f.source.field, block)[1]]:
+            bases[lab] = chosen
+    return dense_span(f.target, bases, "image")
+
+
+def dense_corestrict(f, incl_blocks):
+    """The blocks of source -> image: each column of f solved against the image basis."""
+    field = f.source.field
+    return {lab: tuple(zip(*[fields.solve(field, mat, col) for col in zip(*f.block(lab))])) for lab, mat in incl_blocks.items()}
+
+
+def dense_cokernel(f):
+    """(dims, gen_action, projection blocks) of target / image: at each label
+    the quotient basis is the non-pivot coordinates of the rref of the image
+    columns, the projection sends a pivot coordinate to minus its rref row,
+    and x^g acts by projection after the target action on those coordinates."""
+    target, field = f.target, f.target.field
+    _, _, incl = dense_image(f)
+    proj, free = {}, {}
+    for lab, n in target.dims.items():
+        if lab in incl:
+            red, pivots = fields.rref(field, tuple(zip(*incl[lab])))
+        else:
+            red, pivots = (), []
+        free[lab] = [a for a in range(n) if a not in pivots]
+        rows = {c: red[k] for k, c in enumerate(pivots)}
+        proj[lab] = tuple(
+            tuple(int(a == b) if a not in rows else field.norm(-rows[a][b]) for a in range(n)) for b in free[lab]
+        )
+    dims = {lab: len(fr) for lab, fr in free.items() if fr}
+    action = {}
+    for lab in dims:
+        for g in target.algebra.generators:
+            t = label_add(lab, target.algebra.label_of(g))
+            if t in dims:
+                moved = [tuple(row[b] for b in free[lab]) for row in target.gen_matrix(g, lab)]
+                mat = fields.mat_mul(field, proj[t], tuple(moved))
+                if not fields.mat_eq_zero(mat):
+                    action[(g, lab)] = mat
+    return dims, action, proj
+
+
+def dense_compose(g, f):
+    field = f.source.field
+    return {
+        lab: fields.mat_mul_dims(field, g.block(lab), f.block(lab), g.target.dim(lab), f.target.dim(lab), d)
+        for lab, d in f.source.dims.items()
+    }
+
+
+def dense_is_injective(f):
+    return all(fields.rank(f.source.field, f.block(lab)) == d for lab, d in f.source.dims.items())
+
+
+def dense_is_exact(f, g):
+    """Degreewise exactness of 0 -> A -f-> B -g-> C -> 0 by dense ranks and products."""
+    if f.target is not g.source and f.target.dims != g.source.dims:
+        return False
+    field = f.source.field
+    for lab in set(f.source.dims) | set(f.target.dims) | set(g.target.dims):
+        rank_f, rank_g = fields.rank(field, f.block(lab)), fields.rank(field, g.block(lab))
+        comp = fields.mat_mul_dims(field, g.block(lab), f.block(lab), g.target.dim(lab), f.target.dim(lab), f.source.dim(lab))
+        if (rank_f, rank_g) != (f.source.dim(lab), g.target.dim(lab)) or not fields.mat_eq_zero(comp):
+            return False
+        if rank_f != f.target.dim(lab) - rank_g:
+            return False
+    return True

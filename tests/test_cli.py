@@ -861,6 +861,82 @@ def test_float_entries_over_q_are_malformed(name, key, command, tmp_path, capsys
     capsys.readouterr()
 
 
+# Rationals spelled with an exponent that `Fraction` would write out to ten
+# million digits: as a Q matrix entry the parse ran 14.7 s and then hit the
+# int digit limit on the way out (exit 2), as a component key it ran 10.1 s.
+HUGE_EXPONENTS = {
+    "entry": ({"0": 1, "1/2": 1}, [{"rep": "0", "gen": "1/2", "matrix": [["1e10000000"]]}]),
+    "key": ({"1e10000000": 1}, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_EXPONENTS))
+def test_rationals_past_the_digit_limit_are_refused_at_once(name, tmp_path, capsys):
+    """Exit 1 with one error line, well within a second, before the exponent
+    is expanded; "1e2" still reads as 100."""
+    import time
+
+    components, maps = HUGE_EXPONENTS[name]
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps({"monoid": NAT, "level": 2, "field": "Q", "components": components, "maps": maps}))
+    start = time.perf_counter()
+    code = main(["parabolic", "to-graded", str(src)])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert "'1e10000000' needs more than" in err and err.count("\n") == 1
+
+
+def test_a_plain_integer_string_past_the_digit_limit_names_its_entry(tmp_path, capsys):
+    """Like every other bad matrix entry, it exits 1 with the entry's rep and gen."""
+    maps = [{"rep": "0", "gen": "1/2", "matrix": [["9" * 5000]]}]
+    src = tmp_path / "payload.json"
+    src.write_text(json.dumps({"monoid": NAT, "level": 2, "field": "Q", "components": {"0": 1, "1/2": 1}, "maps": maps}))
+    code = main(["parabolic", "to-graded", str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "") and err.startswith("error: maps entry rep 0, gen 1/2: bad rational '999")
+
+
+# JSON numbers the reader used to round through a float: each is a value of
+# the schema's integer type, and 1e-400 read as 0.0 (a GF(3) entry of 1e-400
+# silently dropped the action, and `to-graded` exited 0).
+NUMBER_PAYLOAD = ('{"monoid": {"ambient_rank": 1, "generators": [[1]]}, "level": %(level)s, "field": "%(field)s", '
+                  '"components": %(components)s, "maps": %(maps)s}')
+NUMBER_DEFAULTS = {"level": "2", "field": "Q", "components": '{"0": 1}', "maps": "[]"}
+NUMBER_PAYLOADS = {
+    "dimension": ({"components": '{"0": 1e-400}'}, "component dimension must be an integer, got 1E-400"),
+    "level": ({"level": "1e-400"}, "level must be an integer, got 1E-400"),
+    "huge_level": ({"level": "1e999999999"}, "level must be an integer, got 1E+999999999"),
+    "gf3_entry": ({"field": "Fp:3", "components": '{"0": 1, "1/2": 1}',
+                   "maps": '[{"rep": "0", "gen": "1/2", "matrix": [[1e-400]]}]'},
+                  "maps entry rep 0, gen 1/2: matrix entry must be an integer, got 1E-400"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_PAYLOADS))
+def test_json_numbers_are_read_exactly(name, tmp_path, capsys):
+    """The CLI reads a JSON number with a fraction or an exponent exactly, as
+    a `Decimal`: 1e-400 is no integer and exits 1, and so does 1e999999999,
+    whose int is never built."""
+    fields, message = NUMBER_PAYLOADS[name]
+    src = tmp_path / "payload.json"
+    src.write_text(NUMBER_PAYLOAD % {**NUMBER_DEFAULTS, **fields})
+    code = main(["parabolic", "to-graded", str(src)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_an_integral_decimal_dimension_reads_as_an_integer(tmp_path, capsys):
+    """A dimension of 2.0 is an integer, as in JSON Schema."""
+    outs = []
+    for dim in ("2", "2.0"):
+        src = tmp_path / "payload.json"
+        src.write_text(NUMBER_PAYLOAD % {**NUMBER_DEFAULTS, "components": '{"0": %s}' % dim})
+        assert main(["parabolic", "to-graded", str(src)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and '"0": 2' in outs[0]
+
+
 # Reading these raises a ValueError that is no JSONDecodeError: the UTF-8 decoder's or int()'s.
 UNREADABLE = {
     "invalid_utf8": (b'{"ambient_rank": 1, "generators": [[1]]}\xff', "'utf-8' codec can't decode byte 0xff"),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -265,6 +266,39 @@ def test_tensor_with_free_rank_one_is_identity(nat2):
     m = random_module(alg, rng)
     t, _ = tensor(m, r)
     assert {lab: d for lab, d in t.dims.items()} == m.dims
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_tensor_embed_lands_moves_and_spans(nat, nat2, field):
+    """`embed(lam, i, mu, j)`, the class of e_i (x) e_j, sits at lam + mu;
+    x^g acts on it as on the left factor, by sum_i' (X_g)_i'i embed(lam +
+    g, i', mu, j); and the pure tensors span every component of the product."""
+    from monostack.fields import rank
+
+    def apply(mat, vec):
+        return tuple(field.norm(sum(a * b for a, b in zip(row, vec))) for row in mat)
+
+    rng = random.Random(13)
+    for pres, level in ((nat, 3), (nat2, 2)):
+        alg = graded_algebra(pres, level, field)
+        for _ in range(3):
+            m, n = random_module(alg, rng), random_module(alg, rng)
+            t, embed = tensor(m, n)
+            spans = {}
+            for (lam, dm), (mu, dn) in itertools.product(m.dims.items(), n.dims.items()):
+                for i, j in itertools.product(range(dm), range(dn)):
+                    nu, vec = embed(lam, i, mu, j)
+                    assert nu == label_add(lam, mu)
+                    spans.setdefault(nu, []).append(vec)
+                    for g in alg.generators:
+                        up, x = label_add(lam, alg.label_of(g)), m.gen_matrix(g, lam)
+                        want = [field.zero] * t.dim(label_add(nu, alg.label_of(g)))
+                        for i2 in range(m.dim(up)):
+                            if x[i2][i]:
+                                want = [field.norm(w + x[i2][i] * u) for w, u in zip(want, embed(up, i2, mu, j)[1])]
+                        assert apply(t.gen_matrix(g, nu), vec) == tuple(want)
+            assert set(t.dims) <= set(spans)
+            assert {nu: rank(field, vecs) for nu, vecs in spans.items()} == {nu: t.dim(nu) for nu in spans}
 
 
 def test_projection_formula_instances(nat, nat2, nonsimplicial):
