@@ -5,15 +5,20 @@ or omitted) and written to stdout; identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 malformed input, 2 a
 semantic precondition was violated (non-sharp monoid, level mismatch and
 friends, any `ideal mingens --bound` below the certified bound, where a
-larger --bound changes nothing, and a `delta`/`delta0` level past the
-enumeration budget of `infquot.delta_points`, or a `picard` level with more
-than that many labels; `infquot check` builds no slice and answers at any
-level), 3 the infinite-quotient check came back inconclusive, 4 an
-internal error: any other exception, with its traceback on stderr, 5 the
-answer could not be written to stdout (a full disk, a closed pipe).  Every
---level, --levels, --to and --divisor value must be a positive integer;
-anything else is malformed input, and so is every other usage error
-argparse reports.
+larger --bound changes nothing, a monoid whose triangulation has more
+half-open parallelepiped points than `lattice.ENUMERATION_BUDGET`, a
+`delta`/`delta0` level past the enumeration budget of
+`infquot.delta_points`, or a `picard` level with more than that many
+labels; `infquot check` builds no slice and answers at any level), 3 the
+infinite-quotient check came back inconclusive, 4 an internal error: any
+other exception, with its traceback on stderr, 5 the answer could not be
+written to stdout (a full disk, a closed pipe).  Every --level, --levels,
+--to and --divisor value must be a positive integer; anything else is
+malformed input, and so is every other usage error argparse reports.
+`COMMANDS` declares each action's arguments (`parabolic restrict` and
+`induce` need --to, `hom` needs --with, only `check-induced` takes
+--divisor), so a missing one, or a flag of another action, is a usage
+error.
 """
 
 from __future__ import annotations
@@ -106,14 +111,14 @@ def cmd_monoid(args):
     return payload, summary, EXIT_OK
 
 
-def cmd_delta(args, delta0_only=False):
+def cmd_delta(args):
     from . import infquot
 
     pres = monoid.monoid_from_json(_read_payload(args.input))
     ds = infquot.delta_points(pres, args.level)
     d = args.level * pres.denominator
     payload = {"monoid": monoid.monoid_to_json(pres), "level": args.level}
-    if delta0_only:
+    if args.command == "delta0":
         payload["points"] = [lattice.scaled_to_json(y, d) for y, flag in zip(ds.scaled, ds.delta0_mask) if flag]
         summary = f"{len(payload['points'])} Delta0 points at level {args.level}"
     else:
@@ -127,7 +132,7 @@ def cmd_infquot(args):
     from . import infquot
 
     element = infquot.profinite_from_json(_read_payload(args.input))
-    verdict = infquot.is_infinite_quotient(element, depth=args.depth)
+    verdict = infquot.is_infinite_quotient(element)
     payload = {"verdict": verdict.kind}
     code = EXIT_OK
     if verdict.is_confirmed:
@@ -262,94 +267,55 @@ def cmd_parabolic(args):
 
 
 # -- parser -------------------------------------------------------------------
+# Per command, in the order the top-level help lists them: its help, the name
+# of its handler (looked up when the parser is built, so a patched handler
+# runs), and per action the arguments that action reads besides the optional
+# `input` (flag -> add_argument keywords; an "input" entry gives `input` a help
+# line); the action None puts them on the command.
 
+LEVEL = {"--level": {"type": int, "default": 1}}
+TO = {"--to": {"type": int, "required": True, "help": "target level"}}
 
-def _add_monoid(sub):
-    p = sub.add_parser("monoid", help="inspect, saturate, or generate Hilbert bases")
-    psub = p.add_subparsers(dest="action", required=True)
-    for action in ("info", "hilbert", "saturate"):
-        q = psub.add_parser(action)
-        q.add_argument("input", nargs="?", help="monoid.json file, or - for stdin")
-        q.set_defaults(func=cmd_monoid, action=action)
-
-
-def _add_delta(sub, name="delta"):
-    p = sub.add_parser(name, help=f"{name.capitalize()} points at a root level")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--level", type=int, default=1)
-    p.set_defaults(func=lambda a: cmd_delta(a, delta0_only=name == "delta0"))
-
-
-def _add_infquot(sub):
-    p = sub.add_parser("infquot", help="infinite-quotient check")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("check")
-    q.add_argument("input", nargs="?")
-    q.add_argument("--depth", type=int, default=4, help="accepted; has no effect")
-    q.set_defaults(func=cmd_infquot)
-
-
-def _add_kummer(sub):
-    p = sub.add_parser("kummer", help="Kummer test for a monoid homomorphism")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("check")
-    q.add_argument("input", nargs="?")
-    q.set_defaults(func=cmd_kummer)
-
-
-def _add_picard(sub):
-    p = sub.add_parser("picard", help="level-n class group and coset labels")
-    p.add_argument("input", nargs="?")
-    p.add_argument("--level", type=int, default=1)
-    p.set_defaults(func=cmd_picard)
-
-
-def _add_ideal(sub):
-    p = sub.add_parser("ideal", help="minimal generators of monomial ideals")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("mingens")
-    q.add_argument("input", nargs="?")
-    q.add_argument("--level", type=int, default=1)
-    q.add_argument("--colon", help='colon pair "a;b" with comma-separated rational coordinates')
-    q.add_argument("--generators", help='ideal generators "g1;g2;..."')
-    q.add_argument("--bound", help="bound on l(x) for the region; below the certified bound (the default) exits 2")
-    q.set_defaults(func=cmd_ideal)
-
-
-def _add_probe(sub):
-    p = sub.add_parser("probe", help="coherence probe across levels")
-    psub = p.add_subparsers(dest="action", required=True)
-    q = psub.add_parser("coherence")
-    q.add_argument("input", nargs="?")
-    q.add_argument("--pair", required=True, help='degree pair "a;b"')
-    q.add_argument("--levels", default="1,2,3,4")
-    q.set_defaults(func=cmd_probe)
-
-
-def _add_parabolic(sub):
-    p = sub.add_parser("parabolic", help="parabolic sheaf functors")
-    psub = p.add_subparsers(dest="action", required=True)
-    for action in ("to-graded", "from-graded", "restrict", "induce", "check-induced", "hom"):
-        q = psub.add_parser(action)
-        q.add_argument("input", nargs="?")
-        q.add_argument("--to", type=int, help="target level for restrict/induce")
-        q.add_argument("--divisor", type=int, help="divisor for check-induced")
-        q.add_argument("--with", dest="with_sheaf", help="second sheaf for hom")
-        q.set_defaults(func=cmd_parabolic, action=action)
-
-
-# each command's argument subtree, in the order the top-level help lists them
 COMMANDS = {
-    "monoid": _add_monoid,
-    "delta": _add_delta,
-    "delta0": lambda sub: _add_delta(sub, "delta0"),
-    "infquot": _add_infquot,
-    "kummer": _add_kummer,
-    "picard": _add_picard,
-    "ideal": _add_ideal,
-    "probe": _add_probe,
-    "parabolic": _add_parabolic,
+    "monoid": ("inspect, saturate, or generate Hilbert bases", "cmd_monoid", dict.fromkeys(
+        ("info", "hilbert", "saturate"), {"input": {"nargs": "?", "help": "monoid.json file, or - for stdin"}})),
+    "delta": ("Delta points at a root level", "cmd_delta", {None: LEVEL}),
+    "delta0": ("Delta0 points at a root level", "cmd_delta", {None: LEVEL}),
+    "infquot": ("infinite-quotient check", "cmd_infquot", {"check": {}}),
+    "kummer": ("Kummer test for a monoid homomorphism", "cmd_kummer", {"check": {}}),
+    "picard": ("level-n class group and coset labels", "cmd_picard", {None: LEVEL}),
+    "ideal": ("minimal generators of monomial ideals", "cmd_ideal", {"mingens": {
+        **LEVEL,
+        "--colon": {"help": 'colon pair "a;b" with comma-separated rational coordinates'},
+        "--generators": {"help": 'ideal generators "g1;g2;..."'},
+        "--bound": {"help": "bound on l(x) for the region; below the certified bound (the default) exits 2"},
+    }}),
+    "probe": ("coherence probe across levels", "cmd_probe", {"coherence": {
+        "--pair": {"required": True, "help": 'degree pair "a;b"'},
+        "--levels": {"default": "1,2,3,4"},
+    }}),
+    "parabolic": ("parabolic sheaf functors", "cmd_parabolic", {
+        "to-graded": {},
+        "from-graded": {},
+        "restrict": TO,
+        "induce": TO,
+        "check-induced": {"--divisor": {"type": int, "help": "level to test; without it, the minimal inducing level"}},
+        "hom": {"--with": {"dest": "with_sheaf", "required": True, "help": "second sheaf.json file, or - for stdin"}},
+    }),
 }
+
+
+def _add(sub, name):
+    """Add the parser of command `name`, and of each of its actions, to `sub`."""
+    text, handler, actions = COMMANDS[name]
+    p = sub.add_parser(name, help=text)
+    p.set_defaults(func=globals()[handler])
+    if None not in actions:
+        psub = p.add_subparsers(dest="action", required=True)
+    for action, arguments in actions.items():
+        q = p if action is None else psub.add_parser(action)
+        for flag, keywords in {"input": {"nargs": "?"}, **arguments}.items():
+            q.add_argument(flag, **keywords)
 
 
 def build_parser(argv=None):
@@ -371,11 +337,11 @@ def build_parser(argv=None):
     command = next((arg for arg in argv or () if arg != "--pretty"), None)
     if command in COMMANDS:
         sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
-        COMMANDS[command](sub)
+        _add(sub, command)
     else:
         sub = parser.add_subparsers(dest="command", required=True)
-        for add in COMMANDS.values():
-            add(sub)
+        for name in COMMANDS:
+            _add(sub, name)
     return parser
 
 

@@ -58,8 +58,8 @@ from .lattice import Record, dot, facet_values, int_from_json, unscale, vadd, ve
 from .monoid import MonoidElement, monoid_from_json
 
 # Most Delta candidates `delta_points` enumerates at one level, and most
-# labels `monostack picard` lists.
-ENUMERATION_BUDGET = 2 * 10**6
+# labels `monostack picard` lists: the budget of `lattice`, read from here.
+ENUMERATION_BUDGET = lattice.ENUMERATION_BUDGET
 
 
 # Miller-Rabin with these bases decides primality exactly below
@@ -481,8 +481,8 @@ def is_infinite_quotient(element, depth=4):
     family was built from.  Otherwise the verdict is inconclusive at this
     truncation level.  `not-an-infinite-quotient` cannot occur for a valid
     `TruncatedProfiniteElement`: if N*x = a - b with a, b in P, then
-    a + (N-1)*b realises the family of [x].  `depth` is accepted for the
-    CLI's `--depth` and has no effect.
+    a + (N-1)*b realises the family of [x].  `depth` is accepted and has
+    no effect.
     """
     pres, labels = element.monoid, element.labels
     for n, label in labels.items():  # the divisors, ascending

@@ -329,15 +329,3 @@ def label_add(a, b):
 def label_scale(k, a):
     res = tuple(k * x % a.order for x in a.res)
     return CosetLabel(a.monoid, a.level, a.order, res)
-
-
-def label_at_level(a, n):
-    """Reinterpret a label at level n (its order must divide n)."""
-    if n % a.order:
-        raise LevelMismatch(f"label {vec_key(a.normal_form)} does not live at level {n}")
-    return CosetLabel(a.monoid, n, a.order, a.res)
-
-
-def label_level_divides(a, m):
-    """True when the label comes from level m (its order divides m)."""
-    return m % a.order == 0

@@ -40,6 +40,11 @@ from operator import add, le, mul, sub
 
 from .errors import DimensionMismatch, MalformedInput, UnboundedRegion
 
+# Most points one enumeration lists: the half-open parallelepiped points of a
+# monoid's triangulation, the Delta candidates of one level, the labels of
+# `monostack picard`.
+ENUMERATION_BUDGET = 2 * 10**6
+
 
 class Record:
     """Value semantics for a plain class, as a frozen dataclass has them

@@ -29,7 +29,7 @@ from math import floor, gcd, lcm
 from operator import ge
 
 from . import lattice
-from .errors import DimensionMismatch, EmptyGenerators, MalformedInput, NotSaturated, NotSharp
+from .errors import DimensionMismatch, EmptyGenerators, EnumerationBudget, MalformedInput, NotSaturated, NotSharp
 from .lattice import (
     RationalCone,
     Record,
@@ -260,7 +260,9 @@ class MonoidPresentation(Record):
         integer model (`lattice.pulling_triangulation`,
         `lattice.half_open_simplex`).  Coordinates open against q0, the sum
         of the ray coordinates in the group basis, so the half-open cones
-        partition the cone.
+        partition the cone.  The points sum |det C| are counted first, and
+        past `lattice.ENUMERATION_BUDGET` of them it raises `EnumerationBudget`
+        before enumerating any.
         """
         rays = self.ray_generators
         if self._group_is_ambient:
@@ -268,9 +270,15 @@ class MonoidPresentation(Record):
         else:
             coords = tuple(lattice.lattice_coords_int(self.group_basis, r) for r in rays)
         interior = tuple(map(sum, zip(*coords)))
+        simplices = lattice.pulling_triangulation(rays, self.cone.facets)
+        count = sum(abs(lattice._det([coords[i] for i in simplex])) for simplex in simplices)
+        if count > lattice.ENUMERATION_BUDGET:
+            raise EnumerationBudget(
+                f"the triangulation has {count} parallelepiped points, past the budget of {lattice.ENUMERATION_BUDGET}"
+            )
         return tuple(
             lattice.half_open_simplex([rays[i] for i in simplex], [coords[i] for i in simplex], interior)
-            for simplex in lattice.pulling_triangulation(rays, self.cone.facets)
+            for simplex in simplices
         )
 
     @property

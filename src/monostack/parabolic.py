@@ -44,7 +44,7 @@ from .kummer import label_add
 from .lattice import dot, scaled_key, vadd, vscale, vsub
 
 
-def ParabolicSheaf(monoid, level, field, components, structure, check=True):
+def ParabolicSheaf(monoid, level, field, components, structure):
     """The graded module with these weight components and structure matrices.
 
     `structure` maps (generator, label) to a matrix, the generator given by
@@ -54,11 +54,10 @@ def ParabolicSheaf(monoid, level, field, components, structure, check=True):
     """
     alg = graded_algebra(monoid, level, field)
     module = GradedModule(alg, components, structure, check=False)
-    if check:
-        for g, _ in module.action:  # the nonzero actions
-            if g not in alg.delta_generators:
-                raise ValueError(f"structure matrix for {scaled_key(g, alg.scale)} violates the zero law")
-        module.validate()
+    for g, _ in module.action:  # the nonzero actions
+        if g not in alg.delta_generators:
+            raise ValueError(f"structure matrix for {scaled_key(g, alg.scale)} violates the zero law")
+    module.validate()
     return module
 
 

@@ -463,6 +463,70 @@ def test_picard_at_the_label_budget_lists_every_label(tmp_path, capsys, monkeypa
     assert main(["picard", "--level", "5", str(src)]) == 2
     assert capsys.readouterr().err == "error: level 5 has 125 labels, past the budget of 64\n"
 
+
+def _skewed_cone(k):
+    """The cone over e1, e2, e3 and (k, 1, -1): its two simplices hold k and 1
+    half-open parallelepiped points, and its Hilbert basis is the four rays."""
+    return {"ambient_rank": 3, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [k, 1, -1]]}
+
+
+@pytest.mark.parametrize("k", [10**7, 10**30], ids=["1e7", "1e30"])
+@pytest.mark.parametrize("action", ["info", "hilbert"])
+def test_parallelepipeds_past_the_enumeration_budget_exit_2(action, k, tmp_path, capsys):
+    """The parallelepiped points are counted, sum |det C| over the simplices,
+    before any is listed: exit 2 within a second, with one error line."""
+    import time
+
+    src = tmp_path / "cone.json"
+    src.write_text(json.dumps(_skewed_cone(k)))
+    start = time.perf_counter()
+    code = main(["monoid", action, str(src)])
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: the triangulation has {k + 1} parallelepiped points, past the budget of 2000000\n"
+
+
+def test_parallelepipeds_within_the_enumeration_budget_are_listed(tmp_path, capsys):
+    src = tmp_path / "cone.json"
+    src.write_text(json.dumps(_skewed_cone(1000)))
+    assert main(["monoid", "info", str(src)]) == 0
+    assert json.loads(capsys.readouterr().out)["flags"] == {"sharp": True, "saturated": True, "simplicial": False}
+    assert main(["monoid", "hilbert", str(src)]) == 0
+    basis = json.loads(capsys.readouterr().out)["hilbert_basis"]
+    assert basis == [["0", "0", "1"], ["0", "1", "0"], ["1", "0", "0"], ["1000", "1", "-1"]]
+
+
+FOREIGN_OR_MISSING_FLAGS = [
+    (["parabolic", "induce", "sheaf.json"], "the following arguments are required: --to"),
+    (["parabolic", "restrict", "sheaf.json"], "the following arguments are required: --to"),
+    (["parabolic", "hom", "sheaf.json"], "the following arguments are required: --with"),
+    (["parabolic", "to-graded", "sheaf.json", "--to", "3"], "unrecognized arguments: --to 3"),
+    (["parabolic", "induce", "sheaf.json", "--to", "4", "--divisor", "2"], "unrecognized arguments: --divisor 2"),
+    (["parabolic", "check-induced", "sheaf.json", "--with", "sheaf.json"], "unrecognized arguments: --with sheaf.json"),
+    (["infquot", "check", "family.json", "--depth", "4"], "unrecognized arguments: --depth 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", FOREIGN_OR_MISSING_FLAGS, ids=[" ".join(argv[:2] + argv[3:]) for argv, _ in FOREIGN_OR_MISSING_FLAGS]
+)
+def test_each_action_takes_only_its_own_arguments(argv, message, tmp_path, capsys, monkeypatch):
+    """A missing required flag, or a flag of another action, is a usage error
+    (exit 1) on real payloads, before any is read: `hom` without --with does
+    not take stdin as its second sheaf."""
+    (tmp_path / "sheaf.json").write_text(json.dumps(GOLDEN_PAYLOADS["n2"]))
+    (tmp_path / "family.json").write_text(json.dumps(_profinite_payload()))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(GOLDEN_PAYLOADS["n2"])))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    last = err.splitlines()[-1]
+    assert " error: " in last and last.endswith(message), err
+    assert "NoneType" not in err
+
+
 @pytest.mark.parametrize(
     "extra, line",
     [

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import delta_bound, random_kummer_hom, random_sharp_saturated
-from monostack.errors import InfiniteCokernel, LevelMismatch
+from monostack.errors import InfiniteCokernel
 from monostack.infquot import divisors
 from monostack.kummer import (
     CosetLabel,
@@ -18,8 +18,6 @@ from monostack.kummer import (
     enumerate_labels,
     is_kummer,
     label_add,
-    label_at_level,
-    label_level_divides,
     label_scale,
     picard_group,
     root_extension,
@@ -185,18 +183,6 @@ def test_coset_label_sublattice():
         coset_label(e, 2, (Fraction(1, 2), Fraction(0)))
 
 
-def test_label_level_reinterpretation(nat):
-    lab = coset_label(nat, 2, (Fraction(1, 2),))
-    from monostack.kummer import label_at_level, label_level_divides
-
-    assert label_level_divides(lab, 2)
-    assert not label_level_divides(lab, 1)
-    lifted = label_at_level(lab, 4)
-    assert lifted == lab and lifted.level == 4
-    with pytest.raises(LevelMismatch):
-        label_at_level(lab, 3)
-
-
 # -- integer labels against the Fraction oracle --------------------------------
 
 LEVELS = range(1, 7)
@@ -255,16 +241,14 @@ def test_labels_equal_across_levels(label_monoids):
         index12 = {lab: i for i, lab in enumerate(by_level[12])}
         for m, labels in by_level.items():
             for lab in labels:
-                lifted = label_at_level(lab, 12)
-                assert lifted == lab and hash(lifted) == hash(lab)
-                assert lifted.level == 12 and lab.level == m
+                assert lab.level == m
                 # a level-m label finds its level-12 twin in a dict
                 twin = by_level[12][index12[lab]]
                 assert twin == lab and twin.normal_form == lab.normal_form
                 again = coset_label(pres, 12, lab.representative)
                 assert again == lab and hash(again) == hash(lab), (name, m)
                 for n in (1, 2, 3, 4, 6, 12):
-                    assert label_level_divides(lab, n) == all(
+                    assert (n % lab.order == 0) == all(
                         (c * n).denominator == 1 for c in lab.normal_form
                     )
 
@@ -331,14 +315,13 @@ def test_off_lattice_points_raise(label_monoids, nat):
 
 def test_label_hash_is_the_field_hash_and_survives_every_route(label_monoids):
     """A label hashes (monoid, order, res) once, at construction, so labels
-    built by `label_at_level`, `label_add`, `label_scale`, `coset_label` or
-    the constructor (another level, or an unreduced (order, res)) hash alike
-    whenever they are equal."""
+    built by `label_add`, `label_scale`, `coset_label` or the constructor
+    (another level, or an unreduced (order, res)) hash alike whenever they
+    are equal."""
     for name, pres in label_monoids.items():
         for lab in enumerate_labels(pres, 6):
             assert hash(lab) == hash((lab.monoid, lab.order, lab.res)), name
             routes = [
-                label_at_level(label_at_level(lab, 6), 12),
                 label_add(lab, zero_label(pres, 3)),
                 label_scale(7, lab),  # 7 = 1 mod 6
                 coset_label(pres, 2 * lab.order, lab.representative),
